@@ -22,11 +22,10 @@ the second-order defect of d_x'.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import numpy as np
 import sympy as sp
 
 from .charts import Chart, require_same_chart
-from .fields import compile_scalars
+from .fields import sup_norm_scalars
 
 
 class DegreeError(ValueError):
@@ -210,21 +209,8 @@ class BigradedElement:
             return sp.Integer(0)
         return jsign * isign * self.terms.get((jset, iset), sp.Integer(0))
 
-    def map_coefficients(self, fn):
-        out = BigradedElement(self.chart)
-        for (j, i), c in self.terms.items():
-            out._add_term(j, i, fn(c))
-        return out
-
     def sup_norm(self, base_k=5, fibre_k=8):
-        if not self.terms:
-            return 0.0
-        Y, X = self.chart.sample_points(base_k, fibre_k)
-        vals = compile_scalars(list(self.terms.values()), self.chart)(Y, X)
-        return float(np.max(np.abs(vals)))
-
-    def simplified_is_zero(self):
-        return all(sp.simplify(c) == 0 for c in self.terms.values())
+        return sup_norm_scalars(self.terms.values(), self.chart, base_k, fibre_k)
 
     def __repr__(self):
         if not self.terms:
@@ -369,11 +355,7 @@ class FormElement:
         return not self.terms
 
     def sup_norm(self, base_k=5, fibre_k=8):
-        if not self.terms:
-            return 0.0
-        Y, X = self.chart.sample_points(base_k, fibre_k)
-        vals = compile_scalars(list(self.terms.values()), self.chart)(Y, X)
-        return float(np.max(np.abs(vals)))
+        return sup_norm_scalars(self.terms.values(), self.chart, base_k, fibre_k)
 
     def __repr__(self):
         if not self.terms:

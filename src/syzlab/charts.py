@@ -7,7 +7,6 @@ coordinate is periodic with period 1.  Dimensions 1 <= n <= 3 are supported.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 import sympy as sp
@@ -69,30 +68,42 @@ class Chart:
             vol *= hi - lo
         return vol
 
-    def base_axis_points(self, k):
-        return [np.linspace(float(lo), float(hi), k) for lo, hi in self.box]
-
-    def fibre_axis_points(self, k):
-        return [np.arange(k) / k for _ in range(self.n)]
-
     def base_grid(self, k=5):
         """Deterministic k^n grid of base sample points, shape (k^n, n)."""
-        axes = self.base_axis_points(k)
-        return np.array(list(product(*axes)), dtype=float)
+        return product_grid([np.linspace(float(lo), float(hi), k) for lo, hi in self.box])
 
     def fibre_grid(self, k=8):
         """Uniform k^n grid on the fibre torus, shape (k^n, n)."""
-        axes = self.fibre_axis_points(k)
-        return np.array(list(product(*axes)), dtype=float)
+        return product_grid([circle_points(k)] * self.n)
 
     def sample_points(self, base_k=5, fibre_k=8):
         """Full product grid: returns (Y, X) arrays of shape (npts, n)."""
-        yb = self.base_grid(base_k)
-        xf = self.fibre_grid(fibre_k)
-        ny, nx = len(yb), len(xf)
-        Y = np.repeat(yb, nx, axis=0)
-        X = np.tile(xf, (ny, 1))
-        return Y, X
+        grid = product_grid([self.base_grid(base_k), self.fibre_grid(fibre_k)])
+        return grid[:, : self.n], grid[:, self.n:]
+
+
+def circle_points(k):
+    """k uniform samples of the unit circle: the nodes of the trapezoidal rule."""
+    return np.arange(k) / k
+
+
+def product_grid(factors):
+    """Cartesian product of point sets, in itertools.product order.
+
+    Each factor is a 1-d array of coordinates or a (k, d) array of points.
+    Returns one row per combination, the factors' columns side by side; the
+    last factor varies fastest.
+    """
+    blocks = [np.asarray(f, dtype=float) for f in factors]
+    blocks = [b if b.ndim == 2 else b[:, None] for b in blocks]
+    out = np.empty([len(b) for b in blocks] + [sum(b.shape[1] for b in blocks)])
+    col = 0
+    for axis, b in enumerate(blocks):
+        shape = [1] * len(blocks) + [b.shape[1]]
+        shape[axis] = len(b)
+        out[..., col:col + b.shape[1]] = b.reshape(shape)
+        col += b.shape[1]
+    return out.reshape(-1, col)
 
 
 def require_same_chart(a, b):

@@ -254,20 +254,3 @@ def point_complex(name="pt"):
     return ChainComplex([[("v", 0)]], [[]], name)
 
 
-def collapse_map(sub_labels, target_vertex=("v", 0)):
-    """Chain map collapsing an entire subcomplex to a point."""
-    images = {}
-    for label in sub_labels:
-        images[label] = []
-    for label in sub_labels:
-        if _label_dim(label) == 0:
-            images[label] = [(target_vertex, 1)]
-    return CellularMap(images)
-
-
-def _label_dim(label):
-    """Dimension of a product-of-circle-cells label: count 'e' components."""
-    if isinstance(label, tuple) and len(label) == 2 and label[0] in ("v", "e"):
-        return 1 if label[0] == "e" else 0
-    a, b = label
-    return _label_dim(a) + _label_dim(b)

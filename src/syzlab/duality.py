@@ -16,19 +16,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import permutations, product as iproduct
+from itertools import permutations
 
 import numpy as np
 import sympy as sp
 
 from .algebra import to_form
 from .charts import Chart
-from .fields import compile_scalars
-from .quadrature import (
-    fibre_integral,
-    gauss_legendre_nodes,
-    subtorus_integral,
-)
+from .fields import compile_scalars, sup_norm_scalars
+from .quadrature import chart_integral, fibre_means, subtorus_grid
 from .semiflat import (
     DEFAULT_TOL,
     BetaStructure,
@@ -107,16 +103,6 @@ class MetricOnBase:
     provenance: str
     samples: object = None  # (points, stacked matrices)
 
-    def at(self, chart, y_point):
-        if self.matrix is not None:
-            subs = {chart.ys[i]: y_point[i] for i in range(chart.n)}
-            return np.array(
-                [[complex(self.matrix[i, j].subs(subs)).real for j in range(chart.n)]
-                 for i in range(chart.n)])
-        pts, mats = self.samples
-        idx = int(np.argmin(np.sum((pts - np.asarray(y_point)) ** 2, axis=1)))
-        return mats[idx]
-
 
 def _im_omega_coefficient_forms(bs: BetaStructure):
     """For each base axis j, the fibre (n-1)-form of i(d/dy_j) Im Omega.
@@ -143,7 +129,7 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
 
     Route one integrates the pairing -i(d/dy_i) omega ^ i(d/dy_j) Im Omega
     over the fibre; route two integrates V * gInv_ij.  Returns a report
-    carrying (h, h_n, theta, vol) plus the cross-route agreement residual.
+    carrying (h, h_n, vol) plus the cross-route agreement residual.
     """
     require_compatible(bs, tol)
     chart, n = bs.chart, bs.n
@@ -171,23 +157,20 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
         symbolic_ok = False
 
     pts = np.asarray(y_points, dtype=float)
-    h_quad = np.zeros((len(pts), n, n))
-    h_formula = np.zeros((len(pts), n, n))
-    vols = np.zeros(len(pts))
-    for p, y in enumerate(pts):
-        for i in range(n):
-            for j in range(n):
-                # pairing route: h_ij picks the dx_{complement of axis i+1}
-                # coefficient of i(d/dy_j) Im Omega, oriented by dx_i ^
-                # dx_{complement} = (-1)^i dx_{1..n} (0-based i)
-                val = fibre_integral(coeffs[j][i], chart, y, resolution)
-                h_quad[p, i, j] = ((-1) ** i) * val.real
-                h_formula[p, i, j] = fibre_integral(
-                    bs.volume_density * bs.g_inv[i][j], chart, y, resolution).real
-        vols[p] = fibre_integral(bs.volume_density, chart, y, resolution).real
+    entries = [(i, j) for i in range(n) for j in range(n)]
+    # pairing route: h_ij picks the dx_{complement of axis i+1} coefficient
+    # of i(d/dy_j) Im Omega, oriented by dx_i ^ dx_{complement} =
+    # (-1)^i dx_{1..n} (0-based i)
+    means = fibre_means(
+        [coeffs[j][i] for i, j in entries]
+        + [bs.volume_density * bs.g_inv[i][j] for i, j in entries]
+        + [bs.volume_density],
+        chart, pts, chart.fibre_grid(resolution)).real
+    signs = np.array([(-1) ** i for i, _ in entries])[:, None]
+    h_quad = (signs * means[: n * n]).T.reshape(len(pts), n, n)
+    h_formula = means[n * n: 2 * n * n].T.reshape(len(pts), n, n)
+    vols = means[2 * n * n]
     agreement = float(np.max(np.abs(h_quad - h_formula))) if len(pts) else 0.0
-
-    theta = fibre_integral(sp.Integer(1), chart, pts[0], resolution).real
 
     report = SemiflatReport()
     report.add("metric_route_agreement", agreement, tol)
@@ -207,7 +190,6 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
     return {
         "h": h,
         "h_n": h_n,
-        "theta": theta,
         "vol": vol,
         "vol_samples": (pts, vols),
         "report": report,
@@ -250,23 +232,16 @@ def period_one_form(bs: BetaStructure, gamma: CycleSpec, resolution=16,
         raise DualityError("period embedding needs n >= 2")
     omit = _omitted_axis_coefficients(gamma, n)
     coeffs = _im_omega_coefficient_forms(bs)
-    if y_points is None:
-        k = 5
-        axes = [np.linspace(float(lo), float(hi), k) for lo, hi in chart.box]
-        y_points = np.array(list(iproduct(*axes)))
-    pts = np.asarray(y_points, dtype=float)
-    vals = np.zeros((len(pts), n))
-    for p, y in enumerate(pts):
-        vol = fibre_integral(bs.volume_density, chart, y, resolution).real
-        for j in range(n):
-            total = 0.0
-            for i in range(1, n + 1):
-                if omit[i - 1] == 0:
-                    continue
-                period = subtorus_integral(coeffs[j][i - 1], chart, y,
-                                           omit_axis=i, resolution=resolution)
-                total += omit[i - 1] * period.real
-            vals[p, j] = -total / vol
+    pts = chart.base_grid(5) if y_points is None else np.asarray(y_points, dtype=float)
+    vol = fibre_means([bs.volume_density], chart, pts, chart.fibre_grid(resolution))[0].real
+    total = np.zeros((len(pts), n))
+    for i in range(1, n + 1):
+        if omit[i - 1] == 0:
+            continue
+        periods = fibre_means([coeffs[j][i - 1] for j in range(n)], chart, pts,
+                              subtorus_grid(n, i, resolution)).real
+        total += omit[i - 1] * periods.T
+    vals = -total / vol[:, None]
     residual = _fd_exterior_derivative_residual(pts, vals, chart)
     return pts, vals, residual
 
@@ -322,29 +297,30 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
     report = SemiflatReport()
 
     alpha = {int(i): sp.sympify(c) for i, c in alpha.items()}
+    coeffs = _im_omega_coefficient_forms(bs)
 
-    # cycle integral of alpha: subtorus integrals weighted by cycle coeffs
+    # periods over the subtorus omitting axis i: column i-1 of the sampled
+    # class of Im Omega and, when gamma meets that subtorus, the alpha entry
+    # (dx_{complement a} restricted to T_{omit i} vanishes unless a == i)
     lhs = 0.0
+    periods = np.zeros((n, n))
     for i in range(1, n + 1):
-        if omit[i - 1] == 0:
-            continue
-        for ax, c in alpha.items():
-            if ax != i:
-                continue  # dx_{complement ax} restricted to T_{omit i} vanishes unless ax == i
-            lhs += omit[i - 1] * subtorus_integral(c, chart, y0, omit_axis=i,
-                                                   resolution=resolution).real
+        meets = omit[i - 1] != 0 and i in alpha
+        exprs = [coeffs[r][i - 1] for r in range(n)] + ([alpha[i]] if meets else [])
+        per = fibre_means(exprs, chart, [y0], subtorus_grid(n, i, resolution))[:, 0].real
+        periods[:, i - 1] = per[:n]
+        if meets:
+            lhs += omit[i - 1] * per[n]
 
     # -integral over the fibre of i(v(gamma)) omega ^ alpha, i(v) omega = -sum v_i dx_i
+    axes = [i for i in range(1, n + 1) if v[i - 1] != 0 and alpha.get(i, 0) != 0]
+    means = fibre_means([bs.volume_density] + [alpha[i] for i in axes], chart, [y0],
+                        chart.fibre_grid(resolution))[:, 0].real
+    vol = means[0]
     rhs = 0.0
-    for i in range(1, n + 1):
-        if v[i - 1] == 0:
-            continue
-        c = alpha.get(i, 0)
-        if c == 0:
-            continue
+    for i, mean in zip(axes, means[1:]):
         # dx_i ^ dx_{complement i} = (-1)^(i-1) dx_{1..n}
-        rhs += v[i - 1] * ((-1) ** (i - 1)) * fibre_integral(
-            c, chart, y0, resolution).real
+        rhs += v[i - 1] * ((-1) ** (i - 1)) * mean
     report.add("cycle_vs_fibre_pairing", abs(lhs - rhs), tol)
     report.notes["cycle_integral"] = lhs
     report.notes["fibre_pairing_integral"] = rhs
@@ -357,43 +333,9 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
     report.add("period_vs_metric_embedding", float(np.max(np.abs(defect))), tol)
 
     # sampled class of Im Omega_n vs h_n, componentwise
-    coeffs = _im_omega_coefficient_forms(bs)
-    vol = fibre_integral(bs.volume_density, chart, y0, resolution).real
-    cls = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            per = subtorus_integral(coeffs[i][j], chart, y0, omit_axis=j + 1,
-                                    resolution=resolution).real
-            cls[i, j] = ((-1) ** j) * per / vol
+    cls = periods * np.array([(-1) ** j for j in range(n)]) / vol
     report.add("normalised_class_vs_metric", float(np.max(np.abs(cls - hn))), tol)
     report.notes["class_matrix"] = cls.tolist()
-    return report
-
-
-def dual_symplectic_class_check(bs: BetaStructure, resolution=16, tol=DEFAULT_TOL):
-    """Re-embed the cycle lattice by periods and compare the dual pairing.
-
-    The dual fibration carries the standard symplectic form; pairing its
-    cycles (segments to the period covectors) against base vectors must
-    reproduce the period matrix of Im Omega_n with the opposite sign.
-    """
-    chart, n = bs.chart, bs.n
-    y0 = tuple(float(c) for c in chart.center)
-    pmat = np.zeros((n, n))
-    for i in range(1, n + 1):
-        gamma = CycleSpec(n - 1, tuple(1 if a == i else 0 for a in range(1, n + 1)))
-        if n == 2:
-            # constructor expects circle basis when n = 2
-            gamma = CycleSpec(1, (gamma.coefficients[1], gamma.coefficients[0]))
-        _, psi, _ = period_one_form(bs, gamma, resolution, y_points=[y0])
-        pmat[i - 1] = psi[0]
-    # dual-side pairing: integral over the straight cycle 0 -> psi_i of
-    # i(d/dy_j) omega_dual = -dxv_j, which is -psi_i[j]
-    dual_pairing = -pmat
-    im_omega_pairing = -pmat  # periods of Im Omega_n define the embedding
-    report = SemiflatReport()
-    report.add("dual_symplectic_class",
-               float(np.max(np.abs(dual_pairing - im_omega_pairing))), tol)
     return report
 
 
@@ -553,7 +495,6 @@ def hitchin(potential: HitchinPotential, b_field: SymTensorField = None,
     det = sp.expand(sp.Matrix(hess).det())
     centre_subs = {chart.ys[i]: chart.center[i] for i in range(n)}
     det_centre = det.subs(centre_subs)
-    from .fields import sup_norm_scalars
     det_residual = sup_norm_scalars([sp.expand(det - det_centre)], chart)
     closed = closedness_residuals(bs, tol)
     info = {
@@ -587,18 +528,15 @@ def dual_structure_check(bs: BetaStructure, resolution=16, tol=DEFAULT_TOL,
     report = SemiflatReport()
     mm = mclean_metrics(dual, resolution)
     pts, mats = mm["h_n"].samples
-    expect = np.zeros_like(mats)
-    fn = compile_scalars([h_n[i][j] for i in range(n) for j in range(n)], chart)
-    vals = fn(pts, np.zeros_like(pts)).real.T.reshape(len(pts), n, n)
-    report.add("dual_metric_match", float(np.max(np.abs(mats - vals))), tol)
-
     det_hn = sp.expand(sp.Matrix(h_n).det())
-    vols = np.zeros(len(pts))
-    dual_vols = np.zeros(len(pts))
-    for p, y in enumerate(pts):
-        vols[p] = fibre_integral(bs.volume_density, chart, y, resolution).real
-        covol = complex(det_hn.subs({chart.ys[i]: y[i] for i in range(n)})).real
-        dual_vols[p] = fibre_integral(dual.volume_density, chart, y, resolution).real * covol
+    fn = compile_scalars([h_n[i][j] for i in range(n) for j in range(n)] + [det_hn], chart)
+    vals = fn(pts, np.zeros_like(pts)).real
+    expect = vals[: n * n].T.reshape(len(pts), n, n)
+    report.add("dual_metric_match", float(np.max(np.abs(mats - expect))), tol)
+
+    vols, dual_vols = fibre_means([bs.volume_density, dual.volume_density], chart, pts,
+                                  chart.fibre_grid(resolution)).real
+    dual_vols = dual_vols * vals[n * n]
     report.add("volume_reciprocity", float(np.max(np.abs(vols * dual_vols - 1))),
                reciprocity_tol)
     report.notes["vol_samples"] = vols.tolist()
@@ -679,15 +617,5 @@ def yukawa(family: YukawaFamily, resolution=16, base_resolution=8):
     if not integrand.free_symbols:
         oracle = complex(sign * integrand * chart.box_volume)
 
-    # tensor quadrature: Gauss-Legendre on the base, uniform grid on the fibre
-    axes = [gauss_legendre_nodes(float(lo), float(hi), base_resolution)
-            for lo, hi in chart.box]
-    ypts = np.array(list(iproduct(*[a[0] for a in axes])))
-    ywts = np.array([float(np.prod(w)) for w in iproduct(*[a[1] for a in axes])])
-    xpts = np.array(list(iproduct(*[np.arange(resolution) / resolution] * n)))
-    fn = compile_scalars([integrand], chart)
-    total = 0.0 + 0.0j
-    for y, w in zip(ypts, ywts):
-        Y = np.tile(y, (len(xpts), 1))
-        total += w * np.mean(fn(Y, xpts)[0])
-    return sign * complex(total), oracle
+    total = chart_integral(integrand, chart, base_resolution, resolution)
+    return sign * total, oracle

@@ -167,11 +167,6 @@ def sup_norm_scalars(exprs, chart: Chart, base_k=5, fibre_k=8):
     return float(np.max(np.abs(vals)))
 
 
-def re_im(expr):
-    """Split a coefficient into real and imaginary parts (symbols are real)."""
-    return sp.sympify(expr).as_real_imag()
-
-
 def central_difference(expr, var, point_subs, h):
     """Second-order central finite difference at a sample point."""
     up = expr.subs(var, point_subs[var] + h).subs(point_subs)

@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: Smith normal form, kernels, completions.
+"""Exact integer linear algebra: Smith normal form, kernels, unimodular inverses.
 
 All routines work on Python-int matrices (lists of lists) so intermediate
 entries never overflow.  Matrices here are small (tens of rows), so the
@@ -170,18 +170,6 @@ def solve_int(matrix, rhs_columns):
                     raise ValueError("no integer solution")
                 ymat[i][c] = b[i][c] // di
     return mat_mul(v, ymat)
-
-
-def complete_primitive_vector(vec):
-    """Unimodular matrix whose first column is the primitive vector vec."""
-    n = len(vec)
-    col = [[int(x)] for x in vec]
-    d, u, v = smith_normal_form(col)
-    if d[0][0] != 1:
-        raise ValueError("vector is not primitive")
-    # u * vec = e_1, so inv(u) has vec as first column
-    uinv = invert_unimodular(u)
-    return uinv
 
 
 def invert_unimodular(mat):

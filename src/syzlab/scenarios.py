@@ -10,9 +10,7 @@ seed, up to the separate timing block.
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import sympy as sp
@@ -248,21 +246,6 @@ def _decode_beta(payload):
     return BetaStructure(chart, beta, compatible=compatible)
 
 
-def max_workers():
-    try:
-        return max(1, int(os.environ.get("SYZLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_checks(fn, items):
-    workers = max_workers()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # ---------------------------------------------------------------------------
 # dispatchers
 # ---------------------------------------------------------------------------
@@ -348,8 +331,7 @@ def _run_fibre(doc, report):
     names = payload["models"]
     if names == "all":
         names = list(MODEL_NAMES)
-    results = dict(zip(names, _map_checks(
-        lambda name: model_cohomology(name, grid), names)))
+    results = {name: model_cohomology(name, grid) for name in names}
     rep = fibre_type_report(results)
     for row in rep["rows"]:
         report.add_check(f"model.{row['model']}", row["matches"])

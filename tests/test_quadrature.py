@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
 import sympy as sp
 
 from syzlab.charts import Chart
-from syzlab.fields import PeriodicityError
+from syzlab.fields import PeriodicityError, compile_scalars
 from syzlab.quadrature import (
     base_integral,
     chart_integral,
     cycle_line_integral,
     fibre_integral,
+    fibre_means,
     integrate,
     subtorus_integral,
 )
@@ -87,3 +89,30 @@ def test_determinism(chart2):
     a = chart_integral(expr, chart2)
     b = chart_integral(expr, chart2)
     assert a == b
+
+
+def test_fibre_means_batches_points_and_expressions(chart2):
+    x1, x2 = chart2.xs
+    y1 = chart2.ys[0]
+    exprs = [y1 * sp.cos(2 * sp.pi * x1) ** 2, sp.sin(2 * sp.pi * x2), sp.Integer(1)]
+    pts = [(-0.5, 0.0), (0.25, 1.0)]
+    means = fibre_means(exprs, chart2, pts, chart2.fibre_grid(8))
+    assert means.shape == (3, 2)
+    assert np.allclose(means, [[-0.25, 0.125], [0, 0], [1, 1]], atol=1e-14)
+    # reference: one evaluator per (expression, point), as a plain loop
+    X = chart2.fibre_grid(8)
+    for i, e in enumerate(exprs):
+        for p, y in enumerate(pts):
+            vals = compile_scalars([e], chart2)(np.tile(y, (len(X), 1)), X)[0]
+            assert abs(means[i, p] - np.mean(vals)) < 1e-15
+    with pytest.raises(PeriodicityError):
+        fibre_means([sp.Integer(1), x1], chart2, pts, chart2.fibre_grid(4))
+
+
+def test_fibre_means_over_several_blocks(chart2):
+    y1, x1 = chart2.ys[0], chart2.xs[0]
+    pts = chart2.base_grid(3)[:7]
+    # 4096 fibre samples per base point: the 7 points span several blocks
+    means = fibre_means([y1 + sp.cos(2 * sp.pi * x1) ** 2], chart2, pts,
+                        chart2.fibre_grid(64))[0]
+    assert np.allclose(means, pts[:, 0] + 0.5, rtol=0, atol=1e-14)

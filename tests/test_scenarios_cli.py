@@ -224,16 +224,7 @@ class TestCli:
 
 
 class TestThreadCap:
-    def test_thread_env_respected(self, monkeypatch):
-        from syzlab.scenarios import max_workers
-
-        monkeypatch.setenv("SYZLAB_THREADS", "4")
-        assert max_workers() == 4
-        monkeypatch.setenv("SYZLAB_THREADS", "bogus")
-        assert max_workers() == 1
-
-    def test_parallel_fibre_run(self, monkeypatch):
-        monkeypatch.setenv("SYZLAB_THREADS", "4")
+    def test_parallel_fibre_run(self):
         doc = {"version": "1", "kind": "fibre", "payload": {"models": "all"}}
         report = run_scenario_doc(doc)
         assert report.passed

@@ -143,7 +143,7 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
             "the base metric is still computed but loses its harmonic meaning",
             stacklevel=2)
 
-    # symbolic fibre integrals (exact for the trig grammar) where possible
+    # exact fibre means where every integrand is x-free or a trig polynomial
     symbolic_ok = True
     h_sym = sp.zeros(n, n)
     vol_sym = None
@@ -173,6 +173,7 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
     agreement = float(np.max(np.abs(h_quad - h_formula))) if len(pts) else 0.0
 
     report = SemiflatReport()
+    report.notes["volume_form_closed_residual"] = closed_gap
     report.add("metric_route_agreement", agreement, tol)
     report.add("metric_symmetry",
                float(np.max(np.abs(h_quad - np.transpose(h_quad, (0, 2, 1))))), tol)
@@ -201,18 +202,41 @@ class _SymbolicIntegrationError(Exception):
 
 
 def _fibre_symbolic_integral(expr, chart: Chart):
-    """Exact integral over the unit fibre cube; raises if sympy cannot do it."""
-    out = sp.sympify(expr)
-    for x in chart.xs:
-        if x not in out.free_symbols:
-            continue
-        try:
-            out = sp.integrate(out, (x, 0, 1))
-        except Exception as exc:
-            raise _SymbolicIntegrationError(str(exc))
-        if out.has(sp.Integral):
-            raise _SymbolicIntegrationError("unevaluated integral")
-    return sp.expand(out)
+    """Exact mean over the unit fibre torus of an x-free or trig-polynomial integrand.
+
+    A trig polynomial is a polynomial in x-dependent sin/cos atoms whose
+    arguments are 2*pi*(k . x) + phase(y) with integer k.  With
+    z_j = exp(2*pi*i*x_j) each atom is a Laurent polynomial in z, and the
+    mean is its z-free term, the constant Fourier coefficient.  Any other
+    x-dependent integrand raises _SymbolicIntegrationError, for quadrature.
+    """
+    expr = sp.sympify(expr)
+    xs = chart.xs
+    if expr.free_symbols.isdisjoint(xs):
+        return expr
+    atoms = [a for a in expr.atoms(sp.sin, sp.cos) if not a.free_symbols.isdisjoint(xs)]
+    dummies = [sp.Dummy() for _ in atoms]
+    poly = expr.xreplace(dict(zip(atoms, dummies)))
+    if not poly.free_symbols.isdisjoint(xs) or not poly.is_polynomial(*dummies):
+        raise _SymbolicIntegrationError("not a trig polynomial in the fibre variables")
+    zs = [sp.Dummy() for _ in xs]
+    waves = {}
+    for d, atom in zip(dummies, atoms):
+        arg = sp.expand(atom.args[0])
+        ks = [sp.diff(arg, x) / (2 * sp.pi) for x in xs]
+        if not all(k.is_integer for k in ks):
+            raise _SymbolicIntegrationError(f"{atom} is not fibre-periodic")
+        # exp(i*arg) = exp(i*phase) * prod z_j^k_j
+        wave = sp.exp(sp.I * arg.subs({x: 0 for x in xs})) * sp.Mul(
+            *[z ** k for z, k in zip(zs, ks)])
+        waves[d] = ((wave + 1 / wave) / 2 if isinstance(atom, sp.cos)
+                    else (wave - 1 / wave) / (2 * sp.I))
+    laurent = sp.expand(poly.xreplace(waves))
+    mean = sp.Add(*[t for t in sp.Add.make_args(laurent) if t.free_symbols.isdisjoint(zs)])
+    # back from exp(i*phase) to cos/sin of the phase
+    return sp.expand(mean.xreplace({
+        e: sp.cos(e.args[0] / sp.I) + sp.I * sp.sin(e.args[0] / sp.I)
+        for e in mean.atoms(sp.exp) if (e.args[0] / sp.I).is_real}))
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +351,8 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
 
     # period covector vs -h_n(v(gamma), .)
     mm = mclean_metrics(bs, resolution, y_points=[y0])
+    report.notes["volume_form_closed_residual"] = (
+        mm["report"].notes["volume_form_closed_residual"])
     hn = mm["h_n"].samples[1][0]
     _, psi, _ = period_one_form(bs, gamma, resolution, y_points=[y0])
     defect = psi[0] + hn @ np.asarray(v, dtype=float)
@@ -539,6 +565,8 @@ def dual_structure_check(bs: BetaStructure, resolution=16, tol=DEFAULT_TOL,
     dual_vols = dual_vols * vals[n * n]
     report.add("volume_reciprocity", float(np.max(np.abs(vols * dual_vols - 1))),
                reciprocity_tol)
+    report.notes["volume_form_closed_residual"] = (
+        mm["report"].notes["volume_form_closed_residual"])
     report.notes["vol_samples"] = vols.tolist()
     report.notes["dual_vol_samples"] = dual_vols.tolist()
     return report

@@ -134,24 +134,32 @@ def require_fibre_periodic(expr, n):
     return expr
 
 
+# sample rows evaluated at once: temporaries stay a few MB per expression
+# even on a 3-d chart integral (512 x 4096 samples)
+_BLOCK_SAMPLES = 1 << 14
+
+
 def compile_scalars(exprs, chart: Chart):
     """Vectorised evaluator for a list of expressions.
 
-    Returns f(Y, X) -> complex array of shape (len(exprs), npts) where Y, X
-    are (npts, n) sample arrays.
+    The list is compiled once, with common subexpressions shared.  Returns
+    f(Y, X) -> complex array of shape (len(exprs), npts) where Y, X are
+    (npts, n) sample arrays; f evaluates at most _BLOCK_SAMPLES rows at a
+    time.
     """
     exprs = list(exprs)
     syms = list(chart.ys) + list(chart.xs)
     if not exprs:
         return lambda Y, X: np.zeros((0, len(Y)), dtype=complex)
-    fn = sp.lambdify(syms, exprs, modules="numpy")
+    fn = sp.lambdify(syms, exprs, modules="numpy", cse=True)
 
     def evaluate(Y, X):
-        cols = [Y[:, i] for i in range(chart.n)] + [X[:, i] for i in range(chart.n)]
-        vals = fn(*cols)
         out = np.empty((len(exprs), len(Y)), dtype=complex)
-        for i, v in enumerate(vals):
-            out[i] = np.asarray(v, dtype=complex)
+        for start in range(0, len(Y), _BLOCK_SAMPLES):
+            rows = slice(start, start + _BLOCK_SAMPLES)
+            cols = [Y[rows, i] for i in range(chart.n)] + [X[rows, i] for i in range(chart.n)]
+            for i, v in enumerate(fn(*cols)):
+                out[i, rows] = v
         return out
 
     return evaluate

@@ -17,12 +17,7 @@ import numpy as np
 import sympy as sp
 
 from .charts import Chart, circle_points, product_grid
-from .fields import PeriodicityError, compile_scalars, require_fibre_periodic
-
-
-# samples evaluated at once: a 3-d chart integral has 512 x 4096 of them,
-# and evaluating all together would hold hundreds of MB of temporaries
-_BLOCK_SAMPLES = 1 << 14
+from .fields import _BLOCK_SAMPLES, PeriodicityError, compile_scalars, require_fibre_periodic
 
 
 def fibre_means(exprs, chart: Chart, y_points, X):

@@ -59,7 +59,8 @@ _BETA_FRAGMENT = {
         "beta": _MATRIX,
         "flags": {
             "type": "object",
-            "properties": {"compatible": {"type": "boolean"}},
+            # every check always runs: a structure cannot opt out of them
+            "properties": {"compatible": {"const": True}},
             "additionalProperties": False,
         },
     },
@@ -242,8 +243,7 @@ def _decode_beta(payload):
     n = chart.n
     beta = [[parse_scalar(payload["beta"][i][j], n) for j in range(n)]
             for i in range(n)]
-    compatible = payload.get("flags", {}).get("compatible", True)
-    return BetaStructure(chart, beta, compatible=compatible)
+    return BetaStructure(chart, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,7 @@ def _run_dualize(doc, report):
         report.add_check(f"dual.{name}", check.passed, check.value, check.tol)
     report.outputs["vol_samples"] = rep.notes["vol_samples"]
     report.outputs["dual_vol_samples"] = rep.notes["dual_vol_samples"]
+    report.outputs["volume_form_closed_residual"] = rep.notes["volume_form_closed_residual"]
 
 
 def _run_hitchin(doc, report):

@@ -74,6 +74,9 @@ class SemiflatReport:
     def all_passed(self):
         return all(c.passed for c in self.checks.values())
 
+    def copy(self):
+        return SemiflatReport(dict(self.checks), dict(self.notes))
+
     def as_dict(self):
         out = {k: v.as_dict() for k, v in sorted(self.checks.items())}
         if self.notes:
@@ -84,7 +87,7 @@ class SemiflatReport:
 class BetaStructure:
     """beta = b + i*gInv on a chart, with derived V and volume form."""
 
-    def __init__(self, chart: Chart, beta, compatible=True):
+    def __init__(self, chart: Chart, beta):
         self.chart = chart
         n = chart.n
         beta = [[sp.expand(sp.sympify(beta[i][j])) for j in range(n)] for i in range(n)]
@@ -92,7 +95,8 @@ class BetaStructure:
             for entry in row:
                 require_fibre_periodic(entry, n)
         self.beta = beta
-        self.compatible_flag = bool(compatible)
+        # complete pointwise_checks reports by (tol, base_k, fibre_k)
+        self._pointwise = {}
 
     @property
     def n(self):
@@ -167,7 +171,12 @@ def pointwise_checks(bs: BetaStructure, v_override=None, tol=DEFAULT_TOL,
 
     v_override substitutes a user-supplied density in the normalisation
     check V^2 * det(Im beta) = 1; it exists only to build negative tests.
+    Without it the report is computed once per structure and settings, and
+    later calls get a copy.
     """
+    key = (tol, base_k, fibre_k)
+    if v_override is None and key in bs._pointwise:
+        return bs._pointwise[key].copy()
     rep = SemiflatReport()
     rep.add("symmetry", sup_norm_scalars(_symmetry_defects(bs.beta, bs.n), bs.chart,
                                          base_k, fibre_k), tol)
@@ -179,6 +188,8 @@ def pointwise_checks(bs: BetaStructure, v_override=None, tol=DEFAULT_TOL,
     norm_defect = sp.expand(V * V * bs.det_g_inv - 1)
     rep.add("volume_normalisation", sup_norm_scalars([norm_defect], bs.chart,
                                                      base_k, fibre_k), tol)
+    if v_override is None:
+        bs._pointwise[key] = rep.copy()
     return rep
 
 
@@ -337,7 +348,7 @@ def translate_by_section(bs: BetaStructure, sigma) -> BetaStructure:
     new = [[sp.expand(bs.beta[i][j].subs(shift, simultaneous=True)
                       + sp.diff(sigma[i], ys[j]))
             for j in range(n)] for i in range(n)]
-    return BetaStructure(bs.chart, new, compatible=bs.compatible_flag)
+    return BetaStructure(bs.chart, new)
 
 
 def symplectic_pullback_defect(sigma, chart: Chart) -> FormElement:

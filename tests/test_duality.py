@@ -5,6 +5,8 @@ import sympy as sp
 from syzlab.charts import Chart
 from syzlab.duality import (
     CycleSpec,
+    _fibre_symbolic_integral,
+    _SymbolicIntegrationError,
     DualityError,
     HitchinPotential,
     SymTensorField,
@@ -378,3 +380,91 @@ class TestBatchedQuadrature:
         value, oracle = yukawa(fam)
         assert abs(value - (-0.6666666666666671)) < 1e-12
         assert oracle == pytest.approx(-2 / 3)
+
+
+def grid_mean(expr, chart, y_point, k=32):
+    """Mean over a k x k fibre grid, the trapezoidal rule on the 2-torus."""
+    X = chart.fibre_grid(k)
+    f = sp.lambdify(list(chart.ys) + list(chart.xs), expr, modules="numpy")
+    Y = np.broadcast_to(np.asarray(y_point, dtype=float), X.shape)
+    return np.mean(np.broadcast_to(f(*Y.T, *X.T), len(X)))
+
+
+class TestFourierMean:
+    def test_trig_polynomials_are_exact(self, chart2):
+        y1, y2 = chart2.ys
+        x1, x2 = chart2.xs
+        tau = 2 * sp.pi
+        cases = [
+            # phase, mixed-axis argument and a base variable together
+            ((2 + sp.cos(tau * x1)) * (3 + sp.sin(tau * (x1 + x2) + y1)) ** 2
+             * (y1 + sp.cos(2 * tau * x2)), 19 * y1),
+            (sp.sin(tau * x1 + y1) * sp.cos(tau * x1), sp.sin(y1) / 2),
+            (sp.cos(3 * tau * x2) ** 2 * sp.exp(y2), sp.exp(y2) / 2),
+            (sp.sin(tau * (x1 - x2)) * sp.sin(tau * (x2 - x1)), -sp.Rational(1, 2)),
+            (y1 ** 2 + sp.sin(tau * x1) / (1 + y2 ** 2), y1 ** 2),
+        ]
+        for expr, mean in cases:
+            got = _fibre_symbolic_integral(expr, chart2)
+            assert sp.expand(got - mean) == 0, (expr, got)
+            assert not got.free_symbols & set(chart2.xs)
+            for y_point in [(0.3, -0.7), (-0.9, 0.4)]:
+                at = {y1: y_point[0], y2: y_point[1]}
+                assert abs(grid_mean(expr, chart2, y_point) - complex(mean.subs(at))) < 1e-12
+
+    def test_x_free_integrand_is_returned_as_is(self, chart2):
+        y1 = chart2.ys[0]
+        expr = 1 / sp.sqrt(2 + y1 ** 2)
+        assert _fibre_symbolic_integral(expr, chart2) is expr
+
+    def test_other_integrands_go_to_quadrature(self, chart2, monkeypatch):
+        reached = []
+
+        def no_integrate(*args, **kwargs):
+            reached.append(args)
+            raise AssertionError("sympy integrate reached")
+
+        monkeypatch.setattr(sp, "integrate", no_integrate)
+        x1 = chart2.xs[0]
+        for expr in [1 / (2 + sp.cos(2 * sp.pi * x1)), sp.sqrt(3 + sp.sin(2 * sp.pi * x1))]:
+            with pytest.raises(_SymbolicIntegrationError):
+                _fibre_symbolic_integral(expr, chart2)
+        with pytest.warns(UserWarning, match="not closed"):
+            mm = mclean_metrics(fibre_dependent(chart2))
+        assert mm["h"].provenance == "quadrature"
+        assert mm["h_n"].provenance == "quadrature"
+        assert mm["vol"] is None
+        assert not reached
+
+    def test_fibre_constant_metric_stays_closed_form(self, chart2):
+        y1 = chart2.ys[0]
+        bs = BetaStructure(chart2, [[I * (2 + y1 ** 2 / 4), 0], [0, 3 * I]])
+        with pytest.warns(UserWarning, match="not closed"):
+            mm = mclean_metrics(bs)
+        assert mm["h"].provenance == "closed-form"
+        assert sp.simplify(mm["vol"] - 1 / sp.sqrt(3 * (2 + y1 ** 2 / 4))) == 0
+
+
+class TestClosedVolumeNote:
+    def test_mclean_report_records_the_residual(self, chart2):
+        with pytest.warns(UserWarning, match="not closed"):
+            mm = mclean_metrics(fibre_dependent(chart2))
+        assert mm["report"].notes["volume_form_closed_residual"] > 1e-3
+        assert "volume_form_closed_residual" not in mm["report"].checks
+        flat_mm = mclean_metrics(flat(chart2))
+        assert flat_mm["report"].notes["volume_form_closed_residual"] == 0.0
+        with pytest.warns(UserWarning, match="not closed"):
+            rep = duality_identities(fibre_dependent(chart2), CycleSpec(1, (1, 0)),
+                                     {1: sp.Integer(1)})
+        assert rep.notes["volume_form_closed_residual"] > 1e-3
+
+    def test_dualize_outputs_carry_the_residual(self):
+        from syzlab.scenarios import run_scenario_doc
+
+        doc = {"version": "1", "kind": "dualize", "payload": {
+            "n": 1, "box": [[-1, 1]], "beta": [[{"im": "2 + y1^2/4"}]]}}
+        with pytest.warns(UserWarning, match="not closed"):
+            report = run_scenario_doc(doc)
+        residual = report.outputs["volume_form_closed_residual"]
+        assert residual > 1e-3
+        assert not any("closed_residual" in c["name"] for c in report.checks)

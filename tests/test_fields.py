@@ -1,11 +1,16 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from syzlab.charts import Chart, ChartError
 from syzlab.fields import (
+    _BLOCK_SAMPLES,
     GrammarError,
     central_difference,
+    compile_scalars,
     fibre_periodicity_defect,
     is_fibre_periodic,
     parse_scalar,
@@ -88,3 +93,78 @@ def test_sup_norm_scalars():
     y1 = chart.ys[0]
     assert sup_norm_scalars([y1 ** 2], chart) == pytest.approx(1.0)
     assert sup_norm_scalars([sp.Integer(0)], chart) == 0.0
+
+
+def benchmark_beta3():
+    """n = 3: Im b11 = 5/2 + sin(2 pi x1)/4, Re b12 = y3/5, Im b22 = 3 + y1^2/4, Im b33 = 3."""
+    from syzlab.semiflat import BetaStructure
+
+    chart = Chart(3, ((-1, 1),) * 3)
+    off = parse_scalar("y3/5", 3)
+    beta = [[sp.I * parse_scalar("5/2 + sin(2*pi*x1)/4", 3), off, 0],
+            [off, sp.I * parse_scalar("3 + y1^2/4", 3), 0],
+            [0, 0, 3 * sp.I]]
+    return BetaStructure(chart, beta)
+
+
+def test_cse_evaluator_matches_plain_lambdify():
+    from syzlab.semiflat import omega_form
+
+    bs = benchmark_beta3()
+    chart = bs.chart
+    exprs = list(omega_form(bs).exterior_derivative().terms.values())
+    assert len(exprs) > 5
+    Y, X = chart.sample_points(3, 4)
+    got = compile_scalars(exprs, chart)(Y, X)
+    plain = sp.lambdify(list(chart.ys) + list(chart.xs), exprs, modules="numpy")
+    want = np.array([np.broadcast_to(np.asarray(v, dtype=complex), len(Y))
+                     for v in plain(*Y.T, *X.T)])
+    scale = np.max(np.abs(want))
+    assert scale > 0.1
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_evaluate_in_blocks_equals_pieces():
+    chart = Chart(2, ((-1, 1), (-1, 1)))
+    y1, y2 = chart.ys
+    x1, x2 = chart.xs
+    exprs = [sp.sin(2 * sp.pi * x1) * y1 ** 2 + sp.cos(4 * sp.pi * x2 + y2),
+             sp.Integer(3), sp.I * y2 / (2 + y1)]
+    rng = np.random.default_rng(7)
+    npts = 40_000
+    assert npts > 2 * _BLOCK_SAMPLES
+    Y = rng.uniform(-1, 1, (npts, 2))
+    X = rng.uniform(0, 1, (npts, 2))
+    evaluate = compile_scalars(exprs, chart)
+    whole = evaluate(Y, X)
+    pieces = np.concatenate([evaluate(Y[s:s + 999], X[s:s + 999])
+                             for s in range(0, npts, 999)], axis=1)
+    assert whole.shape == (3, npts)
+    assert np.allclose(whole, pieces, rtol=1e-15, atol=0)
+    assert np.all(whole[1] == 3)
+
+
+def _enclosing_functions(tree):
+    """(first line, last line, name) of every function in a module."""
+    return [(node.lineno, node.end_lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def test_one_evaluator_and_no_symbolic_fibre_integration():
+    """lambdify lives only in fields.py; sympy integrate in duality.py only in
+    _one_form_potential, so fibre means never take the heurisch detour."""
+    src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
+    files = sorted(src.glob("*.py"))
+    assert any(f.name == "fields.py" for f in files)
+    for path in files:
+        if path.name != "fields.py":
+            assert "lambdify" not in path.read_text(), path.name
+    text = (src / "duality.py").read_text()
+    tree = ast.parse(text)
+    functions = _enclosing_functions(tree)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "integrate"]
+    assert calls
+    for call in calls:
+        owners = [name for lo, hi, name in functions if lo <= call.lineno <= hi]
+        assert owners == ["_one_form_potential"], f"integrate at duality.py:{call.lineno}"

@@ -161,6 +161,12 @@ class TestCli:
         doc = dict(FLAT_SCENARIO, kind="unknown-kind")
         assert main(["run", write(tmp_path, doc)]) == 2
 
+    def test_compatible_false_is_rejected(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(FLAT_SCENARIO))
+        doc["payload"]["flags"]["compatible"] = False
+        assert main(["run", write(tmp_path, doc)]) == 2
+        assert "result:" not in capsys.readouterr().out
+
     def test_json_output_and_out_file(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["run", write(tmp_path, FLAT_SCENARIO),

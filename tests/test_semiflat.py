@@ -350,3 +350,61 @@ class TestFlatnessProbe:
                                     for i in range(2)])
         rep = flatness_probe(bs)
         assert rep.notes["hypotheses_hold"] and rep.notes["conclusion_holds"]
+
+
+class TestCompatibilityOnce:
+    BETA3 = [[{"re": "1/3", "im": "5/2"}, {"re": "-1/2", "im": "1/8"}, 0],
+             [{"re": "-1/2", "im": "1/8"}, {"im": "3"}, {"re": "1/4"}],
+             [0, {"re": "1/4"}, {"re": "-1", "im": "7/2"}]]
+
+    def test_semiflat_scenario_computes_pointwise_once(self, monkeypatch):
+        from syzlab.scenarios import run_scenario_doc
+
+        calls = []
+        raw = BetaStructure.min_imbeta_eigenvalue
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            return raw(self, *args, **kwargs)
+
+        monkeypatch.setattr(BetaStructure, "min_imbeta_eigenvalue", counted)
+        doc = {"version": "1", "kind": "semiflat-check", "payload": {
+            "n": 3, "box": [[-1, 1]] * 3, "beta": self.BETA3}}
+        report = run_scenario_doc(doc)
+        assert report.passed
+        assert len(calls) == 1
+
+    def test_cached_report_is_a_copy(self, chart2):
+        bs = flat(chart2)
+        first = pointwise_checks(bs)
+        first.notes["min_imbeta_eigenvalue"] = -5.0
+        first.checks.clear()
+        again = pointwise_checks(bs)
+        assert again.notes["min_imbeta_eigenvalue"] == pytest.approx(1.0)
+        assert again.all_passed and "symmetry" in again.checks
+
+    def test_override_is_never_cached(self, chart2):
+        y1 = chart2.ys[0]
+        bs = BetaStructure(chart2, [[I * (1 + y1 ** 2), 0], [0, I]])
+        assert not pointwise_checks(bs, v_override=1).verdict("volume_normalisation")
+        assert pointwise_checks(bs).verdict("volume_normalisation")
+        assert not pointwise_checks(bs, v_override=1).verdict("volume_normalisation")
+
+    def test_settings_are_part_of_the_key(self, chart2):
+        y1 = chart2.ys[0]
+        bs = BetaStructure(chart2, [[I, y1 / 1000], [0, I]])
+        assert not pointwise_checks(bs).verdict("symmetry")
+        assert pointwise_checks(bs, tol=1e-2).verdict("symmetry")
+        assert not pointwise_checks(bs).verdict("symmetry")
+
+    @pytest.mark.parametrize("seed_cache", [False, True])
+    def test_incompatible_beta_raises_everywhere(self, chart2, seed_cache):
+        from syzlab.duality import mclean_metrics
+
+        x1 = chart2.xs[0]
+        bs = BetaStructure(chart2, [[I * sp.sin(2 * sp.pi * x1), 0], [0, I]])
+        if seed_cache:
+            assert not pointwise_checks(bs).verdict("positivity")
+        for entry in (closedness_residuals, structure_equations, mclean_metrics):
+            with pytest.raises(CompatibilityError):
+                entry(bs)

@@ -12,6 +12,7 @@ their subdivided versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .intlinalg import homology_groups, mat_is_zero, mat_mul
 
@@ -32,6 +33,7 @@ class ChainComplex:
         self.index = [
             {label: i for i, label in enumerate(layer)} for layer in self.cells
         ]
+        self._faces = {}  # k -> per k-cell faces, built on first use
 
     @property
     def dim(self):
@@ -46,10 +48,18 @@ class ChainComplex:
     def euler_characteristic(self):
         return sum((-1) ** k * len(layer) for k, layer in enumerate(self.cells))
 
-    def boundary_matrix(self, k):
-        if k <= 0 or k > self.dim:
-            return []
-        return self.boundaries[k]
+    def faces(self, k, label):
+        """Nonzero boundary entries of a k-cell as ((face label, coeff), ...)."""
+        if k <= 0:
+            return ()
+        cols = self._faces.get(k)
+        if cols is None:
+            layer = self.cells[k - 1]
+            cols = [tuple([(layer[i], col[i]) for i in compress(range(len(layer)), col)])
+                    for col in zip(*self.boundaries[k])]
+            cols += [()] * (len(self.cells[k]) - len(cols))
+            self._faces[k] = cols
+        return cols[self.index[k][label]]
 
     def validate(self):
         """Check d o d = 0 for every pair of consecutive boundary maps."""
@@ -116,22 +126,14 @@ def product_complex(a: ChainComplex, b: ChainComplex, name="") -> ChainComplex:
             k = ka + kb
             if k == 0:
                 continue
+            sign = (-1) ** ka
             for s in layer_a:
                 for t in layer_b:
                     col = index[k][(s, t)]
-                    if ka > 0:
-                        for ia in range(len(a.cells[ka - 1])):
-                            c = a.boundaries[ka][ia][a.index[ka][s]]
-                            if c:
-                                face = (a.cells[ka - 1][ia], t)
-                                bnds[k][index[k - 1][face]][col] += c
-                    if kb > 0:
-                        sign = (-1) ** ka
-                        for ib in range(len(b.cells[kb - 1])):
-                            c = b.boundaries[kb][ib][b.index[kb][t]]
-                            if c:
-                                face = (s, b.cells[kb - 1][ib])
-                                bnds[k][index[k - 1][face]][col] += sign * c
+                    for face, c in a.faces(ka, s):
+                        bnds[k][index[k - 1][(face, t)]][col] += c
+                    for face, c in b.faces(kb, t):
+                        bnds[k][index[k - 1][(s, face)]][col] += sign * c
     cx = ChainComplex(cells, bnds, name or f"{a.name}x{b.name}")
     cx.validate()
     return cx
@@ -179,32 +181,24 @@ def quotient_complex(total: ChainComplex, sub_labels, target: ChainComplex,
         for label in total.cells[k]:
             if label not in flat_sub:
                 continue
-            col = total.index[k][label]
-            for i, row_label in enumerate(total.cells[k - 1]):
-                if total.boundaries[k][i][col] != 0 and row_label not in flat_sub:
+            for face, _ in total.faces(k, label):
+                if face not in flat_sub:
                     raise ComplexError(
-                        f"{label} is in the subcomplex but its face {row_label} is not")
+                        f"{label} is in the subcomplex but its face {face} is not")
 
     # the identification map must commute with boundaries on the subcomplex
     for k in range(1, total.dim + 1):
         for label in total.cells[k]:
             if label not in flat_sub:
                 continue
-            col = total.index[k][label]
             push = {}
-            for i, face in enumerate(total.cells[k - 1]):
-                c = total.boundaries[k][i][col]
-                if c == 0:
-                    continue
+            for face, c in total.faces(k, label):
                 for img, ic in chain_map(face):
                     push[img] = push.get(img, 0) + c * ic
             pull = {}
             for img, ic in chain_map(label):
-                tcol = target.index[k][img]
-                for i, tface in enumerate(target.cells[k - 1]):
-                    c = target.boundaries[k][i][tcol]
-                    if c:
-                        pull[tface] = pull.get(tface, 0) + ic * c
+                for tface, c in target.faces(k, img):
+                    pull[tface] = pull.get(tface, 0) + ic * c
             keys = set(push) | set(pull)
             if any(push.get(key, 0) != pull.get(key, 0) for key in keys):
                 raise ComplexError(f"identification map is not cellular at {label}")
@@ -224,21 +218,15 @@ def quotient_complex(total: ChainComplex, sub_labels, target: ChainComplex,
     for k in range(1, target.dim + 1):
         for label in target.cells[k]:
             col = index[k][("t", label)]
-            for i in range(len(target.cells[k - 1])):
-                c = target.boundaries[k][i][target.index[k][label]]
-                if c:
-                    bnds[k][index[k - 1][("t", target.cells[k - 1][i])]][col] += c
+            for face, c in target.faces(k, label):
+                bnds[k][index[k - 1][("t", face)]][col] += c
 
     for k in range(1, total.dim + 1):
         for label in total.cells[k]:
             if label in flat_sub:
                 continue
             col = index[k][("x", label)]
-            jcol = total.index[k][label]
-            for i, face in enumerate(total.cells[k - 1]):
-                c = total.boundaries[k][i][jcol]
-                if c == 0:
-                    continue
+            for face, c in total.faces(k, label):
                 if face in flat_sub:
                     for img, ic in chain_map(face):
                         bnds[k][index[k - 1][("t", img)]][col] += c * ic

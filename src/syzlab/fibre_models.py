@@ -92,11 +92,7 @@ def extract_subcomplex(cx: ChainComplex, labels, name=""):
         rows, cols = len(cells[k - 1]), len(cells[k])
         mat = [[0] * cols for _ in range(rows)]
         for j, label in enumerate(cells[k]):
-            src = cx.index[k][label]
-            for i, face in enumerate(cx.cells[k - 1]):
-                c = cx.boundaries[k][i][src]
-                if c == 0:
-                    continue
+            for face, c in cx.faces(k, label):
                 if face not in keep:
                     raise ComplexError(f"{labels} is not a subcomplex: face {face}")
                 mat[index[k - 1][face]][j] += c

@@ -1,15 +1,27 @@
 """Exact integer linear algebra: Smith normal form, kernels, unimodular inverses.
 
-All routines work on Python-int matrices (lists of lists) so intermediate
-entries never overflow.  Matrices here are small (tens of rows), so the
-classical pivoting algorithm is plenty.
+All routines work on Python-int matrices (dense lists of lists) so
+intermediate entries never overflow.  Boundary matrices of the fibre models
+reach a few hundred rows at grid 4 (192 x 192 for the 3-torus) but hold a
+few nonzero entries per column, so the elimination and the products below
+touch only nonzero entries.  There is one elimination routine,
+``smith_normal_form``; callers that need only invariants (rank, elementary
+divisors, unimodularity) take ``snf_diagonal``, which runs it without
+building the transforms.
 """
 
 from __future__ import annotations
 
+from itertools import compress, islice
+
 
 def as_int_matrix(rows):
-    return [[int(v) for v in row] for row in rows]
+    return [list(map(int, row)) for row in rows]
+
+
+def _support(row, start=0):
+    """Indices j >= start with row[j] != 0."""
+    return list(compress(range(start, len(row)), islice(row, start, None)))
 
 
 def identity(n):
@@ -17,101 +29,131 @@ def identity(n):
 
 
 def mat_mul(a, b):
+    """Dense product that multiplies only nonzero a[i][k] by nonzero b[k][j]."""
     if not a or not b:
         return [[]] if not a else [[0] * (len(b[0]) if b else 0) for _ in a]
     cols = len(b[0])
-    inner = len(b)
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(len(a))]
-
-
-def mat_transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
+    b_support = [_support(row) for row in b]
+    out = []
+    for row in a:
+        acc = [0] * cols
+        for k in _support(row):
+            x, brow = row[k], b[k]
+            for j in b_support[k]:
+                acc[j] += x * brow[j]
+        out.append(acc)
+    return out
 
 
 def mat_is_zero(a):
-    return all(v == 0 for row in a for v in row)
+    return not any(map(any, a))
 
 
-def smith_normal_form(matrix):
+def smith_normal_form(matrix, *, transforms=True):
     """Return (d, u, v) with u * matrix * v = d, u and v unimodular,
-    d diagonal with d[i] | d[i+1], diagonal entries nonnegative."""
+    d diagonal with d[i] | d[i+1], diagonal entries nonnegative.
+
+    With transforms=False the same elimination runs without accumulating
+    u and v, and both come back as None.
+    """
     a = as_int_matrix(matrix)
     m = len(a)
     n = len(a[0]) if a else 0
-    u = identity(m)
-    v = identity(n)
+    u = identity(m) if transforms else None
+    v = identity(n) if transforms else None
+    # Invariant: before pivot t, a is diag(d_0..d_{t-1}) (+) the trailing
+    # block, so row and column operations touch only indices >= t.
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
-        for row in a:
+        if i == j:
+            return
+        for r in range(t, m):
+            row = a[r]
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        if v is not None:
+            for row in v:
+                row[i], row[j] = row[j], row[i]
 
-    def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+    def add_row(src, dst, c, src_support):
+        s, d = a[src], a[dst]
+        for j in src_support:
+            d[j] += c * s[j]
+        if u is not None:
+            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
-    def add_col(src, dst, c):
-        for row in a:
+    def add_col(src, dst, c, src_support):
+        for r in src_support:
+            row = a[r]
             row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
+        if v is not None:
+            for row in v:
+                row[dst] += c * row[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(m, n):
-        # move a pivot of least absolute value into (t, t)
+        # move a pivot of least absolute value into (t, t); the first entry
+        # of absolute value 1 is that pivot, so the scan may stop there
         pivot = None
         best = None
         for i in range(t, m):
-            for j in range(t, n):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
+            row = a[i]
+            for j in compress(range(t, n), islice(row, t, None)):
+                x = row[j]
+                if best is None or abs(x) < best:
+                    best = abs(x)
                     pivot = (i, j)
+                    if best == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(t, pivot[0])
         swap_cols(t, pivot[1])
         while True:
             changed = False
+            row_t = _support(a[t], t)
             for i in range(t + 1, m):
                 if a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    add_row(t, i, -(a[i][t] // a[t][t]), row_t)
                     if a[i][t] != 0:
                         swap_rows(t, i)
+                        row_t = _support(a[t], t)
                         changed = True
             if changed:
                 continue
+            col_t = [r for r in range(t, m) if a[r][t]]
             for j in range(t + 1, n):
                 if a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    add_col(t, j, -(a[t][j] // a[t][t]), col_t)
                     if a[t][j] != 0:
                         swap_cols(t, j)
+                        col_t = [r for r in range(t, m) if a[r][t]]
                         changed = True
             if changed:
                 continue
             # pivot now alone in its row and column; make it divide the rest
+            p = a[t][t]
             bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if a[i][j] % a[t][t] != 0:
+            if abs(p) != 1:
+                for i in range(t + 1, m):
+                    row = a[i]
+                    if any(row[j] % p for j in range(t + 1, n)):
                         bad = i
                         break
-                if bad is not None:
-                    break
             if bad is None:
                 break
-            add_row(bad, t, 1)
+            add_row(bad, t, 1, _support(a[bad], t))
         if a[t][t] < 0:
             negate_row(t)
         t += 1
@@ -119,7 +161,8 @@ def smith_normal_form(matrix):
 
 
 def snf_diagonal(matrix):
-    d, _, _ = smith_normal_form(matrix)
+    """Diagonal of the Smith normal form, without the transforms."""
+    d, _, _ = smith_normal_form(matrix, transforms=False)
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
@@ -130,6 +173,18 @@ def elementary_divisors(matrix):
 
 def rank(matrix):
     return sum(1 for x in snf_diagonal(matrix) if x != 0)
+
+
+def rank_and_divisors(matrix):
+    """Rank and nontrivial elementary divisors from one Smith diagonal."""
+    diag = snf_diagonal(matrix)
+    return sum(1 for x in diag if x), [x for x in diag if x > 1]
+
+
+def is_unimodular(matrix):
+    """Square with an all-ones Smith diagonal, i.e. determinant +-1."""
+    a = as_int_matrix(matrix)
+    return all(len(row) == len(a) for row in a) and all(x == 1 for x in snf_diagonal(a))
 
 
 def kernel_basis(matrix):
@@ -188,17 +243,15 @@ def homology_groups(boundaries, cells_per_dim):
     """Integer homology from boundary maps d_k: C_k -> C_{k-1}.
 
     boundaries[k] is the matrix of d_k (or [] when trivial); returns a list
-    of (free_rank, divisors) per degree.
+    of (free_rank, divisors) per degree.  Each nonzero map gets one Smith
+    diagonal, shared by degrees k (its rank) and k-1 (rank and torsion).
     """
     dims = len(cells_per_dim)
+    maps = [rank_and_divisors(boundaries[k]) if k < len(boundaries) and boundaries[k]
+            else (0, []) for k in range(dims + 1)]
     out = []
     for k in range(dims):
-        nk = cells_per_dim[k]
-        dk = boundaries[k] if k < len(boundaries) else []
-        dk1 = boundaries[k + 1] if k + 1 < len(boundaries) else []
-        rank_dk = rank(dk) if dk and nk else 0
-        rank_dk1 = rank(dk1) if dk1 else 0
-        free = nk - rank_dk - rank_dk1
-        tors = elementary_divisors(dk1) if dk1 else []
-        out.append((free, tors))
+        rank_dk = maps[k][0] if cells_per_dim[k] else 0
+        rank_dk1, tors = maps[k + 1]
+        out.append((cells_per_dim[k] - rank_dk - rank_dk1, tors))
     return out

@@ -17,6 +17,13 @@ The mirror classes are
 
 with ImOmega_n = ImOmega / vol.  All identity checks are exact.
 
+Coordinates are ``fractions.Fraction`` values: ints, floats (read through
+their shortest decimal, so 0.1 is 1/10) and strings such as "3/2".  Only a
+value that is not rational stays a sympy expression: the quadratic surds a
+non-Pythagorean phase alignment introduces, or symbolic library inputs.  A
+sympy result that turns out rational goes back to a Fraction, so rational
+data never touches sympy.
+
 The double mirror feeds the mirror classes back through the same map with
 the mirror's own twist class, read off the transverse part of ReOmega_n,
 then pulls back by the fibrewise negation which fixes the E and sigma0
@@ -25,12 +32,15 @@ components and negates the component in (E-perp intersect sigma0-perp).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import sympy as sp
 
 from .intlinalg import (
     invert_unimodular,
+    is_unimodular,
     kernel_basis,
     smith_normal_form,
     solve_int,
@@ -41,23 +51,66 @@ class K3ValidationError(ValueError):
     pass
 
 
+_RATIONAL = (int, Fraction)
+
+
+def _norm(x):
+    """A Fraction for a rational value, else the expanded sympy expression."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, _RATIONAL):
+        return Fraction(x)
+    x = sp.expand(x)
+    return Fraction(int(x.p), int(x.q)) if x.is_Rational else x
+
+
+def _is_zero(x):
+    if isinstance(x, _RATIONAL):
+        return x == 0
+    return sp.simplify(sp.expand(x)) == 0
+
+
+def _positive(x):
+    if isinstance(x, _RATIONAL):
+        return x > 0
+    return bool(sp.simplify(x) > 0)
+
+
+def _sqrt(x):
+    """Square root, a Fraction when x is the square of a rational."""
+    if isinstance(x, _RATIONAL) and x >= 0:
+        x = Fraction(x)
+        num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
+        if num * num == x.numerator and den * den == x.denominator:
+            return Fraction(num, den)
+    return sp.sqrt(x)
+
+
+def _coord(x):
+    if isinstance(x, float):
+        x = str(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ValueError:
+            x = sp.sympify(x)
+    return _norm(x)
+
+
+def _str(x):
+    # str(Fraction) and sympy's sstr(Rational) print alike ("-3/2", "4")
+    return str(x) if type(x) is Fraction else sp.sstr(x)
+
+
 def _vec(values, rank):
-    v = [sp.nsimplify(x, rational=True) if isinstance(x, float) else sp.sympify(x)
-         for x in values]
+    v = [_coord(x) for x in values]
     if len(v) != rank:
         raise K3ValidationError(f"vector must have {rank} coordinates")
     return tuple(v)
 
 
-def _is_zero(x):
-    return sp.simplify(sp.expand(x)) == 0
-
-
 def _gcd_all(ints):
-    g = 0
-    for v in ints:
-        g = sp.gcd(g, v)
-    return int(g)
+    return math.gcd(*(int(v) for v in ints))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +164,7 @@ class GramLattice:
         return len(self.gram)
 
     def dot(self, u, v):
-        total = sp.Integer(0)
+        total = 0
         for i in range(self.rank):
             gi = self.gram[i]
             ui = u[i]
@@ -120,10 +173,10 @@ class GramLattice:
             for j in range(self.rank):
                 if gi[j] and v[j] != 0:
                     total += ui * gi[j] * v[j]
-        return sp.expand(total)
+        return _norm(total)
 
     def is_unimodular(self):
-        return abs(int(sp.Matrix(self.gram).det())) == 1
+        return is_unimodular(self.gram)
 
     @classmethod
     def from_name(cls, name):
@@ -173,12 +226,12 @@ class K3MirrorInput:
         self.E = tuple(int(x) for x in self.E)
         self.sigma0 = tuple(int(x) for x in self.sigma0)
         self.omega = _vec(self.omega, r)
-        self.B = _vec(self.B, r) if self.B is not None else tuple([sp.Integer(0)] * r)
+        self.B = _vec(self.B, r) if self.B is not None else (Fraction(0),) * r
         # reduce the twist lift to the section-orthogonal representative;
         # adding a fibre-class multiple keeps the class and the fibre pairing
         shift = self.lattice.dot(self.B, self.sigma0)
         if shift != 0:
-            self.B = tuple(sp.expand(b - shift * e) for b, e in zip(self.B, self.E))
+            self.B = tuple(_norm(b - shift * e) for b, e in zip(self.B, self.E))
         if self.re_omega is not None:
             self.re_omega = _vec(self.re_omega, r)
         if self.im_omega is not None:
@@ -196,7 +249,7 @@ class K3MirrorInput:
     @property
     def vol(self):
         if not self.has_holomorphic_data:
-            return sp.Integer(1)
+            return Fraction(1)
         return self.dot(self.re_omega, self.E)
 
 
@@ -208,9 +261,9 @@ def validate(inp: K3MirrorInput, require_aligned=False):
         bad.append("fibre class is not isotropic")
     if _gcd_all(inp.E) != 1:
         bad.append("fibre class is not primitive")
-    if sp.expand(d(inp.sigma0, inp.sigma0) + 2) != 0:
+    if d(inp.sigma0, inp.sigma0) != -2:
         bad.append("section self-intersection must be -2")
-    if sp.expand(d(inp.sigma0, inp.E) - 1) != 0:
+    if d(inp.sigma0, inp.E) != 1:
         bad.append("section must meet the fibre once")
     if not _is_zero(d(inp.omega, inp.E)):
         bad.append("kaehler class must pair to zero with the fibre")
@@ -219,7 +272,7 @@ def validate(inp: K3MirrorInput, require_aligned=False):
     if not _is_zero(d(inp.B, inp.sigma0)):
         bad.append("twist lift must pair to zero with the section")
     w2 = d(inp.omega, inp.omega)
-    if not sp.simplify(w2) > 0:
+    if not _positive(w2):
         bad.append("kaehler square must be positive")
     if inp.has_holomorphic_data:
         r2 = d(inp.re_omega, inp.re_omega)
@@ -233,7 +286,7 @@ def validate(inp: K3MirrorInput, require_aligned=False):
         if require_aligned:
             if not _is_zero(d(inp.im_omega, inp.E)):
                 bad.append("phase not aligned: Im pairing with the fibre is nonzero")
-            if not sp.simplify(d(inp.re_omega, inp.E)) > 0:
+            if not _positive(d(inp.re_omega, inp.E)):
                 bad.append("phase not aligned: Re pairing with the fibre is not positive")
     return bad
 
@@ -251,13 +304,13 @@ def validate_and_align(inp: K3MirrorInput) -> K3MirrorInput:
     b = d(inp.im_omega, inp.E)
     if _is_zero(a) and _is_zero(b):
         raise K3ValidationError("fibre class is null against the holomorphic class")
-    if _is_zero(b) and sp.simplify(a) > 0:
+    if _is_zero(b) and _positive(a):
         return inp
-    h = sp.sqrt(sp.expand(a * a + b * b))
-    cos_t, sin_t = sp.nsimplify(a / h), sp.nsimplify(-b / h)
-    new_re = tuple(sp.simplify(cos_t * r - sin_t * i)
+    h = _sqrt(_norm(a * a + b * b))
+    cos_t, sin_t = _norm(a / h), _norm(-b / h)
+    new_re = tuple(_norm(cos_t * r - sin_t * i)
                    for r, i in zip(inp.re_omega, inp.im_omega))
-    new_im = tuple(sp.simplify(sin_t * r + cos_t * i)
+    new_im = tuple(_norm(sin_t * r + cos_t * i)
                    for r, i in zip(inp.re_omega, inp.im_omega))
     out = K3MirrorInput(inp.lattice, inp.E, inp.sigma0, inp.omega, inp.B,
                         new_re, new_im)
@@ -285,8 +338,8 @@ def hyperkahler_rotate(inp: K3MirrorInput):
     sq_im = 2 * d(holo_k[0], holo_k[1])
     checks = {
         "rotated_holomorphic_null": _is_zero(sq_re) and _is_zero(sq_im),
-        "rotated_kaehler_positive": bool(sp.simplify(d(omega_k, omega_k)) > 0),
-        "rotated_kaehler_fibre_volume": sp.simplify(d(omega_k, inp.E)),
+        "rotated_kaehler_positive": _positive(d(omega_k, omega_k)),
+        "rotated_kaehler_fibre_volume": d(omega_k, inp.E),
     }
     if not checks["rotated_holomorphic_null"]:
         raise K3ValidationError("rotated holomorphic class is not null")
@@ -356,7 +409,7 @@ class MirrorClasses:
 
     def as_dict(self):
         def fmt(v):
-            return [sp.sstr(x) for x in v] if v is not None else None
+            return [_str(x) for x in v] if v is not None else None
 
         return {
             "omega_mirror": fmt(self.omega_mirror),
@@ -364,18 +417,18 @@ class MirrorClasses:
             "omega_n_mirror_im": fmt(self.omega_n_mirror_im),
             "re_omega_mirror": fmt(self.re_omega_mirror),
             "im_omega_mirror": fmt(self.im_omega_mirror),
-            "vol": sp.sstr(self.vol),
-            "vol_mirror": sp.sstr(self.vol_mirror),
+            "vol": _str(self.vol),
+            "vol_mirror": _str(self.vol_mirror),
             "identities": {k: bool(v) for k, v in self.identities.items()},
         }
 
 
 def _axpy(alpha, x, y):
-    return tuple(sp.expand(alpha * a + b) for a, b in zip(x, y))
+    return tuple(_norm(alpha * a + b) for a, b in zip(x, y))
 
 
 def _scale(alpha, x):
-    return tuple(sp.expand(alpha * a) for a in x)
+    return tuple(_norm(alpha * a) for a in x)
 
 
 def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
@@ -386,7 +439,7 @@ def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     d = inp.dot
     E, s0, w, B = inp.E, inp.sigma0, inp.omega, inp.B
     vol = inp.vol
-    if inp.has_holomorphic_data and not sp.simplify(vol) > 0:
+    if inp.has_holomorphic_data and not _positive(vol):
         raise K3ValidationError("fibre volume must be positive after alignment")
 
     w2 = d(w, w)
@@ -395,10 +448,10 @@ def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     wB = d(w, B)
 
     # normalised mirror holomorphic class
-    lam = 1 - sp.Rational(1, 2) * (B2 - w2)
+    lam = 1 - (B2 - w2) / 2
     mu = ws0 - wB
-    on_re = tuple(sp.expand(s - b + lam * e) for s, b, e in zip(s0, B, E))
-    on_im = tuple(sp.expand(-ww + mu * e) for ww, e in zip(w, E))
+    on_re = tuple(_norm(s - b + lam * e) for s, b, e in zip(s0, B, E))
+    on_im = tuple(_norm(-ww + mu * e) for ww, e in zip(w, E))
 
     re_mirror = _scale(1 / vol, on_re)
     im_mirror = _scale(1 / vol, on_im)
@@ -412,7 +465,7 @@ def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     identities["volume_reciprocity"] = _is_zero(vol * vol_mirror - 1)
 
     if inp.has_holomorphic_data:
-        im_n = _scale(sp.Rational(1, 1) / vol, inp.im_omega)
+        im_n = _scale(1 / vol, inp.im_omega)
         kappa = d(im_n, tuple(b - s for b, s in zip(B, s0)))
         omega_mirror = _axpy(kappa, E, im_n)
         identities["mirror_kaehler_fibre_orthogonal"] = _is_zero(d(omega_mirror, E))
@@ -451,22 +504,22 @@ def split_components(inp_or_lattice, E, s0, v):
     """Decompose v = alpha*E + beta*sigma0 + w with w in E-perp and sigma0-perp."""
     d = inp_or_lattice.dot
     beta = d(v, E)
-    alpha = sp.expand(d(v, s0) + 2 * beta)
-    w = tuple(sp.expand(vi - alpha * e - beta * s) for vi, e, s in zip(v, E, s0))
+    alpha = _norm(d(v, s0) + 2 * beta)
+    w = tuple(_norm(vi - alpha * e - beta * s) for vi, e, s in zip(v, E, s0))
     return alpha, beta, w
 
 
 def fibrewise_negation(lattice_like, E, s0, v):
     """Fix the E and sigma0 components; negate the transverse component."""
     alpha, beta, w = split_components(lattice_like, E, s0, v)
-    return tuple(sp.expand(alpha * e + beta * s - ww) for e, s, ww in zip(E, s0, w))
+    return tuple(_norm(alpha * e + beta * s - ww) for e, s, ww in zip(E, s0, w))
 
 
 def transverse_twist_class(inp: K3MirrorInput):
     """The mirror's twist class: transverse part of ReOmega / vol."""
     if not inp.has_holomorphic_data:
         raise K3ValidationError("twist readout needs the holomorphic classes")
-    re_n = _scale(sp.Rational(1, 1) / inp.vol, inp.re_omega)
+    re_n = _scale(1 / inp.vol, inp.re_omega)
     _, _, w = split_components(inp, inp.E, inp.sigma0, re_n)
     return w
 

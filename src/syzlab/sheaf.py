@@ -32,25 +32,19 @@ from dataclasses import dataclass
 
 from .intlinalg import (
     as_int_matrix,
-    elementary_divisors,
     identity,
+    is_unimodular,
     kernel_basis,
     mat_is_zero,
     mat_mul,
     rank,
+    rank_and_divisors,
     solve_int,
 )
 
 
 class LocalSystemError(ValueError):
     pass
-
-
-def _det_int(mat):
-    # Bareiss-free: small matrices, use expansion via SNF diagonal product sign
-    import sympy as sp
-
-    return int(sp.Matrix(mat).det())
 
 
 @dataclass
@@ -66,7 +60,7 @@ class LocalSystemOnSphere:
         for t in mats:
             if len(t) != m or any(len(row) != m for row in t):
                 raise LocalSystemError("monodromy matrices must be rank x rank")
-            if abs(_det_int(t)) != 1:
+            if not is_unimodular(t):
                 raise LocalSystemError("monodromy matrices must be invertible over Z")
         prod = identity(m)
         for t in mats:
@@ -74,6 +68,7 @@ class LocalSystemOnSphere:
         if prod != identity(m):
             raise LocalSystemError("monodromy product (right to left) must be the identity")
         self.monodromies = mats
+        self._pushforward = None  # groups, filled by pushforward_cohomology
 
     @property
     def punctures(self):
@@ -96,13 +91,8 @@ def invariant_sublattice(mats, m):
 
 
 def euler_characteristic(system: LocalSystemOnSphere) -> int:
-    """2m - sum_i (m - dim ker(T_i - I)) on free ranks."""
-    m = system.rank
-    total = 2 * m
-    for t in system.monodromies:
-        inv = len(kernel_basis(_minus_identity(t)))
-        total -= m - inv
-    return total
+    """2m - sum_i (m - dim ker(T_i - I)) = 2m - sum_i rank(T_i - I)."""
+    return 2 * system.rank - sum(rank(_minus_identity(t)) for t in system.monodromies)
 
 
 def _prefix_weights(mats, m):
@@ -131,7 +121,12 @@ class PushforwardCohomology:
 
 
 def pushforward_cohomology(system: LocalSystemOnSphere) -> PushforwardCohomology:
-    """Exact integer cohomology of the pushforward sheaf on the sphere."""
+    """Exact integer cohomology of the pushforward sheaf on the sphere.
+
+    Computed once per system; later calls get a copy of the first result.
+    """
+    if system._pushforward is not None:
+        return PushforwardCohomology([(r, list(t)) for r, t in system._pushforward])
     m = system.rank
     mats = system.monodromies
     k = len(mats)
@@ -188,21 +183,20 @@ def pushforward_cohomology(system: LocalSystemOnSphere) -> PushforwardCohomology
     kb = kernel_basis(d1)
     if kb:
         kmat = [[kb[j][i] for j in range(len(kb))] for i in range(dim1)]
-        coords = solve_int(kmat, d0)
-        snd = elementary_divisors(coords)
-        h1_rank = len(kb) - rank(coords)
-        h1_tors = snd
+        coords_rank, h1_tors = rank_and_divisors(solve_int(kmat, d0))
+        h1_rank = len(kb) - coords_rank
     else:
         h1_rank, h1_tors = 0, []
     # H2 = Z^dim2 / im(d1)
-    h2_rank = dim2 - rank(d1)
-    h2_tors = elementary_divisors(d1)
+    d1_rank, h2_tors = rank_and_divisors(d1)
+    h2_rank = dim2 - d1_rank
 
     groups = [(h0_rank, []), (h1_rank, h1_tors), (h2_rank, h2_tors)]
     chi = groups[0][0] - groups[1][0] + groups[2][0]
     if chi != euler_characteristic(system):
         raise LocalSystemError("internal: euler characteristic mismatch")
-    return PushforwardCohomology(groups)
+    system._pushforward = groups
+    return PushforwardCohomology([(r, list(t)) for r, t in groups])
 
 
 # ---------------------------------------------------------------------------

@@ -168,3 +168,11 @@ def test_one_evaluator_and_no_symbolic_fibre_integration():
     for call in calls:
         owners = [name for lo, hi, name in functions if lo <= call.lineno <= hi]
         assert owners == ["_one_form_potential"], f"integrate at duality.py:{call.lineno}"
+
+
+def test_integer_layer_does_not_use_sympy():
+    """Smith forms, chain complexes, fibre models and local systems are
+    pure integer work: none of their modules mentions sympy."""
+    src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
+    for name in ("intlinalg.py", "complexes.py", "fibre_models.py", "sheaf.py"):
+        assert "sympy" not in (src / name).read_text(), name

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -206,6 +207,80 @@ class TestMirrorClasses:
         mirror_sq = d(mc.omega_mirror, mc.omega_mirror)
         assert sp.simplify(mirror_sq - omega_sq / mc.vol ** 2) == 0
         assert sp.simplify(mc.vol * mc.vol_mirror - 1) == 0
+
+
+def _nonzero(strings):
+    return {i: x for i, x in enumerate(strings) if x != "0"}
+
+
+class TestRationalArithmetic:
+    """Rational data stays in Fraction; only surds and symbols reach sympy.
+    The pinned strings are the output of the sympy-only implementation."""
+
+    def rank22_input(self):
+        pad = lambda v: tuple(v) + (0,) * (22 - len(v))
+        B = [0, 0, "1/2", 0, -3, 0, 0, 0, "3/2"] + [0] * 8 + [-1, 0, 0, 0, "-5/2"]
+        return K3MirrorInput(k3_lattice(), E=pad([1]), sigma0=pad([-1, 1]),
+                             omega=pad([0, 0, "25/39", "25/39", "-20/13", "-20/13"]),
+                             B=tuple(B), re_omega=pad(["5/3", "5/3"]),
+                             im_omega=pad([0, 0, "20/13", "20/13", "25/39", "25/39"]))
+
+    def test_rank22_payload_is_fraction_valued(self):
+        mc = mirror_classes(validate_and_align(self.rank22_input()))
+        vectors = (mc.omega_mirror, mc.omega_n_mirror_re, mc.omega_n_mirror_im,
+                   mc.re_omega_mirror, mc.im_omega_mirror)
+        assert all(type(x) is Fraction for v in vectors for x in v)
+        assert type(mc.vol) is Fraction and type(mc.vol_mirror) is Fraction
+        out = mc.as_dict()
+        assert all(len(out[key]) == 22 for key in ("omega_mirror", "re_omega_mirror"))
+        assert _nonzero(out["omega_mirror"]) == {
+            0: "-9/13", 2: "12/13", 3: "12/13", 4: "5/13", 5: "5/13"}
+        assert _nonzero(out["omega_n_mirror_re"]) == {
+            0: "221/18", 1: "1", 2: "-1/2", 4: "3", 8: "-3/2", 17: "1", 21: "5/2"}
+        assert _nonzero(out["omega_n_mirror_im"]) == {
+            0: "-385/78", 2: "-25/39", 3: "-25/39", 4: "20/13", 5: "20/13"}
+        assert _nonzero(out["re_omega_mirror"]) == {
+            0: "221/30", 1: "3/5", 2: "-3/10", 4: "9/5", 8: "-9/10", 17: "3/5", 21: "3/2"}
+        assert _nonzero(out["im_omega_mirror"]) == {
+            0: "-77/26", 2: "-5/13", 3: "-5/13", 4: "12/13", 5: "12/13"}
+        assert (out["vol"], out["vol_mirror"]) == ("5/3", "3/5")
+        assert all(out["identities"].values())
+        assert double_mirror_check(self.rank22_input())["all_passed"]
+
+    def test_float_coordinates_read_as_decimals(self):
+        inp = full_input(omega=(0, 0, 0.5, 0.5, 0, 0), B=(0, 0, 0.1, -0.1, 0, 0),
+                         re=(0.5, 0.5, 0, 0, 0, 0), im=(0, 0, 0, 0, 0.5, 0.5))
+        assert inp.B[2] == Fraction(1, 10) and type(inp.B[2]) is Fraction
+        out = mirror_classes(validate_and_align(inp)).as_dict()
+        assert out["omega_n_mirror_re"] == ["13/50", "1", "-1/10", "1/10", "0", "0"]
+        assert out["re_omega_mirror"] == ["13/25", "2", "-1/5", "1/5", "0", "0"]
+        assert (out["vol"], out["vol_mirror"]) == ("1/2", "2")
+
+    def test_quadratic_surd_alignment(self):
+        """Re.E = Im.E = 1 needs the rotation by 1/sqrt(2): h = sqrt(2)."""
+        re0, im0 = (1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1)
+        inp = full_input(omega=tuple(sp.sqrt(2) * v for v in (0, 0, 1, 1, 0, 0)),
+                         B=(0, 0, 1, -1, 0, 0),
+                         re=tuple(a - b for a, b in zip(re0, im0)),
+                         im=tuple(a + b for a, b in zip(re0, im0)))
+        aligned = validate_and_align(inp)
+        assert [sp.sstr(x) for x in aligned.re_omega] == [
+            "sqrt(2)", "sqrt(2)", "0", "0", "0", "0"]
+        out = mirror_classes(aligned).as_dict()
+        assert out["vol"] == "sqrt(2)" and out["vol_mirror"] == "sqrt(2)/2"
+        assert out["re_omega_mirror"] == [
+            "3*sqrt(2)/2", "sqrt(2)/2", "-sqrt(2)/2", "sqrt(2)/2", "0", "0"]
+        assert out["omega_n_mirror_re"] == ["3", "1", "-1", "1", "0", "0"]
+        assert out["omega_n_mirror_im"] == ["0", "0", "-sqrt(2)", "-sqrt(2)", "0", "0"]
+        assert out["im_omega_mirror"] == ["0", "0", "-1", "-1", "0", "0"]
+        assert out["omega_mirror"] == ["0", "0", "0", "0", "1", "1"]
+        assert all(out["identities"].values())
+        # a sympy result that is rational comes back as a Fraction
+        assert type(mirror_classes(aligned).im_omega_mirror[2]) is Fraction
+        report = double_mirror_check(inp)
+        assert all(report[key] for key in (
+            "omega_recovered", "re_omega_recovered", "im_omega_recovered",
+            "twist_recovered", "negation_involutive", "all_passed"))
 
 
 class TestTwistLift:

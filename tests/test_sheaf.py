@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from syzlab.intlinalg import identity, invert_unimodular, mat_mul
+from syzlab import sheaf
+from syzlab.intlinalg import identity, invert_unimodular, kernel_basis, mat_mul
+from syzlab.scenarios import run_scenario_doc
 from syzlab.sheaf import (
     E2Table,
     LocalSystemError,
@@ -113,6 +115,50 @@ class TestPushforward:
             conj = [mat_mul(mat_mul(p, t), pinv) for t in system.monodromies]
             other = pushforward_cohomology(LocalSystemOnSphere(m, conj))
             assert other.groups == pushforward_cohomology(system).groups
+
+
+class TestComputeOnce:
+    def test_sheaf_scenario_computes_pushforward_once(self, monkeypatch):
+        calls = []
+        original = sheaf._prefix_weights
+
+        def counting(mats, m):
+            calls.append(len(mats))
+            return original(mats, m)
+
+        monkeypatch.setattr(sheaf, "_prefix_weights", counting)
+        mats = [UNIPOTENT, UNIPOTENT_CONJ] * 12
+        doc = {"version": "1", "kind": "sheaf",
+               "payload": {"rank": 2, "monodromy": mats, "expected_ranks": [0, 20, 0]}}
+        report = run_scenario_doc(doc)
+        assert all(c["passed"] for c in report.checks)
+        assert report.outputs["e2_table"][1][1] == {"rank": 20, "torsion": []}
+        assert calls == [24]
+
+    def test_cached_result_is_a_copy(self):
+        system = LocalSystemOnSphere(1, [[[-1]], [[-1]]])
+        first = pushforward_cohomology(system)
+        expected = [(r, list(t)) for r, t in first.groups]
+        first.groups[1][1].append(99)
+        first.groups.append((5, []))
+        assert pushforward_cohomology(system).groups == expected
+
+    def test_euler_from_ranks_matches_kernels(self):
+        rng = random.Random(29)
+        for _ in range(15):
+            system = random_system(rng)
+            m = system.rank
+            via_kernels = 2 * m - sum(
+                m - len(kernel_basis([[t[i][j] - (i == j) for j in range(m)]
+                                      for i in range(m)]))
+                for t in system.monodromies)
+            assert euler_characteristic(system) == via_kernels
+
+    def test_unimodularity_by_smith_form(self):
+        swap = [[0, 1], [1, 0]]  # determinant -1 is invertible over Z
+        assert pushforward_cohomology(LocalSystemOnSphere(2, [swap, swap])).ranks[0] == 1
+        with pytest.raises(LocalSystemError, match="invertible"):
+            LocalSystemOnSphere(2, [[[1, 1], [1, 4]], [[1, 1], [1, 4]]])
 
 
 class TestE2Assembly:

@@ -44,6 +44,16 @@ class TestComplexMachinery:
             for grid in (1, 2):
                 torus_complex(n, grid).validate()
 
+    def test_faces_are_boundary_columns(self):
+        t2 = torus_complex(2, 2)
+        for k in (1, 2):
+            for j, label in enumerate(t2.cells[k]):
+                column = tuple((face, t2.boundaries[k][i][j])
+                               for i, face in enumerate(t2.cells[k - 1])
+                               if t2.boundaries[k][i][j])
+                assert t2.faces(k, label) == column
+        assert t2.faces(0, t2.cells[0][0]) == ()
+
     def test_quotient_rejects_non_subcomplex(self):
         t2 = torus_complex(2, 2)
         # a single edge without its endpoints is not closed under faces
@@ -107,6 +117,15 @@ class TestFibreModels:
         """One grid refinement must not change the cohomology."""
         coarse = model_cohomology(name, 1)
         fine = model_cohomology(name, 2)
+        pad = lambda r: (r.ranks + [0] * (4 - len(r.ranks)),
+                         [list(t) for t in r.torsion] + [[]] * (4 - len(r.torsion)))
+        assert pad(coarse) == pad(fine)
+
+    @pytest.mark.parametrize("name", MODEL_NAMES)
+    def test_subdivision_invariance_grid3(self, name):
+        """Two more refinements (grid 1 against grid 3) keep the cohomology."""
+        coarse = model_cohomology(name, 1)
+        fine = model_cohomology(name, 3)
         pad = lambda r: (r.ranks + [0] * (4 - len(r.ranks)),
                          [list(t) for t in r.torsion] + [[]] * (4 - len(r.torsion)))
         assert pad(coarse) == pad(fine)

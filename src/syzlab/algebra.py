@@ -76,11 +76,6 @@ def complement_sign(iset, n):
     return istar, (-1) ** M
 
 
-def _clean(coeff):
-    c = sp.expand(coeff)
-    return None if c == 0 else c
-
-
 # ---------------------------------------------------------------------------
 # elements
 # ---------------------------------------------------------------------------
@@ -452,14 +447,12 @@ def d_y(element: BigradedElement) -> BigradedElement:
 
 def d_x_prime(element: BigradedElement) -> BigradedElement:
     """d_x rescaled by (-1)^(p+q+1) on the bidegree-(p, q) piece."""
-    out = BigradedElement(element.chart)
-    for (jset, iset), c in element.terms.items():
-        sign = (-1) ** (-len(iset) + len(jset) + 1)
-        piece = BigradedElement(element.chart)
-        piece._add_term(jset, iset, sign * c)
-        dpiece = d_x(piece)
-        for (j2, i2), c2 in dpiece.terms.items():
-            out._add_term(j2, i2, c2)
+    # d_x lowers |I| by one, so (-1)^(p+q+1) of a source term is (-1)^(|J|-|I|)
+    # of its image
+    out = d_x(element)
+    for (jset, iset), c in out.terms.items():
+        if (len(jset) - len(iset)) % 2:
+            out.terms[(jset, iset)] = -c
     return out
 
 

@@ -49,8 +49,6 @@ def _apply_settings(doc, args):
         settings["grid"] = args.grid
     if getattr(args, "tol", None) is not None:
         settings["tol"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        settings["seed"] = args.seed
     if settings:
         doc["settings"] = settings
     return doc
@@ -140,7 +138,6 @@ def _add_common(p):
                    help="fibre quadrature points per axis (default 16)")
     p.add_argument("--tol", type=float, default=None,
                    help="residual tolerance (default 1e-8)")
-    p.add_argument("--seed", type=int, default=None, help="seed for randomised probes")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="also write the JSON report here")
 

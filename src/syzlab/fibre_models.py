@@ -63,14 +63,6 @@ def axis_components(label, n):
     return axis_components(label[0], n - 1) + [label[1]]
 
 
-def make_label(comps):
-    """Rebuild the nested (left-associated) product label."""
-    label = comps[0]
-    for c in comps[1:]:
-        label = (label, c)
-    return label
-
-
 def cells_where(cx: ChainComplex, n, predicate):
     """All cell labels whose per-axis components satisfy the predicate."""
     out = []

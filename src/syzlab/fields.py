@@ -165,14 +165,35 @@ def compile_scalars(exprs, chart: Chart):
     return evaluate
 
 
+def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
+    """Max |value| of each group of expressions over the deterministic sample grid.
+
+    The nonzero expressions of all groups are compiled into one evaluator,
+    which runs _BLOCK_SAMPLES grid rows at a time; only a running maximum
+    per group is kept.  A group whose expressions are all exactly 0 is 0.0.
+    """
+    groups = list(groups)
+    owner, exprs = [], []
+    for k, group in enumerate(groups):
+        for e in group:
+            e = sp.sympify(e)
+            if e != 0:
+                owner.append(k)
+                exprs.append(e)
+    peak = np.zeros(len(exprs))
+    if exprs:
+        Y, X = chart.sample_points(base_k, fibre_k)
+        evaluate = compile_scalars(exprs, chart)
+        for start in range(0, len(Y), _BLOCK_SAMPLES):
+            rows = slice(start, start + _BLOCK_SAMPLES)
+            peak = np.maximum(peak, np.abs(evaluate(Y[rows], X[rows])).max(axis=1))
+    owner = np.array(owner, dtype=int)
+    return [float(peak[owner == k].max(initial=0.0)) for k in range(len(groups))]
+
+
 def sup_norm_scalars(exprs, chart: Chart, base_k=5, fibre_k=8):
     """Max |value| of the expressions over the deterministic sample grid."""
-    exprs = [sp.sympify(e) for e in exprs]
-    if not exprs or all(e == 0 for e in exprs):
-        return 0.0
-    Y, X = chart.sample_points(base_k, fibre_k)
-    vals = compile_scalars(exprs, chart)(Y, X)
-    return float(np.max(np.abs(vals)))
+    return sup_norms([exprs], chart, base_k, fibre_k)[0]
 
 
 def central_difference(expr, var, point_subs, h):

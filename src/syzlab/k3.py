@@ -525,7 +525,10 @@ def transverse_twist_class(inp: K3MirrorInput):
 
 
 def double_mirror_check(inp: K3MirrorInput) -> dict:
-    """Mirror twice, pull back by the fibrewise negation, compare exactly."""
+    """Mirror twice, pull back by the fibrewise negation, compare exactly.
+
+    The report's "first_classes" is the MirrorClasses of the first mirror.
+    """
     inp = validate_and_align(inp)
     if not inp.has_holomorphic_data:
         raise K3ValidationError("double mirror needs the holomorphic classes")
@@ -550,6 +553,7 @@ def double_mirror_check(inp: K3MirrorInput) -> dict:
         "im_omega": neg(second.im_omega_mirror),
     }
     report = {
+        "first_classes": first,
         "first_identities": first.identities,
         "second_identities": second.identities,
         "omega_recovered": all(_is_zero(a - b) for a, b in zip(recovered["omega"], inp.omega)),

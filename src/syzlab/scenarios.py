@@ -3,8 +3,8 @@
 Scenarios are JSON documents validated against a fail-closed schema
 (unknown fields are rejected).  Each kind dispatches to one module surface
 and produces a RunReport: named checks with residuals and verdicts, plus
-kind-specific outputs.  Reports are deterministic for a fixed scenario and
-seed, up to the separate timing block.
+kind-specific outputs.  Reports are deterministic for a fixed scenario, up
+to the separate timing block.
 """
 
 from __future__ import annotations
@@ -28,26 +28,18 @@ from .semiflat import (
 
 SCHEMA_VERSION = "1"
 
+_RATIONAL = {"type": ["string", "number"]}
+# object keywords constrain only the {"re", "im"} form
 _COMPLEX_VALUE = {
-    "oneOf": [
-        {"type": "string"},
-        {"type": "number"},
-        {
-            "type": "object",
-            "properties": {
-                "re": {"oneOf": [{"type": "string"}, {"type": "number"}]},
-                "im": {"oneOf": [{"type": "string"}, {"type": "number"}]},
-            },
-            "additionalProperties": False,
-        },
-    ]
+    "type": ["string", "number", "object"],
+    "properties": {"re": _RATIONAL, "im": _RATIONAL},
+    "additionalProperties": False,
 }
 
 _MATRIX = {"type": "array", "items": {"type": "array", "items": _COMPLEX_VALUE}}
 _INT_MATRIX = {"type": "array",
                "items": {"type": "array", "items": {"type": "integer"}}}
-_RATIONAL_VECTOR = {"type": "array",
-                    "items": {"oneOf": [{"type": "string"}, {"type": "number"}]}}
+_RATIONAL_VECTOR = {"type": "array", "items": _RATIONAL}
 
 _BETA_FRAGMENT = {
     "type": "object",
@@ -79,7 +71,6 @@ SCENARIO_SCHEMA = {
             "properties": {
                 "grid": {"type": "integer", "minimum": 2},
                 "tol": {"type": "number", "exclusiveMinimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
             },
             "additionalProperties": False,
         },
@@ -234,7 +225,6 @@ def _settings(doc):
     return {
         "grid": int(s.get("grid", 16)),
         "tol": float(s.get("tol", 1e-8)),
-        "seed": int(s.get("seed", 0)),
     }
 
 
@@ -391,7 +381,10 @@ def _run_k3(doc, report):
         im_omega=payload.get("im_omega"),
     )
     aligned = validate_and_align(inp)
-    classes = mirror_classes(aligned)
+    double = None
+    if payload.get("double_mirror") and aligned.has_holomorphic_data:
+        double = double_mirror_check(aligned)
+    classes = double["first_classes"] if double else mirror_classes(aligned)
     for name, ok in classes.identities.items():
         report.add_check(f"identity.{name}", ok)
     report.outputs["classes"] = classes.as_dict()
@@ -399,11 +392,10 @@ def _run_k3(doc, report):
         bad = kahler_obstructions(aligned, payload["algebraic_classes"])
         report.add_check("no_declared_kaehler_obstruction", not bad)
         report.outputs["kaehler_obstructions"] = [list(v) for v in bad]
-    if payload.get("double_mirror") and aligned.has_holomorphic_data:
-        rep = double_mirror_check(aligned)
+    if double:
         for key in ("omega_recovered", "re_omega_recovered", "im_omega_recovered",
                     "twist_recovered", "negation_involutive"):
-            report.add_check(f"double_mirror.{key}", rep[key])
+            report.add_check(f"double_mirror.{key}", double[key])
 
 
 _DISPATCH = {

@@ -9,7 +9,8 @@ V*beta, whose real and imaginary parts are the connection-curvature,
 covariant-metric, fibre-harmonic and parallel-volume residuals.
 
 All residual norms are sup-norms of coefficient functions over the chart's
-deterministic sample grid.
+fixed sample grid (5 base x 8 fibre points per axis); each report samples
+all of its residuals with one compiled evaluator.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .algebra import (
     wedge_one_forms,
 )
 from .charts import Chart
-from .fields import require_fibre_periodic, sup_norm_scalars
+from .fields import compile_scalars, require_fibre_periodic, sup_norms
 
 DEFAULT_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-9
@@ -64,6 +65,11 @@ class SemiflatReport:
     def add(self, name, value, tol=DEFAULT_TOL):
         self.checks[name] = ResidualCheck(float(value), float(tol))
 
+    def add_sup_norms(self, chart, residuals, tol):
+        """One check per named expression list, all sampled by one evaluator."""
+        for name, value in zip(residuals, sup_norms(residuals.values(), chart)):
+            self.add(name, value, tol)
+
     def __getitem__(self, name):
         return self.checks[name]
 
@@ -95,7 +101,7 @@ class BetaStructure:
             for entry in row:
                 require_fibre_periodic(entry, n)
         self.beta = beta
-        # complete pointwise_checks reports by (tol, base_k, fibre_k)
+        # complete pointwise_checks reports by tol
         self._pointwise = {}
 
     @property
@@ -128,29 +134,12 @@ class BetaStructure:
     def g_inv_element(self) -> BigradedElement:
         return BigradedElement.from_matrix(self.chart, self.g_inv)
 
-    def theta_forms(self):
-        """The candidate (1,0)-forms dx_i + sum_j beta_ij dy_j as coefficient maps."""
-        forms = []
-        for i in range(self.n):
-            form = {("x", i + 1): sp.Integer(1)}
-            for j in range(self.n):
-                if self.beta[i][j] != 0:
-                    form[("y", j + 1)] = self.beta[i][j]
-            forms.append(form)
-        return forms
-
-    def imbeta_samples(self, base_k=5, fibre_k=8):
-        """Stack of Im(beta) matrices over the sample grid, plus the points."""
-        from .fields import compile_scalars
-
-        Y, X = self.chart.sample_points(base_k, fibre_k)
+    def min_imbeta_eigenvalue(self):
+        """Least eigenvalue of sym(Im beta) over the sample grid, and where."""
+        Y, X = self.chart.sample_points()
         exprs = [e for row in self.g_inv for e in row]
         vals = compile_scalars(exprs, self.chart)(Y, X).real
         mats = vals.T.reshape(len(Y), self.n, self.n)
-        return mats, Y, X
-
-    def min_imbeta_eigenvalue(self, base_k=5, fibre_k=8):
-        mats, Y, X = self.imbeta_samples(base_k, fibre_k)
         sym = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
         eigs = np.linalg.eigvalsh(sym)
         idx = int(np.argmin(eigs[:, 0]))
@@ -165,31 +154,28 @@ def _symmetry_defects(matrix, n):
     return out
 
 
-def pointwise_checks(bs: BetaStructure, v_override=None, tol=DEFAULT_TOL,
-                     base_k=5, fibre_k=8) -> SemiflatReport:
+def pointwise_checks(bs: BetaStructure, v_override=None, tol=DEFAULT_TOL) -> SemiflatReport:
     """Symmetry, positivity, and volume-normalisation residuals at samples.
 
     v_override substitutes a user-supplied density in the normalisation
     check V^2 * det(Im beta) = 1; it exists only to build negative tests.
-    Without it the report is computed once per structure and settings, and
+    Without it the report is computed once per structure and tolerance, and
     later calls get a copy.
     """
-    key = (tol, base_k, fibre_k)
-    if v_override is None and key in bs._pointwise:
-        return bs._pointwise[key].copy()
+    if v_override is None and tol in bs._pointwise:
+        return bs._pointwise[tol].copy()
     rep = SemiflatReport()
-    rep.add("symmetry", sup_norm_scalars(_symmetry_defects(bs.beta, bs.n), bs.chart,
-                                         base_k, fibre_k), tol)
-    mineig, worst = bs.min_imbeta_eigenvalue(base_k, fibre_k)
+    V = sp.sympify(v_override) if v_override is not None else bs.volume_density
+    rep.add_sup_norms(bs.chart, {
+        "symmetry": _symmetry_defects(bs.beta, bs.n),
+        "volume_normalisation": [sp.expand(V * V * bs.det_g_inv - 1)],
+    }, tol)
+    mineig, worst = bs.min_imbeta_eigenvalue()
     rep.checks["positivity"] = ResidualCheck(-mineig, -POSITIVITY_FLOOR)
     rep.notes["min_imbeta_eigenvalue"] = mineig
     rep.notes["worst_point"] = (tuple(map(float, worst[0])), tuple(map(float, worst[1])))
-    V = sp.sympify(v_override) if v_override is not None else bs.volume_density
-    norm_defect = sp.expand(V * V * bs.det_g_inv - 1)
-    rep.add("volume_normalisation", sup_norm_scalars([norm_defect], bs.chart,
-                                                     base_k, fibre_k), tol)
     if v_override is None:
-        bs._pointwise[key] = rep.copy()
+        bs._pointwise[tol] = rep.copy()
     return rep
 
 
@@ -214,6 +200,15 @@ def build_omega(bs: BetaStructure) -> BigradedElement:
 def omega_form(bs: BetaStructure) -> FormElement:
     """Direct wedge expansion V * prod(dx_i + sum beta_ij dy_j)."""
     return decomposable_form(bs.chart, bs.beta, scale=bs.volume_density)
+
+
+def _d_omega(bs: BetaStructure) -> FormElement:
+    return omega_form(bs).exterior_derivative()
+
+
+def _connection_curvature(b: BigradedElement) -> BigradedElement:
+    """F_b = d_y(b) - [b, b]/2."""
+    return d_y(b) - bracket(b, b).scale(sp.Rational(1, 2))
 
 
 def integrability_residual(bs: BetaStructure) -> BigradedElement:
@@ -252,8 +247,7 @@ def _volume_divergence_residual(bs: BetaStructure) -> BigradedElement:
     return d_y(Vel) - d_x_prime(vbeta)
 
 
-def closedness_residuals(bs: BetaStructure, tol=DEFAULT_TOL,
-                         base_k=5, fibre_k=8) -> SemiflatReport:
+def closedness_residuals(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     """Full d(Omega) residual, the volume-divergence residual, and integrability.
 
     The three verdicts satisfy: closed iff (integrable and divergence-free);
@@ -261,12 +255,11 @@ def closedness_residuals(bs: BetaStructure, tol=DEFAULT_TOL,
     """
     require_compatible(bs, tol)
     rep = SemiflatReport()
-    domega = omega_form(bs).exterior_derivative()
-    rep.add("full_closedness", domega.sup_norm(base_k, fibre_k), tol)
-    rep.add("volume_divergence",
-            _volume_divergence_residual(bs).sup_norm(base_k, fibre_k), tol)
-    rep.add("integrability",
-            integrability_residual(bs).sup_norm(base_k, fibre_k), tol)
+    rep.add_sup_norms(bs.chart, {
+        "full_closedness": _d_omega(bs).terms.values(),
+        "volume_divergence": _volume_divergence_residual(bs).terms.values(),
+        "integrability": integrability_residual(bs).terms.values(),
+    }, tol)
     rep.notes["equivalence_consistent"] = (
         rep.verdict("full_closedness")
         == (rep.verdict("volume_divergence") and rep.verdict("integrability"))
@@ -274,8 +267,7 @@ def closedness_residuals(bs: BetaStructure, tol=DEFAULT_TOL,
     return rep
 
 
-def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL,
-                        base_k=5, fibre_k=8) -> SemiflatReport:
+def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     """Real/imaginary split of the closedness conditions, four named residuals.
 
     connection_curvature:  F_b + [gInv, gInv]/2  with F_b = d_y(b) - [b, b]/2
@@ -287,11 +279,8 @@ def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL,
     rep = SemiflatReport()
     b = bs.b_element()
     ginv = bs.g_inv_element()
-    fb = d_y(b) - bracket(b, b).scale(sp.Rational(1, 2))
-    curv = fb + bracket(ginv, ginv).scale(sp.Rational(1, 2))
-    rep.add("connection_curvature", curv.sup_norm(base_k, fibre_k), tol)
-    rep.add("covariant_metric",
-            (d_y(ginv) - bracket(b, ginv)).sup_norm(base_k, fibre_k), tol)
+    curv = _connection_curvature(b) + bracket(ginv, ginv).scale(sp.Rational(1, 2))
+    covariant = d_y(ginv) - bracket(b, ginv)
 
     V = bs.volume_density
     xs, ys = bs.chart.xs, bs.chart.ys
@@ -304,23 +293,13 @@ def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL,
             sp.diff(V, ys[j - 1])
             - sum(sp.diff(V * bs.b_matrix[i - 1][j - 1], xs[i - 1])
                   for i in range(1, bs.n + 1))))
-    rep.add("fibre_harmonic", sup_norm_scalars(harmonic, bs.chart, base_k, fibre_k), tol)
-    rep.add("parallel_volume", sup_norm_scalars(parallel, bs.chart, base_k, fibre_k), tol)
+    rep.add_sup_norms(bs.chart, {
+        "connection_curvature": curv.terms.values(),
+        "covariant_metric": covariant.terms.values(),
+        "fibre_harmonic": harmonic,
+        "parallel_volume": parallel,
+    }, tol)
     return rep
-
-
-def horizontal_frame_residual(bs: BetaStructure, base_k=5, fibre_k=8):
-    """Pairing of Re(theta_i) with the horizontal frame d/dy_j - sum_k b_kj d/dx_k.
-
-    The real parts of the candidate (1,0)-forms must annihilate the
-    horizontal subspaces; the imaginary pairing equals i * gInv by design.
-    """
-    vals = []
-    for i in range(bs.n):
-        for j in range(bs.n):
-            # Re(theta_i)(h_j) = Re(beta_ij) - b_ij
-            vals.append(sp.expand(bs.beta[i][j].as_real_imag()[0] - bs.b_matrix[i][j]))
-    return sup_norm_scalars(vals, bs.chart, base_k, fibre_k)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +393,6 @@ def action_coordinates(period_forms, chart: Chart):
             raise ValueError("antiderivative not expressible in the grammar")
         potentials.append(u)
     jac = sp.Matrix([[sp.diff(u, ys[j]) for j in range(chart.n)] for u in potentials])
-    from .fields import compile_scalars
     Y = chart.base_grid(5)
     X = np.zeros_like(Y)
     entries = [jac[i, j] for i in range(chart.n) for j in range(chart.n)]
@@ -441,7 +419,7 @@ def reglue_check(sigma_12, overlap_chart: Chart):
     return bool(verdict), transition
 
 
-def flatness_probe(bs: BetaStructure, tol=DEFAULT_TOL, base_k=5, fibre_k=8) -> SemiflatReport:
+def flatness_probe(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     """Hypotheses: d(Omega) = 0 and flat connection; conclusion: fibre-constant metric.
 
     Reports the curvature and closedness residuals, plus the sup of fibre
@@ -450,17 +428,14 @@ def flatness_probe(bs: BetaStructure, tol=DEFAULT_TOL, base_k=5, fibre_k=8) -> S
     constancy of V on compact fibres is outside a one-chart model.
     """
     rep = SemiflatReport()
-    b = bs.b_element()
-    fb = d_y(b) - bracket(b, b).scale(sp.Rational(1, 2))
-    rep.add("connection_flatness", fb.sup_norm(base_k, fibre_k), tol)
-    domega = omega_form(bs).exterior_derivative()
-    rep.add("full_closedness", domega.sup_norm(base_k, fibre_k), tol)
     xs = bs.chart.xs
-    grads = [sp.diff(bs.g_inv[i][j], xs[k])
-             for i in range(bs.n) for j in range(bs.n) for k in range(bs.n)]
-    vgrads = [sp.diff(bs.volume_density, xs[k]) for k in range(bs.n)]
-    rep.add("metric_fibre_gradient", sup_norm_scalars(grads, bs.chart, base_k, fibre_k), tol)
-    rep.add("volume_fibre_gradient", sup_norm_scalars(vgrads, bs.chart, base_k, fibre_k), tol)
+    rep.add_sup_norms(bs.chart, {
+        "connection_flatness": _connection_curvature(bs.b_element()).terms.values(),
+        "full_closedness": _d_omega(bs).terms.values(),
+        "metric_fibre_gradient": [sp.diff(bs.g_inv[i][j], xs[k]) for i in range(bs.n)
+                                  for j in range(bs.n) for k in range(bs.n)],
+        "volume_fibre_gradient": [sp.diff(bs.volume_density, xs[k]) for k in range(bs.n)],
+    }, tol)
     hyp = rep.verdict("connection_flatness") and rep.verdict("full_closedness")
     rep.notes["hypotheses_hold"] = hyp
     rep.notes["conclusion_holds"] = (

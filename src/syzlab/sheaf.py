@@ -233,12 +233,6 @@ class E2Table:
         return [[{"rank": r, "torsion": list(t)} for (r, t) in row]
                 for row in self.grid]
 
-    @classmethod
-    def from_json_grid(cls, n, rows):
-        grid = [[(int(cell["rank"]), tuple(int(d) for d in cell.get("torsion", ())))
-                 for cell in row] for row in rows]
-        return cls(n, grid)
-
     def validate(self, with_section=True):
         """Check the degenerate-table zero pattern and duplicated ranks."""
         size = self.n + 1

@@ -17,6 +17,31 @@ def chart3():
     return Chart(3, ((-1, 1), (-1, 1), (-1, 1)))
 
 
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Count compile_scalars calls through every syzlab module that binds it."""
+    import importlib
+    import pkgutil
+    import sys
+
+    import syzlab
+    import syzlab.fields as fields
+
+    for info in pkgutil.iter_modules(syzlab.__path__):
+        importlib.import_module(f"syzlab.{info.name}")
+    raw = fields.compile_scalars
+    calls = []
+
+    def counted(exprs, chart):
+        calls.append(len(list(exprs)))
+        return raw(exprs, chart)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("syzlab") and getattr(mod, "compile_scalars", None) is raw:
+            monkeypatch.setattr(mod, "compile_scalars", counted)
+    return calls
+
+
 def chart_of_dim(n):
     return Chart(n, tuple((-1, 1) for _ in range(n)))
 

@@ -314,31 +314,6 @@ def fibre_dependent(chart):
     return BetaStructure(chart, [[I * (3 + sp.sin(4 * sp.pi * x1) / 2), 0], [0, 3 * I]])
 
 
-@pytest.fixture
-def compile_calls(monkeypatch):
-    """Count compile_scalars calls through every syzlab module that binds it."""
-    import importlib
-    import pkgutil
-    import sys
-
-    import syzlab
-    import syzlab.fields as fields
-
-    for info in pkgutil.iter_modules(syzlab.__path__):
-        importlib.import_module(f"syzlab.{info.name}")
-    raw = fields.compile_scalars
-    calls = []
-
-    def counted(exprs, chart):
-        calls.append(len(list(exprs)))
-        return raw(exprs, chart)
-
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("syzlab") and getattr(mod, "compile_scalars", None) is raw:
-            monkeypatch.setattr(mod, "compile_scalars", counted)
-    return calls
-
-
 class TestBatchedQuadrature:
     def test_mclean_compiles_a_few_evaluators(self, chart2, compile_calls):
         with pytest.warns(UserWarning, match="not closed"):

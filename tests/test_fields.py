@@ -15,6 +15,7 @@ from syzlab.fields import (
     is_fibre_periodic,
     parse_scalar,
     sup_norm_scalars,
+    sup_norms,
 )
 
 
@@ -95,6 +96,17 @@ def test_sup_norm_scalars():
     assert sup_norm_scalars([sp.Integer(0)], chart) == 0.0
 
 
+def test_sup_norms_all_zero_group_is_not_compiled(monkeypatch):
+    import syzlab.fields as fields
+
+    def refuse(exprs, chart):
+        raise AssertionError("compiled an all-zero group")
+
+    monkeypatch.setattr(fields, "compile_scalars", refuse)
+    chart = Chart(1, ((-1, 1),))
+    assert sup_norms([[sp.Integer(0), 0], []], chart) == [0.0, 0.0]
+
+
 def benchmark_beta3():
     """n = 3: Im b11 = 5/2 + sin(2 pi x1)/4, Re b12 = y3/5, Im b22 = 3 + y1^2/4, Im b33 = 3."""
     from syzlab.semiflat import BetaStructure
@@ -122,6 +134,32 @@ def test_cse_evaluator_matches_plain_lambdify():
     scale = np.max(np.abs(want))
     assert scale > 0.1
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_sup_norms_matches_whole_grid_per_group():
+    """One evaluator, reduced block by block, gives each group's sup over the
+    whole 64,000-row n = 3 grid."""
+    from syzlab.semiflat import (
+        _d_omega,
+        _volume_divergence_residual,
+        integrability_residual,
+    )
+
+    bs = benchmark_beta3()
+    chart = bs.chart
+    groups = [list(_d_omega(bs).terms.values()),
+              list(_volume_divergence_residual(bs).terms.values()),
+              list(integrability_residual(bs).terms.values()),
+              [sp.Integer(0)]]
+    Y, X = chart.sample_points()
+    assert len(Y) == 64_000 and len(Y) > 3 * _BLOCK_SAMPLES
+    got = sup_norms(groups, chart)
+    assert got[-1] == 0.0
+    for value, group in zip(got, groups[:-1]):
+        want = float(np.max(np.abs(compile_scalars(group, chart)(Y, X))))
+        assert want > 0.01
+        assert abs(value - want) <= 1e-12 * want
+        assert sup_norm_scalars(group, chart) == pytest.approx(value, rel=1e-12)
 
 
 def test_evaluate_in_blocks_equals_pieces():
@@ -176,3 +214,23 @@ def test_integer_layer_does_not_use_sympy():
     src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
     for name in ("intlinalg.py", "complexes.py", "fibre_models.py", "sheaf.py"):
         assert "sympy" not in (src / name).read_text(), name
+
+
+def test_semiflat_reports_use_one_sup_norm_call_on_a_fixed_grid():
+    """The four semi-flat reports take no grid arguments and sample their
+    residuals only through SemiflatReport.add_sup_norms."""
+    path = Path(__file__).resolve().parents[1] / "src" / "syzlab" / "semiflat.py"
+    reports = {"pointwise_checks", "closedness_residuals", "structure_equations",
+               "flatness_probe"}
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.FunctionDef) or node.name not in reports:
+            continue
+        found.add(node.name)
+        params = [a.arg for a in node.args.args + node.args.kwonlyargs]
+        assert not {"base_k", "fibre_k"} & set(params), node.name
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "attr", getattr(call.func, "id", None))
+                assert name not in ("sup_norm_scalars", "sup_norm"), node.name
+    assert found == reports

@@ -14,7 +14,7 @@ from syzlab.scenarios import (
 FLAT_SCENARIO = {
     "version": "1",
     "kind": "semiflat-check",
-    "settings": {"grid": 8, "tol": 1e-8, "seed": 0},
+    "settings": {"grid": 8, "tol": 1e-8},
     "payload": {
         "n": 2,
         "box": [[-1, 1], [-1, 1]],
@@ -61,6 +61,32 @@ class TestSchema:
     def test_settings_validated(self):
         doc = json.loads(json.dumps(FLAT_SCENARIO))
         doc["settings"]["tol"] = -1
+        with pytest.raises(ScenarioError):
+            validate_scenario(doc)
+
+    @pytest.mark.parametrize("value, ok", [
+        ("1/2", True), (3, True), (0.25, True),
+        ({"re": "1/3", "im": 2}, True), ({"im": 0.5}, True),
+        (True, False), (None, False), ([1, 2], False),
+        ({"re": 1, "im": 2, "phase": 0}, False), ({"re": [1]}, False),
+    ])
+    def test_scalar_value_types(self, value, ok):
+        doc = json.loads(json.dumps(FLAT_SCENARIO))
+        doc["payload"]["beta"][0][1] = value
+        k3 = {"version": "1", "kind": "k3", "payload": {
+            "lattice": "U3", "E": [1, 0, 0, 0, 0, 0], "sigma0": [-1, 1, 0, 0, 0, 0],
+            "omega": [value, 0, 1, 1, 0, 0]}}
+        rational = not isinstance(value, dict)
+        for doc, accepted in ((doc, ok), (k3, ok and rational)):
+            if accepted:
+                validate_scenario(doc)
+            else:
+                with pytest.raises(ScenarioError):
+                    validate_scenario(doc)
+
+    def test_seed_rejected(self):
+        doc = json.loads(json.dumps(FLAT_SCENARIO))
+        doc["settings"]["seed"] = 0
         with pytest.raises(ScenarioError):
             validate_scenario(doc)
 
@@ -128,6 +154,26 @@ class TestRunner:
         report = run_scenario_doc(doc)
         assert report.passed
 
+    def test_k3_double_mirror_computes_first_mirror_once(self, monkeypatch):
+        import syzlab.k3 as k3
+
+        calls = []
+        raw = k3.mirror_classes
+
+        def counted(inp):
+            calls.append(inp)
+            return raw(inp)
+
+        monkeypatch.setattr(k3, "mirror_classes", counted)
+        doc = {"version": "1", "kind": "k3", "payload": {
+            "lattice": "U3", "E": [1, 0, 0, 0, 0, 0], "sigma0": [-1, 1, 0, 0, 0, 0],
+            "omega": [0, 0, 1, 1, 0, 0], "re_omega": [1, 1, 0, 0, 0, 0],
+            "im_omega": [0, 0, 0, 0, 1, 1], "double_mirror": True}}
+        report = run_scenario_doc(doc)
+        assert report.passed
+        assert any(c["name"].startswith("identity.") for c in report.checks)
+        assert len(calls) == 2
+
     def test_dualize_scenario(self):
         doc = {
             "version": "1",
@@ -160,6 +206,15 @@ class TestCli:
     def test_schema_error_exit_two(self, tmp_path):
         doc = dict(FLAT_SCENARIO, kind="unknown-kind")
         assert main(["run", write(tmp_path, doc)]) == 2
+
+    def test_seed_setting_and_flag_exit_two(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(FLAT_SCENARIO))
+        doc["settings"]["seed"] = 0
+        assert main(["run", write(tmp_path, doc)]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", write(tmp_path, FLAT_SCENARIO), "--seed", "0"])
+        assert exc.value.code == 2
+        assert "result:" not in capsys.readouterr().out
 
     def test_compatible_false_is_rejected(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FLAT_SCENARIO))

@@ -12,7 +12,6 @@ from syzlab.semiflat import (
     build_omega,
     closedness_residuals,
     flatness_probe,
-    horizontal_frame_residual,
     integrability_residual,
     integrability_residual_indexed,
     omega_form,
@@ -188,11 +187,6 @@ class TestStructureEquations:
         cov = d_y(g) - bracket(b, g)
         recombined = curv + cov.scale(I)
         assert (integ - recombined).sup_norm(3, 4) < 1e-10
-
-    def test_horizontal_frame_annihilated(self, chart2):
-        y1, y2 = chart2.ys
-        bs = BetaStructure(chart2, [[y1 + 2 * I, y2 + I], [y2 + I, 3 * I]])
-        assert horizontal_frame_residual(bs) < 1e-12
 
 
 class TestEquivalenceSuite:
@@ -408,3 +402,18 @@ class TestCompatibilityOnce:
         for entry in (closedness_residuals, structure_equations, mclean_metrics):
             with pytest.raises(CompatibilityError):
                 entry(bs)
+
+
+class TestOneEvaluatorPerReport:
+    def test_each_report_compiles_once(self, chart2, compile_calls):
+        x1 = chart2.xs[0]
+        y1, y2 = chart2.ys
+        bs = BetaStructure(chart2, [[I * (3 + sp.sin(4 * sp.pi * x1) / 2), y2 / 5],
+                                    [y2 / 5, I * (2 + y1 ** 2 / 3)]])
+        pointwise_checks(bs)
+        assert len(compile_calls) <= 2
+        for report in (closedness_residuals, structure_equations, flatness_probe):
+            compile_calls.clear()
+            rep = report(bs)
+            assert not rep.all_passed
+            assert len(compile_calls) == 1, report.__name__

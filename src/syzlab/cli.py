@@ -133,11 +133,7 @@ def cmd_conventions(_args):
     return EXIT_OK
 
 
-def _add_common(p):
-    p.add_argument("--grid", type=int, default=None,
-                   help="fibre quadrature points per axis (default 16)")
-    p.add_argument("--tol", type=float, default=None,
-                   help="residual tolerance (default 1e-8)")
+def _add_output(p):
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--out", default=None, help="also write the JSON report here")
 
@@ -152,24 +148,28 @@ def build_parser():
 
     p = sub.add_parser("run", help="run a scenario file")
     p.add_argument("scenario")
-    _add_common(p)
+    p.add_argument("--grid", type=int, default=None,
+                   help="fibre quadrature points per axis (default 16)")
+    p.add_argument("--tol", type=float, default=None,
+                   help="residual tolerance (default 1e-8)")
+    _add_output(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("fibre", help="cohomology of the singular fibre models")
     p.add_argument("--model", default=None, help="one model name (default: all)")
     p.add_argument("--cells", type=int, default=1, choices=(1, 2, 3),
                    help="grid subdivisions per circle")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_fibre)
 
     p = sub.add_parser("sheaf", help="pushforward cohomology of a local system")
     p.add_argument("--monodromy", required=True, help="JSON file of integer matrices")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_sheaf)
 
     p = sub.add_parser("k3", help="lattice-level mirror map")
     p.add_argument("--input", required=True, help="JSON mirror-input file")
-    _add_common(p)
+    _add_output(p)
     p.set_defaults(fn=cmd_k3)
 
     p = sub.add_parser("list-models", help="catalogue of fibre models")

@@ -1,6 +1,6 @@
 """Finite cellular chain complexes over the integers.
 
-Complexes carry labelled cells per dimension and integer boundary matrices.
+Complexes carry labelled cells per dimension and sparse boundary chains.
 Products use the tensor rule d(s x t) = d(s) x t + (-1)^dim(s) s x d(t).
 Quotients are pushouts along a cellular chain map defined on a subcomplex:
 the quotient keeps the target's cells plus the source cells outside the
@@ -12,28 +12,41 @@ their subdivided versions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 
-from .intlinalg import homology_groups, mat_is_zero, mat_mul
+from .intlinalg import homology_groups
 
 
 class ComplexError(ValueError):
     pass
 
 
-@dataclass
 class ChainComplex:
-    """cells[k] is a list of hashable labels; boundary(k): C_k -> C_{k-1}."""
+    """A chain complex that is valid by construction.
 
-    cells: list
-    boundaries: list  # boundaries[k] maps C_k to C_{k-1}; boundaries[0] = []
-    name: str = ""
+    cells[k] is a list of hashable labels.  chains maps (k, label) to the
+    boundary of that k-cell as [(face label, coeff), ...]; a cell missing
+    from it has zero boundary.  The constructor sums repeated faces, drops
+    zero coefficients, orders each chain by face index and checks d o d = 0,
+    raising ComplexError on an unknown cell or face or a nonzero square.
+    """
 
-    def __post_init__(self):
-        self.index = [
-            {label: i for i, label in enumerate(layer)} for layer in self.cells
-        ]
-        self._faces = {}  # k -> per k-cell faces, built on first use
+    def __init__(self, cells, chains, name=""):
+        self.cells = [list(layer) for layer in cells]
+        self.name = name
+        self.index = [{label: i for i, label in enumerate(layer)} for layer in self.cells]
+        self._chains = [[()] * len(layer) for layer in self.cells]
+        for (k, label), faces in chains.items():
+            j = self.index[k].get(label) if 0 < k <= self.dim else None
+            if j is None:
+                raise ComplexError(f"{label} is not a {k}-cell with a boundary in {name}")
+            lower, layer, acc = self.index[k - 1], self.cells[k - 1], {}
+            for face, c in faces:
+                i = lower.get(face)
+                if i is None:
+                    raise ComplexError(f"face {face} of {label} is not a {k - 1}-cell of {name}")
+                acc[i] = acc.get(i, 0) + c
+            self._chains[k][j] = tuple((layer[i], acc[i]) for i in sorted(acc) if acc[i])
+        self.validate()
 
     @property
     def dim(self):
@@ -50,52 +63,34 @@ class ChainComplex:
 
     def faces(self, k, label):
         """Nonzero boundary entries of a k-cell as ((face label, coeff), ...)."""
-        if k <= 0:
-            return ()
-        cols = self._faces.get(k)
-        if cols is None:
-            layer = self.cells[k - 1]
-            cols = [tuple([(layer[i], col[i]) for i in compress(range(len(layer)), col)])
-                    for col in zip(*self.boundaries[k])]
-            cols += [()] * (len(self.cells[k]) - len(cols))
-            self._faces[k] = cols
-        return cols[self.index[k][label]]
+        return self._chains[k][self.index[k][label]]
 
     def validate(self):
-        """Check d o d = 0 for every pair of consecutive boundary maps."""
+        """Check d o d = 0 cell by cell over the nonzero boundary entries."""
         for k in range(2, self.dim + 1):
-            dk = self.boundaries[k]
-            dk1 = self.boundaries[k - 1]
-            if dk and dk1 and not mat_is_zero(mat_mul(dk1, dk)):
-                raise ComplexError(f"boundary square nonzero at degree {k} in {self.name}")
+            lower, below = self.index[k - 1], self._chains[k - 1]
+            for chain in self._chains[k]:
+                acc = {}
+                for face, c in chain:
+                    for f2, c2 in below[lower[face]]:
+                        acc[f2] = acc.get(f2, 0) + c * c2
+                if any(acc.values()):
+                    raise ComplexError(f"boundary square nonzero at degree {k} in {self.name}")
         return True
+
+    def boundary_matrix(self, k):
+        """Dense integer matrix of d_k: C_k -> C_{k-1}, one column per k-cell."""
+        lower = self.index[k - 1]
+        mat = [[0] * len(self.cells[k]) for _ in self.cells[k - 1]]
+        for j, chain in enumerate(self._chains[k]):
+            for face, c in chain:
+                mat[lower[face]][j] = c
+        return mat
 
     def homology(self):
         """List of (free_rank, divisors) per degree."""
-        bnds = [[]] + [self.boundaries[k] for k in range(1, self.dim + 1)]
+        bnds = [[]] + [self.boundary_matrix(k) for k in range(1, self.dim + 1)]
         return homology_groups(bnds, self.cell_counts())
-
-
-def _empty_boundaries(cells):
-    out = [[]]
-    for k in range(1, len(cells)):
-        rows = len(cells[k - 1])
-        cols = len(cells[k])
-        out.append([[0] * cols for _ in range(rows)])
-    return out
-
-
-def build_complex(cells, boundary_entries, name=""):
-    """Build from {(k, cell_label): [(face_label, coeff), ...]}."""
-    bnds = _empty_boundaries(cells)
-    index = [{label: i for i, label in enumerate(layer)} for layer in cells]
-    for (k, label), faces in boundary_entries.items():
-        j = index[k][label]
-        for face, coeff in faces:
-            bnds[k][index[k - 1][face]][j] += coeff
-    cx = ChainComplex([list(layer) for layer in cells], bnds, name)
-    cx.validate()
-    return cx
 
 
 def circle_complex(segments=1, name="circle"):
@@ -107,7 +102,7 @@ def circle_complex(segments=1, name="circle"):
     entries = {}
     for k in range(segments):
         entries[(1, ("e", k))] = [(("v", (k + 1) % segments), 1), (("v", k), -1)]
-    return build_complex([verts, edges], entries, name)
+    return ChainComplex([verts, edges], entries, name)
 
 
 def product_complex(a: ChainComplex, b: ChainComplex, name="") -> ChainComplex:
@@ -119,24 +114,19 @@ def product_complex(a: ChainComplex, b: ChainComplex, name="") -> ChainComplex:
             for s in layer_a:
                 for t in layer_b:
                     cells[ka + kb].append((s, t))
-    index = [{label: i for i, label in enumerate(layer)} for layer in cells]
-    bnds = _empty_boundaries(cells)
+    chains = {}
     for ka, layer_a in enumerate(a.cells):
         for kb, layer_b in enumerate(b.cells):
-            k = ka + kb
-            if k == 0:
+            if ka + kb == 0:
                 continue
             sign = (-1) ** ka
             for s in layer_a:
+                faces_s = a.faces(ka, s)
                 for t in layer_b:
-                    col = index[k][(s, t)]
-                    for face, c in a.faces(ka, s):
-                        bnds[k][index[k - 1][(face, t)]][col] += c
-                    for face, c in b.faces(kb, t):
-                        bnds[k][index[k - 1][(s, face)]][col] += sign * c
-    cx = ChainComplex(cells, bnds, name or f"{a.name}x{b.name}")
-    cx.validate()
-    return cx
+                    chains[(ka + kb, (s, t))] = (
+                        [((face, t), c) for face, c in faces_s]
+                        + [((s, face), sign * c) for face, c in b.faces(kb, t)])
+    return ChainComplex(cells, chains, name or f"{a.name}x{b.name}")
 
 
 def torus_complex(n, segments=1, name=None):
@@ -172,9 +162,7 @@ def quotient_complex(total: ChainComplex, sub_labels, target: ChainComplex,
     subcomplex; boundary chains through the subcomplex are rewritten by the
     map.
     """
-    flat_sub = set()
-    for item in sub_labels:
-        flat_sub.add(item)
+    flat_sub = set(sub_labels)
 
     # subcomplex closure check: faces of sub cells must be sub cells
     for k in range(1, total.dim + 1):
@@ -212,33 +200,27 @@ def quotient_complex(total: ChainComplex, sub_labels, target: ChainComplex,
         for label in total.cells[k]:
             if label not in flat_sub:
                 cells[k].append(("x", label))
-    index = [{label: i for i, label in enumerate(layer)} for layer in cells]
-    bnds = _empty_boundaries(cells)
-
+    chains = {}
     for k in range(1, target.dim + 1):
         for label in target.cells[k]:
-            col = index[k][("t", label)]
-            for face, c in target.faces(k, label):
-                bnds[k][index[k - 1][("t", face)]][col] += c
+            chains[(k, ("t", label))] = [(("t", face), c)
+                                         for face, c in target.faces(k, label)]
 
     for k in range(1, total.dim + 1):
         for label in total.cells[k]:
             if label in flat_sub:
                 continue
-            col = index[k][("x", label)]
+            chain = chains[(k, ("x", label))] = []
             for face, c in total.faces(k, label):
                 if face in flat_sub:
-                    for img, ic in chain_map(face):
-                        bnds[k][index[k - 1][("t", img)]][col] += c * ic
+                    chain += [(("t", img), c * ic) for img, ic in chain_map(face)]
                 else:
-                    bnds[k][index[k - 1][("x", face)]][col] += c
+                    chain.append((("x", face), c))
 
-    cx = ChainComplex(cells, bnds, name or f"{total.name}/~")
-    cx.validate()
-    return cx
+    return ChainComplex(cells, chains, name or f"{total.name}/~")
 
 
 def point_complex(name="pt"):
-    return ChainComplex([[("v", 0)]], [[]], name)
+    return ChainComplex([[("v", 0)]], {}, name)
 
 

@@ -210,8 +210,13 @@ def basis_vector(rank, idx, value=1):
 
 @dataclass
 class K3MirrorInput:
-    """Lattice data for the mirror map; re/im of the holomorphic class are
-    optional for reduced toy inputs (the fibre volume then defaults to 1)."""
+    """Lattice data for the mirror map, valid by construction.
+
+    re/im of the holomorphic class are optional for reduced toy inputs (the
+    fibre volume then defaults to 1).  The constructor raises
+    K3ValidationError naming every violation ``validate`` finds; the phase
+    need not be aligned.
+    """
 
     lattice: GramLattice
     E: tuple
@@ -238,6 +243,9 @@ class K3MirrorInput:
             self.im_omega = _vec(self.im_omega, r)
         if (self.re_omega is None) != (self.im_omega is None):
             raise K3ValidationError("provide both re/im holomorphic classes or neither")
+        bad = validate(self)
+        if bad:
+            raise K3ValidationError("; ".join(bad))
 
     @property
     def has_holomorphic_data(self):
@@ -284,19 +292,31 @@ def validate(inp: K3MirrorInput, require_aligned=False):
         if not _is_zero(d(inp.omega, inp.re_omega)) or not _is_zero(d(inp.omega, inp.im_omega)):
             bad.append("kaehler class must be orthogonal to the holomorphic class")
         if require_aligned:
-            if not _is_zero(d(inp.im_omega, inp.E)):
-                bad.append("phase not aligned: Im pairing with the fibre is nonzero")
-            if not _positive(d(inp.re_omega, inp.E)):
-                bad.append("phase not aligned: Re pairing with the fibre is not positive")
+            bad += _misalignment(inp)
     return bad
+
+
+def _misalignment(inp: K3MirrorInput):
+    d = inp.dot
+    bad = []
+    if not _is_zero(d(inp.im_omega, inp.E)):
+        bad.append("phase not aligned: Im pairing with the fibre is nonzero")
+    if not _positive(d(inp.re_omega, inp.E)):
+        bad.append("phase not aligned: Re pairing with the fibre is not positive")
+    return bad
+
+
+def _require_aligned(inp: K3MirrorInput, context=""):
+    """Raise unless Im pairs to zero and Re positively with the fibre; the
+    rest of the input was checked when it was constructed."""
+    bad = _misalignment(inp) if inp.has_holomorphic_data else []
+    if bad:
+        raise K3ValidationError(context + "; ".join(bad))
 
 
 def validate_and_align(inp: K3MirrorInput) -> K3MirrorInput:
     """Rotate the holomorphic class so Im pairs to zero and Re positively
     with the fibre; exact, possibly in a quadratic extension."""
-    bad = validate(inp)
-    if bad:
-        raise K3ValidationError("; ".join(bad))
     if not inp.has_holomorphic_data:
         return inp
     d = inp.dot
@@ -314,9 +334,7 @@ def validate_and_align(inp: K3MirrorInput) -> K3MirrorInput:
                    for r, i in zip(inp.re_omega, inp.im_omega))
     out = K3MirrorInput(inp.lattice, inp.E, inp.sigma0, inp.omega, inp.B,
                         new_re, new_im)
-    leftover = validate(out, require_aligned=True)
-    if leftover:
-        raise K3ValidationError("alignment failed: " + "; ".join(leftover))
+    _require_aligned(out, "alignment failed: ")
     return out
 
 
@@ -328,9 +346,7 @@ def hyperkahler_rotate(inp: K3MirrorInput):
     """
     if not inp.has_holomorphic_data:
         raise K3ValidationError("hyperkahler rotation needs the holomorphic classes")
-    bad = validate(inp, require_aligned=True)
-    if bad:
-        raise K3ValidationError("; ".join(bad))
+    _require_aligned(inp)
     d = inp.dot
     omega_k = inp.re_omega
     holo_k = (inp.im_omega, inp.omega)  # real and imaginary parts
@@ -433,14 +449,10 @@ def _scale(alpha, x):
 
 def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     """Compute the mirror classes and verify their identities exactly."""
-    bad = validate(inp, require_aligned=True)
-    if bad:
-        raise K3ValidationError("; ".join(bad))
+    _require_aligned(inp)
     d = inp.dot
     E, s0, w, B = inp.E, inp.sigma0, inp.omega, inp.B
     vol = inp.vol
-    if inp.has_holomorphic_data and not _positive(vol):
-        raise K3ValidationError("fibre volume must be positive after alignment")
 
     w2 = d(w, w)
     B2 = d(B, B)
@@ -541,9 +553,6 @@ def double_mirror_check(inp: K3MirrorInput) -> dict:
         re_omega=first.re_omega_mirror,
         im_omega=first.im_omega_mirror,
     )
-    bad = validate(second_input, require_aligned=True)
-    if bad:
-        raise K3ValidationError("mirror output is not valid input: " + "; ".join(bad))
     second = mirror_classes(second_input)
 
     neg = lambda v: fibrewise_negation(inp, inp.E, inp.sigma0, v)

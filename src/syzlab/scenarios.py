@@ -21,12 +21,15 @@ from .charts import Chart
 from .fields import parse_scalar
 from .semiflat import (
     BetaStructure,
+    CompatibilityError,
     closedness_residuals,
     pointwise_checks,
     structure_equations,
 )
 
 SCHEMA_VERSION = "1"
+# kinds whose verdicts are exact: no grid or tolerance acts on them
+_EXACT_KINDS = ("fibre", "sheaf", "k3")
 
 _RATIONAL = {"type": ["string", "number"]}
 # object keywords constrain only the {"re", "im"} form
@@ -203,6 +206,8 @@ def validate_scenario(doc):
     errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
     if errors:
         raise ScenarioError("; ".join(e.message for e in errors))
+    if "settings" in doc and doc["kind"] in _EXACT_KINDS:
+        raise ScenarioError(f"{doc['kind']} scenarios take no settings")
     payload_schema = PAYLOAD_SCHEMAS[doc["kind"]]
     errors = sorted(Draft202012Validator(payload_schema).iter_errors(doc["payload"]),
                     key=lambda e: list(e.path))
@@ -413,7 +418,13 @@ def run_scenario_doc(doc) -> RunReport:
     doc = validate_scenario(doc)
     report = RunReport(scenario=doc)
     start = time.monotonic()
-    _DISPATCH[doc["kind"]](doc, report)
+    try:
+        _DISPATCH[doc["kind"]](doc, report)
+    except CompatibilityError as exc:
+        # an asymmetric beta or an Im(beta) that is not positive definite is
+        # a failed verdict; checks recorded before it stay in the report
+        report.add_check("compatible", False)
+        report.outputs["compatibility_error"] = str(exc)
     report.timings["total_s"] = time.monotonic() - start
     return report
 

@@ -70,15 +70,14 @@ class TestValidation:
         assert validate(full_input(), require_aligned=True) == []
 
     def test_named_violations(self):
-        bad = K3MirrorInput(U3, E=E, sigma0=(0, 1, 0, 0, 0, 0),
-                            omega=(0, 0, 1, 1, 0, 0))
-        msgs = validate(bad)
-        assert any("section self-intersection" in m for m in msgs)
-        bad2 = K3MirrorInput(U3, E=(2, 0, 0, 0, 0, 0), sigma0=S0,
-                             omega=(0, 0, 1, 1, 0, 0))
-        assert any("primitive" in m for m in validate(bad2))
-        bad3 = K3MirrorInput(U3, E=E, sigma0=S0, omega=(0, 0, 1, -1, 0, 0))
-        assert any("positive" in m for m in validate(bad3))
+        with pytest.raises(K3ValidationError, match="section self-intersection"):
+            K3MirrorInput(U3, E=E, sigma0=(0, 1, 0, 0, 0, 0),
+                          omega=(0, 0, 1, 1, 0, 0))
+        with pytest.raises(K3ValidationError, match="primitive"):
+            K3MirrorInput(U3, E=(2, 0, 0, 0, 0, 0), sigma0=S0,
+                          omega=(0, 0, 1, 1, 0, 0))
+        with pytest.raises(K3ValidationError, match="positive"):
+            K3MirrorInput(U3, E=E, sigma0=S0, omega=(0, 0, 1, -1, 0, 0))
 
     def test_alignment_quarter_turn(self):
         swapped = full_input(re=(0, 0, 0, 0, 1, 1), im=(1, 1, 0, 0, 0, 0))
@@ -91,9 +90,15 @@ class TestValidation:
         assert validate_and_align(inp) is inp
 
     def test_alignment_null_pairing_rejected(self):
-        degenerate = full_input(re=(0, 0, 0, 0, 1, 1), im=(0, 0, 1, -1, 0, 0))
-        # here both Re.E and Im.E vanish: no phase can fix the volume
-        with pytest.raises(K3ValidationError):
+        # E-perp/E has only two positive directions in U3 and in K3, so a
+        # valid input with Re.E = Im.E = 0 needs three: U + <2> + <2> + <2>
+        gram = ((0, 1, 0, 0, 0), (1, 0, 0, 0, 0), (0, 0, 2, 0, 0),
+                (0, 0, 0, 2, 0), (0, 0, 0, 0, 2))
+        degenerate = K3MirrorInput(GramLattice(gram), E=(1, 0, 0, 0, 0),
+                                   sigma0=(-1, 1, 0, 0, 0), omega=(0, 0, 1, 0, 0),
+                                   re_omega=(0, 0, 0, 1, 0), im_omega=(0, 0, 0, 0, 1))
+        # both Re.E and Im.E vanish: no phase can fix the volume
+        with pytest.raises(K3ValidationError, match="null against the holomorphic"):
             validate_and_align(degenerate)
 
     def test_exact_pythagorean_alignment(self):

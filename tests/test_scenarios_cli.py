@@ -90,6 +90,19 @@ class TestSchema:
         with pytest.raises(ScenarioError):
             validate_scenario(doc)
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("fibre", {"models": ["M21"]}),
+        ("sheaf", {"rank": 1, "monodromy": [[[1]]]}),
+        ("k3", {"lattice": "U2", "E": [1, 0, 0, 0], "sigma0": [-1, 1, 0, 0],
+                "omega": [0, 0, 1, 1]}),
+    ])
+    def test_exact_kinds_take_no_settings(self, kind, payload):
+        doc = {"version": "1", "kind": kind, "payload": payload}
+        validate_scenario(doc)
+        for settings in ({"grid": 9}, {"tol": 5}, {}):
+            with pytest.raises(ScenarioError, match="take no settings"):
+                validate_scenario(dict(doc, settings=settings))
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -174,6 +187,28 @@ class TestRunner:
         assert any(c["name"].startswith("identity.") for c in report.checks)
         assert len(calls) == 2
 
+    def test_k3_double_mirror_validates_each_input_once(self, monkeypatch):
+        """The given input and the second mirror's input are each checked
+        once, when they are constructed; everything else checks alignment."""
+        import syzlab.k3 as k3
+
+        calls = []
+        raw = k3.validate
+
+        def counted(inp, require_aligned=False):
+            calls.append(inp)
+            return raw(inp, require_aligned)
+
+        monkeypatch.setattr(k3, "validate", counted)
+        doc = {"version": "1", "kind": "k3", "payload": {
+            "lattice": "U3", "E": [1, 0, 0, 0, 0, 0], "sigma0": [-1, 1, 0, 0, 0, 0],
+            "omega": [0, 0, 1, 1, 0, 0], "B": [0, 0, "1/2", "-1/2", 0, 0],
+            "re_omega": [1, 1, 0, 0, 0, 0], "im_omega": [0, 0, 0, 0, 1, 1],
+            "double_mirror": True}}
+        report = run_scenario_doc(doc)
+        assert report.passed
+        assert len(calls) == 2
+
     def test_dualize_scenario(self):
         doc = {
             "version": "1",
@@ -214,6 +249,39 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["run", write(tmp_path, FLAT_SCENARIO), "--seed", "0"])
         assert exc.value.code == 2
+        assert "result:" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind, payload, failing", [
+        ("semiflat-check", {"n": 2, "box": [[-1, 1], [-1, 1]],
+                            "beta": [[{"im": "1"}, 1], [0, {"im": "1"}]]},
+         {"compatible", "pointwise.symmetry"}),
+        ("semiflat-check", {"n": 1, "box": [[-1, 1]], "beta": [[{"im": "-1"}]]},
+         {"compatible", "pointwise.positivity"}),
+        ("hitchin", {"n": 1, "box": [[-1, 1]], "potential": "-y1^2"}, {"compatible"}),
+    ])
+    def test_incompatible_beta_is_a_failed_verdict(self, tmp_path, capsys,
+                                                   kind, payload, failing):
+        doc = {"version": "1", "kind": kind, "payload": payload}
+        assert main(["run", write(tmp_path, doc), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
+        assert report["outputs"]["compatibility_error"]
+
+    @pytest.mark.parametrize("argv", [
+        ["fibre", "--model", "M21", "--grid", "9"],
+        ["fibre", "--model", "M21", "--tol", "5"],
+        ["sheaf", "--monodromy", "m.json", "--tol", "5"],
+        ["k3", "--input", "k3.json", "--grid", "9"],
+    ])
+    def test_exact_subcommands_have_no_grid_or_tol(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_run_grid_on_exact_scenario_exit_two(self, tmp_path, capsys):
+        doc = {"version": "1", "kind": "fibre", "payload": {"models": ["M21"]}}
+        assert main(["run", write(tmp_path, doc), "--tol", "5"]) == 2
         assert "result:" not in capsys.readouterr().out
 
     def test_compatible_false_is_rejected(self, tmp_path, capsys):

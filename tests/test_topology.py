@@ -1,7 +1,12 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from syzlab import complexes
 from syzlab.complexes import (
     CellularMap,
+    ChainComplex,
     ComplexError,
     circle_complex,
     point_complex,
@@ -47,12 +52,31 @@ class TestComplexMachinery:
     def test_faces_are_boundary_columns(self):
         t2 = torus_complex(2, 2)
         for k in (1, 2):
+            matrix = t2.boundary_matrix(k)
             for j, label in enumerate(t2.cells[k]):
-                column = tuple((face, t2.boundaries[k][i][j])
+                column = tuple((face, matrix[i][j])
                                for i, face in enumerate(t2.cells[k - 1])
-                               if t2.boundaries[k][i][j])
+                               if matrix[i][j])
                 assert t2.faces(k, label) == column
         assert t2.faces(0, t2.cells[0][0]) == ()
+
+    def test_nonzero_square_rejected_at_construction(self):
+        # the disc's edge boundary is v1 - v0, but the face claims 2e
+        v0, v1, e, f = ("v", 0), ("v", 1), ("e", 0), ("F", 0)
+        with pytest.raises(ComplexError, match="boundary square nonzero"):
+            ChainComplex([[v0, v1], [e], [f]],
+                         {(1, e): [(v1, 1), (v0, -1)], (2, f): [(e, 2)]})
+
+    def test_unknown_face_rejected_at_construction(self):
+        with pytest.raises(ComplexError, match="not a 0-cell"):
+            ChainComplex([[("v", 0)], [("e", 0)]], {(1, ("e", 0)): [(("v", 1), 1)]})
+
+    def test_chains_are_summed_and_ordered(self):
+        v0, v1, e = ("v", 0), ("v", 1), ("e", 0)
+        cx = ChainComplex([[v0, v1], [e]],
+                          {(1, e): [(v1, 1), (v0, 2), (v1, 0), (v0, -3)]})
+        assert cx.faces(1, e) == ((v0, -1), (v1, 1))
+        assert cx.boundary_matrix(1) == [[-1], [1]]
 
     def test_quotient_rejects_non_subcomplex(self):
         t2 = torus_complex(2, 2)
@@ -165,12 +189,16 @@ class TestReport:
 
 class TestSmithApplications:
     def test_klein_bottle_torsion(self):
-        # one vertex, two edges, one face attached along a b a b^-1
+        # one vertex, two edges, one face attached along a b a^-1 b
         from syzlab.complexes import ChainComplex
 
-        cx = ChainComplex([[("v", 0)], [("a", 0), ("b", 0)], [("F", 0)]],
-                          [[], [[0, 0]], [[0], [2]]], "klein")
-        cx.validate()
+        v, a, b = ("v", 0), ("a", 0), ("b", 0)
+        cx = ChainComplex([[v], [a, b], [("F", 0)]],
+                          {(1, a): [(v, 1), (v, -1)],
+                           (2, ("F", 0)): [(a, 1), (b, 1), (a, -1), (b, 1)]},
+                          "klein")
+        assert cx.boundary_matrix(1) == [[0, 0]]
+        assert cx.boundary_matrix(2) == [[0], [2]]
         assert cx.homology() == [(1, []), (1, [2]), (0, [])]
         res = integral_cohomology(cx)
         assert res.ranks == [1, 1, 0]
@@ -180,3 +208,35 @@ class TestSmithApplications:
         d = elementary_divisors([[2, 0], [0, 4]])
         assert d == [2, 4]
         assert all(d[i + 1] % d[i] == 0 for i in range(len(d) - 1))
+
+
+class TestValidateOnce:
+    def test_one_square_check_per_complex_built(self, monkeypatch):
+        built, checked = [], []
+        init, validate = ChainComplex.__init__, ChainComplex.validate
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_validate(self):
+            checked.append(1)
+            return validate(self)
+
+        monkeypatch.setattr(ChainComplex, "__init__", counting_init)
+        monkeypatch.setattr(ChainComplex, "validate", counting_validate)
+        integral_cohomology(build_model("M21", 2))
+        assert built and len(checked) == len(built)
+
+    def test_validate_called_only_in_the_constructor(self):
+        """No builder or consumer re-checks a complex it did not construct."""
+        src = Path(complexes.__file__).resolve().parent
+        for name in ("complexes.py", "fibre_models.py"):
+            tree = ast.parse((src / name).read_text())
+            inits = [node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "__init__"]
+            allowed = {id(call) for fn in inits for call in ast.walk(fn)}
+            for call in ast.walk(tree):
+                if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "validate"):
+                    assert id(call) in allowed, f"validate() at {name}:{call.lineno}"

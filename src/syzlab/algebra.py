@@ -12,6 +12,9 @@ i(d/dx_I) dx_{1..n} = (-1)^M dx_{I*} with I* the complement of I and
 M = #{(i, j) : i in I, j in I*, i > j}.  Forms are kept with all dy factors
 in front of all dx factors.
 
+Both element types share one sparse term store, (J, K) -> expanded sympy
+coefficient; every reordering sign comes from sorting in ``add_term``.
+
 Three graded operators act here: d_x (the fibre part of the exterior
 derivative, transported through the isomorphism; second order as a
 differential operator on the algebra), d_y (the base part; first order) and
@@ -52,23 +55,6 @@ def sort_with_sign(indices):
     return tuple(idx), sign
 
 
-def merge_with_sign(a, b):
-    """Concatenate two sorted tuples as a wedge; None if they intersect."""
-    if set(a) & set(b):
-        return None, 0
-    merged, sign = sort_with_sign(tuple(a) + tuple(b))
-    return merged, sign
-
-
-def insert_with_sign(k, sorted_tuple):
-    """Sign of moving a new front factor k into its sorted slot."""
-    if k in sorted_tuple:
-        return None, 0
-    pos = sum(1 for j in sorted_tuple if j < k)
-    out = tuple(sorted(sorted_tuple + (k,)))
-    return out, (-1) ** pos
-
-
 def complement_sign(iset, n):
     """Sign (-1)^M for contracting d/dx_I into dx_1^...^dx_n."""
     istar = tuple(j for j in range(1, n + 1) if j not in iset)
@@ -77,11 +63,11 @@ def complement_sign(iset, n):
 
 
 # ---------------------------------------------------------------------------
-# elements
+# the shared term store
 # ---------------------------------------------------------------------------
 
-class BigradedElement:
-    """Sparse map (J, I) -> coefficient over a fixed chart."""
+class _Terms:
+    """Sparse map (J, K) -> expanded coefficient over a fixed chart."""
 
     __slots__ = ("chart", "terms")
 
@@ -89,31 +75,87 @@ class BigradedElement:
         self.chart = chart
         self.terms = {}
         if terms:
-            for (jset, iset), coeff in terms.items():
-                self._add_term(jset, iset, coeff)
+            for (jset, kset), coeff in terms.items():
+                self.add_term(jset, kset, coeff)
 
-    def _add_term(self, jset, iset, coeff):
-        jset, jsign = sort_with_sign(tuple(jset))
-        if jset is None:
-            return
-        iset, isign = sort_with_sign(tuple(iset))
-        if iset is None:
+    def add_term(self, jset, kset, coeff):
+        """Add coeff * (J, K) for unsorted J, K: sorting gives the sign, and a
+        repeated index drops the term; an index above n raises DegreeError."""
+        jset, jsign = sort_with_sign(jset)
+        kset, ksign = sort_with_sign(kset)
+        if jset is None or kset is None:
             return
         n = self.chart.n
-        if jset and jset[-1] > n or iset and iset[-1] > n:
+        if jset and jset[-1] > n or kset and kset[-1] > n:
             raise DegreeError(f"index out of range for dimension {n}")
-        key = (jset, iset)
-        new = sp.expand(self.terms.get(key, 0) + jsign * isign * coeff)
+        key = (jset, kset)
+        new = sp.expand(self.terms.get(key, 0) + jsign * ksign * coeff)
         if new == 0:
             self.terms.pop(key, None)
         else:
             self.terms[key] = new
 
-    # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, chart):
         return cls(chart)
 
+    def __add__(self, other):
+        require_same_chart(self.chart, other.chart)
+        out = type(self)(self.chart)
+        for (j, k), c in self.terms.items():
+            out.add_term(j, k, c)
+        for (j, k), c in other.terms.items():
+            out.add_term(j, k, c)
+        return out
+
+    def __sub__(self, other):
+        return self + other.scale(-1)
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, factor):
+        out = type(self)(self.chart)
+        f = sp.sympify(factor)
+        for (j, k), c in self.terms.items():
+            out.add_term(j, k, f * c)
+        return out
+
+    def _product(self, other, interleaved):
+        """Wedge J with J' and K with K' term by term; ``interleaved`` factors
+        read J K J' K', so moving J' past K costs (-1)^(|K| |J'|)."""
+        require_same_chart(self.chart, other.chart)
+        out = type(self)(self.chart)
+        for (j1, k1), c1 in self.terms.items():
+            for (j2, k2), c2 in other.terms.items():
+                cross = (-1) ** (len(k1) * len(j2)) if interleaved else 1
+                out.add_term(j1 + j2, k1 + k2, cross * c1 * c2)
+        return out
+
+    def coefficient(self, dys=(), dxs=()):
+        jset, jsign = sort_with_sign(dys)
+        kset, ksign = sort_with_sign(dxs)
+        if jset is None or kset is None:
+            return sp.Integer(0)
+        return jsign * ksign * self.terms.get((jset, kset), sp.Integer(0))
+
+    def is_zero(self):
+        return not self.terms
+
+    def sup_norm(self, base_k=5, fibre_k=8):
+        return sup_norm_scalars(self.terms.values(), self.chart, base_k, fibre_k)
+
+
+# ---------------------------------------------------------------------------
+# elements
+# ---------------------------------------------------------------------------
+
+class BigradedElement(_Terms):
+    """Sparse map (J, I) -> coefficient of dy_J (x) d/dx_I."""
+
+    __slots__ = ()
+
+    # -- constructors ------------------------------------------------------
     @classmethod
     def unit(cls, chart):
         return cls.term(chart, 1)
@@ -121,7 +163,7 @@ class BigradedElement:
     @classmethod
     def term(cls, chart, coeff, dys=(), dxs=()):
         e = cls(chart)
-        e._add_term(tuple(dys), tuple(dxs), sp.sympify(coeff))
+        e.add_term(dys, dxs, sp.sympify(coeff))
         return e
 
     @classmethod
@@ -133,56 +175,20 @@ class BigradedElement:
             for j in range(n):
                 c = sp.sympify(matrix[i][j])
                 if c != 0:
-                    e._add_term((j + 1,), (i + 1,), c)
+                    e.add_term((j + 1,), (i + 1,), c)
         return e
 
     # -- ring structure ----------------------------------------------------
-    def __add__(self, other):
-        require_same_chart(self.chart, other.chart)
-        out = BigradedElement(self.chart)
-        for (j, i), c in self.terms.items():
-            out._add_term(j, i, c)
-        for (j, i), c in other.terms.items():
-            out._add_term(j, i, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, factor):
-        out = BigradedElement(self.chart)
-        f = sp.sympify(factor)
-        for (j, i), c in self.terms.items():
-            out._add_term(j, i, f * c)
-        return out
-
     def __mul__(self, other):
         if isinstance(other, (int, float, complex, sp.Expr)):
             return self.scale(other)
-        require_same_chart(self.chart, other.chart)
-        out = BigradedElement(self.chart)
-        for (j1, i1), c1 in self.terms.items():
-            for (j2, i2), c2 in other.terms.items():
-                jm, jsign = merge_with_sign(j1, j2)
-                if jm is None:
-                    continue
-                im, isign = merge_with_sign(i1, i2)
-                if im is None:
-                    continue
-                out._add_term(jm, im, jsign * isign * c1 * c2)
-        return out
+        return self._product(other, interleaved=False)
 
     __rmul__ = __mul__
 
     # -- structure ----------------------------------------------------------
     def bidegrees(self):
         return sorted({(-len(i), len(j)) for (j, i) in self.terms})
-
-    def is_zero(self):
-        return not self.terms
 
     def is_homogeneous(self, bidegree=None):
         degs = self.bidegrees()
@@ -194,18 +200,8 @@ class BigradedElement:
         pieces = {}
         for (j, i), c in self.terms.items():
             deg = (-len(i), len(j))
-            pieces.setdefault(deg, BigradedElement(self.chart))._add_term(j, i, c)
+            pieces.setdefault(deg, BigradedElement(self.chart)).add_term(j, i, c)
         return pieces
-
-    def coefficient(self, dys=(), dxs=()):
-        jset, jsign = sort_with_sign(tuple(dys))
-        iset, isign = sort_with_sign(tuple(dxs))
-        if jset is None or iset is None:
-            return sp.Integer(0)
-        return jsign * isign * self.terms.get((jset, iset), sp.Integer(0))
-
-    def sup_norm(self, base_k=5, fibre_k=8):
-        return sup_norm_scalars(self.terms.values(), self.chart, base_k, fibre_k)
 
     def __repr__(self):
         if not self.terms:
@@ -222,70 +218,13 @@ class BigradedElement:
 # ordinary differential forms (oracle side of the isomorphism)
 # ---------------------------------------------------------------------------
 
-class FormElement:
+class FormElement(_Terms):
     """Sparse differential form sum_{J,K} c dy_J ^ dx_K on a chart."""
 
-    __slots__ = ("chart", "terms")
-
-    def __init__(self, chart: Chart, terms=None):
-        self.chart = chart
-        self.terms = {}
-        if terms:
-            for (jset, kset), coeff in terms.items():
-                self.add_term(jset, kset, coeff)
-
-    def add_term(self, jset, kset, coeff):
-        jset, jsign = sort_with_sign(tuple(jset))
-        if jset is None:
-            return
-        kset, ksign = sort_with_sign(tuple(kset))
-        if kset is None:
-            return
-        key = (jset, kset)
-        new = sp.expand(self.terms.get(key, 0) + jsign * ksign * coeff)
-        if new == 0:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = new
-
-    @classmethod
-    def zero(cls, chart):
-        return cls(chart)
-
-    def __add__(self, other):
-        require_same_chart(self.chart, other.chart)
-        out = FormElement(self.chart)
-        for (j, k), c in self.terms.items():
-            out.add_term(j, k, c)
-        for (j, k), c in other.terms.items():
-            out.add_term(j, k, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, factor):
-        out = FormElement(self.chart)
-        f = sp.sympify(factor)
-        for (j, k), c in self.terms.items():
-            out.add_term(j, k, f * c)
-        return out
+    __slots__ = ()
 
     def wedge(self, other):
-        require_same_chart(self.chart, other.chart)
-        out = FormElement(self.chart)
-        for (j1, k1), c1 in self.terms.items():
-            for (j2, k2), c2 in other.terms.items():
-                jm, jsign = merge_with_sign(j1, j2)
-                if jm is None:
-                    continue
-                km, ksign = merge_with_sign(k1, k2)
-                if km is None:
-                    continue
-                # dy_J2 crosses dx_K1 when the factors are interleaved
-                cross = (-1) ** (len(k1) * len(j2))
-                out.add_term(jm, km, cross * jsign * ksign * c1 * c2)
-        return out
+        return self._product(other, interleaved=True)
 
     def exterior_derivative(self):
         out = FormElement(self.chart)
@@ -293,20 +232,13 @@ class FormElement:
         for (jset, kset), c in self.terms.items():
             for a, y in enumerate(ys, start=1):
                 dc = sp.diff(c, y)
-                if dc == 0:
-                    continue
-                jnew, sign = insert_with_sign(a, jset)
-                if jnew is None:
-                    continue
-                out.add_term(jnew, kset, sign * dc)
+                if dc != 0:
+                    out.add_term((a,) + jset, kset, dc)
             for a, x in enumerate(xs, start=1):
                 dc = sp.diff(c, x)
-                if dc == 0:
-                    continue
-                knew, sign = insert_with_sign(a, kset)
-                if knew is None:
-                    continue
-                out.add_term(jset, knew, ((-1) ** len(jset)) * sign * dc)
+                if dc != 0:
+                    # dx_a moves in front of dx_K past every dy factor
+                    out.add_term(jset, (a,) + kset, ((-1) ** len(jset)) * dc)
         return out
 
     def contract_base_vector(self, j):
@@ -339,19 +271,6 @@ class FormElement:
                 im.add_term(j, k, ci)
         return re, im
 
-    def coefficient(self, dys=(), dxs=()):
-        jset, jsign = sort_with_sign(tuple(dys))
-        kset, ksign = sort_with_sign(tuple(dxs))
-        if jset is None or kset is None:
-            return sp.Integer(0)
-        return jsign * ksign * self.terms.get((jset, kset), sp.Integer(0))
-
-    def is_zero(self):
-        return not self.terms
-
-    def sup_norm(self, base_k=5, fibre_k=8):
-        return sup_norm_scalars(self.terms.values(), self.chart, base_k, fibre_k)
-
     def __repr__(self):
         if not self.terms:
             return "FormElement(0)"
@@ -364,18 +283,13 @@ class FormElement:
 
 def wedge_one_forms(chart, one_forms):
     """Wedge a list of 1-forms given as {('y'|'x', index): coeff} maps."""
-    out = FormElement(chart)
-    out.add_term((), (), 1)
+    out = FormElement(chart, {((), ()): 1})
     for form in one_forms:
-        step = FormElement(chart)
+        one = FormElement(chart)
         for (kind, idx), coeff in form.items():
-            single = FormElement(chart)
-            if kind == "y":
-                single.add_term((idx,), (), coeff)
-            else:
-                single.add_term((), (idx,), coeff)
-            step = step + out.wedge(single) if step.terms else out.wedge(single)
-        out = step
+            dys, dxs = ((idx,), ()) if kind == "y" else ((), (idx,))
+            one.add_term(dys, dxs, coeff)
+        out = out.wedge(one)
     return out
 
 
@@ -400,7 +314,7 @@ def from_form(form: FormElement) -> BigradedElement:
     for (jset, kset), c in form.terms.items():
         iset = tuple(i for i in range(1, n + 1) if i not in kset)
         _, sign = complement_sign(iset, n)
-        out._add_term(jset, iset, sign * c)
+        out.add_term(jset, iset, sign * c)
     return out
 
 
@@ -425,7 +339,7 @@ def d_x(element: BigradedElement) -> BigradedElement:
                 continue
             above = sum(1 for j in iset if j > i)
             rest = tuple(j for j in iset if j != i)
-            out._add_term(jset, rest, qsign * ((-1) ** above) * dc)
+            out.add_term(jset, rest, qsign * ((-1) ** above) * dc)
     return out
 
 
@@ -436,12 +350,8 @@ def d_y(element: BigradedElement) -> BigradedElement:
     for (jset, iset), c in element.terms.items():
         for k in range(1, element.chart.n + 1):
             dc = sp.diff(c, ys[k - 1])
-            if dc == 0:
-                continue
-            jnew, sign = insert_with_sign(k, jset)
-            if jnew is None:
-                continue
-            out._add_term(jnew, iset, sign * dc)
+            if dc != 0:
+                out.add_term((k,) + jset, iset, dc)
     return out
 
 
@@ -554,10 +464,10 @@ def vector_field_bracket(a: BigradedElement, b: BigradedElement) -> BigradedElem
             # v_{i,l} d(w_{j,m})/dx_i  d/dx_j   -   w_{i,m} d(v_{j,l})/dx_i d/dx_j
             term1 = cv * sp.diff(cw, xs[i - 1])
             if term1 != 0:
-                out._add_term((l, m), (jj,), term1)
+                out.add_term((l, m), (jj,), term1)
             term2 = cw * sp.diff(cv, xs[jj - 1])
             if term2 != 0:
-                out._add_term((l, m), (i,), -term2)
+                out.add_term((l, m), (i,), -term2)
     return out
 
 

@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 all verdicts pass, 1 a verdict failed, 2 the scenario file
-did not parse or validate, 3 internal error.
+did not parse or validate or its data is invalid, 3 internal error.
 """
 
 from __future__ import annotations

@@ -289,18 +289,6 @@ def _fd_exterior_derivative_residual(pts, vals, chart):
     return worst
 
 
-def period_additivity_defect(bs: BetaStructure, g1: CycleSpec, g2: CycleSpec,
-                             resolution=16):
-    """|psi(g1 + g2) - psi(g1) - psi(g2)| at a few base points."""
-    summed = CycleSpec(g1.degree,
-                       tuple(a + b for a, b in zip(g1.coefficients, g2.coefficients)))
-    pts = bs.chart.base_grid(2)
-    _, v12, _ = period_one_form(bs, summed, resolution, y_points=pts)
-    _, v1, _ = period_one_form(bs, g1, resolution, y_points=pts)
-    _, v2, _ = period_one_form(bs, g2, resolution, y_points=pts)
-    return float(np.max(np.abs(v12 - v1 - v2)))
-
-
 # ---------------------------------------------------------------------------
 # duality identities
 # ---------------------------------------------------------------------------

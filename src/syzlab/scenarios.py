@@ -233,12 +233,33 @@ def _settings(doc):
     }
 
 
+def _decode_chart(payload):
+    return Chart(payload["n"], tuple(tuple(iv) for iv in payload["box"]))
+
+
+def _decode_matrix(matrix, n):
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ScenarioError(f"matrices must be {n} x {n}")
+    return [[parse_scalar(matrix[i][j], n) for j in range(n)] for i in range(n)]
+
+
 def _decode_beta(payload):
-    chart = Chart(payload["n"], tuple(tuple(iv) for iv in payload["box"]))
-    n = chart.n
-    beta = [[parse_scalar(payload["beta"][i][j], n) for j in range(n)]
-            for i in range(n)]
-    return BetaStructure(chart, beta)
+    chart = _decode_chart(payload)
+    return BetaStructure(chart, _decode_matrix(payload["beta"], chart.n))
+
+
+def _input_errors():
+    """Library errors that mean the payload's data is invalid; evaluated only
+    while an exception propagates, so a successful run imports nothing here."""
+    from .charts import ChartError
+    from .duality import DualityError
+    from .fibre_models import ModelError
+    from .fields import GrammarError, PeriodicityError
+    from .k3 import K3ValidationError
+    from .sheaf import LocalSystemError
+
+    return (GrammarError, PeriodicityError, ChartError, ModelError,
+            LocalSystemError, K3ValidationError, DualityError)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +300,7 @@ def _run_hitchin(doc, report):
 
     cfg = _settings(doc)
     payload = doc["payload"]
-    chart = Chart(payload["n"], tuple(tuple(iv) for iv in payload["box"]))
+    chart = _decode_chart(payload)
     pot = HitchinPotential(chart, parse_scalar(payload["potential"], chart.n))
     twist = None
     if "twist_potential" in payload:
@@ -300,14 +321,8 @@ def _run_yukawa(doc, report):
 
     cfg = _settings(doc)
     payload = doc["payload"]
-    chart = Chart(payload["n"], tuple(tuple(iv) for iv in payload["box"]))
-    n = chart.n
-    beta = [[parse_scalar(payload["beta"][i][j], n) for j in range(n)] for i in range(n)]
-    base = BetaStructure(chart, beta)
-    dirs = [
-        [[parse_scalar(d[i][j], n) for j in range(n)] for i in range(n)]
-        for d in payload["directions"]
-    ]
+    base = _decode_beta(payload)
+    dirs = [_decode_matrix(d, base.n) for d in payload["directions"]]
     fam = YukawaFamily(base, dirs)
     value, oracle = yukawa(fam, resolution=cfg["grid"])
     report.outputs["coupling"] = {"re": value.real, "im": value.imag}
@@ -386,9 +401,7 @@ def _run_k3(doc, report):
         im_omega=payload.get("im_omega"),
     )
     aligned = validate_and_align(inp)
-    double = None
-    if payload.get("double_mirror") and aligned.has_holomorphic_data:
-        double = double_mirror_check(aligned)
+    double = double_mirror_check(aligned) if payload.get("double_mirror") else None
     classes = double["first_classes"] if double else mirror_classes(aligned)
     for name, ok in classes.identities.items():
         report.add_check(f"identity.{name}", ok)
@@ -425,6 +438,8 @@ def run_scenario_doc(doc) -> RunReport:
         # a failed verdict; checks recorded before it stay in the report
         report.add_check("compatible", False)
         report.outputs["compatibility_error"] = str(exc)
+    except _input_errors() as exc:
+        raise ScenarioError(str(exc)) from exc
     report.timings["total_s"] = time.monotonic() - start
     return report
 

@@ -213,8 +213,7 @@ def _connection_curvature(b: BigradedElement) -> BigradedElement:
 
 def integrability_residual(bs: BetaStructure) -> BigradedElement:
     """d_y(beta) - [beta, beta]/2, a bidegree (-1, 2) element."""
-    beta = bs.beta_element()
-    return d_y(beta) - bracket(beta, beta).scale(sp.Rational(1, 2))
+    return _connection_curvature(bs.beta_element())
 
 
 def integrability_residual_indexed(bs: BetaStructure):

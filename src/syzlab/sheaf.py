@@ -176,7 +176,7 @@ def pushforward_cohomology(system: LocalSystemOnSphere) -> PushforwardCohomology
                 d1[i * m + r][(k - 1) * m + i * m + c] += ti[r][c]
 
     if not mat_is_zero(mat_mul(d1, d0)):
-        raise LocalSystemError("internal: glued differentials do not compose to zero")
+        raise RuntimeError("internal: glued differentials do not compose to zero")
 
     h0_rank = dim0 - rank(d0)
     # H1 = ker(d1) / im(d0)
@@ -194,7 +194,7 @@ def pushforward_cohomology(system: LocalSystemOnSphere) -> PushforwardCohomology
     groups = [(h0_rank, []), (h1_rank, h1_tors), (h2_rank, h2_tors)]
     chi = groups[0][0] - groups[1][0] + groups[2][0]
     if chi != euler_characteristic(system):
-        raise LocalSystemError("internal: euler characteristic mismatch")
+        raise RuntimeError("internal: euler characteristic mismatch")
     system._pushforward = groups
     return PushforwardCohomology([(r, list(t)) for r, t in groups])
 

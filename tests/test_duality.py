@@ -16,7 +16,6 @@ from syzlab.duality import (
     duality_identities,
     hitchin,
     mclean_metrics,
-    period_additivity_defect,
     period_one_form,
     symmetric_class,
     wedge_with_minus_omega,
@@ -79,12 +78,6 @@ class TestPeriods:
         bs = flat(chart2)
         _, _, residual = period_one_form(bs, CycleSpec(1, (1, 0)))
         assert residual < 1e-6
-
-    def test_additivity(self, chart2):
-        bs = flat(chart2)
-        defect = period_additivity_defect(bs, CycleSpec(1, (1, 0)),
-                                          CycleSpec(1, (0, 1)))
-        assert defect < 1e-12
 
     def test_nonzero_requirement(self):
         with pytest.raises(DualityError):

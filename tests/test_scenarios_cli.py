@@ -352,6 +352,62 @@ class TestCli:
         assert "(-1)^M" in text
 
 
+def _beta_doc(kind, n, beta, **extra):
+    payload = {"n": n, "box": [[-1, 1]] * n, "beta": beta, **extra}
+    return {"version": "1", "kind": kind, "payload": payload}
+
+
+_U2_K3 = {"lattice": "U2", "E": [1, 0, 0, 0], "sigma0": [-1, 1, 0, 0],
+          "omega": [0, 0, 1, 1]}
+
+# documents that pass the schema but whose data the library rejects
+INVALID_DATA = {
+    "grammar": _beta_doc("semiflat-check", 1, [[{"im": "2+tan(y1)"}]]),
+    "periodicity": _beta_doc("semiflat-check", 1, [[{"im": "2+x1"}]]),
+    "box_not_matching_n": {"version": "1", "kind": "semiflat-check", "payload": {
+        "n": 2, "box": [[-1, 1]], "beta": [[{"im": "1"}, 0], [0, {"im": "1"}]]}},
+    "beta_not_n_by_n": _beta_doc("semiflat-check", 2, [[{"im": "1"}]]),
+    "dualize_fibre_metric": _beta_doc(
+        "dualize", 2, [[{"im": "2+sin(2*pi*x1)/2"}, 0], [0, {"im": "3"}]]),
+    "yukawa_one_direction": _beta_doc(
+        "yukawa", 2, [[{"im": "2"}, 0], [0, {"im": "3"}]],
+        directions=[[[1, 0], [0, 1]]]),
+    "unknown_fibre_model": {"version": "1", "kind": "fibre",
+                            "payload": {"models": ["M99"]}},
+    "monodromy_product_not_identity": {"version": "1", "kind": "sheaf", "payload": {
+        "rank": 2, "monodromy": [[[1, 1], [0, 1]]]}},
+    "monodromy_not_invertible": {"version": "1", "kind": "sheaf", "payload": {
+        "rank": 2, "monodromy": [[[2, 0], [0, 1]]]}},
+    "k3_fibre_not_isotropic": {"version": "1", "kind": "k3", "payload": dict(
+        _U2_K3, E=[1, 1, 0, 0])},
+    "k3_double_mirror_without_holomorphic_classes": {
+        "version": "1", "kind": "k3", "payload": dict(_U2_K3, double_mirror=True)},
+}
+
+
+class TestInvalidData:
+    @pytest.mark.parametrize("case", sorted(INVALID_DATA))
+    def test_invalid_data_exit_two(self, case, tmp_path, capsys):
+        doc = INVALID_DATA[case]
+        validate_scenario(doc)
+        assert main(["run", write(tmp_path, doc)]) == 2
+        assert "scenario error" in capsys.readouterr().err
+
+    def test_k3_double_mirror_is_never_skipped(self, tmp_path, capsys):
+        path = tmp_path / "mirror.json"
+        path.write_text(json.dumps(dict(_U2_K3, double_mirror=True)))
+        assert main(["k3", "--input", str(path)]) == 2
+        assert "holomorphic" in capsys.readouterr().err
+
+    def test_internal_invariant_is_not_an_input_error(self, monkeypatch, tmp_path):
+        import syzlab.sheaf as sheaf
+
+        monkeypatch.setattr(sheaf, "mat_is_zero", lambda m: False)
+        doc = {"version": "1", "kind": "sheaf", "payload": {
+            "rank": 2, "monodromy": [[[1, 1], [0, 1]], [[1, -1], [0, 1]]]}}
+        assert main(["run", write(tmp_path, doc)]) == 3
+
+
 class TestThreadCap:
     def test_parallel_fibre_run(self):
         doc = {"version": "1", "kind": "fibre", "payload": {"models": "all"}}

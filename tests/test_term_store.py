@@ -1,0 +1,61 @@
+"""The one sparse term store behind BigradedElement and FormElement."""
+
+import ast
+import inspect
+
+import pytest
+import sympy as sp
+
+from syzlab import algebra
+from syzlab.algebra import BigradedElement, DegreeError, FormElement
+
+SHARED = ("add_term", "__add__", "__sub__", "__neg__", "scale", "coefficient",
+          "is_zero", "sup_norm", "zero")
+
+
+def test_expand_is_called_only_in_the_store_add_term():
+    tree = ast.parse(inspect.getsource(algebra))
+    owners = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "expand"):
+            owners.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, ())
+    assert owners == [("_Terms", "add_term")]
+
+
+def test_signs_come_from_one_sort():
+    assert not hasattr(algebra, "merge_with_sign")
+    assert not hasattr(algebra, "insert_with_sign")
+
+
+@pytest.mark.parametrize("cls", [BigradedElement, FormElement])
+def test_element_types_define_no_storage_of_their_own(cls):
+    assert not set(SHARED) & set(vars(cls))
+    assert not hasattr(cls, "_add_term")
+
+
+@pytest.mark.parametrize("cls", [BigradedElement, FormElement])
+def test_index_above_n_raises(cls, chart2):
+    with pytest.raises(DegreeError):
+        cls(chart2).add_term((1,), (3,), 1)
+    with pytest.raises(DegreeError):
+        cls(chart2, {((3,), ()): 1})
+
+
+@pytest.mark.parametrize("cls", [BigradedElement, FormElement])
+def test_add_term_sorts_with_sign_and_drops_repeats(cls, chart3):
+    e = cls(chart3)
+    e.add_term((2, 1), (3, 1, 2), sp.Symbol("c"))
+    # (2, 1) is one swap, (3, 1, 2) two
+    assert e.terms == {((1, 2), (1, 2, 3)): -sp.Symbol("c")}
+    e.add_term((1, 1), (), 5)
+    e.add_term((1, 2), (1, 2, 3), sp.Symbol("c"))
+    assert e.is_zero()
+

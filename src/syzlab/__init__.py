@@ -88,4 +88,3 @@ from .k3 import (
     sublattice_quotient,
     validate_and_align,
 )
-from .quadrature import integrate

@@ -123,11 +123,14 @@ class _Terms:
 
     def _product(self, other, interleaved):
         """Wedge J with J' and K with K' term by term; ``interleaved`` factors
-        read J K J' K', so moving J' past K costs (-1)^(|K| |J'|)."""
+        read J K J' K', so moving J' past K costs (-1)^(|K| |J'|).  A pair
+        sharing a J or a K index is zero and is skipped before multiplying."""
         require_same_chart(self.chart, other.chart)
         out = type(self)(self.chart)
         for (j1, k1), c1 in self.terms.items():
             for (j2, k2), c2 in other.terms.items():
+                if not set(j1).isdisjoint(j2) or not set(k1).isdisjoint(k2):
+                    continue
                 cross = (-1) ** (len(k1) * len(j2)) if interleaved else 1
                 out.add_term(j1 + j2, k1 + k2, cross * c1 * c2)
         return out

@@ -37,6 +37,8 @@ from .semiflat import (
 
 PAIRING_ORDERS = ("lambda-first", "lambda-last")
 DEFAULT_PAIRING = "lambda-first"
+# Vol * dual-Vol = 1 holds to rounding on a fibre-constant metric
+RECIPROCITY_TOL = 1e-10
 
 
 class DualityError(ValueError):
@@ -66,16 +68,14 @@ def _omitted_axis_coefficients(gamma: CycleSpec, n):
     """Coefficients in the omitted-axis basis of (n-1)-cycles."""
     if len(gamma.coefficients) != n:
         raise DualityError("cycle coefficients must have one entry per axis")
-    if gamma.degree == n - 1 and n != 2:
+    if n == 2 and gamma.degree == 1:
+        # both degrees are read in the circle basis, and the x_i circle is
+        # the generator omitting the other axis
+        return [gamma.coefficients[1], gamma.coefficients[0]]
+    if gamma.degree == n - 1:
         return list(gamma.coefficients)
     if gamma.degree == 1:
-        # circle e_i equals the omitted-axis generator omitting every other
-        # axis only when n = 2; higher n needs the (n-1)-basis directly
-        if n == 2:
-            return [gamma.coefficients[1], gamma.coefficients[0]]
         raise DualityError("degree-1 cycles pair with (n-1)-forms only when n = 2")
-    if gamma.degree == n - 1 and n == 2:
-        return [gamma.coefficients[1], gamma.coefficients[0]]
     raise DualityError(f"unsupported cycle degree {gamma.degree} for n = {n}")
 
 
@@ -123,6 +123,33 @@ def _im_omega_coefficient_forms(bs: BetaStructure):
     return coeffs
 
 
+def _volume_form_gap(bs: BetaStructure, tol):
+    """Sup-norm of d(Omega) on the fixed sample grid; warns above tol."""
+    gap = omega_form(bs).exterior_derivative().sup_norm()
+    if gap > tol:
+        warnings.warn(
+            f"volume form is not closed (residual {gap:.2e}); "
+            "the base metric is still computed but loses its harmonic meaning",
+            stacklevel=3)
+    return gap
+
+
+def _normalised_metric(bs: BetaStructure, pts, resolution, extra):
+    """Fibre means of V * gInv_ij, V and each extra integrand, in one pass.
+
+    Returns (h_n, vol, extra_means): h_n[p] = <V gInv> / <V> and vol[p] =
+    <V> at the p-th base point, and extra_means[k][p] the mean of extra[k].
+    """
+    chart, n = bs.chart, bs.n
+    v = bs.volume_density
+    means = fibre_means(
+        [v * bs.g_inv[i][j] for i in range(n) for j in range(n)] + [v] + list(extra),
+        chart, pts, chart.fibre_grid(resolution)).real
+    vol = means[n * n]
+    h_n = means[: n * n].T.reshape(len(pts), n, n) / vol[:, None, None]
+    return h_n, vol, means[n * n + 1:]
+
+
 def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
                    tol=DEFAULT_TOL):
     """Base metric by two routes, the normalised metric, and fibre data.
@@ -136,12 +163,7 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
     if y_points is None:
         y_points = chart.base_grid(3)
     coeffs = _im_omega_coefficient_forms(bs)
-    closed_gap = omega_form(bs).exterior_derivative().sup_norm(3, 4)
-    if closed_gap > tol:
-        warnings.warn(
-            f"volume form is not closed (residual {closed_gap:.2e}); "
-            "the base metric is still computed but loses its harmonic meaning",
-            stacklevel=2)
+    closed_gap = _volume_form_gap(bs, tol)
 
     # exact fibre means where every integrand is x-free or a trig polynomial
     symbolic_ok = True
@@ -161,15 +183,11 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
     # pairing route: h_ij picks the dx_{complement of axis i+1} coefficient
     # of i(d/dy_j) Im Omega, oriented by dx_i ^ dx_{complement} =
     # (-1)^i dx_{1..n} (0-based i)
-    means = fibre_means(
-        [coeffs[j][i] for i, j in entries]
-        + [bs.volume_density * bs.g_inv[i][j] for i, j in entries]
-        + [bs.volume_density],
-        chart, pts, chart.fibre_grid(resolution)).real
+    hn, vols, pairing = _normalised_metric(
+        bs, pts, resolution, [coeffs[j][i] for i, j in entries])
     signs = np.array([(-1) ** i for i, _ in entries])[:, None]
-    h_quad = (signs * means[: n * n]).T.reshape(len(pts), n, n)
-    h_formula = means[n * n: 2 * n * n].T.reshape(len(pts), n, n)
-    vols = means[2 * n * n]
+    h_quad = (signs * pairing).T.reshape(len(pts), n, n)
+    h_formula = hn * vols[:, None, None]
     agreement = float(np.max(np.abs(h_quad - h_formula))) if len(pts) else 0.0
 
     report = SemiflatReport()
@@ -181,7 +199,7 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
     h = MetricOnBase(h_sym if symbolic_ok else None,
                      "closed-form" if symbolic_ok else "quadrature",
                      samples=(pts, h_formula))
-    hn_samples = (pts, h_formula / vols[:, None, None])
+    hn_samples = (pts, hn)
     if symbolic_ok:
         hn_matrix = sp.Matrix(n, n, lambda i, j: sp.cancel(h_sym[i, j] / vol_sym))
         h_n = MetricOnBase(hn_matrix, "closed-form", samples=hn_samples)
@@ -244,7 +262,7 @@ def _fibre_symbolic_integral(expr, chart: Chart):
 # ---------------------------------------------------------------------------
 
 def period_one_form(bs: BetaStructure, gamma: CycleSpec, resolution=16,
-                    y_points=None, tol=1e-6):
+                    y_points=None):
     """Covector field psi(gamma): v -> -(1/Vol) * period of i(v) Im Omega.
 
     Returns (points, values) with values[p][j] the dy_j component at the
@@ -310,6 +328,7 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
 
     alpha = {int(i): sp.sympify(c) for i, c in alpha.items()}
     coeffs = _im_omega_coefficient_forms(bs)
+    report.notes["volume_form_closed_residual"] = _volume_form_gap(bs, tol)
 
     # periods over the subtorus omitting axis i: column i-1 of the sampled
     # class of Im Omega and, when gamma meets that subtorus, the alpha entry
@@ -326,24 +345,19 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
 
     # -integral over the fibre of i(v(gamma)) omega ^ alpha, i(v) omega = -sum v_i dx_i
     axes = [i for i in range(1, n + 1) if v[i - 1] != 0 and alpha.get(i, 0) != 0]
-    means = fibre_means([bs.volume_density] + [alpha[i] for i in axes], chart, [y0],
-                        chart.fibre_grid(resolution))[:, 0].real
-    vol = means[0]
+    hn, vol, means = _normalised_metric(bs, [y0], resolution, [alpha[i] for i in axes])
+    hn, vol = hn[0], vol[0]
     rhs = 0.0
-    for i, mean in zip(axes, means[1:]):
+    for i, mean in zip(axes, means[:, 0]):
         # dx_i ^ dx_{complement i} = (-1)^(i-1) dx_{1..n}
         rhs += v[i - 1] * ((-1) ** (i - 1)) * mean
     report.add("cycle_vs_fibre_pairing", abs(lhs - rhs), tol)
     report.notes["cycle_integral"] = lhs
     report.notes["fibre_pairing_integral"] = rhs
 
-    # period covector vs -h_n(v(gamma), .)
-    mm = mclean_metrics(bs, resolution, y_points=[y0])
-    report.notes["volume_form_closed_residual"] = (
-        mm["report"].notes["volume_form_closed_residual"])
-    hn = mm["h_n"].samples[1][0]
-    _, psi, _ = period_one_form(bs, gamma, resolution, y_points=[y0])
-    defect = psi[0] + hn @ np.asarray(v, dtype=float)
+    # period covector psi(gamma) = -(periods . omit) / Vol vs -h_n(v(gamma), .)
+    psi = -(periods @ np.asarray(omit, dtype=float)) / vol
+    defect = psi + hn @ np.asarray(v, dtype=float)
     report.add("period_vs_metric_embedding", float(np.max(np.abs(defect))), tol)
 
     # sampled class of Im Omega_n vs h_n, componentwise
@@ -397,13 +411,9 @@ class SymTensorField:
 def wedge_with_minus_omega(alpha: SymTensorField):
     """Base 2-form image sum_{i<j} (alpha_ij - alpha_ji) dy_i ^ dy_j."""
     n = alpha.chart.n
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = sp.expand(alpha.entries[i][j] - alpha.entries[j][i])
-            if c != 0:
-                out[(i + 1, j + 1)] = c
-    return out
+    defect = alpha.antisymmetric_defect()
+    return {(i + 1, j + 1): defect[j][i] for i in range(n) for j in range(i + 1, n)
+            if defect[j][i] != 0}
 
 
 def _one_form_potential(rho, chart, axis=0):
@@ -446,8 +456,7 @@ def symmetric_class(alpha: SymTensorField, mode="test"):
     chart = alpha.chart
     n = chart.n
     ys = chart.ys
-    rho = [[sp.expand(alpha.entries[j][i] - alpha.entries[i][j]) for j in range(n)]
-           for i in range(n)]
+    rho = alpha.antisymmetric_defect()
     beta = _one_form_potential(rho, chart)
     for i in range(n):
         for j in range(n):
@@ -521,8 +530,8 @@ def hitchin(potential: HitchinPotential, b_field: SymTensorField = None,
     return bs, info
 
 
-def dual_structure_check(bs: BetaStructure, resolution=16, tol=DEFAULT_TOL,
-                         reciprocity_tol=1e-10) -> SemiflatReport:
+def dual_structure_check(bs: BetaStructure, resolution=16,
+                         tol=DEFAULT_TOL) -> SemiflatReport:
     """Dualise a fibre-constant structure and verify metric and volume duality.
 
     The dual inverse metric is the normalised base metric h_n; the dual
@@ -539,22 +548,19 @@ def dual_structure_check(bs: BetaStructure, resolution=16, tol=DEFAULT_TOL,
     h_n = [[sp.expand(bs.g_inv[i][j]) for j in range(n)] for i in range(n)]
     dual = BetaStructure(chart, [[sp.I * h_n[i][j] for j in range(n)] for i in range(n)])
 
+    require_compatible(dual, tol)
     report = SemiflatReport()
-    mm = mclean_metrics(dual, resolution)
-    pts, mats = mm["h_n"].samples
-    det_hn = sp.expand(sp.Matrix(h_n).det())
-    fn = compile_scalars([h_n[i][j] for i in range(n) for j in range(n)] + [det_hn], chart)
-    vals = fn(pts, np.zeros_like(pts)).real
-    expect = vals[: n * n].T.reshape(len(pts), n, n)
+    report.notes["volume_form_closed_residual"] = _volume_form_gap(dual, tol)
+    pts = chart.base_grid(3)
+    mats, dual_vols, (vols,) = _normalised_metric(dual, pts, resolution,
+                                                  [bs.volume_density])
+    fn = compile_scalars([h_n[i][j] for i in range(n) for j in range(n)], chart)
+    expect = fn(pts, np.zeros_like(pts)).real.T.reshape(len(pts), n, n)
     report.add("dual_metric_match", float(np.max(np.abs(mats - expect))), tol)
 
-    vols, dual_vols = fibre_means([bs.volume_density, dual.volume_density], chart, pts,
-                                  chart.fibre_grid(resolution)).real
-    dual_vols = dual_vols * vals[n * n]
+    dual_vols = dual_vols * np.linalg.det(expect)
     report.add("volume_reciprocity", float(np.max(np.abs(vols * dual_vols - 1))),
-               reciprocity_tol)
-    report.notes["volume_form_closed_residual"] = (
-        mm["report"].notes["volume_form_closed_residual"])
+               RECIPROCITY_TOL)
     report.notes["vol_samples"] = vols.tolist()
     report.notes["dual_vol_samples"] = dual_vols.tolist()
     return report
@@ -565,6 +571,8 @@ def dual_structure_check(bs: BetaStructure, resolution=16, tol=DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 
 ORIENTATION_SIGN = {1: 1, 2: -1, 3: -1}  # (-1)^(n(n-1)/2)
+# parameter values at which from_callable checks that a family is affine
+AFFINITY_PROBES = (0.5, 1.0, 2.0)
 
 
 class YukawaFamily:
@@ -581,7 +589,7 @@ class YukawaFamily:
         ]
 
     @classmethod
-    def from_callable(cls, fn, base_chart, n, probes=(0.5, 1.0, 2.0)):
+    def from_callable(cls, fn, base_chart, n):
         """Sample a callable family and verify affinity in the parameters."""
         zero = fn([0.0] * n)
         base = BetaStructure(base_chart, zero)
@@ -594,7 +602,7 @@ class YukawaFamily:
                           for j in range(n)] for i in range(n)]
             directions.append(direction)
         fam = cls(base, directions)
-        for t in probes:
+        for t in AFFINITY_PROBES:
             for k in range(n):
                 e_k = [0.0] * n
                 e_k[k] = t

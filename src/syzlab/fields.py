@@ -194,10 +194,3 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
 def sup_norm_scalars(exprs, chart: Chart, base_k=5, fibre_k=8):
     """Max |value| of the expressions over the deterministic sample grid."""
     return sup_norms([exprs], chart, base_k, fibre_k)[0]
-
-
-def central_difference(expr, var, point_subs, h):
-    """Second-order central finite difference at a sample point."""
-    up = expr.subs(var, point_subs[var] + h).subs(point_subs)
-    dn = expr.subs(var, point_subs[var] - h).subs(point_subs)
-    return (complex(up) - complex(dn)) / (2 * h)

@@ -1,13 +1,12 @@
-"""Deterministic quadrature on chart fibres, bases and fibre cycles.
+"""Deterministic quadrature on chart fibres and whole charts.
 
-Fibre integrals use the uniform product grid, i.e. the trapezoidal rule on
-the torus, which is spectrally accurate for smooth periodic integrands.
-Base integrals use a tensor Gauss-Legendre rule.  Cycle integrals run a
-straight line in an integer homology direction.
+Fibre means use a uniform product grid (on the whole fibre torus or, with
+``subtorus_grid``, a coordinate subtorus), i.e. the trapezoidal rule, which
+is spectrally accurate for smooth periodic integrands.  Chart integrals
+weight fibre means with a tensor Gauss-Legendre rule on the base box.
 
-Every integral here is a weighted sum of fibre means, so all of them go
-through one primitive, ``fibre_means``, which compiles a whole list of
-integrands once and averages it over a set of fibre samples at each base
+Both go through one primitive, ``fibre_means``, which compiles a whole list
+of integrands once and averages it over a set of fibre samples at each base
 point.
 """
 
@@ -17,7 +16,7 @@ import numpy as np
 import sympy as sp
 
 from .charts import Chart, circle_points, product_grid
-from .fields import _BLOCK_SAMPLES, PeriodicityError, compile_scalars, require_fibre_periodic
+from .fields import _BLOCK_SAMPLES, compile_scalars, require_fibre_periodic
 
 
 def fibre_means(exprs, chart: Chart, y_points, X):
@@ -43,20 +42,13 @@ def fibre_means(exprs, chart: Chart, y_points, X):
     return out
 
 
-def subtorus_grid(n, omit_axis, resolution=16, x_fixed=0.0):
+def subtorus_grid(n, omit_axis, resolution=16):
     """Uniform grid on the coordinate (n-1)-torus omitting one fibre axis.
 
-    The omitted (1-based) coordinate is held at x_fixed.
+    The omitted (1-based) coordinate is held at 0.
     """
     axis = circle_points(resolution)
-    return product_grid([[x_fixed] if i == omit_axis else axis for i in range(1, n + 1)])
-
-
-def _cycle_points(n, direction, resolution, x_base=None):
-    """Samples x_base + t*direction of a straight cycle, t uniform in [0, 1)."""
-    x0 = np.zeros(n) if x_base is None else np.asarray(x_base, dtype=float)
-    t = circle_points(resolution)
-    return x0[None, :] + t[:, None] * np.asarray(direction, dtype=float)[None, :]
+    return product_grid([[0.0] if i == omit_axis else axis for i in range(1, n + 1)])
 
 
 def _gauss_legendre_grid(chart: Chart, k):
@@ -69,69 +61,8 @@ def _gauss_legendre_grid(chart: Chart, k):
     return pts, wts
 
 
-def fibre_integral(expr, chart: Chart, y_point, resolution=16):
-    """Integral over the fibre torus above y_point (unit cell measure)."""
-    X = chart.fibre_grid(resolution)
-    return complex(fibre_means([expr], chart, [y_point], X)[0, 0])
-
-
-def subtorus_integral(expr, chart: Chart, y_point, omit_axis, resolution=16, x_fixed=0.0):
-    """Integral over the coordinate (n-1)-torus omitting one fibre axis.
-
-    The omitted coordinate is held at x_fixed; orientation is the wedge of
-    the remaining axes in increasing order.
-    """
-    X = subtorus_grid(chart.n, omit_axis, resolution, x_fixed)
-    return complex(fibre_means([expr], chart, [y_point], X)[0, 0])
-
-
-def cycle_line_integral(coeff_exprs, chart: Chart, y_point, direction, resolution=64,
-                        x_base=None):
-    """Integral of the fibre 1-form sum_j coeff_j dx_j over a straight cycle.
-
-    direction is an integer vector d; the cycle is t -> x_base + t*d, t in
-    [0, 1), and the integral is sum_j d_j * mean_t coeff_j.
-    """
-    X = _cycle_points(chart.n, direction, resolution, x_base)
-    means = fibre_means(coeff_exprs, chart, [y_point], X)[:, 0]
-    return complex(np.sum(means * np.asarray(direction, dtype=float)))
-
-
-def base_integral(expr, chart: Chart, resolution=8):
-    """Tensor Gauss-Legendre integral of an x-free field over the base box."""
-    expr = sp.sympify(expr)
-    if set(expr.free_symbols) & set(chart.xs):
-        raise PeriodicityError("base integrals need an x-free integrand")
-    pts, wts = _gauss_legendre_grid(chart, resolution)
-    vals = fibre_means([expr], chart, pts, np.zeros((1, chart.n)))[0]
-    return complex(np.sum(vals * wts))
-
-
 def chart_integral(expr, chart: Chart, base_resolution=8, fibre_resolution=16):
     """Integral over base box x fibre torus of a mixed integrand."""
     pts, wts = _gauss_legendre_grid(chart, base_resolution)
     means = fibre_means([expr], chart, pts, chart.fibre_grid(fibre_resolution))[0]
     return complex(np.sum(means * wts))
-
-
-def integrate(field, chart: Chart, over, resolution=16, at=None, cycle=None):
-    """Scalar-field integral dispatcher.
-
-    over: "fibre" (needs at=y point), "base", or "cycle" (needs cycle=integer
-    direction and at=y point).
-    """
-    if over in ("fibre", "fibre-at-y"):
-        if at is None:
-            raise ValueError("fibre integration needs a base point 'at'")
-        return fibre_integral(field, chart, at, resolution)
-    if over == "base":
-        return base_integral(field, chart, resolution)
-    if over == "cycle":
-        if at is None or cycle is None:
-            raise ValueError("cycle integration needs 'at' and 'cycle'")
-        if all(c == 0 for c in cycle):
-            raise ValueError("cycle direction must be nonzero")
-        # scalar field along the cycle: arc parametrised by t in [0,1)
-        X = _cycle_points(chart.n, cycle, resolution)
-        return complex(fibre_means([field], chart, [at], X)[0, 0])
-    raise ValueError(f"unknown integration domain {over!r}")

@@ -1,7 +1,11 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 import sympy as sp
 
+from syzlab import duality
 from syzlab.charts import Chart
 from syzlab.duality import (
     CycleSpec,
@@ -82,6 +86,10 @@ class TestPeriods:
     def test_nonzero_requirement(self):
         with pytest.raises(DualityError):
             CycleSpec(1, (0, 0))
+
+    def test_has_no_tolerance_argument(self, chart2):
+        with pytest.raises(TypeError):
+            period_one_form(flat(chart2), CycleSpec(1, (1, 0)), tol=1e-6)
 
 
 class TestPairingConvention:
@@ -436,3 +444,63 @@ class TestClosedVolumeNote:
         residual = report.outputs["volume_form_closed_residual"]
         assert residual > 1e-3
         assert not any("closed_residual" in c["name"] for c in report.checks)
+
+
+class TestDualityChecksFail:
+    """Each identity check reports a failure on an input that breaks it."""
+
+    def test_period_embedding_and_class_fail_off_closedness(self, chart2):
+        with pytest.warns(UserWarning, match="not closed"):
+            rep = duality_identities(fibre_dependent(chart2), CycleSpec(1, (0, 1)),
+                                     {1: sp.Integer(1)})
+        assert rep.verdict("cycle_vs_fibre_pairing")
+        for name in ("period_vs_metric_embedding", "normalised_class_vs_metric"):
+            assert not rep.verdict(name)
+            assert rep[name].value == pytest.approx(5.215078e-3, rel=1e-6)
+
+    def test_cycle_pairing_fails_on_a_form_the_cycle_does_not_see(self, chart2):
+        x2 = chart2.xs[1]
+        with pytest.warns(UserWarning, match="not closed"):
+            rep = duality_identities(fibre_dependent(chart2), CycleSpec(1, (1, 0)),
+                                     {1: sp.Integer(1), 2: sp.cos(2 * sp.pi * x2)})
+        assert not rep.verdict("cycle_vs_fibre_pairing")
+        assert rep["cycle_vs_fibre_pairing"].value == pytest.approx(1.0, abs=1e-12)
+
+
+class TestOneSampledCore:
+    def test_no_check_calls_mclean_metrics_or_period_one_form(self):
+        tree = ast.parse(inspect.getsource(duality))
+        callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                   for call in ast.walk(fn) if isinstance(call, ast.Call)
+                   and getattr(call.func, "id", None) in ("mclean_metrics", "period_one_form")}
+        assert callers == set()
+
+    def test_identities_build_im_omega_once(self, chart2, compile_calls, monkeypatch):
+        builds = []
+        raw = duality._im_omega_coefficient_forms
+
+        def counted(bs):
+            builds.append(bs)
+            return raw(bs)
+
+        monkeypatch.setattr(duality, "_im_omega_coefficient_forms", counted)
+        with pytest.warns(UserWarning, match="not closed"):
+            duality_identities(fibre_dependent(chart2), CycleSpec(1, (1, 0)),
+                               {1: sp.Integer(1)})
+        assert len(builds) == 1
+        assert len(compile_calls) <= 5
+
+    def test_dual_check_takes_no_metric_report(self, chart2, compile_calls, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached")
+
+        monkeypatch.setattr(duality, "mclean_metrics", refuse)
+        monkeypatch.setattr(duality, "_fibre_symbolic_integral", refuse)
+        y1 = chart2.ys[0]
+        bs = BetaStructure(chart2, [[I * (2 + y1 ** 2 / 4), 0], [0, 3 * I]])
+        with pytest.warns(UserWarning, match="not closed"):
+            rep = dual_structure_check(bs)
+        assert rep.all_passed
+        assert rep.notes["volume_form_closed_residual"] > 1e-3
+        assert len(compile_calls) <= 5
+

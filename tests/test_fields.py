@@ -9,7 +9,6 @@ from syzlab.charts import Chart, ChartError
 from syzlab.fields import (
     _BLOCK_SAMPLES,
     GrammarError,
-    central_difference,
     compile_scalars,
     fibre_periodicity_defect,
     is_fibre_periodic,
@@ -72,21 +71,6 @@ def test_periodicity_by_sampling():
             val = complex(expr.subs(subs).subs(
                 {chart.xs[0]: shifted[0], chart.xs[1]: shifted[1]}))
             assert abs(val - base) < 1e-12
-
-
-def test_finite_difference_second_order():
-    """Central differences approach the symbolic derivative at O(h^2)."""
-    chart = Chart(2, ((-1, 1), (-1, 1)))
-    y1, y2 = chart.ys
-    x1, _ = chart.xs
-    expr = sp.sin(2 * sp.pi * x1) * y1 ** 3 + sp.exp(y2 / 2)
-    point = {y1: 0.4, y2: -0.3, x1: 0.15, chart.xs[1]: 0.7}
-    for var in (y1, y2, x1):
-        sym = complex(sp.diff(expr, var).subs(point))
-        err_h = abs(central_difference(expr, var, point, 1e-2) - sym)
-        err_h2 = abs(central_difference(expr, var, point, 5e-3) - sym)
-        assert err_h < 1e-3
-        assert err_h2 < err_h / 3.0 + 1e-12
 
 
 def test_sup_norm_scalars():
@@ -234,3 +218,32 @@ def test_semiflat_reports_use_one_sup_norm_call_on_a_fixed_grid():
                 name = getattr(call.func, "attr", getattr(call.func, "id", None))
                 assert name not in ("sup_norm_scalars", "sup_norm"), node.name
     assert found == reports
+
+
+SUP_NORMS = ("sup_norm", "sup_norms", "sup_norm_scalars")
+
+
+def test_no_sup_norm_call_in_the_library_picks_a_grid():
+    """Every sampled residual in src/ is taken on the one fixed grid: no call
+    to a sup-norm passes a grid size, except the sup-norms forwarding their
+    own grid parameters to each other."""
+    src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
+    calls = 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        forwarding = {id(call) for fn in ast.walk(tree)
+                      if isinstance(fn, ast.FunctionDef) and fn.name in SUP_NORMS
+                      for call in ast.walk(fn)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call) or id(call) in forwarding:
+                continue
+            name = getattr(call.func, "attr", getattr(call.func, "id", None))
+            if name not in SUP_NORMS:
+                continue
+            calls += 1
+            # a method call takes no arguments; the functions take exprs, chart
+            allowed = 0 if name == "sup_norm" else 2
+            where = f"{path.name}:{call.lineno}"
+            assert len(call.args) <= allowed, where
+            assert not {k.arg for k in call.keywords} & {"base_k", "fibre_k"}, where
+    assert calls >= 4

@@ -59,3 +59,26 @@ def test_add_term_sorts_with_sign_and_drops_repeats(cls, chart3):
     e.add_term((1, 2), (1, 2, 3), sp.Symbol("c"))
     assert e.is_zero()
 
+
+
+def test_product_skips_overlapping_pairs_before_add_term(chart2, monkeypatch):
+    """dy1 + dy2 times dy1 (x) d/dx1 + dy2 (x) d/dx1: only the two pairs with
+    disjoint J reach add_term; the sign and terms match the full product."""
+    left = (BigradedElement.term(chart2, sp.Symbol("a"), dys=(1,))
+            + BigradedElement.term(chart2, sp.Symbol("b"), dys=(2,)))
+    right = (BigradedElement.term(chart2, sp.Symbol("c"), dys=(1,), dxs=(1,))
+             + BigradedElement.term(chart2, sp.Symbol("d"), dys=(2,), dxs=(1,)))
+    calls = []
+    raw = algebra._Terms.add_term
+
+    def counted(self, jset, kset, coeff):
+        calls.append((jset, kset))
+        return raw(self, jset, kset, coeff)
+
+    monkeypatch.setattr(algebra._Terms, "add_term", counted)
+    product = left * right
+    assert sorted(calls) == [((1, 2), (1,)), ((2, 1), (1,))]
+    a, b, c, d = sp.symbols("a b c d")
+    assert product.terms == {((1, 2), (1,)): sp.expand(a * d - b * c)}
+    forms = FormElement(chart2, {((1,), (1,)): a}).wedge(FormElement(chart2, {((1,), (2,)): c}))
+    assert forms.is_zero()

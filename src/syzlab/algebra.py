@@ -145,6 +145,15 @@ class _Terms:
     def is_zero(self):
         return not self.terms
 
+    def real_imag(self):
+        """Coefficientwise real and imaginary parts, as two elements of this type."""
+        re, im = type(self)(self.chart), type(self)(self.chart)
+        for (j, k), c in self.terms.items():
+            cr, ci = c.as_real_imag()
+            re.add_term(j, k, cr)
+            im.add_term(j, k, ci)
+        return re, im
+
     def sup_norm(self, base_k=5, fibre_k=8):
         return sup_norm_scalars(self.terms.values(), self.chart, base_k, fibre_k)
 
@@ -254,25 +263,6 @@ class FormElement(_Terms):
             rest = jset[:pos] + jset[pos + 1:]
             out.add_term(rest, kset, ((-1) ** pos) * c)
         return out
-
-    def restrict_to_fibre(self):
-        """Drop every term that still carries a dy factor."""
-        out = FormElement(self.chart)
-        for (jset, kset), c in self.terms.items():
-            if not jset:
-                out.add_term((), kset, c)
-        return out
-
-    def real_imag(self):
-        re = FormElement(self.chart)
-        im = FormElement(self.chart)
-        for (j, k), c in self.terms.items():
-            cr, ci = c.as_real_imag()
-            if cr != 0:
-                re.add_term(j, k, cr)
-            if ci != 0:
-                im.add_term(j, k, ci)
-        return re, im
 
     def __repr__(self):
         if not self.terms:

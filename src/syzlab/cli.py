@@ -36,28 +36,37 @@ fibre volume (K3)    vol = ReOmega.E after phase alignment; vol * dual-vol = 1
 
 
 def _print_report(report, fmt, out):
-    text = report.to_json() if fmt == "json" else report.to_text()
+    """Print the report and write it to out; False if out cannot be written."""
     if out:
-        with open(out, "w") as fh:
-            fh.write(report.to_json())
-    print(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(report.to_json())
+        except OSError as exc:
+            print(f"cannot write report: {exc}", file=sys.stderr)
+            return False
+    print(report.to_json() if fmt == "json" else report.to_text())
+    return True
 
 
 def _apply_settings(doc, args):
-    settings = dict(doc.get("settings", {}))
-    if getattr(args, "grid", None) is not None:
-        settings["grid"] = args.grid
-    if getattr(args, "tol", None) is not None:
-        settings["tol"] = args.tol
-    if settings:
-        doc["settings"] = settings
+    """Merge --grid/--tol into the settings; a document or settings value of
+    the wrong type is left as it is, for validation to reject."""
+    flags = {k: v for k in ("grid", "tol") if (v := getattr(args, k, None)) is not None}
+    settings = doc.get("settings", {}) if isinstance(doc, dict) else None
+    if flags and isinstance(settings, dict):
+        doc["settings"] = {**settings, **flags}
     return doc
 
 
-def _run_doc(doc, args):
+def _run_doc(read, args, kind=None):
+    """Run the document read() returns, or with kind the scenario of that kind
+    around the payload read() returns; validated once, after the flags merge."""
     from .scenarios import ScenarioError, run_scenario_doc
 
     try:
+        doc = read()
+        if kind is not None:
+            doc = {"version": "1", "kind": kind, "payload": doc}
         report = run_scenario_doc(_apply_settings(doc, args))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -65,50 +74,40 @@ def _run_doc(doc, args):
     except Exception as exc:  # noqa: BLE001 - map to the documented exit code
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    _print_report(report, args.format, args.out)
+    if not _print_report(report, args.format, args.out):
+        return EXIT_PARSE
     return EXIT_OK if report.passed else EXIT_VERDICT
 
 
 def cmd_run(args):
-    from .scenarios import ScenarioError, load_scenario
+    from .scenarios import _read_json
 
-    try:
-        doc = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return _run_doc(doc, args)
+    return _run_doc(lambda: _read_json(args.scenario), args)
 
 
 def cmd_fibre(args):
     models = "all" if args.model is None else [args.model]
-    doc = {"version": "1", "kind": "fibre",
-           "payload": {"models": models, "grid": args.cells}}
-    return _run_doc(doc, args)
+    return _run_doc(lambda: {"models": models, "grid": args.cells}, args, "fibre")
 
 
 def cmd_sheaf(args):
-    try:
-        with open(args.monodromy) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if isinstance(data, list):
-        data = {"rank": len(data[0]) if data else 0, "monodromy": data}
-    doc = {"version": "1", "kind": "sheaf", "payload": data}
-    return _run_doc(doc, args)
+    from .scenarios import _read_json
+
+    def read():
+        data = _read_json(args.monodromy)
+        if isinstance(data, list):
+            # a bare list of matrices stands for the whole payload
+            rank = len(data[0]) if data and isinstance(data[0], list) else 0
+            data = {"rank": rank, "monodromy": data}
+        return data
+
+    return _run_doc(read, args, "sheaf")
 
 
 def cmd_k3(args):
-    try:
-        with open(args.input) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    doc = {"version": "1", "kind": "k3", "payload": payload}
-    return _run_doc(doc, args)
+    from .scenarios import _read_json
+
+    return _run_doc(lambda: _read_json(args.input), args, "k3")
 
 
 def cmd_list_models(args):
@@ -116,7 +115,7 @@ def cmd_list_models(args):
 
     rows = []
     for name, (expected, desc) in MODEL_TABLE.items():
-        if args.type and tuple(int(x) for x in args.type.split(",")) != expected:
+        if args.type is not None and args.type != tuple(expected):
             continue
         rows.append({"model": name, "b1": expected[0], "b2": expected[1],
                      "description": desc})
@@ -131,6 +130,14 @@ def cmd_list_models(args):
 def cmd_conventions(_args):
     print(CONVENTIONS)
     return EXIT_OK
+
+
+def _fibre_type(text):
+    """argparse type of --type: two non-negative integers b1,b2."""
+    parts = text.split(",")
+    if len(parts) != 2 or not all(p.isdecimal() for p in parts):
+        raise argparse.ArgumentTypeError(f"expected two non-negative integers b1,b2, not {text!r}")
+    return tuple(map(int, parts))
 
 
 def _add_output(p):
@@ -173,7 +180,8 @@ def build_parser():
     p.set_defaults(fn=cmd_k3)
 
     p = sub.add_parser("list-models", help="catalogue of fibre models")
-    p.add_argument("--type", default=None, help="filter by type, e.g. 1,1")
+    p.add_argument("--type", type=_fibre_type, default=None,
+                   help="filter by type b1,b2, e.g. 1,1")
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=cmd_list_models)
 

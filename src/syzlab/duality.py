@@ -21,7 +21,6 @@ from itertools import permutations
 import numpy as np
 import sympy as sp
 
-from .algebra import to_form
 from .charts import Chart
 from .fields import compile_scalars, sup_norm_scalars
 from .quadrature import chart_integral, fibre_means, subtorus_grid
@@ -29,7 +28,7 @@ from .semiflat import (
     DEFAULT_TOL,
     BetaStructure,
     SemiflatReport,
-    build_omega,
+    _d_omega,
     closedness_residuals,
     omega_form,
     require_compatible,
@@ -110,22 +109,15 @@ def _im_omega_coefficient_forms(bs: BetaStructure):
     Returns coeffs[j][i] = coefficient of dx_{1..n minus i} in the
     restriction to the fibre, read off the dy_j ^ dx_K terms of Im Omega.
     """
-    omega_el = build_omega(bs)
-    form = to_form(omega_el)
-    _, im_form = form.real_imag()
-    n = bs.n
-    coeffs = [[sp.Integer(0)] * n for _ in range(n)]
-    for j in range(1, n + 1):
-        contracted = im_form.contract_base_vector(j).restrict_to_fibre()
-        for i in range(1, n + 1):
-            kset = tuple(a for a in range(1, n + 1) if a != i)
-            coeffs[j - 1][i - 1] = contracted.coefficient(dys=(), dxs=kset)
-    return coeffs
+    _, im_form = omega_form(bs).real_imag()
+    axes = range(1, bs.n + 1)
+    rows = [im_form.contract_base_vector(j) for j in axes]
+    return [[row.coefficient(dxs=[a for a in axes if a != i]) for i in axes] for row in rows]
 
 
 def _volume_form_gap(bs: BetaStructure, tol):
     """Sup-norm of d(Omega) on the fixed sample grid; warns above tol."""
-    gap = omega_form(bs).exterior_derivative().sup_norm()
+    gap = _d_omega(bs).sup_norm()
     if gap > tol:
         warnings.warn(
             f"volume form is not closed (residual {gap:.2e}); "
@@ -515,10 +507,8 @@ def hitchin(potential: HitchinPotential, b_field: SymTensorField = None,
     bs = BetaStructure(chart, beta)
     require_compatible(bs, tol)
 
-    det = sp.expand(sp.Matrix(hess).det())
-    centre_subs = {chart.ys[i]: chart.center[i] for i in range(n)}
-    det_centre = det.subs(centre_subs)
-    det_residual = sup_norm_scalars([sp.expand(det - det_centre)], chart)
+    det_centre = bs.det_g_inv.subs(dict(zip(chart.ys, chart.center)))
+    det_residual = sup_norm_scalars([sp.expand(bs.det_g_inv - det_centre)], chart)
     closed = closedness_residuals(bs, tol)
     info = {
         "determinant_residual": det_residual,

@@ -56,7 +56,7 @@ def parse_scalar(value, n=3):
         im = parse_scalar(value.get("im", 0), n)
         return re + sp.I * im
     if isinstance(value, (int, float)):
-        return sp.nsimplify(value, rational=True)
+        return validate_grammar(sp.nsimplify(value, rational=True), n)
     if isinstance(value, sp.Expr):
         validate_grammar(value, n)
         return value
@@ -74,7 +74,10 @@ def parse_scalar(value, n=3):
 
 
 def validate_grammar(expr, n=3):
-    """Check that expr uses only grammar node kinds and chart variables."""
+    """Check that expr is finite and uses only grammar node kinds and chart
+    variables."""
+    if expr.has(sp.nan, sp.zoo, sp.oo, -sp.oo):
+        raise GrammarError(f"{expr} is not finite")
     allowed_syms = set(Y_SYMBOLS[:n]) | set(X_SYMBOLS[:n])
     for sym in expr.free_symbols:
         if sym not in allowed_syms:

@@ -10,6 +10,7 @@ to the separate timing block.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -201,28 +202,45 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _non_finite(node, path=""):
+    """JSON-pointer paths of NaN and infinite numbers in node; json reads NaN,
+    Infinity and overflowing literals, and the schema's number type admits them."""
+    if isinstance(node, float) and not math.isfinite(node):
+        yield path
+    elif isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _non_finite(child, f"{path}/{key}")
+
+
 def validate_scenario(doc):
-    validator = Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.path))
-    if errors:
-        raise ScenarioError("; ".join(e.message for e in errors))
+    bad = next(_non_finite(doc), None)
+    if bad is not None:
+        raise ScenarioError(f"non-finite number at {bad or '/'}")
+    _check_schema(SCENARIO_SCHEMA, doc)
     if "settings" in doc and doc["kind"] in _EXACT_KINDS:
         raise ScenarioError(f"{doc['kind']} scenarios take no settings")
-    payload_schema = PAYLOAD_SCHEMAS[doc["kind"]]
-    errors = sorted(Draft202012Validator(payload_schema).iter_errors(doc["payload"]),
-                    key=lambda e: list(e.path))
-    if errors:
-        raise ScenarioError("; ".join(e.message for e in errors))
+    _check_schema(PAYLOAD_SCHEMAS[doc["kind"]], doc["payload"])
     return doc
 
 
-def load_scenario(path):
+def _check_schema(schema, instance):
+    errors = sorted(Draft202012Validator(schema).iter_errors(instance),
+                    key=lambda e: list(e.path))
+    if errors:
+        raise ScenarioError("; ".join(e.message for e in errors))
+
+
+def _read_json(path):
+    """The parsed JSON file; an unreadable or malformed file is a ScenarioError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario: {exc}")
-    return validate_scenario(doc)
+        raise ScenarioError(f"cannot read {path}: {exc}")
+
+
+def load_scenario(path):
+    return validate_scenario(_read_json(path))
 
 
 def _settings(doc):
@@ -445,4 +463,4 @@ def run_scenario_doc(doc) -> RunReport:
 
 
 def run_scenario(path) -> RunReport:
-    return run_scenario_doc(load_scenario(path))
+    return run_scenario_doc(_read_json(path))

@@ -3,10 +3,11 @@
 A BetaStructure packages the n x n complex matrix beta = b + i*gInv on a
 chart: b is the Ehresmann-connection matrix, gInv the inverse fibre metric.
 The candidate holomorphic volume form is Omega = V * exp(beta) with
-V = 1/sqrt(det Im beta), and d(Omega) = 0 decomposes into an integrability
-part (a bidegree (-1,2) residual) plus a divergence-type condition on V and
-V*beta, whose real and imaginary parts are the connection-curvature,
-covariant-metric, fibre-harmonic and parallel-volume residuals.
+V = 1/sqrt(det Im beta).  d(Omega) = 0 splits into two complex residuals,
+each built once: integrability d_y(beta) - [beta, beta]/2 =
+connection_curvature + i*covariant_metric, and volume divergence
+d_y(V) - d_x'(V*beta) = parallel_volume - i*fibre_harmonic.  The four
+structure equations are their real and imaginary parts.
 
 All residual norms are sup-norms of coefficient functions over the chart's
 fixed sample grid (5 base x 8 fibre points per axis); each report samples
@@ -91,7 +92,9 @@ class SemiflatReport:
 
 
 class BetaStructure:
-    """beta = b + i*gInv on a chart, with derived V and volume form."""
+    """beta = b + i*gInv on a chart; b, gInv, det gInv and V = sqrt(det g) =
+    1/sqrt(det Im beta) are derived once, never supplied (V = zoo when Im
+    beta is singular: compatibility decides the verdict)."""
 
     def __init__(self, chart: Chart, beta):
         self.chart = chart
@@ -101,29 +104,17 @@ class BetaStructure:
             for entry in row:
                 require_fibre_periodic(entry, n)
         self.beta = beta
+        parts = [[entry.as_real_imag() for entry in row] for row in beta]
+        self.b_matrix = [[re for re, _ in row] for row in parts]
+        self.g_inv = [[im for _, im in row] for row in parts]
+        self.det_g_inv = sp.expand(sp.Matrix(self.g_inv).det())
+        self.volume_density = 1 / sp.sqrt(self.det_g_inv)
         # complete pointwise_checks reports by tol
         self._pointwise = {}
 
     @property
     def n(self):
         return self.chart.n
-
-    @property
-    def b_matrix(self):
-        return [[entry.as_real_imag()[0] for entry in row] for row in self.beta]
-
-    @property
-    def g_inv(self):
-        return [[entry.as_real_imag()[1] for entry in row] for row in self.beta]
-
-    @property
-    def det_g_inv(self):
-        return sp.expand(sp.Matrix(self.g_inv).det())
-
-    @property
-    def volume_density(self):
-        """V = sqrt(det g) = 1/sqrt(det Im beta); always derived, never supplied."""
-        return 1 / sp.sqrt(self.det_g_inv)
 
     def beta_element(self) -> BigradedElement:
         return BigradedElement.from_matrix(self.chart, self.beta)
@@ -238,12 +229,18 @@ def integrability_residual_indexed(bs: BetaStructure):
     return BigradedElement(bs.chart, coeffs)
 
 
-def _volume_divergence_residual(bs: BetaStructure) -> BigradedElement:
-    """d_y(V) - d_x'(V * beta): the degree-(0,1) piece of d(Omega) = 0."""
+def _volume_parts(bs: BetaStructure):
+    """(d_y(V) - d_x'(V * b), d_x'(V * gInv)): parallel volume, fibre harmonicity."""
     V = bs.volume_density
-    Vel = BigradedElement.term(bs.chart, V)
-    vbeta = bs.beta_element().scale(V)
-    return d_y(Vel) - d_x_prime(vbeta)
+    parallel = d_y(BigradedElement.term(bs.chart, V)) - d_x_prime(bs.b_element().scale(V))
+    return parallel, d_x_prime(bs.g_inv_element().scale(V))
+
+
+def _volume_divergence_residual(bs: BetaStructure) -> BigradedElement:
+    """d_y(V) - d_x'(V * beta) = parallel - i * harmonic: the degree-(0,1)
+    piece of d(Omega) = 0."""
+    parallel, harmonic = _volume_parts(bs)
+    return parallel - harmonic.scale(sp.I)
 
 
 def closedness_residuals(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
@@ -267,36 +264,24 @@ def closedness_residuals(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
 
 
 def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
-    """Real/imaginary split of the closedness conditions, four named residuals.
+    """Real/imaginary split of the two closedness conditions, four named residuals.
 
-    connection_curvature:  F_b + [gInv, gInv]/2  with F_b = d_y(b) - [b, b]/2
-    covariant_metric:      d_y(gInv) - [b, gInv]
-    fibre_harmonic_j:      sum_i d(V * gInv_ij)/dx_i  (componentwise)
-    parallel_volume_j:     dV/dy_j - sum_i d(V * b_ij)/dx_i
+    integrability = connection_curvature + i * covariant_metric:
+        connection_curvature = F_b + [gInv, gInv]/2, F_b = d_y(b) - [b, b]/2
+        covariant_metric     = d_y(gInv) - [b, gInv]
+    volume_divergence = parallel_volume - i * fibre_harmonic:
+        parallel_volume_j    = dV/dy_j - sum_i d(V * b_ij)/dx_i
+        fibre_harmonic_j     = sum_i d(V * gInv_ij)/dx_i
     """
     require_compatible(bs, tol)
+    curvature, covariant = integrability_residual(bs).real_imag()
+    parallel, harmonic = _volume_parts(bs)
     rep = SemiflatReport()
-    b = bs.b_element()
-    ginv = bs.g_inv_element()
-    curv = _connection_curvature(b) + bracket(ginv, ginv).scale(sp.Rational(1, 2))
-    covariant = d_y(ginv) - bracket(b, ginv)
-
-    V = bs.volume_density
-    xs, ys = bs.chart.xs, bs.chart.ys
-    harmonic = []
-    parallel = []
-    for j in range(1, bs.n + 1):
-        harmonic.append(sp.expand(sum(
-            sp.diff(V * bs.g_inv[i - 1][j - 1], xs[i - 1]) for i in range(1, bs.n + 1))))
-        parallel.append(sp.expand(
-            sp.diff(V, ys[j - 1])
-            - sum(sp.diff(V * bs.b_matrix[i - 1][j - 1], xs[i - 1])
-                  for i in range(1, bs.n + 1))))
     rep.add_sup_norms(bs.chart, {
-        "connection_curvature": curv.terms.values(),
+        "connection_curvature": curvature.terms.values(),
         "covariant_metric": covariant.terms.values(),
-        "fibre_harmonic": harmonic,
-        "parallel_volume": parallel,
+        "fibre_harmonic": harmonic.terms.values(),
+        "parallel_volume": parallel.terms.values(),
     }, tol)
     return rep
 

@@ -233,14 +233,14 @@ class E2Table:
         return [[{"rank": r, "torsion": list(t)} for (r, t) in row]
                 for row in self.grid]
 
-    def validate(self, with_section=True):
+    def validate(self):
         """Check the degenerate-table zero pattern and duplicated ranks."""
         size = self.n + 1
         if len(self.grid) != size or any(len(r) != size for r in self.grid):
             raise LocalSystemError(f"table must be {size} x {size}")
         corners = [(0, 0), (0, self.n), (self.n, 0), (self.n, self.n)]
         for (i, j) in corners:
-            if with_section and self.entry(i, j) != (1, ()):
+            if self.entry(i, j) != (1, ()):
                 raise LocalSystemError(f"corner ({i},{j}) must be Z for a fibration with section")
         if self.n == 2:
             for (i, j) in [(1, 0), (0, 1), (2, 1), (1, 2)]:

@@ -39,6 +39,7 @@ def test_parse_grammar_and_complex():
 
 @pytest.mark.parametrize("bad", [
     "tan(y1)", "y4", "x3 + y1", "log(y1)", "sin(2*pi*x1)**y1", "foo(y1)",
+    "1/0", "0/0", "y1/(y1 - y1)", float("nan"), float("inf"),
 ])
 def test_parse_rejects_off_grammar(bad):
     with pytest.raises(GrammarError):

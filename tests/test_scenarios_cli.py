@@ -364,6 +364,7 @@ _U2_K3 = {"lattice": "U2", "E": [1, 0, 0, 0], "sigma0": [-1, 1, 0, 0],
 INVALID_DATA = {
     "grammar": _beta_doc("semiflat-check", 1, [[{"im": "2+tan(y1)"}]]),
     "periodicity": _beta_doc("semiflat-check", 1, [[{"im": "2+x1"}]]),
+    "division_by_zero": _beta_doc("semiflat-check", 1, [[{"im": "1/0"}]]),
     "box_not_matching_n": {"version": "1", "kind": "semiflat-check", "payload": {
         "n": 2, "box": [[-1, 1]], "beta": [[{"im": "1"}, 0], [0, {"im": "1"}]]}},
     "beta_not_n_by_n": _beta_doc("semiflat-check", 2, [[{"im": "1"}]]),
@@ -413,3 +414,88 @@ class TestThreadCap:
         doc = {"version": "1", "kind": "fibre", "payload": {"models": "all"}}
         report = run_scenario_doc(doc)
         assert report.passed
+
+
+def _with(doc, path, value):
+    """A deep copy of doc with the entry at path (a key sequence) replaced."""
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_NAN, _INF = float("nan"), float("inf")
+_K3_DOC = {"version": "1", "kind": "k3", "payload": _U2_K3}
+
+# (document, extra argv, JSON-pointer path the error names); Python's json
+# reads NaN and Infinity, and the schema's number type admits them
+NON_FINITE = {
+    "tol_flag_nan": (FLAT_SCENARIO, ["--tol", "nan"], "/settings/tol"),
+    "tol_flag_inf": (HITCHIN_CUBIC, ["--tol", "inf"], "/settings/tol"),
+    "settings_tol_nan": (_with(FLAT_SCENARIO, ["settings", "tol"], _NAN), [],
+                         "/settings/tol"),
+    "box_nan": (_with(FLAT_SCENARIO, ["payload", "box", 0], [_NAN, 1]), [],
+                "/payload/box/0/0"),
+    "box_infinity": (_with(FLAT_SCENARIO, ["payload", "box", 0], [-1, _INF]), [],
+                     "/payload/box/0/1"),
+    "beta_im_nan": (_with(FLAT_SCENARIO, ["payload", "beta", 0, 0], {"im": _NAN}), [],
+                    "/payload/beta/0/0/im"),
+    "k3_omega_nan": (_with(_K3_DOC, ["payload", "omega", 0], _NAN), [],
+                     "/payload/omega/0"),
+    "k3_omega_infinity": (_with(_K3_DOC, ["payload", "omega", 2], _INF), [],
+                          "/payload/omega/2"),
+}
+
+
+class TestCliContract:
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_number_exit_two(self, case, tmp_path, capsys):
+        doc, flags, where = NON_FINITE[case]
+        assert main(["run", write(tmp_path, doc), *flags]) == 2
+        captured = capsys.readouterr()
+        assert f"non-finite number at {where}" in captured.err
+        assert "result:" not in captured.out
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        assert main(["run", write(tmp_path, FLAT_SCENARIO), "--out", str(out)]) == 2
+        assert "cannot write report" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["a,b", "1", "1,1,1", "-1,0", ""])
+    def test_malformed_type_filter_exit_two(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["list-models", f"--type={value}"])
+        assert exc.value.code == 2
+        assert "b1,b2" in capsys.readouterr().err
+
+    def test_validates_once_per_run(self, tmp_path, monkeypatch, capsys):
+        import syzlab.scenarios as scenarios
+
+        calls = []
+        raw = scenarios.validate_scenario
+
+        def counted(doc):
+            calls.append(doc)
+            return raw(doc)
+
+        monkeypatch.setattr(scenarios, "validate_scenario", counted)
+        assert main(["run", write(tmp_path, FLAT_SCENARIO), "--tol", "1e-6"]) == 0
+        assert len(calls) == 1
+        assert calls[0]["settings"] == {"grid": 8, "tol": 1e-6}
+
+    @pytest.mark.parametrize("flags", [[], ["--tol", "1e-3"]])
+    def test_top_level_array_exit_two(self, tmp_path, capsys, flags):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        assert main(["run", str(path), *flags]) == 2
+        assert "scenario error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{nope"])
+    def test_malformed_monodromy_file_exit_two(self, tmp_path, capsys, text):
+        path = tmp_path / "monodromy.json"
+        path.write_text(text)
+        assert main(["sheaf", "--monodromy", str(path)]) == 2
+        assert "scenario error" in capsys.readouterr().err

@@ -417,3 +417,89 @@ class TestOneEvaluatorPerReport:
             rep = report(bs)
             assert not rep.all_passed
             assert len(compile_calls) == 1, report.__name__
+
+
+def _hand_structure_residuals(bs):
+    """The four structure residuals from their componentwise formulas (oracle)."""
+    from syzlab.algebra import bracket, d_y
+
+    half = sp.Rational(1, 2)
+    b, ginv = bs.b_element(), bs.g_inv_element()
+    curv = d_y(b) - bracket(b, b).scale(half) + bracket(ginv, ginv).scale(half)
+    covariant = d_y(ginv) - bracket(b, ginv)
+    V, n = bs.volume_density, bs.n
+    xs, ys = bs.chart.xs, bs.chart.ys
+    harmonic = [sp.expand(sum(sp.diff(V * bs.g_inv[i][j], xs[i]) for i in range(n)))
+                for j in range(n)]
+    parallel = [sp.expand(sp.diff(V, ys[j]) - sum(
+        sp.diff(V * bs.b_matrix[i][j], xs[i]) for i in range(n))) for j in range(n)]
+    return {"connection_curvature": list(curv.terms.values()),
+            "covariant_metric": list(covariant.terms.values()),
+            "fibre_harmonic": harmonic,
+            "parallel_volume": parallel}
+
+
+class TestStructureEquationsAreViews:
+    def test_values_match_hand_formulas_on_regression_suite(self):
+        from syzlab.fields import sup_norms
+
+        for name, bs in TestEquivalenceSuite().build_suite():
+            rep = structure_equations(bs)
+            oracle = _hand_structure_residuals(bs)
+            expect = dict(zip(oracle, sup_norms(oracle.values(), bs.chart)))
+            assert set(rep.checks) == set(expect), name
+            for check, value in expect.items():
+                assert rep[check].value == pytest.approx(value, rel=1e-12, abs=1e-14), \
+                    (name, check)
+
+    def test_structure_equations_derive_nothing_of_their_own(self):
+        import ast
+        import inspect
+
+        import syzlab.semiflat as semiflat
+
+        def calls(fn):
+            tree = ast.parse(inspect.getsource(fn))
+            return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+        made = calls(semiflat.structure_equations)
+        assert not made & {"bracket", "diff"}
+        assert {"integrability_residual", "real_imag", "_volume_parts"} <= made
+        assert "_volume_parts" in calls(semiflat._volume_divergence_residual)
+
+    def test_duality_reads_omega_from_semiflat(self):
+        import syzlab.duality as duality
+
+        assert not {"to_form", "build_omega"} & set(vars(duality))
+
+    @pytest.mark.parametrize("kind, payload, dets", [
+        ("semiflat-check", {"beta": [[{"re": "y2/3", "im": "2+y1^2/4"}, {"im": "1/5"}],
+                                     [{"im": "1/5"}, {"im": "3+sin(2*pi*x1)/2"}]]}, 1),
+        ("dualize", {"beta": [[{"re": "1/2", "im": "2"}, {"im": "1/5"}],
+                              [{"im": "1/5"}, {"im": "3"}]]}, 2),
+        ("hitchin", {"potential": "(y1^2 + y2^2)/2 + y1^3/10"}, 1),
+    ])
+    def test_one_determinant_per_structure(self, monkeypatch, kind, payload, dets):
+        from syzlab.scenarios import run_scenario_doc
+
+        calls = []
+        raw = sp.Matrix.det
+
+        def counted(self, *args, **kwargs):
+            calls.append(self.shape)
+            return raw(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp.Matrix, "det", counted)
+        doc = {"version": "1", "kind": kind,
+               "payload": {"n": 2, "box": [[-1, 1], [-1, 1]], **payload}}
+        run_scenario_doc(doc)
+        assert len(calls) == dets
+
+    def test_singular_structure_constructs(self, chart2):
+        y1 = chart2.ys[0]
+        bs = BetaStructure(chart2, [[I * y1 ** 2, 0], [0, I]])
+        assert BetaStructure(chart2, [[0, 0], [0, I]]).volume_density is sp.zoo
+        with pytest.raises(CompatibilityError):
+            structure_equations(bs)

@@ -230,3 +230,13 @@ class TestDualityCheckers:
             rank_, tors = grid[j][i]
             grid[j][i] = (rank_, tuple(list(tors) + [7]))
             assert not duality_checks(E2Table(3, grid), dual)["all_passed"]
+
+
+def test_e2_corner_check_always_runs():
+    table = e2_assemble("S2", twenty_four_nodal_system())
+    grid = copy.deepcopy(table.grid)
+    grid[0][0] = (0, ())
+    with pytest.raises(LocalSystemError, match="corner"):
+        E2Table(2, grid).validate()
+    with pytest.raises(TypeError):
+        table.validate(with_section=False)

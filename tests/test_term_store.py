@@ -10,7 +10,7 @@ from syzlab import algebra
 from syzlab.algebra import BigradedElement, DegreeError, FormElement
 
 SHARED = ("add_term", "__add__", "__sub__", "__neg__", "scale", "coefficient",
-          "is_zero", "sup_norm", "zero")
+          "is_zero", "sup_norm", "zero", "real_imag")
 
 
 def test_expand_is_called_only_in_the_store_add_term():
@@ -82,3 +82,14 @@ def test_product_skips_overlapping_pairs_before_add_term(chart2, monkeypatch):
     assert product.terms == {((1, 2), (1,)): sp.expand(a * d - b * c)}
     forms = FormElement(chart2, {((1,), (1,)): a}).wedge(FormElement(chart2, {((1,), (2,)): c}))
     assert forms.is_zero()
+
+
+def test_real_imag_keeps_the_element_type(chart2):
+    y1, x1 = chart2.ys[0], chart2.xs[0]
+    el = BigradedElement.term(chart2, y1 + sp.I * sp.sin(2 * sp.pi * x1), dys=(1,), dxs=(2,))
+    el = el + BigradedElement.term(chart2, 3, dys=(1, 2))
+    re, im = el.real_imag()
+    assert type(re) is type(im) is BigradedElement
+    assert re.coefficient((1,), (2,)) == y1 and re.coefficient((1, 2)) == 3
+    assert im.coefficient((1,), (2,)) == sp.sin(2 * sp.pi * x1)
+    assert (re + im.scale(sp.I) - el).is_zero()

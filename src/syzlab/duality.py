@@ -21,6 +21,7 @@ from itertools import permutations
 import numpy as np
 import sympy as sp
 
+from .algebra import FormElement
 from .charts import Chart
 from .fields import compile_scalars, sup_norm_scalars
 from .quadrature import chart_integral, fibre_means, subtorus_grid
@@ -29,6 +30,8 @@ from .semiflat import (
     BetaStructure,
     SemiflatReport,
     _d_omega,
+    base_one_form_differential,
+    base_potential,
     closedness_residuals,
     omega_form,
     require_compatible,
@@ -311,7 +314,7 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
     alpha: fibre (n-1)-form as a map {omitted_axis: coefficient expr}; the
     omitted_axis i entry multiplies dx_1 ^ ... dx_i-hat ... ^ dx_n.
     """
-    require_compatible(bs)
+    require_compatible(bs, tol)
     chart, n = bs.chart, bs.n
     y0 = gamma.at if gamma.at is not None else tuple(float(c) for c in chart.center)
     omit = _omitted_axis_coefficients(gamma, n)
@@ -389,15 +392,9 @@ class SymTensorField:
         return all(d == 0 for row in self.antisymmetric_defect() for d in row)
 
     def is_gauss_manin_closed(self):
-        ys = self.chart.ys
-        n = self.chart.n
-        for j in range(n):
-            for i in range(n):
-                for k in range(i + 1, n):
-                    if sp.expand(sp.diff(self.entries[i][j], ys[k])
-                                 - sp.diff(self.entries[k][j], ys[i])) != 0:
-                        return False
-        return True
+        """Every column sum_i alpha_ij dy_i is a closed base one-form."""
+        return all(base_one_form_differential(column, self.chart).is_zero()
+                   for column in zip(*self.entries))
 
 
 def wedge_with_minus_omega(alpha: SymTensorField):
@@ -406,28 +403,6 @@ def wedge_with_minus_omega(alpha: SymTensorField):
     defect = alpha.antisymmetric_defect()
     return {(i + 1, j + 1): defect[j][i] for i in range(n) for j in range(i + 1, n)
             if defect[j][i] != 0}
-
-
-def _one_form_potential(rho, chart, axis=0):
-    """beta with d(beta) = rho for a closed antisymmetric matrix 2-form rho.
-
-    Recursive gauge: the first component vanishes, the rest integrate along
-    the first axis from the box centre; the remainder is axis-independent
-    and recurses on the later coordinates.
-    """
-    n = chart.n
-    ys = chart.ys
-    beta = [sp.Integer(0)] * n
-    if axis >= n - 1:
-        return beta
-    t = sp.Dummy("t", real=True)
-    c0 = chart.center[axis]
-    for j in range(axis + 1, n):
-        seg = sp.integrate(rho[axis][j].subs(ys[axis], t), (t, c0, ys[axis]))
-        beta[j] = sp.expand(seg)
-    rest = [[sp.expand(rho[i][j].subs(ys[axis], c0)) for j in range(n)] for i in range(n)]
-    tail = _one_form_potential(rest, chart, axis + 1)
-    return [sp.expand(beta[k] + tail[k]) for k in range(n)]
 
 
 def symmetric_class(alpha: SymTensorField, mode="test"):
@@ -449,7 +424,9 @@ def symmetric_class(alpha: SymTensorField, mode="test"):
     n = chart.n
     ys = chart.ys
     rho = alpha.antisymmetric_defect()
-    beta = _one_form_potential(rho, chart)
+    potential = base_potential(FormElement(
+        chart, {((i + 1, j + 1), ()): rho[i][j] for i in range(n) for j in range(i + 1, n)}))
+    beta = [potential.coefficient(dys=(j + 1,)) for j in range(n)]
     for i in range(n):
         for j in range(n):
             got = sp.expand(sp.diff(beta[j], ys[i]) - sp.diff(beta[i], ys[j]) - rho[i][j])

@@ -95,25 +95,20 @@ def _fig8_predicate(comps):
 def nodal_curve_complex(grid=1):
     """2-torus with the {x1 = 0} circle collapsed to a point."""
     t2 = torus_complex(2, grid, "T2")
-    sub = cells_where(t2, 2, lambda c: c[0] == V0)
-    return quotient_complex(t2, sub, point_complex(),
-                            _collapse_to_point(t2, sub), name="nodal")
+    return _pinch(t2, cells_where(t2, 2, lambda c: c[0] == V0), "nodal")
 
 
 def one_point_curve_complex(grid=1):
     """2-torus with both coordinate circles collapsed; a 2-sphere."""
     t2 = torus_complex(2, grid, "T2")
-    sub = cells_where(t2, 2, _fig8_predicate)
-    return quotient_complex(t2, sub, point_complex(),
-                            _collapse_to_point(t2, sub), name="onepoint")
+    return _pinch(t2, cells_where(t2, 2, _fig8_predicate), "onepoint")
 
 
-def _collapse_to_point(cx: ChainComplex, labels, vertex=("v", 0)):
+def _pinch(cx: ChainComplex, labels, name):
+    """cx with the subcomplex on labels collapsed to the point's vertex V0."""
     vertices = set(cx.cells[0])
-    images = {}
-    for label in labels:
-        images[label] = [(vertex, 1)] if label in vertices else []
-    return CellularMap(images)
+    collapse = CellularMap({l: [(V0, 1)] if l in vertices else [] for l in labels})
+    return quotient_complex(cx, labels, point_complex(), collapse, name=name)
 
 
 def build_model(name, grid=1) -> ChainComplex:
@@ -131,19 +126,13 @@ def build_model(name, grid=1) -> ChainComplex:
         return product_complex(one_point_curve_complex(grid), circle_complex(grid), "M11a")
 
     if name == "M12":
-        sub = cells_where(t3, 3, lambda c: c[0] == V0)
-        return quotient_complex(t3, sub, point_complex(),
-                                _collapse_to_point(t3, sub), name="M12")
+        return _pinch(t3, cells_where(t3, 3, lambda c: c[0] == V0), "M12")
 
     if name == "M01":
-        sub = cells_where(t3, 3, _fig8_predicate)
-        return quotient_complex(t3, sub, point_complex(),
-                                _collapse_to_point(t3, sub), name="M01")
+        return _pinch(t3, cells_where(t3, 3, _fig8_predicate), "M01")
 
     if name == "M00":
-        sub = cells_where(t3, 3, lambda c: V0 in c)
-        return quotient_complex(t3, sub, point_complex(),
-                                _collapse_to_point(t3, sub), name="M00")
+        return _pinch(t3, cells_where(t3, 3, lambda c: V0 in c), "M00")
 
     if name in ("M21", "M11b"):
         t2 = torus_complex(2, grid, "T2")
@@ -160,8 +149,7 @@ def build_model(name, grid=1) -> ChainComplex:
         # contract the {x2 = 0} loop of the figure eight to the base point
         loop = [("t", l) for l in fig8_labels
                 if axis_components(l, 2)[1] == V0]
-        return quotient_complex(m21, loop, point_complex(),
-                                _collapse_to_point(m21, loop), name="M11b")
+        return _pinch(m21, loop, "M11b")
 
     if name == "M10":
         circ = circle_complex(grid)

@@ -33,7 +33,8 @@ from .algebra import (
     wedge_one_forms,
 )
 from .charts import Chart
-from .fields import compile_scalars, require_fibre_periodic, sup_norms
+from .fields import (_BLOCK_SAMPLES, GrammarError, compile_scalars, require_fibre_periodic,
+                     sup_norms)
 
 DEFAULT_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-9
@@ -126,15 +127,26 @@ class BetaStructure:
         return BigradedElement.from_matrix(self.chart, self.g_inv)
 
     def min_imbeta_eigenvalue(self):
-        """Least eigenvalue of sym(Im beta) over the sample grid, and where."""
+        """Least eigenvalue of sym(Im beta) over the sample grid, and where;
+        b is sampled too, and a beta not finite there is a GrammarError."""
         Y, X = self.chart.sample_points()
-        exprs = [e for row in self.g_inv for e in row]
-        vals = compile_scalars(exprs, self.chart)(Y, X).real
-        mats = vals.T.reshape(len(Y), self.n, self.n)
-        sym = 0.5 * (mats + np.transpose(mats, (0, 2, 1)))
-        eigs = np.linalg.eigvalsh(sym)
-        idx = int(np.argmin(eigs[:, 0]))
-        return float(eigs[idx, 0]), (Y[idx], X[idx])
+        evaluate = compile_scalars([e for row in self.g_inv + self.b_matrix for e in row],
+                                   self.chart)
+        least = []
+        # block by block, so only one block of the b samples is held at a time
+        for start in range(0, len(Y), _BLOCK_SAMPLES):
+            rows = slice(start, start + _BLOCK_SAMPLES)
+            with np.errstate(all="ignore"):
+                vals = evaluate(Y[rows], X[rows])
+            finite = np.isfinite(vals).all(axis=0)
+            if not finite.all():
+                y, x = (tuple(map(float, p[rows][np.argmin(finite)])) for p in (Y, X))
+                raise GrammarError(f"beta is not finite at the sample point y = {y}, x = {x}")
+            mats = vals[: self.n ** 2].real.T.reshape(-1, self.n, self.n)
+            least.append(np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0])
+        least = np.concatenate(least)
+        idx = int(np.argmin(least))
+        return float(least[idx]), (Y[idx], X[idx])
 
 
 def _symmetry_defects(matrix, n):
@@ -155,13 +167,14 @@ def pointwise_checks(bs: BetaStructure, v_override=None, tol=DEFAULT_TOL) -> Sem
     """
     if v_override is None and tol in bs._pointwise:
         return bs._pointwise[tol].copy()
+    # first, so that a beta with a pole on the grid is rejected unsampled
+    mineig, worst = bs.min_imbeta_eigenvalue()
     rep = SemiflatReport()
     V = sp.sympify(v_override) if v_override is not None else bs.volume_density
     rep.add_sup_norms(bs.chart, {
         "symmetry": _symmetry_defects(bs.beta, bs.n),
         "volume_normalisation": [sp.expand(V * V * bs.det_g_inv - 1)],
     }, tol)
-    mineig, worst = bs.min_imbeta_eigenvalue()
     rep.checks["positivity"] = ResidualCheck(-mineig, -POSITIVITY_FLOOR)
     rep.notes["min_imbeta_eigenvalue"] = mineig
     rep.notes["worst_point"] = (tuple(map(float, worst[0])), tuple(map(float, worst[1])))
@@ -341,10 +354,26 @@ def symplectic_pullback_defect(sigma, chart: Chart) -> FormElement:
 def base_one_form_differential(sigma, chart: Chart) -> FormElement:
     """d(sigma) for a base one-form, as a base 2-form."""
     sigma = _check_base_one_form(sigma, chart)
-    form = FormElement(chart)
-    for i in range(chart.n):
-        form.add_term((i + 1,), (), sigma[i])
+    form = FormElement(chart, {((i + 1,), ()): s for i, s in enumerate(sigma)})
     return form.exterior_derivative()
+
+
+def base_potential(form: FormElement) -> FormElement:
+    """A potential of a closed base form (the caller checks closedness) by the
+    Poincare lemma, axis by axis from the box centre: the terms led by dy_a
+    integrate along y_a, and the rest, read at y_a = centre, goes on."""
+    chart = form.chart
+    t = sp.Dummy("t", real=True)
+    potential, rest = FormElement(chart), form
+    for a, (y, c) in enumerate(zip(chart.ys, chart.center), start=1):
+        later = FormElement(chart)
+        for (jset, kset), coeff in rest.terms.items():
+            if jset[:1] == (a,):
+                potential.add_term(jset[1:], kset, sp.integrate(coeff.subs(y, t), (t, c, y)))
+            else:
+                later.add_term(jset, kset, coeff.subs(y, c))
+        rest = later
+    return potential
 
 
 def action_coordinates(period_forms, chart: Chart):
@@ -354,24 +383,14 @@ def action_coordinates(period_forms, chart: Chart):
     on non-closed input or on a degenerate Jacobian at the sample grid.
     """
     ys = chart.ys
-    centre = chart.center
     potentials = []
     for lam in period_forms:
         lam = _check_base_one_form(lam, chart)
         dlam = base_one_form_differential(lam, chart)
         if not dlam.is_zero():
             raise ValueError(f"period form {lam} is not closed: d = {dlam}")
-        u = sp.Integer(0)
-        t = sp.Dummy("t", real=True)
-        for k in range(chart.n):
-            # integrate the k-th component along the k-th axis, with the
-            # later coordinates frozen at the centre
-            comp = lam[k]
-            subs = {ys[m]: centre[m] for m in range(k + 1, chart.n)}
-            comp = comp.subs(subs)
-            seg = sp.integrate(comp.subs(ys[k], t), (t, centre[k], ys[k]))
-            u += seg
-        u = sp.expand(u)
+        u = base_potential(FormElement(
+            chart, {((k + 1,), ()): c for k, c in enumerate(lam)})).coefficient()
         grad = [sp.expand(sp.diff(u, ys[k]) - lam[k]) for k in range(chart.n)]
         if any(sp.simplify(g) != 0 for g in grad):
             raise ValueError("antiderivative not expressible in the grammar")
@@ -411,6 +430,7 @@ def flatness_probe(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     testable conclusion is constancy along the fibre directions; global
     constancy of V on compact fibres is outside a one-chart model.
     """
+    require_compatible(bs, tol)
     rep = SemiflatReport()
     xs = bs.chart.xs
     rep.add_sup_norms(bs.chart, {

@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 from .intlinalg import (
     as_int_matrix,
+    homology_groups,
     identity,
     is_unimodular,
     kernel_basis,
     mat_is_zero,
     mat_mul,
     rank,
-    rank_and_divisors,
-    solve_int,
 )
 
 
@@ -178,20 +177,10 @@ def pushforward_cohomology(system: LocalSystemOnSphere) -> PushforwardCohomology
     if not mat_is_zero(mat_mul(d1, d0)):
         raise RuntimeError("internal: glued differentials do not compose to zero")
 
-    h0_rank = dim0 - rank(d0)
-    # H1 = ker(d1) / im(d0)
-    kb = kernel_basis(d1)
-    if kb:
-        kmat = [[kb[j][i] for j in range(len(kb))] for i in range(dim1)]
-        coords_rank, h1_tors = rank_and_divisors(solve_int(kmat, d0))
-        h1_rank = len(kb) - coords_rank
-    else:
-        h1_rank, h1_tors = 0, []
-    # H2 = Z^dim2 / im(d1)
-    d1_rank, h2_tors = rank_and_divisors(d1)
-    h2_rank = dim2 - d1_rank
-
-    groups = [(h0_rank, []), (h1_rank, h1_tors), (h2_rank, h2_tors)]
+    # read C^0 -> C^1 -> C^2 as the chain complex C^2 <- C^1 <- C^0: one
+    # Smith diagonal per differential; H^1 carries the divisors of d0, since
+    # ker(d1) is saturated
+    groups = homology_groups([[], d1, d0], [dim2, dim1, dim0])[::-1]
     chi = groups[0][0] - groups[1][0] + groups[2][0]
     if chi != euler_characteristic(system):
         raise RuntimeError("internal: euler characteristic mismatch")

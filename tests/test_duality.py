@@ -25,7 +25,12 @@ from syzlab.duality import (
     wedge_with_minus_omega,
     yukawa,
 )
-from syzlab.semiflat import BetaStructure, closedness_residuals, translate_by_section
+from syzlab.semiflat import (
+    BetaStructure,
+    CompatibilityError,
+    closedness_residuals,
+    translate_by_section,
+)
 
 I = sp.I
 
@@ -130,6 +135,15 @@ class TestDualityIdentities:
         rep = duality_identities(bs, CycleSpec(1, (1, 0)), {1: sp.Integer(1)})
         assert np.allclose(rep.notes["class_matrix"], [[2, 0], [0, 3]], atol=1e-9)
         assert rep["normalised_class_vs_metric"].value < 1e-8
+
+    def test_checks_compatibility_at_its_tolerance(self, chart2):
+        y1 = chart2.ys[0]
+        bs = BetaStructure(chart2, [[2 * I, y1 / 10 ** 6], [0, 3 * I]])
+        args = (CycleSpec(1, (1, 0)), {1: sp.Integer(1)})
+        with pytest.raises(CompatibilityError, match="not symmetric"):
+            duality_identities(bs, *args)
+        rep = duality_identities(bs, *args, tol=1e-3)
+        assert rep.all_passed
 
 
 class TestSymmetricClass:

@@ -174,23 +174,25 @@ def _enclosing_functions(tree):
 
 
 def test_one_evaluator_and_no_symbolic_fibre_integration():
-    """lambdify lives only in fields.py; sympy integrate in duality.py only in
-    _one_form_potential, so fibre means never take the heurisch detour."""
+    """lambdify lives only in fields.py; sympy integrate in src/ only in
+    semiflat.base_potential, so fibre means never take the heurisch detour
+    and the Poincare lemma is written once."""
     src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
     files = sorted(src.glob("*.py"))
     assert any(f.name == "fields.py" for f in files)
+    owners = []
     for path in files:
+        text = path.read_text()
         if path.name != "fields.py":
-            assert "lambdify" not in path.read_text(), path.name
-    text = (src / "duality.py").read_text()
-    tree = ast.parse(text)
-    functions = _enclosing_functions(tree)
-    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "integrate"]
-    assert calls
-    for call in calls:
-        owners = [name for lo, hi, name in functions if lo <= call.lineno <= hi]
-        assert owners == ["_one_form_potential"], f"integrate at duality.py:{call.lineno}"
+            assert "lambdify" not in text, path.name
+        tree = ast.parse(text)
+        functions = _enclosing_functions(tree)
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and getattr(
+                    call.func, "attr", getattr(call.func, "id", None)) == "integrate":
+                owners.append((path.name, [name for lo, hi, name in functions
+                                           if lo <= call.lineno <= hi]))
+    assert owners == [("semiflat.py", ["base_potential"])], owners
 
 
 def test_integer_layer_does_not_use_sympy():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -365,6 +366,7 @@ INVALID_DATA = {
     "grammar": _beta_doc("semiflat-check", 1, [[{"im": "2+tan(y1)"}]]),
     "periodicity": _beta_doc("semiflat-check", 1, [[{"im": "2+x1"}]]),
     "division_by_zero": _beta_doc("semiflat-check", 1, [[{"im": "1/0"}]]),
+    "pole_on_sample_grid": _beta_doc("semiflat-check", 1, [[{"im": "1/y1^2"}]]),
     "box_not_matching_n": {"version": "1", "kind": "semiflat-check", "payload": {
         "n": 2, "box": [[-1, 1]], "beta": [[{"im": "1"}, 0], [0, {"im": "1"}]]}},
     "beta_not_n_by_n": _beta_doc("semiflat-check", 2, [[{"im": "1"}]]),
@@ -393,6 +395,15 @@ class TestInvalidData:
         validate_scenario(doc)
         assert main(["run", write(tmp_path, doc)]) == 2
         assert "scenario error" in capsys.readouterr().err
+
+    def test_pole_on_sample_grid_is_named_without_warnings(self, tmp_path, capsys):
+        path = write(tmp_path, INVALID_DATA["pole_on_sample_grid"])
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            assert main(["run", path]) == 2
+        # a RuntimeWarning raised here is what would reach stderr
+        assert not [w for w in seen if issubclass(w.category, RuntimeWarning)]
+        assert "not finite at the sample point y = (0.0,), x = (0.0,)" in capsys.readouterr().err
 
     def test_k3_double_mirror_is_never_skipped(self, tmp_path, capsys):
         path = tmp_path / "mirror.json"

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from syzlab.algebra import to_form
+from syzlab.algebra import FormElement, to_form
 from syzlab.charts import Chart
 from syzlab.semiflat import (
     BetaStructure,
     CompatibilityError,
     action_coordinates,
     base_one_form_differential,
+    base_potential,
     build_omega,
     closedness_residuals,
     flatness_probe,
@@ -304,6 +305,48 @@ class TestActionCoordinates:
             action_coordinates([[chart2.ys[0], 0], [0, 1]], chart2)
 
 
+def _potential_inputs(chart):
+    """Closed base forms: gradients of scalars and differentials of one-forms
+    with polynomial, sin and exp coefficients (degree n forms are closed too)."""
+    ys = chart.ys
+    y1, y2, yn = ys[0], ys[1], ys[-1]
+    scalars = [y1 ** 2 * y2 - 3 * y2 * yn + y1, sp.sin(2 * y1 - y2) + y2 * sp.cos(yn),
+               sp.exp(y1 + 3 * yn) / 5 + y1 * sp.exp(y2)]
+    forms = []
+    for f in scalars:
+        for dys in [()] + [(k,) for k in range(1, chart.n + 1)]:
+            forms.append(FormElement(chart, {(dys, ()): f}).exterior_derivative())
+    if chart.n == 3:
+        forms.append(FormElement(chart, {((1, 2, 3), ()): sp.exp(y1) * sp.sin(y2 * yn)}))
+    return forms
+
+
+class TestBasePotential:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_differential_of_potential_is_the_form(self, n):
+        chart = Chart(n, ((-1, 2), (0, 1), (-3, -1))[:n])
+        for form in _potential_inputs(chart):
+            assert not form.is_zero() and form.exterior_derivative().is_zero()
+            potential = base_potential(form)
+            assert (potential.exterior_derivative() - form).is_zero(), form
+
+    def test_symmetric_class_gauge(self, chart2):
+        """The potentials of the antisymmetric parts of the symmetric-class
+        test inputs, pinned as the earlier recursive gauge produced them."""
+        chart3 = Chart(3, ((-1, 1),) * 3)
+        y1, y2, y3 = chart3.ys
+        cases = [
+            (chart2, {}, [0, 0]),
+            (chart2, {(1, 2): -1}, [0, -y1]),
+            (chart2, {(1, 2): -y1}, [0, -y1 ** 2 / 2]),
+            (chart3, {(1, 2): -y3, (2, 3): y1 - 1}, [0, -y1 * y3, -y2]),
+        ]
+        for chart, rho, expected in cases:
+            form = FormElement(chart, {(key, ()): c for key, c in rho.items()})
+            potential = base_potential(form)
+            assert [potential.coefficient(dys=(j,)) for j in range(1, chart.n + 1)] == expected
+
+
 class TestReglue:
     def test_gradient_cocycle_valid(self, chart2):
         y1, y2 = chart2.ys
@@ -399,7 +442,8 @@ class TestCompatibilityOnce:
         bs = BetaStructure(chart2, [[I * sp.sin(2 * sp.pi * x1), 0], [0, I]])
         if seed_cache:
             assert not pointwise_checks(bs).verdict("positivity")
-        for entry in (closedness_residuals, structure_equations, mclean_metrics):
+        for entry in (closedness_residuals, structure_equations, mclean_metrics,
+                      flatness_probe):
             with pytest.raises(CompatibilityError):
                 entry(bs)
 

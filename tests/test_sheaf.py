@@ -1,9 +1,11 @@
 import copy
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from syzlab import sheaf
+from syzlab import intlinalg, sheaf
 from syzlab.intlinalg import identity, invert_unimodular, kernel_basis, mat_mul
 from syzlab.scenarios import run_scenario_doc
 from syzlab.sheaf import (
@@ -134,6 +136,23 @@ class TestComputeOnce:
         assert all(c["passed"] for c in report.checks)
         assert report.outputs["e2_table"][1][1] == {"rank": 20, "torsion": []}
         assert calls == [24]
+
+    def test_one_smith_diagonal_per_differential(self, monkeypatch):
+        """Past the 2 x 2 stalks, the 24-puncture system costs two Smith
+        eliminations, one per glued differential, neither with transforms."""
+        path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "sheaf_24I1.json"
+        payload = json.loads(path.read_text())
+        system = LocalSystemOnSphere(payload["rank"], payload["monodromy"])
+        runs = []
+        raw = intlinalg.smith_normal_form
+
+        def counted(matrix, *, transforms=True):
+            runs.append((len(matrix), len(matrix[0]) if matrix else 0, transforms))
+            return raw(matrix, transforms=transforms)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
+        pushforward_cohomology(system)
+        assert sorted(r for r in runs if r[:2] != (2, 2)) == [(48, 94, False), (94, 26, False)]
 
     def test_cached_result_is_a_copy(self):
         system = LocalSystemOnSphere(1, [[[-1]], [[-1]]])

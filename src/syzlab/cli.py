@@ -61,12 +61,12 @@ def _apply_settings(doc, args):
 def _run_doc(read, args, kind=None):
     """Run the document read() returns, or with kind the scenario of that kind
     around the payload read() returns; validated once, after the flags merge."""
-    from .scenarios import ScenarioError, run_scenario_doc
+    from .scenarios import SCHEMA_VERSION, ScenarioError, run_scenario_doc
 
     try:
         doc = read()
         if kind is not None:
-            doc = {"version": "1", "kind": kind, "payload": doc}
+            doc = {"version": SCHEMA_VERSION, "kind": kind, "payload": doc}
         report = run_scenario_doc(_apply_settings(doc, args))
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
@@ -93,15 +93,7 @@ def cmd_fibre(args):
 def cmd_sheaf(args):
     from .scenarios import _read_json
 
-    def read():
-        data = _read_json(args.monodromy)
-        if isinstance(data, list):
-            # a bare list of matrices stands for the whole payload
-            rank = len(data[0]) if data and isinstance(data[0], list) else 0
-            data = {"rank": rank, "monodromy": data}
-        return data
-
-    return _run_doc(read, args, "sheaf")
+    return _run_doc(lambda: _read_json(args.monodromy), args, "sheaf")
 
 
 def cmd_k3(args):
@@ -170,7 +162,8 @@ def build_parser():
     p.set_defaults(fn=cmd_fibre)
 
     p = sub.add_parser("sheaf", help="pushforward cohomology of a local system")
-    p.add_argument("--monodromy", required=True, help="JSON file of integer matrices")
+    p.add_argument("--monodromy", required=True,
+                   help="JSON sheaf payload: rank and monodromy matrices")
     _add_output(p)
     p.set_defaults(fn=cmd_sheaf)
 

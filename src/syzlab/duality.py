@@ -23,7 +23,7 @@ import sympy as sp
 
 from .algebra import FormElement
 from .charts import Chart
-from .fields import compile_scalars, sup_norm_scalars
+from .fields import compile_scalars, fibre_frequencies, sup_norm_scalars
 from .quadrature import chart_integral, fibre_means, subtorus_grid
 from .semiflat import (
     DEFAULT_TOL,
@@ -227,23 +227,20 @@ def _fibre_symbolic_integral(expr, chart: Chart):
     xs = chart.xs
     if expr.free_symbols.isdisjoint(xs):
         return expr
-    atoms = [a for a in expr.atoms(sp.sin, sp.cos) if not a.free_symbols.isdisjoint(xs)]
-    dummies = [sp.Dummy() for _ in atoms]
-    poly = expr.xreplace(dict(zip(atoms, dummies)))
-    if not poly.free_symbols.isdisjoint(xs) or not poly.is_polynomial(*dummies):
+    frequencies = fibre_frequencies(expr, chart.n)
+    dummies = {atom: sp.Dummy() for atom in frequencies}
+    poly = expr.xreplace(dummies)
+    if not poly.is_polynomial(*dummies.values()):
         raise _SymbolicIntegrationError("not a trig polynomial in the fibre variables")
     zs = [sp.Dummy() for _ in xs]
     waves = {}
-    for d, atom in zip(dummies, atoms):
+    for atom, ks in frequencies.items():
         arg = sp.expand(atom.args[0])
-        ks = [sp.diff(arg, x) / (2 * sp.pi) for x in xs]
-        if not all(k.is_integer for k in ks):
-            raise _SymbolicIntegrationError(f"{atom} is not fibre-periodic")
         # exp(i*arg) = exp(i*phase) * prod z_j^k_j
         wave = sp.exp(sp.I * arg.subs({x: 0 for x in xs})) * sp.Mul(
             *[z ** k for z, k in zip(zs, ks)])
-        waves[d] = ((wave + 1 / wave) / 2 if isinstance(atom, sp.cos)
-                    else (wave - 1 / wave) / (2 * sp.I))
+        waves[dummies[atom]] = ((wave + 1 / wave) / 2 if isinstance(atom, sp.cos)
+                                else (wave - 1 / wave) / (2 * sp.I))
     laurent = sp.expand(poly.xreplace(waves))
     mean = sp.Add(*[t for t in sp.Add.make_args(laurent) if t.free_symbols.isdisjoint(zs)])
     # back from exp(i*phase) to cos/sin of the phase

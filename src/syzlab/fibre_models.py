@@ -173,10 +173,6 @@ class CohomologyResult:
     ranks: list
     torsion: list
 
-    @property
-    def betti(self):
-        return tuple(self.ranks)
-
     def as_dict(self):
         return {
             "ranks": list(self.ranks),

@@ -1,10 +1,13 @@
 """Symbolic scalar fields on a chart.
 
 Coefficient functions are sympy expressions over the real chart symbols
-y1..y3, x1..x3.  The configuration grammar is deliberately small: infix
-``+ - * / ^``, functions ``sin cos exp``, the constant ``pi``, and numeric
-literals.  Complex values enter only as {"re": ..., "im": ...} pairs, so a
-parsed string is always a real-valued expression.
+y1..y3, x1..x3.  The configuration grammar is a closed whitelist: numeric
+literals, the chart variables, the constant ``pi``, unary ``+ -``, infix
+``+ - * / ^`` and the functions ``sin cos exp`` of one argument.  A string
+is built node by node from its Python syntax tree and never evaluated; a
+decimal literal reads exactly like the same JSON number.  Complex values
+enter only as {"re": ..., "im": ...} pairs, so a parsed string is always a
+real-valued expression.
 
 Fibre periodicity is enforced syntactically: a fibre variable x_i may occur
 only inside sin/cos whose argument is 2*pi*(integer)*x_i plus an x-free
@@ -14,13 +17,11 @@ quadrature and fibrewise translations rely on.
 
 from __future__ import annotations
 
+import ast
+import operator
+
 import numpy as np
 import sympy as sp
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
 
 from .charts import X_SYMBOLS, Y_SYMBOLS, Chart
 
@@ -35,12 +36,35 @@ class PeriodicityError(ValueError):
     """Raised when a field is not syntactically fibre-periodic."""
 
 
-_LOCALS = {s.name: s for s in Y_SYMBOLS + X_SYMBOLS}
-_LOCALS.update({"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "pi": sp.pi})
-# the parser's generated code needs the numeric constructors in scope
-_GLOBALS = {"Integer": sp.Integer, "Float": sp.Float, "Rational": sp.Rational,
-            "Symbol": sp.Symbol, "Function": sp.Function}
-_TRANSFORMS = standard_transformations + (convert_xor,)
+_NAMES = {s.name: s for s in Y_SYMBOLS + X_SYMBOLS}
+_NAMES["pi"] = sp.pi
+_CALLS = {f.__name__: f for f in ALLOWED_FUNCTIONS}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+
+
+def _number(value):
+    """A JSON or literal number as an exact sympy number (0.1 is 1/10)."""
+    return sp.Integer(value) if isinstance(value, int) else sp.nsimplify(value, rational=True)
+
+
+def _build(node):
+    """The sympy expression of one syntax-tree node of the grammar, combined
+    with Python's operators on sympy operands as an evaluated string would be."""
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_build(node.left), _build(node.right))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        return _UNARY[type(node.op)](_build(node.operand))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _CALLS and not node.keywords and len(node.args) == 1
+            and not isinstance(node.args[0], ast.Starred)):
+        return _CALLS[node.func.id](_build(node.args[0]))
+    if isinstance(node, ast.Name) and node.id in _NAMES:
+        return _NAMES[node.id]
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return _number(node.value)
+    raise GrammarError(f"{ast.unparse(node)} is outside the grammar")
 
 
 def parse_scalar(value, n=3):
@@ -56,18 +80,16 @@ def parse_scalar(value, n=3):
         im = parse_scalar(value.get("im", 0), n)
         return re + sp.I * im
     if isinstance(value, (int, float)):
-        return validate_grammar(sp.nsimplify(value, rational=True), n)
+        return validate_grammar(_number(value), n)
     if isinstance(value, sp.Expr):
         validate_grammar(value, n)
         return value
     if not isinstance(value, str):
         raise GrammarError(f"cannot parse {value!r} as a scalar field")
     try:
-        expr = parse_expr(
-            value, local_dict=_LOCALS, transformations=_TRANSFORMS,
-            global_dict=dict(_GLOBALS),
-        )
-    except Exception as exc:  # sympy raises a zoo of parse errors
+        # ValueError: a null byte; RecursionError: nesting too deep to build
+        expr = _build(ast.parse(value.replace("^", "**"), mode="eval").body)
+    except (SyntaxError, ValueError, RecursionError) as exc:
         raise GrammarError(f"cannot parse {value!r}: {exc}") from None
     validate_grammar(expr, n)
     return expr
@@ -92,48 +114,46 @@ def validate_grammar(expr, n=3):
     return expr
 
 
-def fibre_periodicity_defect(expr, n):
-    """Return None if expr is syntactically fibre-periodic, else a reason.
+def fibre_frequencies(expr, n):
+    """The integer frequency vector k of every x-dependent sin/cos atom of expr.
 
-    Every occurrence of an x-variable must sit inside sin/cos whose argument
-    is a sum of 2*pi*k_i*x_i terms (k_i integers) plus an x-free phase.
+    Every occurrence of a fibre variable must sit inside sin/cos whose
+    argument is 2*pi*(k . x) plus an x-free phase, k an integer vector;
+    otherwise PeriodicityError names the first violation.  x-free subtrees
+    are skipped.
     """
-    xs = set(X_SYMBOLS[:n])
+    xs = X_SYMBOLS[:n]
+    found = {}
 
-    def check(node):
+    def frequency(atom, x):
+        slope = sp.expand(sp.diff(atom.args[0], x))
+        if slope.free_symbols:
+            raise PeriodicityError(f"argument of {atom} is nonlinear in {x}")
+        k = slope / (2 * sp.pi)
+        if not k.is_integer:
+            raise PeriodicityError(
+                f"frequency of {x} in {atom} is not an integer multiple of 2*pi")
+        return int(k)
+
+    def visit(node):
         if node.free_symbols.isdisjoint(xs):
-            return None
+            return
         if isinstance(node, (sp.sin, sp.cos)):
-            arg = node.args[0]
-            for x in xs & arg.free_symbols:
-                slope = sp.expand(sp.diff(arg, x))
-                if slope.free_symbols:
-                    return f"argument of {node} is nonlinear in {x}"
-                k = sp.simplify(slope / (2 * sp.pi))
-                if not k.is_integer:
-                    return f"frequency of {x} in {node} is not an integer multiple of 2*pi"
-            return None
-        if node.is_Symbol:
-            return f"fibre variable {node} appears outside sin/cos"
-        if isinstance(node, sp.exp):
-            return f"fibre variable inside exp in {node}"
-        for arg in node.args:
-            reason = check(arg)
-            if reason:
-                return reason
-        return None
+            found[node] = tuple(frequency(node, x) for x in xs)
+        elif node.is_Symbol:
+            raise PeriodicityError(f"fibre variable {node} appears outside sin/cos")
+        elif isinstance(node, sp.exp):
+            raise PeriodicityError(f"fibre variable inside exp in {node}")
+        else:
+            for arg in node.args:
+                visit(arg)
 
-    return check(sp.sympify(expr))
-
-
-def is_fibre_periodic(expr, n):
-    return fibre_periodicity_defect(expr, n) is None
+    visit(expr)
+    return found
 
 
 def require_fibre_periodic(expr, n):
-    reason = fibre_periodicity_defect(expr, n)
-    if reason:
-        raise PeriodicityError(reason)
+    fibre_frequencies(expr, n)
     return expr
 
 

@@ -166,11 +166,6 @@ def snf_diagonal(matrix):
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def elementary_divisors(matrix):
-    """Nontrivial diagonal entries (> 1) of the Smith form."""
-    return [x for x in snf_diagonal(matrix) if x > 1]
-
-
 def rank(matrix):
     return sum(1 for x in snf_diagonal(matrix) if x != 0)
 

@@ -18,11 +18,12 @@ The mirror classes are
 with ImOmega_n = ImOmega / vol.  All identity checks are exact.
 
 Coordinates are ``fractions.Fraction`` values: ints, floats (read through
-their shortest decimal, so 0.1 is 1/10) and strings such as "3/2".  Only a
-value that is not rational stays a sympy expression: the quadratic surds a
-non-Pythagorean phase alignment introduces, or symbolic library inputs.  A
-sympy result that turns out rational goes back to a Fraction, so rational
-data never touches sympy.
+their shortest decimal, so 0.1 is 1/10) and rational strings such as "3/2";
+any other string is a K3ValidationError, never handed to a sympy parser.
+Only a value that is not rational stays a sympy expression: the quadratic
+surds a non-Pythagorean phase alignment introduces, or symbolic library
+inputs.  A sympy result that turns out rational goes back to a Fraction, so
+rational data never touches sympy.
 
 The double mirror feeds the mirror classes back through the same map with
 the mirror's own twist class, read off the transverse part of ReOmega_n,
@@ -92,8 +93,8 @@ def _coord(x):
     if isinstance(x, str):
         try:
             return Fraction(x)
-        except ValueError:
-            x = sp.sympify(x)
+        except (ValueError, ZeroDivisionError):
+            raise K3ValidationError(f"coordinate {x!r} is not a rational number") from None
     return _norm(x)
 
 

@@ -21,6 +21,7 @@ from . import __version__
 from .charts import Chart
 from .fields import parse_scalar
 from .semiflat import (
+    DEFAULT_TOL,
     BetaStructure,
     CompatibilityError,
     closedness_residuals,
@@ -247,7 +248,7 @@ def _settings(doc):
     s = dict(doc.get("settings", {}))
     return {
         "grid": int(s.get("grid", 16)),
-        "tol": float(s.get("tol", 1e-8)),
+        "tol": float(s.get("tol", DEFAULT_TOL)),
     }
 
 
@@ -323,8 +324,7 @@ def _run_hitchin(doc, report):
     twist = None
     if "twist_potential" in payload:
         f = parse_scalar(payload["twist_potential"], chart.n)
-        ys = chart.ys
-        twist = SymTensorField(chart, [[sp.diff(f, a, b) for b in ys] for a in ys])
+        twist = SymTensorField(chart, HitchinPotential(chart, f).hessian)
     bs, info = hitchin(pot, twist, tol=cfg["tol"])
     closed = info["closedness"]
     for name, check in closed.checks.items():

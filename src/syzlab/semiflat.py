@@ -53,9 +53,6 @@ class ResidualCheck:
     def passed(self):
         return bool(self.value < self.tol)
 
-    def as_dict(self):
-        return {"value": self.value, "tol": self.tol, "passed": self.passed}
-
 
 @dataclass
 class SemiflatReport:
@@ -84,12 +81,6 @@ class SemiflatReport:
 
     def copy(self):
         return SemiflatReport(dict(self.checks), dict(self.notes))
-
-    def as_dict(self):
-        out = {k: v.as_dict() for k, v in sorted(self.checks.items())}
-        if self.notes:
-            out["notes"] = {k: self.notes[k] for k in sorted(self.notes)}
-        return out
 
 
 class BetaStructure:

@@ -79,16 +79,6 @@ def _minus_identity(t):
     return [[t[i][j] - (1 if i == j else 0) for j in range(m)] for i in range(m)]
 
 
-def invariant_sublattice(mats, m):
-    """Basis of the simultaneous integer kernel of all T_i - I."""
-    stacked = []
-    for t in mats:
-        stacked.extend(_minus_identity(t))
-    if not stacked:
-        return [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    return kernel_basis(stacked)
-
-
 def euler_characteristic(system: LocalSystemOnSphere) -> int:
     """2m - sum_i (m - dim ker(T_i - I)) = 2m - sum_i rank(T_i - I)."""
     return 2 * system.rank - sum(rank(_minus_identity(t)) for t in system.monodromies)

@@ -9,10 +9,11 @@ from syzlab.charts import Chart, ChartError
 from syzlab.fields import (
     _BLOCK_SAMPLES,
     GrammarError,
+    PeriodicityError,
     compile_scalars,
-    fibre_periodicity_defect,
-    is_fibre_periodic,
+    fibre_frequencies,
     parse_scalar,
+    require_fibre_periodic,
     sup_norm_scalars,
     sup_norms,
 )
@@ -35,32 +36,106 @@ def test_parse_grammar_and_complex():
     z = parse_scalar({"re": "y1", "im": "3/4"}, 2)
     assert sp.im(z) == sp.Rational(3, 4)
     assert parse_scalar(2.5, 1) == sp.Rational(5, 2)
+    assert parse_scalar("0.5 + y1", 1) == sp.Rational(1, 2) + Chart(1, ((-1, 1),)).ys[0]
 
 
 @pytest.mark.parametrize("bad", [
     "tan(y1)", "y4", "x3 + y1", "log(y1)", "sin(2*pi*x1)**y1", "foo(y1)",
     "1/0", "0/0", "y1/(y1 - y1)", float("nan"), float("inf"),
+    "y1.__class__", "2 if 1 else y1", "[y1][0]", "(lambda: y1)()",
+    "sin(y1, evaluate=False)", "sin(y1, y2)", "sin(*[y1])", "sum(y1 for _ in [1])",
+    "y1 < y2", "True", "'y1'", "2j", "oo", "E", "I", "sqrt(y1)", "y1 y2", "",
+    "y1\0", "3!", pytest.param("-" * 5000 + "y1", id="deep_unary"),
+    pytest.param("(" * 300 + "y1" + ")" * 300, id="deep_parentheses"),
 ])
 def test_parse_rejects_off_grammar(bad):
     with pytest.raises(GrammarError):
         parse_scalar(bad, 2)
 
 
+# grammar strings of the demos and of the benchmark's symbolic generators,
+# plus one string per whitelisted node kind they do not use
+REFERENCE_CORPUS = (
+    "(y1^2 + y2^2)/2 + y1^3/10", "5/2 + sin(2*pi*x1)/4", "3 + y1^2/4", "y3/5",
+    "sin(2*pi*x1)*cos(2*pi*x2 + y1) + y2", "sin(2*pi*x1) + cos(4*pi*x2 + y1)",
+    "0", "1", "-1", "-1/2", "5/2", "-y1^2", "2+y1^2/4", "7/2+y3^2/6",
+    "1*y1^2/2 + -1*y1", "3/2*y1^2/2 + 0*y1",
+    "2*y1^2/2 + 3/2*y2^2/2 + 1/8*y1*y2 + 0*y1 + y1^3/20",
+    "3/2*y1^2/2 + 1*y2^2/2 + -1/5*y1*y2 + -1/2*y1",
+    "5/2+cos(2*pi*1*x2)/3", "7/2+sin(2*pi*3*x1)/4", "4+sin(2*pi*2*x2)/4",
+    "+y1 - -y2", "exp(-y1^2/2)*cos(2*pi*(x1 + x3) + y2)", "(y1 + 3)^-2", "2^3^2",
+    "y1**2/y2**2", "1/(2 + y1)^(1/2)", "10000000000000000000000*y1",
+)
+
+
+def test_parse_matches_sympy_parse_expr_reference():
+    """parse_scalar gives the expression sympy's evaluating parser
+    gives, node for node, on every grammar string of the reference corpus."""
+    from sympy.parsing.sympy_parser import (
+        convert_xor,
+        parse_expr,
+        standard_transformations,
+    )
+
+    from syzlab.charts import X_SYMBOLS, Y_SYMBOLS
+
+    local = {s.name: s for s in Y_SYMBOLS + X_SYMBOLS}
+    local.update({"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "pi": sp.pi})
+    constructors = {"Integer": sp.Integer, "Float": sp.Float, "Rational": sp.Rational,
+                    "Symbol": sp.Symbol, "Function": sp.Function}
+    for text in REFERENCE_CORPUS:
+        want = parse_expr(text, local_dict=local, global_dict=dict(constructors),
+                          transformations=standard_transformations + (convert_xor,))
+        assert sp.srepr(parse_scalar(text, 3)) == sp.srepr(want), text
+
+
+@pytest.mark.parametrize("text, number", [
+    ("0.5", 0.5), ("0.1", 0.1), ("-2.25", -2.25), ("1e-3", 1e-3), ("3.0", 3.0), ("7", 7),
+])
+def test_decimal_string_reads_like_json_number(text, number):
+    got = parse_scalar(text, 1)
+    assert sp.srepr(got) == sp.srepr(parse_scalar(number, 1))
+    assert got.is_Rational
+
+
+def _calls(tree):
+    """Names of every called function or method in a module."""
+    return {getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+def test_no_scenario_string_is_evaluated():
+    """No module evaluates text: none calls parse_expr, eval or exec or
+    imports sympy's parser, and k3 never calls sympify."""
+    src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        assert not _calls(tree) & {"parse_expr", "eval", "exec"}, path.name
+        modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert not any(m and m.startswith("sympy.parsing") for m in modules), path.name
+    assert "sympify" not in _calls(ast.parse((src / "k3.py").read_text()))
+
+
 def test_periodicity_checker():
     n = 2
-    assert is_fibre_periodic(parse_scalar("sin(2*pi*x1) + cos(4*pi*x2 + y1)", n), n)
-    assert is_fibre_periodic(parse_scalar("y1^2 + 1", n), n)
-    assert not is_fibre_periodic(parse_scalar("x1", n), n)
-    assert not is_fibre_periodic(parse_scalar("sin(pi*x1)", n), n)
-    assert not is_fibre_periodic(parse_scalar("exp(x1)", n), n)
-    assert fibre_periodicity_defect(parse_scalar("sin(2*pi*x1*y1)", n), n) is not None
+    chart = Chart(2, ((-1, 1), (-1, 1)))
+    (x1, x2), y1 = chart.xs, chart.ys[0]
+    assert fibre_frequencies(parse_scalar("sin(2*pi*x1) + cos(4*pi*x2 + y1)", n), n) == {
+        sp.sin(2 * sp.pi * x1): (1, 0), sp.cos(4 * sp.pi * x2 + y1): (0, 2)}
+    assert fibre_frequencies(parse_scalar("y1^2 + 1 + sin(y1)", n), n) == {}
+    expr = parse_scalar("cos(2*pi*(x1 - 3*x2) + y1)^2", n)
+    assert require_fibre_periodic(expr, n) is expr
+    assert fibre_frequencies(expr, n) == {sp.cos(2 * sp.pi * (x1 - 3 * x2) + y1): (1, -3)}
+    for bad in ("x1", "sin(pi*x1)", "exp(x1)", "sin(2*pi*x1*y1)", "cos(sin(2*pi*x1))"):
+        with pytest.raises(PeriodicityError):
+            require_fibre_periodic(parse_scalar(bad, n), n)
 
 
 def test_periodicity_by_sampling():
     """A flagged-periodic field evaluates equally at x and x + e_i."""
     chart = Chart(2, ((-1, 1), (-1, 1)))
     expr = parse_scalar("sin(2*pi*x1)*cos(2*pi*x2 + y1) + y2", 2)
-    assert is_fibre_periodic(expr, 2)
+    require_fibre_periodic(expr, 2)
     subs = {chart.ys[0]: 0.3, chart.ys[1]: -0.2}
     rng = np.random.default_rng(0)
     for _ in range(20):

@@ -510,3 +510,126 @@ class TestCliContract:
         path.write_text(text)
         assert main(["sheaf", "--monodromy", str(path)]) == 2
         assert "scenario error" in capsys.readouterr().err
+
+
+# Python that reaches open() from y1 by attribute access and subscripts; an
+# evaluating parser runs it and writes the marker file
+_WRITE_MARKER = "y1.diff.__globals__['__builtins__']['open']({marker!r}, 'w').close()"
+INJECTIONS = {
+    "attribute": "y1.__class__",
+    "attribute_call": _WRITE_MARKER,
+    "subscript": "[y1, {payload}][0]",
+    "conditional": "2 if 1 else y1",
+    "conditional_call": "y1 if {payload} else y1",
+    "lambda": "(lambda: {payload})()",
+    "keyword_argument": "sin(y1, evaluate={payload})",
+    "comprehension": "[{payload} for _ in (1,)][0]",
+}
+
+_YUKAWA_N2 = {"version": "1", "kind": "yukawa", "payload": {
+    "n": 2, "box": [[-1, 1], [-1, 1]], "beta": [[{"im": "1"}, 0], [0, {"im": "1"}]],
+    "directions": [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]}}
+_HITCHIN_N1 = {"version": "1", "kind": "hitchin", "payload": {
+    "n": 1, "box": [[-1, 1]], "potential": "y1^2/2"}}
+
+# every string-bearing field of every kind: (document, key path to the string)
+STRING_FIELDS = {
+    "beta": (FLAT_SCENARIO, ["payload", "beta", 0, 1]),
+    "beta_im": (FLAT_SCENARIO, ["payload", "beta", 0, 0, "im"]),
+    "potential": (_HITCHIN_N1, ["payload", "potential"]),
+    "twist_potential": (_HITCHIN_N1, ["payload", "twist_potential"]),
+    "directions": (_YUKAWA_N2, ["payload", "directions", 1, 0, 1]),
+    "k3_omega": (_K3_DOC, ["payload", "omega", 0]),
+    "k3_B": (_with(_K3_DOC, ["payload", "B"], [0, 0, 0, 0]), ["payload", "B", 2]),
+}
+
+
+class TestClosedGrammar:
+    @pytest.mark.parametrize("shape", sorted(INJECTIONS))
+    @pytest.mark.parametrize("where", sorted(STRING_FIELDS))
+    def test_injection_is_a_grammar_error(self, shape, where, tmp_path, capsys):
+        marker = tmp_path / "marker"
+        payload = _WRITE_MARKER.format(marker=str(marker))
+        text = INJECTIONS[shape].format(marker=str(marker), payload=payload)
+        doc, path = STRING_FIELDS[where]
+        assert main(["run", write(tmp_path, _with(doc, path, text))]) == 2
+        assert "scenario error" in capsys.readouterr().err
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("where", ["beta", "potential", "directions"])
+    def test_deep_nesting_exit_two(self, where, tmp_path, capsys):
+        doc, path = STRING_FIELDS[where]
+        assert main(["run", write(tmp_path, _with(doc, path, "-" * 5000 + "y1"))]) == 2
+        assert "scenario error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["sqrt(4)", "2**1", "1/0", "0.5.1"])
+    def test_k3_coordinate_strings_are_rational_only(self, text, tmp_path, capsys):
+        path = tmp_path / "mirror.json"
+        path.write_text(json.dumps(dict(_U2_K3, omega=[0, text, 1, 1])))
+        assert main(["k3", "--input", str(path)]) == 2
+        assert "not a rational number" in capsys.readouterr().err
+
+
+class TestHitchinTwist:
+    def test_twisting_equals_translating(self, monkeypatch):
+        """A twist potential F adds Hess(F) to Re(beta), which is the
+        translation by the section dF."""
+        import syzlab.duality as duality
+        from syzlab.charts import Chart
+        from syzlab.semiflat import translate_by_section
+
+        built = []
+        raw = duality.hitchin
+
+        def spy(potential, b_field=None, tol=1e-8):
+            bs, info = raw(potential, b_field, tol)
+            built.append(bs)
+            return bs, info
+
+        monkeypatch.setattr(duality, "hitchin", spy)
+        payload = {"n": 2, "box": [[-1, 1], [-1, 1]],
+                   "potential": "(y1^2 + y2^2)/2 + y1*y2/5"}
+        plain = run_scenario_doc({"version": "1", "kind": "hitchin", "payload": payload})
+        twist = "y1^2/2 + y1*y2/3 + y2^2/4"
+        twisted = run_scenario_doc({"version": "1", "kind": "hitchin",
+                                    "payload": dict(payload, twist_potential=twist)})
+        assert plain.passed and twisted.passed
+        y1, y2 = Chart(2, ((-1, 1), (-1, 1))).ys
+        translated = translate_by_section(built[0], [y1 + y2 / 3, y1 / 3 + y2 / 2])
+        assert built[1].beta == translated.beta
+        assert built[1].beta != built[0].beta
+
+    def test_fibre_dependent_twist_potential_exit_two(self, tmp_path, capsys):
+        doc = _with(_HITCHIN_N1, ["payload", "twist_potential"], "sin(2*pi*x1)")
+        assert main(["run", write(tmp_path, doc)]) == 2
+        assert "base variables only" in capsys.readouterr().err
+
+
+class TestUncoveredKinds:
+    def test_yukawa_constant_integrand_matches_closed_form(self):
+        report = run_scenario_doc(_YUKAWA_N2)
+        assert report.passed
+        assert [c["name"] for c in report.checks] == ["matches_constant_integrand"]
+        assert report.outputs["closed_form"]["re"] == pytest.approx(-4.0)
+        assert report.outputs["coupling"]["re"] == pytest.approx(-4.0)
+
+    def test_yukawa_non_constant_integrand_is_evaluated(self):
+        doc = _with(_YUKAWA_N2, ["payload", "beta", 0, 0], {"im": "2 + y1^2/4"})
+        report = run_scenario_doc(doc)
+        assert report.passed
+        assert [c["name"] for c in report.checks] == ["evaluated"]
+        assert "closed_form" not in report.outputs
+
+    @pytest.mark.parametrize("classes, obstructed", [
+        ([[1, 0, 0, 0, 0, 0]], []),
+        ([[0, 0, 1, -1, 0, 0], [0, 0, 1, 1, 0, 0]], [[0, 0, 1, -1, 0, 0]]),
+    ])
+    def test_k3_declared_algebraic_classes(self, classes, obstructed):
+        doc = {"version": "1", "kind": "k3", "payload": {
+            "lattice": "U3", "E": [1, 0, 0, 0, 0, 0], "sigma0": [-1, 1, 0, 0, 0, 0],
+            "omega": [0, 0, 1, 1, 0, 0], "algebraic_classes": classes}}
+        report = run_scenario_doc(doc)
+        check = {c["name"]: c["passed"] for c in report.checks}
+        assert check["no_declared_kaehler_obstruction"] is (not obstructed)
+        assert report.passed is (not obstructed)
+        assert report.outputs["kaehler_obstructions"] == obstructed

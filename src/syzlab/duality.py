@@ -29,7 +29,7 @@ from .semiflat import (
     DEFAULT_TOL,
     BetaStructure,
     SemiflatReport,
-    _d_omega,
+    _sampled,
     base_one_form_differential,
     base_potential,
     closedness_residuals,
@@ -119,8 +119,8 @@ def _im_omega_coefficient_forms(bs: BetaStructure):
 
 
 def _volume_form_gap(bs: BetaStructure, tol):
-    """Sup-norm of d(Omega) on the fixed sample grid; warns above tol."""
-    gap = _d_omega(bs).sup_norm()
+    """Sampled sup-norm of d(Omega), from the structure's table; warns above tol."""
+    gap = float(_sampled(bs, ["full_closedness"])[0])
     if gap > tol:
         warnings.warn(
             f"volume form is not closed (residual {gap:.2e}); "

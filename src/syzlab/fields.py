@@ -7,7 +7,9 @@ literals, the chart variables, the constant ``pi``, unary ``+ -``, infix
 is built node by node from its Python syntax tree and never evaluated; a
 decimal literal reads exactly like the same JSON number.  Complex values
 enter only as {"re": ..., "im": ...} pairs, so a parsed string is always a
-real-valued expression.
+real-valued expression: a string that builds to something containing I, such
+as "(-1)^(1/2)", is refused.  A numeric exponent above MAX_POWER, or a power
+of a number past MAX_BITS, is refused before it is computed.
 
 Fibre periodicity is enforced syntactically: a fibre variable x_i may occur
 only inside sin/cos whose argument is 2*pi*(integer)*x_i plus an x-free
@@ -26,6 +28,10 @@ import sympy as sp
 from .charts import X_SYMBOLS, Y_SYMBOLS, Chart
 
 ALLOWED_FUNCTIONS = (sp.sin, sp.cos, sp.exp)
+# the largest exponent the grammar builds, and the largest numerator or
+# denominator, in bits, of a number it builds by a power
+MAX_POWER = 64
+MAX_BITS = 4096
 
 
 class GrammarError(ValueError):
@@ -41,7 +47,7 @@ _NAMES["pi"] = sp.pi
 _CALLS = {f.__name__: f for f in ALLOWED_FUNCTIONS}
 _UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
 _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv, ast.Pow: operator.pow}
+           ast.Div: operator.truediv}
 
 
 def _number(value):
@@ -49,9 +55,26 @@ def _number(value):
     return sp.Integer(value) if isinstance(value, int) else sp.nsimplify(value, rational=True)
 
 
+def _power(base, exp):
+    """base^exp, refused before it is computed when the exponent is a number
+    above MAX_POWER or would take a number past MAX_BITS; sympy combines a
+    power of a power, ((1+y1)^64)^64 = (1+y1)^4096, so the result is checked too."""
+    if exp.is_Rational:
+        bits = max(abs(base.p).bit_length(), base.q.bit_length()) if base.is_Rational else 1
+        if abs(exp) > MAX_POWER or abs(exp) * bits > MAX_BITS:
+            raise GrammarError(f"a power with exponent {exp} exceeds {MAX_POWER} or "
+                               f"{MAX_BITS} bits")
+    out = base ** exp
+    if out.is_Pow and out.exp.is_Rational and abs(out.exp) > MAX_POWER:
+        raise GrammarError(f"{out} has an exponent above {MAX_POWER}")
+    return out
+
+
 def _build(node):
     """The sympy expression of one syntax-tree node of the grammar, combined
     with Python's operators on sympy operands as an evaluated string would be."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _power(_build(node.left), _build(node.right))
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         return _BINARY[type(node.op)](_build(node.left), _build(node.right))
     if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
@@ -91,6 +114,9 @@ def parse_scalar(value, n=3):
         expr = _build(ast.parse(value.replace("^", "**"), mode="eval").body)
     except (SyntaxError, ValueError, RecursionError) as exc:
         raise GrammarError(f"cannot parse {value!r}: {exc}") from None
+    if expr.has(sp.I):
+        raise GrammarError(f"{value!r} is complex; complex values enter only as "
+                           '{"re": ..., "im": ...}')
     validate_grammar(expr, n)
     return expr
 
@@ -162,13 +188,20 @@ def require_fibre_periodic(expr, n):
 _BLOCK_SAMPLES = 1 << 14
 
 
+def blocks(evaluate, Y, X):
+    """(rows, evaluate(Y[rows], X[rows])) for consecutive slices of at most
+    _BLOCK_SAMPLES sample rows, so only one block of values is held at a time."""
+    for start in range(0, len(Y), _BLOCK_SAMPLES):
+        rows = slice(start, start + _BLOCK_SAMPLES)
+        yield rows, evaluate(Y[rows], X[rows])
+
+
 def compile_scalars(exprs, chart: Chart):
     """Vectorised evaluator for a list of expressions.
 
     The list is compiled once, with common subexpressions shared.  Returns
     f(Y, X) -> complex array of shape (len(exprs), npts) where Y, X are
-    (npts, n) sample arrays; f evaluates at most _BLOCK_SAMPLES rows at a
-    time.
+    (npts, n) sample arrays; f evaluates one block of rows at a time.
     """
     exprs = list(exprs)
     syms = list(chart.ys) + list(chart.xs)
@@ -176,24 +209,36 @@ def compile_scalars(exprs, chart: Chart):
         return lambda Y, X: np.zeros((0, len(Y)), dtype=complex)
     fn = sp.lambdify(syms, exprs, modules="numpy", cse=True)
 
+    def columns(Y, X):
+        return fn(*(Y[:, i] for i in range(chart.n)), *(X[:, i] for i in range(chart.n)))
+
     def evaluate(Y, X):
         out = np.empty((len(exprs), len(Y)), dtype=complex)
-        for start in range(0, len(Y), _BLOCK_SAMPLES):
-            rows = slice(start, start + _BLOCK_SAMPLES)
-            cols = [Y[rows, i] for i in range(chart.n)] + [X[rows, i] for i in range(chart.n)]
-            for i, v in enumerate(fn(*cols)):
+        for rows, vals in blocks(columns, Y, X):
+            for i, v in enumerate(vals):
                 out[i, rows] = v
         return out
 
     return evaluate
 
 
+class SupNorm(float):
+    """The sampled max |z| of a group of expressions; .re and .im are the
+    sampled max |Re z| and max |Im z|, taken in the same pass."""
+
+    def __new__(cls, value, re, im):
+        norm = super().__new__(cls, value)
+        norm.re, norm.im = float(re), float(im)
+        return norm
+
+
 def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
-    """Max |value| of each group of expressions over the deterministic sample grid.
+    """The SupNorm of each group of expressions over the deterministic sample grid.
 
     The nonzero expressions of all groups are compiled into one evaluator,
-    which runs _BLOCK_SAMPLES grid rows at a time; only a running maximum
-    per group is kept.  A group whose expressions are all exactly 0 is 0.0.
+    whose blocks are reduced as they come; only running maxima of |z|, |Re z|
+    and |Im z| per expression are kept.  A group whose expressions are all
+    exactly 0 is 0.0.
     """
     groups = list(groups)
     owner, exprs = [], []
@@ -203,15 +248,15 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
             if e != 0:
                 owner.append(k)
                 exprs.append(e)
-    peak = np.zeros(len(exprs))
+    peak = np.zeros((3, len(exprs)))
     if exprs:
         Y, X = chart.sample_points(base_k, fibre_k)
-        evaluate = compile_scalars(exprs, chart)
-        for start in range(0, len(Y), _BLOCK_SAMPLES):
-            rows = slice(start, start + _BLOCK_SAMPLES)
-            peak = np.maximum(peak, np.abs(evaluate(Y[rows], X[rows])).max(axis=1))
+        for _, vals in blocks(compile_scalars(exprs, chart), Y, X):
+            peak = np.maximum(peak, [np.abs(part).max(axis=1)
+                                     for part in (vals, vals.real, vals.imag)])
+            del vals  # so the next block is not evaluated beside this one
     owner = np.array(owner, dtype=int)
-    return [float(peak[owner == k].max(initial=0.0)) for k in range(len(groups))]
+    return [SupNorm(*peak[:, owner == k].max(axis=1, initial=0.0)) for k in range(len(groups))]
 
 
 def sup_norm_scalars(exprs, chart: Chart, base_k=5, fibre_k=8):

@@ -10,8 +10,9 @@ d_y(V) - d_x'(V*beta) = parallel_volume - i*fibre_harmonic.  The four
 structure equations are their real and imaginary parts.
 
 All residual norms are sup-norms of coefficient functions over the chart's
-fixed sample grid (5 base x 8 fibre points per axis); each report samples
-all of its residuals with one compiled evaluator.
+fixed sample grid (5 base x 8 fibre points per axis).  Each structure keeps
+one table of sampled residual peaks (|z|, |Re z|, |Im z|) by name: each
+residual is built and sampled once, and every report selects from the table.
 """
 
 from __future__ import annotations
@@ -29,12 +30,9 @@ from .algebra import (
     d_y,
     decomposable_form,
     exp_nilpotent,
-    standard_symplectic_form,
-    wedge_one_forms,
 )
 from .charts import Chart
-from .fields import (_BLOCK_SAMPLES, GrammarError, compile_scalars, require_fibre_periodic,
-                     sup_norms)
+from .fields import GrammarError, blocks, compile_scalars, require_fibre_periodic, sup_norms
 
 DEFAULT_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-9
@@ -64,11 +62,6 @@ class SemiflatReport:
     def add(self, name, value, tol=DEFAULT_TOL):
         self.checks[name] = ResidualCheck(float(value), float(tol))
 
-    def add_sup_norms(self, chart, residuals, tol):
-        """One check per named expression list, all sampled by one evaluator."""
-        for name, value in zip(residuals, sup_norms(residuals.values(), chart)):
-            self.add(name, value, tol)
-
     def __getitem__(self, name):
         return self.checks[name]
 
@@ -78,9 +71,6 @@ class SemiflatReport:
     @property
     def all_passed(self):
         return all(c.passed for c in self.checks.values())
-
-    def copy(self):
-        return SemiflatReport(dict(self.checks), dict(self.notes))
 
 
 class BetaStructure:
@@ -101,8 +91,9 @@ class BetaStructure:
         self.g_inv = [[im for _, im in row] for row in parts]
         self.det_g_inv = sp.expand(sp.Matrix(self.g_inv).det())
         self.volume_density = 1 / sp.sqrt(self.det_g_inv)
-        # complete pointwise_checks reports by tol
-        self._pointwise = {}
+        # sampled residuals by name, filled by _sampled: a SupNorm each, and
+        # for "positivity" the least eigenvalue of Im beta and where
+        self._samples = {}
 
     @property
     def n(self):
@@ -117,6 +108,7 @@ class BetaStructure:
     def g_inv_element(self) -> BigradedElement:
         return BigradedElement.from_matrix(self.chart, self.g_inv)
 
+    @np.errstate(all="ignore")
     def min_imbeta_eigenvalue(self):
         """Least eigenvalue of sym(Im beta) over the sample grid, and where;
         b is sampled too, and a beta not finite there is a GrammarError."""
@@ -124,11 +116,7 @@ class BetaStructure:
         evaluate = compile_scalars([e for row in self.g_inv + self.b_matrix for e in row],
                                    self.chart)
         least = []
-        # block by block, so only one block of the b samples is held at a time
-        for start in range(0, len(Y), _BLOCK_SAMPLES):
-            rows = slice(start, start + _BLOCK_SAMPLES)
-            with np.errstate(all="ignore"):
-                vals = evaluate(Y[rows], X[rows])
+        for rows, vals in blocks(evaluate, Y, X):
             finite = np.isfinite(vals).all(axis=0)
             if not finite.all():
                 y, x = (tuple(map(float, p[rows][np.argmin(finite)])) for p in (Y, X))
@@ -137,40 +125,16 @@ class BetaStructure:
             least.append(np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0])
         least = np.concatenate(least)
         idx = int(np.argmin(least))
-        return float(least[idx]), (Y[idx], X[idx])
+        return float(least[idx]), (tuple(map(float, Y[idx])), tuple(map(float, X[idx])))
 
 
-def _symmetry_defects(matrix, n):
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            out.append(sp.expand(matrix[i][j] - matrix[j][i]))
-    return out
-
-
-def pointwise_checks(bs: BetaStructure, v_override=None, tol=DEFAULT_TOL) -> SemiflatReport:
-    """Symmetry, positivity, and volume-normalisation residuals at samples.
-
-    v_override substitutes a user-supplied density in the normalisation
-    check V^2 * det(Im beta) = 1; it exists only to build negative tests.
-    Without it the report is computed once per structure and tolerance, and
-    later calls get a copy.
-    """
-    if v_override is None and tol in bs._pointwise:
-        return bs._pointwise[tol].copy()
-    # first, so that a beta with a pole on the grid is rejected unsampled
-    mineig, worst = bs.min_imbeta_eigenvalue()
-    rep = SemiflatReport()
-    V = sp.sympify(v_override) if v_override is not None else bs.volume_density
-    rep.add_sup_norms(bs.chart, {
-        "symmetry": _symmetry_defects(bs.beta, bs.n),
-        "volume_normalisation": [sp.expand(V * V * bs.det_g_inv - 1)],
-    }, tol)
+def pointwise_checks(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
+    """Symmetry, positivity, and volume-normalisation residuals at samples."""
+    rep = _sampled_report(bs, ["symmetry", "volume_normalisation"], tol)
+    mineig, worst = _sampled(bs, ["positivity"])[0]
     rep.checks["positivity"] = ResidualCheck(-mineig, -POSITIVITY_FLOOR)
     rep.notes["min_imbeta_eigenvalue"] = mineig
-    rep.notes["worst_point"] = (tuple(map(float, worst[0])), tuple(map(float, worst[1])))
-    if v_override is None:
-        bs._pointwise[tol] = rep.copy()
+    rep.notes["worst_point"] = worst
     return rep
 
 
@@ -211,40 +175,49 @@ def integrability_residual(bs: BetaStructure) -> BigradedElement:
     return _connection_curvature(bs.beta_element())
 
 
-def integrability_residual_indexed(bs: BetaStructure):
-    """Componentwise form of the same residual, as an independent oracle.
-
-    Coefficient of dy_j ^ dy_k (x) d/dx_l, j < k:
-    d(beta_lk)/dy_j - d(beta_lj)/dy_k
-    - sum_i (d(beta_lk)/dx_i * beta_ij - d(beta_lj)/dx_i * beta_ik).
-    """
-    n, ys, xs = bs.n, bs.chart.ys, bs.chart.xs
-    coeffs = {}
-    for l in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(j + 1, n + 1):
-                blk = bs.beta[l - 1][k - 1]
-                blj = bs.beta[l - 1][j - 1]
-                val = sp.diff(blk, ys[j - 1]) - sp.diff(blj, ys[k - 1])
-                for i in range(1, n + 1):
-                    val -= sp.diff(blk, xs[i - 1]) * bs.beta[i - 1][j - 1]
-                    val += sp.diff(blj, xs[i - 1]) * bs.beta[i - 1][k - 1]
-                coeffs[((j, k), (l,))] = sp.expand(val)
-    return BigradedElement(bs.chart, coeffs)
-
-
-def _volume_parts(bs: BetaStructure):
-    """(d_y(V) - d_x'(V * b), d_x'(V * gInv)): parallel volume, fibre harmonicity."""
-    V = bs.volume_density
-    parallel = d_y(BigradedElement.term(bs.chart, V)) - d_x_prime(bs.b_element().scale(V))
-    return parallel, d_x_prime(bs.g_inv_element().scale(V))
-
-
 def _volume_divergence_residual(bs: BetaStructure) -> BigradedElement:
-    """d_y(V) - d_x'(V * beta) = parallel - i * harmonic: the degree-(0,1)
-    piece of d(Omega) = 0."""
-    parallel, harmonic = _volume_parts(bs)
-    return parallel - harmonic.scale(sp.I)
+    """d_y(V) - d_x'(V * beta), the degree-(0,1) piece of d(Omega) = 0."""
+    V = bs.volume_density
+    return d_y(BigradedElement.term(bs.chart, V)) - d_x_prime(bs.beta_element().scale(V))
+
+
+# each sampled residual by name: the expressions whose sup-norm it is
+_RESIDUALS = {
+    "symmetry": lambda bs: [sp.expand(bs.beta[i][j] - bs.beta[j][i])
+                            for i in range(bs.n) for j in range(i + 1, bs.n)],
+    "volume_normalisation": lambda bs: [sp.expand(bs.volume_density ** 2 * bs.det_g_inv - 1)],
+    "full_closedness": lambda bs: _d_omega(bs).terms.values(),
+    "volume_divergence": lambda bs: _volume_divergence_residual(bs).terms.values(),
+    "integrability": lambda bs: integrability_residual(bs).terms.values(),
+    "connection_flatness": lambda bs: _connection_curvature(bs.b_element()).terms.values(),
+    "metric_fibre_gradient": lambda bs: [sp.diff(entry, x) for row in bs.g_inv
+                                         for entry in row for x in bs.chart.xs],
+    "volume_fibre_gradient": lambda bs: [sp.diff(bs.volume_density, x) for x in bs.chart.xs],
+}
+
+
+def _sampled(bs: BetaStructure, names):
+    """The named entries of the structure's table of samples.
+
+    The least eigenvalue of Im beta is taken first, so that a beta with a
+    pole on the grid is rejected unsampled; the named residuals not yet in
+    the table are then built and sampled together by one sup_norms call.
+    """
+    table = bs._samples
+    if "positivity" not in table:
+        table["positivity"] = bs.min_imbeta_eigenvalue()
+    new = [name for name in names if name not in table]
+    if new:
+        table.update(zip(new, sup_norms([_RESIDUALS[name](bs) for name in new], bs.chart)))
+    return [table[name] for name in names]
+
+
+def _sampled_report(bs: BetaStructure, names, tol) -> SemiflatReport:
+    """One check per named residual: its sampled max |z| against tol."""
+    rep = SemiflatReport()
+    for name, peak in zip(names, _sampled(bs, names)):
+        rep.add(name, peak, tol)
+    return rep
 
 
 def closedness_residuals(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
@@ -254,12 +227,7 @@ def closedness_residuals(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     the report records both sides so the equivalence is testable.
     """
     require_compatible(bs, tol)
-    rep = SemiflatReport()
-    rep.add_sup_norms(bs.chart, {
-        "full_closedness": _d_omega(bs).terms.values(),
-        "volume_divergence": _volume_divergence_residual(bs).terms.values(),
-        "integrability": integrability_residual(bs).terms.values(),
-    }, tol)
+    rep = _sampled_report(bs, ["full_closedness", "volume_divergence", "integrability"], tol)
     rep.notes["equivalence_consistent"] = (
         rep.verdict("full_closedness")
         == (rep.verdict("volume_divergence") and rep.verdict("integrability"))
@@ -276,17 +244,15 @@ def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     volume_divergence = parallel_volume - i * fibre_harmonic:
         parallel_volume_j    = dV/dy_j - sum_i d(V * b_ij)/dx_i
         fibre_harmonic_j     = sum_i d(V * gInv_ij)/dx_i
+    Each value is the sampled max |Re| or |Im| of its closedness residual.
     """
     require_compatible(bs, tol)
-    curvature, covariant = integrability_residual(bs).real_imag()
-    parallel, harmonic = _volume_parts(bs)
+    integrability, divergence = _sampled(bs, ["integrability", "volume_divergence"])
     rep = SemiflatReport()
-    rep.add_sup_norms(bs.chart, {
-        "connection_curvature": curvature.terms.values(),
-        "covariant_metric": covariant.terms.values(),
-        "fibre_harmonic": harmonic.terms.values(),
-        "parallel_volume": parallel.terms.values(),
-    }, tol)
+    rep.add("connection_curvature", integrability.re, tol)
+    rep.add("covariant_metric", integrability.im, tol)
+    rep.add("fibre_harmonic", divergence.im, tol)
+    rep.add("parallel_volume", divergence.re, tol)
     return rep
 
 
@@ -316,30 +282,6 @@ def translate_by_section(bs: BetaStructure, sigma) -> BetaStructure:
                       + sp.diff(sigma[i], ys[j]))
             for j in range(n)] for i in range(n)]
     return BetaStructure(bs.chart, new)
-
-
-def symplectic_pullback_defect(sigma, chart: Chart) -> FormElement:
-    """T_sigma^* omega - omega for the standard symplectic form.
-
-    Computed by honest pullback: omega = sum d(x_i) ^ d(y_i) with
-    x_i -> x_i + sigma_i(y); the defect equals d(sigma) as a base 2-form.
-    """
-    sigma = _check_base_one_form(sigma, chart)
-    ys = chart.ys
-    one_forms = []
-    for i in range(chart.n):
-        # d(x_i + sigma_i) expressed in generators
-        form = {("x", i + 1): sp.Integer(1)}
-        for j in range(chart.n):
-            ds = sp.diff(sigma[i], ys[j])
-            if ds != 0:
-                form[("y", j + 1)] = ds
-        one_forms.append(form)
-    pulled = FormElement(chart)
-    for i in range(chart.n):
-        dyi = {("y", i + 1): sp.Integer(1)}
-        pulled = pulled + wedge_one_forms(chart, [one_forms[i], dyi])
-    return pulled - standard_symplectic_form(chart)
 
 
 def base_one_form_differential(sigma, chart: Chart) -> FormElement:
@@ -422,15 +364,8 @@ def flatness_probe(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     constancy of V on compact fibres is outside a one-chart model.
     """
     require_compatible(bs, tol)
-    rep = SemiflatReport()
-    xs = bs.chart.xs
-    rep.add_sup_norms(bs.chart, {
-        "connection_flatness": _connection_curvature(bs.b_element()).terms.values(),
-        "full_closedness": _d_omega(bs).terms.values(),
-        "metric_fibre_gradient": [sp.diff(bs.g_inv[i][j], xs[k]) for i in range(bs.n)
-                                  for j in range(bs.n) for k in range(bs.n)],
-        "volume_fibre_gradient": [sp.diff(bs.volume_density, xs[k]) for k in range(bs.n)],
-    }, tol)
+    rep = _sampled_report(bs, ["connection_flatness", "full_closedness",
+                               "metric_fibre_gradient", "volume_fibre_gradient"], tol)
     hyp = rep.verdict("connection_flatness") and rep.verdict("full_closedness")
     rep.notes["hypotheses_hold"] = hyp
     rep.notes["conclusion_holds"] = (

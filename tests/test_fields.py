@@ -1,4 +1,5 @@
 import ast
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import sympy as sp
 from syzlab.charts import Chart, ChartError
 from syzlab.fields import (
     _BLOCK_SAMPLES,
+    MAX_POWER,
     GrammarError,
     PeriodicityError,
     compile_scalars,
@@ -51,6 +53,29 @@ def test_parse_grammar_and_complex():
 def test_parse_rejects_off_grammar(bad):
     with pytest.raises(GrammarError):
         parse_scalar(bad, 2)
+
+
+@pytest.mark.parametrize("text", ["(-1)^(1/2)", "(-4)^(1/2)*y1", "y2 + (-9)^(1/2)/3"])
+def test_parse_refuses_strings_that_build_complex_values(text):
+    with pytest.raises(GrammarError, match="complex"):
+        parse_scalar(text, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "10^10^6", "(1+y1)^100000", "(((10^64)^64)^64)^64", "((1+y1)^64)^64",
+    "10^(1000001/2)", f"y1^{MAX_POWER + 1}", f"2^-{MAX_POWER + 1}"])
+def test_parse_refuses_large_powers_at_once(text):
+    start = time.perf_counter()
+    with pytest.raises(GrammarError):
+        parse_scalar(text, 2)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_parse_builds_powers_up_to_the_bound():
+    y1 = Chart(1, ((-1, 1),)).ys[0]
+    assert parse_scalar("y1^6", 1) == y1 ** 6
+    assert parse_scalar(f"(1+y1)^{MAX_POWER}", 1) == (1 + y1) ** MAX_POWER
+    assert parse_scalar("(10^8)^64", 1) == sp.Integer(10) ** 512
 
 
 # grammar strings of the demos and of the benchmark's symbolic generators,
@@ -167,6 +192,14 @@ def test_sup_norms_all_zero_group_is_not_compiled(monkeypatch):
     assert sup_norms([[sp.Integer(0), 0], []], chart) == [0.0, 0.0]
 
 
+def test_sup_norms_keep_real_and_imaginary_peaks():
+    chart = Chart(1, ((-1, 1),))
+    y1 = chart.ys[0]
+    (peak,) = sup_norms([[y1 + 2 * sp.I, 3 * sp.I * y1]], chart)
+    assert peak == pytest.approx(3.0)
+    assert (peak.re, peak.im) == (pytest.approx(1.0), pytest.approx(3.0))
+
+
 def benchmark_beta3():
     """n = 3: Im b11 = 5/2 + sin(2 pi x1)/4, Re b12 = y3/5, Im b22 = 3 + y1^2/4, Im b33 = 3."""
     from syzlab.semiflat import BetaStructure
@@ -249,7 +282,8 @@ def _enclosing_functions(tree):
 
 
 def test_one_evaluator_and_no_symbolic_fibre_integration():
-    """lambdify lives only in fields.py; sympy integrate in src/ only in
+    """lambdify lives only in fields.py and the sample block size only in
+    fields.py and quadrature.py; sympy integrate in src/ only in
     semiflat.base_potential, so fibre means never take the heurisch detour
     and the Poincare lemma is written once."""
     src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
@@ -260,6 +294,8 @@ def test_one_evaluator_and_no_symbolic_fibre_integration():
         text = path.read_text()
         if path.name != "fields.py":
             assert "lambdify" not in text, path.name
+        if path.name not in ("fields.py", "quadrature.py"):
+            assert "_BLOCK_SAMPLES" not in text, path.name
         tree = ast.parse(text)
         functions = _enclosing_functions(tree)
         for call in ast.walk(tree):
@@ -279,8 +315,8 @@ def test_integer_layer_does_not_use_sympy():
 
 
 def test_semiflat_reports_use_one_sup_norm_call_on_a_fixed_grid():
-    """The four semi-flat reports take no grid arguments and sample their
-    residuals only through SemiflatReport.add_sup_norms."""
+    """The four semi-flat reports take no grid arguments and read their
+    residuals only from the structure's table of samples."""
     path = Path(__file__).resolve().parents[1] / "src" / "syzlab" / "semiflat.py"
     reports = {"pointwise_checks", "closedness_residuals", "structure_equations",
                "flatness_probe"}
@@ -324,4 +360,4 @@ def test_no_sup_norm_call_in_the_library_picks_a_grid():
             where = f"{path.name}:{call.lineno}"
             assert len(call.args) <= allowed, where
             assert not {k.arg for k in call.keywords} & {"base_k", "fibre_k"}, where
-    assert calls >= 4
+    assert calls >= 3

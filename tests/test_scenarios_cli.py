@@ -562,6 +562,14 @@ class TestClosedGrammar:
         assert main(["run", write(tmp_path, _with(doc, path, "-" * 5000 + "y1"))]) == 2
         assert "scenario error" in capsys.readouterr().err
 
+    def test_complex_value_enters_only_as_re_im(self, tmp_path, capsys):
+        """A string building to I is refused, not run as the flat torus beta = i."""
+        assert main(["run", write(tmp_path, _beta_doc(
+            "semiflat-check", 1, [["(-1)^(1/2)"]]))]) == 2
+        assert "complex values enter only as" in capsys.readouterr().err
+        assert main(["run", write(tmp_path, _beta_doc(
+            "semiflat-check", 1, [[{"im": "1"}]]))]) == 0
+
     @pytest.mark.parametrize("text", ["sqrt(4)", "2**1", "1/0", "0.5.1"])
     def test_k3_coordinate_strings_are_rational_only(self, text, tmp_path, capsys):
         path = tmp_path / "mirror.json"

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from syzlab.algebra import FormElement, to_form
+from syzlab.algebra import (
+    BigradedElement,
+    FormElement,
+    standard_symplectic_form,
+    to_form,
+    wedge_one_forms,
+)
 from syzlab.charts import Chart
 from syzlab.semiflat import (
     BetaStructure,
@@ -14,16 +20,60 @@ from syzlab.semiflat import (
     closedness_residuals,
     flatness_probe,
     integrability_residual,
-    integrability_residual_indexed,
     omega_form,
     pointwise_checks,
     reglue_check,
     structure_equations,
-    symplectic_pullback_defect,
     translate_by_section,
 )
 
 I = sp.I
+
+
+def integrability_residual_indexed(bs: BetaStructure):
+    """Componentwise form of the integrability residual, as an independent oracle.
+
+    Coefficient of dy_j ^ dy_k (x) d/dx_l, j < k:
+    d(beta_lk)/dy_j - d(beta_lj)/dy_k
+    - sum_i (d(beta_lk)/dx_i * beta_ij - d(beta_lj)/dx_i * beta_ik).
+    """
+    n, ys, xs = bs.n, bs.chart.ys, bs.chart.xs
+    coeffs = {}
+    for l in range(1, n + 1):
+        for j in range(1, n + 1):
+            for k in range(j + 1, n + 1):
+                blk = bs.beta[l - 1][k - 1]
+                blj = bs.beta[l - 1][j - 1]
+                val = sp.diff(blk, ys[j - 1]) - sp.diff(blj, ys[k - 1])
+                for i in range(1, n + 1):
+                    val -= sp.diff(blk, xs[i - 1]) * bs.beta[i - 1][j - 1]
+                    val += sp.diff(blj, xs[i - 1]) * bs.beta[i - 1][k - 1]
+                coeffs[((j, k), (l,))] = sp.expand(val)
+    return BigradedElement(bs.chart, coeffs)
+
+
+def symplectic_pullback_defect(sigma, chart: Chart) -> FormElement:
+    """T_sigma^* omega - omega for the standard symplectic form (oracle).
+
+    Computed by honest pullback: omega = sum d(x_i) ^ d(y_i) with
+    x_i -> x_i + sigma_i(y); the defect equals d(sigma) as a base 2-form.
+    """
+    sigma = [sp.sympify(s) for s in sigma]
+    ys = chart.ys
+    one_forms = []
+    for i in range(chart.n):
+        # d(x_i + sigma_i) expressed in generators
+        form = {("x", i + 1): sp.Integer(1)}
+        for j in range(chart.n):
+            ds = sp.diff(sigma[i], ys[j])
+            if ds != 0:
+                form[("y", j + 1)] = ds
+        one_forms.append(form)
+    pulled = FormElement(chart)
+    for i in range(chart.n):
+        dyi = {("y", i + 1): sp.Integer(1)}
+        pulled = pulled + wedge_one_forms(chart, [one_forms[i], dyi])
+    return pulled - standard_symplectic_form(chart)
 
 
 @pytest.fixture
@@ -85,7 +135,8 @@ class TestPointwise:
     def test_forced_volume_negative_test(self, chart2):
         y1 = chart2.ys[0]
         bs = BetaStructure(chart2, [[I * (1 + y1 ** 2), 0], [0, I]])
-        rep = pointwise_checks(bs, v_override=1)
+        bs.volume_density = sp.Integer(1)
+        rep = pointwise_checks(bs)
         assert rep["volume_normalisation"].value == pytest.approx(1.0)
         assert not rep.verdict("volume_normalisation")
 
@@ -421,11 +472,17 @@ class TestCompatibilityOnce:
         assert again.all_passed and "symmetry" in again.checks
 
     def test_override_is_never_cached(self, chart2):
+        """A wrong density set on a fresh structure fails normalisation; the
+        table of samples is per structure, so it reaches no other."""
         y1 = chart2.ys[0]
-        bs = BetaStructure(chart2, [[I * (1 + y1 ** 2), 0], [0, I]])
-        assert not pointwise_checks(bs, v_override=1).verdict("volume_normalisation")
+        beta = [[I * (1 + y1 ** 2), 0], [0, I]]
+        bs = BetaStructure(chart2, beta)
         assert pointwise_checks(bs).verdict("volume_normalisation")
-        assert not pointwise_checks(bs, v_override=1).verdict("volume_normalisation")
+        wrong = BetaStructure(chart2, beta)
+        wrong.volume_density = sp.Integer(1)
+        assert not pointwise_checks(wrong).verdict("volume_normalisation")
+        assert not pointwise_checks(wrong).verdict("volume_normalisation")
+        assert pointwise_checks(bs).verdict("volume_normalisation")
 
     def test_settings_are_part_of_the_key(self, chart2):
         y1 = chart2.ys[0]
@@ -449,18 +506,70 @@ class TestCompatibilityOnce:
 
 
 class TestOneEvaluatorPerReport:
-    def test_each_report_compiles_once(self, chart2, compile_calls):
+    @staticmethod
+    def structure(chart2):
         x1 = chart2.xs[0]
         y1, y2 = chart2.ys
-        bs = BetaStructure(chart2, [[I * (3 + sp.sin(4 * sp.pi * x1) / 2), y2 / 5],
-                                    [y2 / 5, I * (2 + y1 ** 2 / 3)]])
+        return BetaStructure(chart2, [[I * (3 + sp.sin(4 * sp.pi * x1) / 2), y2 / 5],
+                                      [y2 / 5, I * (2 + y1 ** 2 / 3)]])
+
+    def test_each_report_compiles_once(self, chart2, compile_calls):
+        """Each report compiles at most one evaluator, and none for the
+        residuals an earlier report sampled."""
+        bs = self.structure(chart2)
         pointwise_checks(bs)
         assert len(compile_calls) <= 2
-        for report in (closedness_residuals, structure_equations, flatness_probe):
+        for report, compiles in ((closedness_residuals, 1), (structure_equations, 0),
+                                 (flatness_probe, 1)):
             compile_calls.clear()
             rep = report(bs)
             assert not rep.all_passed
-            assert len(compile_calls) == 1, report.__name__
+            assert len(compile_calls) == compiles, report.__name__
+
+    def test_structure_equations_after_closedness_compile_nothing(self, chart2,
+                                                                  compile_calls):
+        bs = self.structure(chart2)
+        closedness_residuals(bs)
+        compile_calls.clear()
+        assert not structure_equations(bs).all_passed
+        assert compile_calls == []
+
+    def test_semiflat_scenario_builds_each_residual_once(self, monkeypatch, compile_calls):
+        """pointwise, closedness and structure reports of one n = 2 scenario
+        build each closedness residual once and compile two evaluators: the
+        eigenvalue check's and one for the three residuals."""
+        import syzlab.semiflat as semiflat
+        from syzlab.scenarios import run_scenario_doc
+
+        built = []
+        for name in ("integrability_residual", "_volume_divergence_residual", "_d_omega"):
+            raw = getattr(semiflat, name)
+            monkeypatch.setattr(semiflat, name,
+                                lambda bs, raw=raw, name=name: built.append(name) or raw(bs))
+        doc = {"version": "1", "kind": "semiflat-check", "payload": {
+            "n": 2, "box": [[-1, 1], [-1, 1]],
+            "beta": [[{"re": "y2/3", "im": "2+y1^2/4"}, {"im": "1/5"}],
+                     [{"im": "1/5"}, {"im": "3+sin(2*pi*x1)/2"}]]}}
+        run_scenario_doc(doc)
+        assert sorted(built) == ["_d_omega", "_volume_divergence_residual",
+                                 "integrability_residual"]
+        assert len(compile_calls) == 2
+
+    def test_duality_builds_d_omega_once(self, chart2, monkeypatch):
+        import syzlab.duality as duality
+        import syzlab.semiflat as semiflat
+        from syzlab.duality import CycleSpec, duality_identities, mclean_metrics
+
+        built = []
+        raw = semiflat._d_omega
+        for module in (semiflat, duality):
+            if getattr(module, "_d_omega", None) is raw:
+                monkeypatch.setattr(module, "_d_omega",
+                                    lambda bs: built.append(bs) or raw(bs))
+        bs = BetaStructure(chart2, [[2 * I, I / 3], [I / 3, 3 * I]])
+        mclean_metrics(bs)
+        duality_identities(bs, CycleSpec(1, (1, 0)), {2: 1})
+        assert built == [bs]
 
 
 def _hand_structure_residuals(bs):
@@ -509,9 +618,9 @@ class TestStructureEquationsAreViews:
                     and isinstance(node.func, (ast.Name, ast.Attribute))}
 
         made = calls(semiflat.structure_equations)
-        assert not made & {"bracket", "diff"}
-        assert {"integrability_residual", "real_imag", "_volume_parts"} <= made
-        assert "_volume_parts" in calls(semiflat._volume_divergence_residual)
+        assert not made & {"bracket", "diff", "real_imag", "sup_norms"}
+        assert "_sampled" in made
+        assert not hasattr(semiflat, "_volume_parts")
 
     def test_duality_reads_omega_from_semiflat(self):
         import syzlab.duality as duality

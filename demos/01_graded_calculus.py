@@ -12,9 +12,10 @@ from syzlab import (
     Chart,
     bracket,
     d_x,
+    d_x_prime,
     d_y,
     exp_nilpotent,
-    operator_order_defect,
+    phi3,
     to_form,
 )
 
@@ -50,8 +51,8 @@ print("\n== bracket and operator orders ==")
 p = BigradedElement.term(chart, sp.sin(2 * sp.pi * x2), dys=(1,), dxs=(1,))
 q = BigradedElement.term(chart, 1, dys=(2,), dxs=(2,))
 print("[p, q] =", bracket(p, q))
-phi3 = operator_order_defect("d_x_prime", 3, [p, q, p])
-print("third-order defect of the fibre operator vanishes:", phi3.is_zero())
+print("third-order defect of the fibre operator vanishes:",
+      phi3(d_x_prime, p, q, p).is_zero())
 
 print("\n== nilpotent exponential ==")
 beta = BigradedElement.from_matrix(chart, [[y2, 0], [0, sp.Rational(1, 3)]])

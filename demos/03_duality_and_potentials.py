@@ -22,6 +22,7 @@ from syzlab import (
     mclean_metrics,
     period_one_form,
     symmetric_class,
+    wedge_with_minus_omega,
     yukawa,
 )
 
@@ -48,9 +49,9 @@ print("   pairing residuals:",
 
 print("\n== symmetric representatives ==")
 alpha = SymTensorField(chart, [[0, y1], [0, 0]])
-defect, wform = symmetric_class(alpha, "test")
-print("   antisymmetric defect:", defect, "| two-form image:", wform)
-print("   symmetrised:", symmetric_class(alpha, "symmetrize").entries)
+print("   antisymmetric defect:", alpha.antisymmetric_defect(),
+      "| two-form image:", wedge_with_minus_omega(alpha))
+print("   symmetrised:", symmetric_class(alpha).entries)
 
 print("\n== potential-generated structures ==")
 phi = (y1 ** 2 + y2 ** 2) / 2 + sp.Rational(1, 3) * y1 * y2

@@ -18,14 +18,14 @@ from .charts import Chart
 from .algebra import (
     BigradedElement,
     FormElement,
-    GradedOperatorHandle,
     bracket,
     d_x,
     d_x_prime,
     d_y,
     exp_nilpotent,
     from_form,
-    operator_order_defect,
+    phi2,
+    phi3,
     to_form,
 )
 from .semiflat import (
@@ -52,6 +52,7 @@ from .duality import (
     mclean_metrics,
     period_one_form,
     symmetric_class,
+    wedge_with_minus_omega,
     yukawa,
 )
 from .complexes import (

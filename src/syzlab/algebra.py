@@ -24,7 +24,6 @@ the second-order defect of d_x'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import sympy as sp
 
 from .charts import Chart, require_same_chart
@@ -359,32 +358,6 @@ def d_x_prime(element: BigradedElement) -> BigradedElement:
     return out
 
 
-OPERATORS = {"d_x": d_x, "d_y": d_y, "d_x_prime": d_x_prime}
-OPERATOR_SHIFTS = {"d_x": (1, 0), "d_y": (0, 1), "d_x_prime": (1, 0)}
-
-
-@dataclass(frozen=True)
-class GradedOperatorHandle:
-    """Named handle onto one of the built-in graded operators."""
-
-    name: str
-    shift: tuple = None
-
-    def __post_init__(self):
-        if self.name not in OPERATORS:
-            raise KeyError(f"unknown operator {self.name!r}")
-        expected = OPERATOR_SHIFTS[self.name]
-        if self.shift is None:
-            object.__setattr__(self, "shift", expected)
-        elif tuple(self.shift) != expected:
-            raise DegreeError(
-                f"operator {self.name} shifts bidegree by {expected}, not {self.shift}"
-            )
-
-    def __call__(self, element):
-        return OPERATORS[self.name](element)
-
-
 def _degree_pairing(deg_a, deg_b):
     return deg_a[0] * deg_b[0] + deg_a[1] * deg_b[1]
 
@@ -415,21 +388,6 @@ def phi3(op, a, b, c) -> BigradedElement:
                 - (phi2(op, a, pc) * pb).scale(sign)
             )
     return out
-
-
-def operator_order_defect(handle, r, args):
-    """Return Phi^r of the named operator on the given elements (r in {2, 3})."""
-    if isinstance(handle, str):
-        handle = GradedOperatorHandle(handle)
-    if r == 2:
-        if len(args) != 2:
-            raise DegreeError("order-2 defect needs exactly two arguments")
-        return phi2(handle, args[0], args[1])
-    if r == 3:
-        if len(args) != 3:
-            raise DegreeError("order-3 defect needs exactly three arguments")
-        return phi3(handle, args[0], args[1], args[2])
-    raise DegreeError(f"unsupported defect order {r}")
 
 
 def bracket(a: BigradedElement, b: BigradedElement) -> BigradedElement:

@@ -6,6 +6,7 @@ coordinate is periodic with period 1.  Dimensions 1 <= n <= 3 are supported.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +23,14 @@ class ChartError(ValueError):
 
 
 def _to_number(v):
-    if isinstance(v, (int, sp.Integer, sp.Rational)):
-        return sp.Rational(v)
+    """A box end as an exact sympy number; a float reads as its shortest
+    decimal, so 0.1 is 1/10."""
     if isinstance(v, float):
-        return sp.Rational(str(v)) if float(v).is_integer() or abs(v) < 1e6 else sp.Float(v)
+        if not math.isfinite(v):
+            raise ChartError(f"box end {v} is not finite")
+        return sp.Rational(repr(v))
+    if isinstance(v, (int, sp.Rational)):
+        return sp.Rational(v)
     return sp.sympify(v)
 
 

@@ -28,7 +28,6 @@ volume density       V = sqrt(det g) > 0, derived from Im(beta), never input
 orientation          coordinates ordered so V > 0; dy_1^...^dy_n orients the base
 normalisation        omega^n/n! = (-1)^(n(n-1)/2) (i/2)^n Omega ^ conj(Omega)
 cycle pairing        e_i^* <-> (-1)^(i-1) e_1^...e_i-hat...^e_n
-                     (switchable to the opposite order; flips signs only)
 monodromy loops      counterclockwise; product relation taken right to left
 twist-class lift     B normalised by B.sigma0 = 0 before computing classes
 fibre volume (K3)    vol = ReOmega.E after phase alignment; vol * dual-vol = 1

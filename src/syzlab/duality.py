@@ -4,8 +4,7 @@ The base metric h pairs -i(v)omega with i(w)Im(Omega) over a fibre; dividing
 by the fibre volume gives the normalised metric h_n.  Periods of Im(Omega_n)
 over (n-1)-cycles embed the cycle lattice into the base cotangent spaces;
 h_n re-expresses that embedding through the tangent-cotangent pairing
-e_i^* <-> (-1)^(i-1) e_1 ^ ... e_i-hat ... ^ e_n  (front-slot order; the
-opposite order only flips signs and is exposed as a switch).
+e_i^* <-> (-1)^(i-1) e_1 ^ ... e_i-hat ... ^ e_n  (front-slot order).
 
 Dualisation is implemented for fibre-constant metrics: the dual inverse
 metric matrix is h_n itself, and the dual fibre volume carries the lattice
@@ -37,8 +36,8 @@ from .semiflat import (
     require_compatible,
 )
 
-PAIRING_ORDERS = ("lambda-first", "lambda-last")
-DEFAULT_PAIRING = "lambda-first"
+# fibre quadrature points per axis, where no caller chooses them
+FIBRE_RESOLUTION = 16
 # Vol * dual-Vol = 1 holds to rounding on a fibre-constant metric
 RECIPROCITY_TOL = 1e-10
 
@@ -81,16 +80,11 @@ def _omitted_axis_coefficients(gamma: CycleSpec, n):
     raise DualityError(f"unsupported cycle degree {gamma.degree} for n = {n}")
 
 
-def cycle_tangent_vector(gamma: CycleSpec, n, pairing=DEFAULT_PAIRING):
-    """Tangent-vector coefficients of a degree (n-1) cycle under the pairing."""
-    if pairing not in PAIRING_ORDERS:
-        raise DualityError(f"unknown pairing order {pairing!r}")
+def cycle_tangent_vector(gamma: CycleSpec, n):
+    """Tangent-vector coefficients of a degree (n-1) cycle: omitted-axis
+    generator i pairs with (-1)^(i-1) e_i."""
     omit = _omitted_axis_coefficients(gamma, n)
-    out = []
-    for i in range(1, n + 1):
-        sign = (-1) ** (i - 1) if pairing == "lambda-first" else (-1) ** (n - i)
-        out.append(sign * omit[i - 1])
-    return out
+    return [(-1) ** i * c for i, c in enumerate(omit)]
 
 
 # ---------------------------------------------------------------------------
@@ -145,18 +139,16 @@ def _normalised_metric(bs: BetaStructure, pts, resolution, extra):
     return h_n, vol, means[n * n + 1:]
 
 
-def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
-                   tol=DEFAULT_TOL):
+def mclean_metrics(bs: BetaStructure, tol=DEFAULT_TOL):
     """Base metric by two routes, the normalised metric, and fibre data.
 
     Route one integrates the pairing -i(d/dy_i) omega ^ i(d/dy_j) Im Omega
-    over the fibre; route two integrates V * gInv_ij.  Returns a report
-    carrying (h, h_n, vol) plus the cross-route agreement residual.
+    over the fibre; route two integrates V * gInv_ij, both on the 3^n base
+    grid.  Returns a report carrying (h, h_n, vol) plus the cross-route
+    agreement residual.
     """
     require_compatible(bs, tol)
     chart, n = bs.chart, bs.n
-    if y_points is None:
-        y_points = chart.base_grid(3)
     coeffs = _im_omega_coefficient_forms(bs)
     closed_gap = _volume_form_gap(bs, tol)
 
@@ -173,17 +165,17 @@ def mclean_metrics(bs: BetaStructure, resolution=16, y_points=None,
     except _SymbolicIntegrationError:
         symbolic_ok = False
 
-    pts = np.asarray(y_points, dtype=float)
+    pts = chart.base_grid(3)
     entries = [(i, j) for i in range(n) for j in range(n)]
     # pairing route: h_ij picks the dx_{complement of axis i+1} coefficient
     # of i(d/dy_j) Im Omega, oriented by dx_i ^ dx_{complement} =
     # (-1)^i dx_{1..n} (0-based i)
     hn, vols, pairing = _normalised_metric(
-        bs, pts, resolution, [coeffs[j][i] for i, j in entries])
+        bs, pts, FIBRE_RESOLUTION, [coeffs[j][i] for i, j in entries])
     signs = np.array([(-1) ** i for i, _ in entries])[:, None]
     h_quad = (signs * pairing).T.reshape(len(pts), n, n)
     h_formula = hn * vols[:, None, None]
-    agreement = float(np.max(np.abs(h_quad - h_formula))) if len(pts) else 0.0
+    agreement = float(np.max(np.abs(h_quad - h_formula)))
 
     report = SemiflatReport()
     report.notes["volume_form_closed_residual"] = closed_gap
@@ -253,8 +245,7 @@ def _fibre_symbolic_integral(expr, chart: Chart):
 # period embeddings
 # ---------------------------------------------------------------------------
 
-def period_one_form(bs: BetaStructure, gamma: CycleSpec, resolution=16,
-                    y_points=None):
+def period_one_form(bs: BetaStructure, gamma: CycleSpec, y_points=None):
     """Covector field psi(gamma): v -> -(1/Vol) * period of i(v) Im Omega.
 
     Returns (points, values) with values[p][j] the dy_j component at the
@@ -267,13 +258,14 @@ def period_one_form(bs: BetaStructure, gamma: CycleSpec, resolution=16,
     omit = _omitted_axis_coefficients(gamma, n)
     coeffs = _im_omega_coefficient_forms(bs)
     pts = chart.base_grid(5) if y_points is None else np.asarray(y_points, dtype=float)
-    vol = fibre_means([bs.volume_density], chart, pts, chart.fibre_grid(resolution))[0].real
+    vol = fibre_means([bs.volume_density], chart, pts,
+                      chart.fibre_grid(FIBRE_RESOLUTION))[0].real
     total = np.zeros((len(pts), n))
     for i in range(1, n + 1):
         if omit[i - 1] == 0:
             continue
         periods = fibre_means([coeffs[j][i - 1] for j in range(n)], chart, pts,
-                              subtorus_grid(n, i, resolution)).real
+                              subtorus_grid(n, i, FIBRE_RESOLUTION)).real
         total += omit[i - 1] * periods.T
     vals = -total / vol[:, None]
     residual = _fd_exterior_derivative_residual(pts, vals, chart)
@@ -304,7 +296,6 @@ def _fd_exterior_derivative_residual(pts, vals, chart):
 # ---------------------------------------------------------------------------
 
 def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
-                       resolution=16, pairing=DEFAULT_PAIRING,
                        tol=DEFAULT_TOL) -> SemiflatReport:
     """Three residuals tying periods, the base metric, and the embedding.
 
@@ -315,7 +306,7 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
     chart, n = bs.chart, bs.n
     y0 = gamma.at if gamma.at is not None else tuple(float(c) for c in chart.center)
     omit = _omitted_axis_coefficients(gamma, n)
-    v = cycle_tangent_vector(gamma, n, pairing)
+    v = cycle_tangent_vector(gamma, n)
     report = SemiflatReport()
 
     alpha = {int(i): sp.sympify(c) for i, c in alpha.items()}
@@ -330,14 +321,16 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
     for i in range(1, n + 1):
         meets = omit[i - 1] != 0 and i in alpha
         exprs = [coeffs[r][i - 1] for r in range(n)] + ([alpha[i]] if meets else [])
-        per = fibre_means(exprs, chart, [y0], subtorus_grid(n, i, resolution))[:, 0].real
+        per = fibre_means(exprs, chart, [y0],
+                          subtorus_grid(n, i, FIBRE_RESOLUTION))[:, 0].real
         periods[:, i - 1] = per[:n]
         if meets:
             lhs += omit[i - 1] * per[n]
 
     # -integral over the fibre of i(v(gamma)) omega ^ alpha, i(v) omega = -sum v_i dx_i
     axes = [i for i in range(1, n + 1) if v[i - 1] != 0 and alpha.get(i, 0) != 0]
-    hn, vol, means = _normalised_metric(bs, [y0], resolution, [alpha[i] for i in axes])
+    hn, vol, means = _normalised_metric(bs, [y0], FIBRE_RESOLUTION,
+                                        [alpha[i] for i in axes])
     hn, vol = hn[0], vol[0]
     rhs = 0.0
     for i, mean in zip(axes, means[:, 0]):
@@ -402,18 +395,10 @@ def wedge_with_minus_omega(alpha: SymTensorField):
             if defect[j][i] != 0}
 
 
-def symmetric_class(alpha: SymTensorField, mode="test"):
-    """Antisymmetry test or symmetrisation of a tensor-class representative.
-
-    test mode returns (defect matrix, base 2-form image under wedging with
-    the negated symplectic form).  symmetrize mode adds the gradient of a
-    swapped potential so the output is exactly symmetric and differs from
-    the input by a total derivative.
-    """
-    if mode == "test":
-        return alpha.antisymmetric_defect(), wedge_with_minus_omega(alpha)
-    if mode != "symmetrize":
-        raise DualityError(f"unknown mode {mode!r}")
+def symmetric_class(alpha: SymTensorField):
+    """Symmetrisation of a tensor-class representative: adds the gradient of
+    a swapped potential so the output is exactly symmetric and differs from
+    the input by a total derivative."""
     if not alpha.is_gauss_manin_closed():
         raise DualityError(
             "representative is not a tensor cocycle (columns are not closed one-forms)")
@@ -494,7 +479,7 @@ def hitchin(potential: HitchinPotential, b_field: SymTensorField = None,
     return bs, info
 
 
-def dual_structure_check(bs: BetaStructure, resolution=16,
+def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
                          tol=DEFAULT_TOL) -> SemiflatReport:
     """Dualise a fibre-constant structure and verify metric and volume duality.
 
@@ -535,8 +520,6 @@ def dual_structure_check(bs: BetaStructure, resolution=16,
 # ---------------------------------------------------------------------------
 
 ORIENTATION_SIGN = {1: 1, 2: -1, 3: -1}  # (-1)^(n(n-1)/2)
-# parameter values at which from_callable checks that a family is affine
-AFFINITY_PROBES = (0.5, 1.0, 2.0)
 
 
 class YukawaFamily:
@@ -552,32 +535,6 @@ class YukawaFamily:
             for d in directions
         ]
 
-    @classmethod
-    def from_callable(cls, fn, base_chart, n):
-        """Sample a callable family and verify affinity in the parameters."""
-        zero = fn([0.0] * n)
-        base = BetaStructure(base_chart, zero)
-        directions = []
-        for k in range(n):
-            e_k = [0.0] * n
-            e_k[k] = 1.0
-            at_one = fn(e_k)
-            direction = [[sp.expand(sp.sympify(at_one[i][j]) - base.beta[i][j])
-                          for j in range(n)] for i in range(n)]
-            directions.append(direction)
-        fam = cls(base, directions)
-        for t in AFFINITY_PROBES:
-            for k in range(n):
-                e_k = [0.0] * n
-                e_k[k] = t
-                got = fn(e_k)
-                for i in range(n):
-                    for j in range(n):
-                        expect = base.beta[i][j] + t * directions[k][i][j]
-                        if sp.simplify(sp.sympify(got[i][j]) - expect) != 0:
-                            raise DualityError("family is not affine in the twist parameters")
-        return fam
-
 
 def _direction_determinant_sum(family: YukawaFamily):
     n = family.base.n
@@ -588,7 +545,7 @@ def _direction_determinant_sum(family: YukawaFamily):
     return sp.expand(total)
 
 
-def yukawa(family: YukawaFamily, resolution=16, base_resolution=8):
+def yukawa(family: YukawaFamily, resolution=FIBRE_RESOLUTION, base_resolution=8):
     """Coupling integral over the chart of V^2 times the direction determinants.
 
     Returns (value, oracle) where oracle is the constant-integrand closed

@@ -204,14 +204,14 @@ def model_cohomology(name, grid=1) -> CohomologyResult:
     return integral_cohomology(build_model(name, grid))
 
 
-def fibre_type_report(results=None, grid=1):
+def fibre_type_report(results=None):
     """Table of (b1, b2) per model with the expected values and duality audit.
 
     results may be a precomputed {name: CohomologyResult}; missing models
     make the pairing audit fail.
     """
     if results is None:
-        results = {name: model_cohomology(name, grid) for name in MODEL_NAMES}
+        results = {name: model_cohomology(name) for name in MODEL_NAMES}
     rows = []
     all_match = True
     for name in results:

@@ -4,12 +4,15 @@ Coefficient functions are sympy expressions over the real chart symbols
 y1..y3, x1..x3.  The configuration grammar is a closed whitelist: numeric
 literals, the chart variables, the constant ``pi``, unary ``+ -``, infix
 ``+ - * / ^`` and the functions ``sin cos exp`` of one argument.  A string
-is built node by node from its Python syntax tree and never evaluated; a
-decimal literal reads exactly like the same JSON number.  Complex values
+is built node by node from its Python syntax tree and never evaluated.  A
+float, in a string or as a JSON number, reads as its shortest decimal (0.1 is
+1/10), as chart boxes and K3 coordinates do.  Complex values
 enter only as {"re": ..., "im": ...} pairs, so a parsed string is always a
 real-valued expression: a string that builds to something containing I, such
-as "(-1)^(1/2)", is refused.  A numeric exponent above MAX_POWER, or a power
-of a number past MAX_BITS, is refused before it is computed.
+as "(-1)^(1/2)", is refused.  A numeric exponent above MAX_POWER, or one
+that times the bit length of the largest number in its base passes MAX_BITS,
+is refused before the power is computed; so is an exponent above MAX_POWER
+that sympy makes by merging powers, as in (1+y1)^64*(1+y1)^64.
 
 Fibre periodicity is enforced syntactically: a fibre variable x_i may occur
 only inside sin/cos whose argument is 2*pi*(integer)*x_i plus an x-free
@@ -20,6 +23,7 @@ quadrature and fibrewise translations rely on.
 from __future__ import annotations
 
 import ast
+import math
 import operator
 
 import numpy as np
@@ -28,8 +32,8 @@ import sympy as sp
 from .charts import X_SYMBOLS, Y_SYMBOLS, Chart
 
 ALLOWED_FUNCTIONS = (sp.sin, sp.cos, sp.exp)
-# the largest exponent the grammar builds, and the largest numerator or
-# denominator, in bits, of a number it builds by a power
+# the largest exponent in a parsed expression, and the most bits a power may
+# give the numbers of its base
 MAX_POWER = 64
 MAX_BITS = 4096
 
@@ -51,23 +55,27 @@ _BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
 
 
 def _number(value):
-    """A JSON or literal number as an exact sympy number (0.1 is 1/10)."""
-    return sp.Integer(value) if isinstance(value, int) else sp.nsimplify(value, rational=True)
+    """A JSON or literal number as an exact sympy number; a float reads as
+    its shortest decimal, so 0.1 is 1/10."""
+    if isinstance(value, int):
+        return sp.Integer(value)
+    if not math.isfinite(value):
+        raise GrammarError(f"{value} is not finite")
+    return sp.Rational(repr(value))
 
 
 def _power(base, exp):
     """base^exp, refused before it is computed when the exponent is a number
-    above MAX_POWER or would take a number past MAX_BITS; sympy combines a
-    power of a power, ((1+y1)^64)^64 = (1+y1)^4096, so the result is checked too."""
+    above MAX_POWER or times the bit length of the largest number in the base
+    passes MAX_BITS: sympy distributes a power over a product, so
+    (10^60*y1)^64 would build 10^3840."""
     if exp.is_Rational:
-        bits = max(abs(base.p).bit_length(), base.q.bit_length()) if base.is_Rational else 1
+        bits = max((max(abs(r.p).bit_length(), r.q.bit_length())
+                    for r in base.atoms(sp.Rational)), default=1)
         if abs(exp) > MAX_POWER or abs(exp) * bits > MAX_BITS:
             raise GrammarError(f"a power with exponent {exp} exceeds {MAX_POWER} or "
                                f"{MAX_BITS} bits")
-    out = base ** exp
-    if out.is_Pow and out.exp.is_Rational and abs(out.exp) > MAX_POWER:
-        raise GrammarError(f"{out} has an exponent above {MAX_POWER}")
-    return out
+    return base ** exp
 
 
 def _build(node):
@@ -122,8 +130,8 @@ def parse_scalar(value, n=3):
 
 
 def validate_grammar(expr, n=3):
-    """Check that expr is finite and uses only grammar node kinds and chart
-    variables."""
+    """Check that expr is finite and uses only grammar node kinds, chart
+    variables and exponents of at most MAX_POWER."""
     if expr.has(sp.nan, sp.zoo, sp.oo, -sp.oo):
         raise GrammarError(f"{expr} is not finite")
     allowed_syms = set(Y_SYMBOLS[:n]) | set(X_SYMBOLS[:n])
@@ -137,6 +145,8 @@ def validate_grammar(expr, n=3):
             if not (node.exp.is_Integer or node.exp == sp.Rational(1, 2)
                     or node.exp == -sp.Rational(1, 2)):
                 raise GrammarError(f"non-integer power {node}")
+            if abs(node.exp) > MAX_POWER:
+                raise GrammarError(f"{node} has an exponent above {MAX_POWER}")
     return expr
 
 

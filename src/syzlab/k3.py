@@ -181,13 +181,12 @@ class GramLattice:
 
     @classmethod
     def from_name(cls, name):
-        name = name.upper()
         if name == "U":
             return cls(tuple(map(tuple, hyperbolic_plane())))
-        if name in ("U2", "U+U"):
+        if name == "U2":
             return cls(tuple(map(tuple, block_diag(hyperbolic_plane(),
                                                    hyperbolic_plane()))))
-        if name in ("U3", "U+U+U"):
+        if name == "U3":
             return cls(tuple(map(tuple, block_diag(*[hyperbolic_plane()] * 3))))
         if name == "K3":
             return cls(tuple(map(tuple, block_diag(
@@ -262,7 +261,7 @@ class K3MirrorInput:
         return self.dot(self.re_omega, self.E)
 
 
-def validate(inp: K3MirrorInput, require_aligned=False):
+def validate(inp: K3MirrorInput):
     """Return the list of violated invariants (named); empty when valid."""
     d = inp.dot
     bad = []
@@ -292,25 +291,18 @@ def validate(inp: K3MirrorInput, require_aligned=False):
             bad.append("holomorphic re/im parts must be orthogonal")
         if not _is_zero(d(inp.omega, inp.re_omega)) or not _is_zero(d(inp.omega, inp.im_omega)):
             bad.append("kaehler class must be orthogonal to the holomorphic class")
-        if require_aligned:
-            bad += _misalignment(inp)
-    return bad
-
-
-def _misalignment(inp: K3MirrorInput):
-    d = inp.dot
-    bad = []
-    if not _is_zero(d(inp.im_omega, inp.E)):
-        bad.append("phase not aligned: Im pairing with the fibre is nonzero")
-    if not _positive(d(inp.re_omega, inp.E)):
-        bad.append("phase not aligned: Re pairing with the fibre is not positive")
     return bad
 
 
 def _require_aligned(inp: K3MirrorInput, context=""):
     """Raise unless Im pairs to zero and Re positively with the fibre; the
     rest of the input was checked when it was constructed."""
-    bad = _misalignment(inp) if inp.has_holomorphic_data else []
+    bad = []
+    if inp.has_holomorphic_data:
+        if not _is_zero(inp.dot(inp.im_omega, inp.E)):
+            bad.append("phase not aligned: Im pairing with the fibre is nonzero")
+        if not _positive(inp.dot(inp.re_omega, inp.E)):
+            bad.append("phase not aligned: Re pairing with the fibre is not positive")
     if bad:
         raise K3ValidationError(context + "; ".join(bad))
 

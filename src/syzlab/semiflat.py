@@ -129,8 +129,8 @@ class BetaStructure:
 
 
 def pointwise_checks(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
-    """Symmetry, positivity, and volume-normalisation residuals at samples."""
-    rep = _sampled_report(bs, ["symmetry", "volume_normalisation"], tol)
+    """Symmetry and positivity residuals at samples."""
+    rep = _sampled_report(bs, ["symmetry"], tol)
     mineig, worst = _sampled(bs, ["positivity"])[0]
     rep.checks["positivity"] = ResidualCheck(-mineig, -POSITIVITY_FLOOR)
     rep.notes["min_imbeta_eigenvalue"] = mineig
@@ -185,7 +185,6 @@ def _volume_divergence_residual(bs: BetaStructure) -> BigradedElement:
 _RESIDUALS = {
     "symmetry": lambda bs: [sp.expand(bs.beta[i][j] - bs.beta[j][i])
                             for i in range(bs.n) for j in range(i + 1, bs.n)],
-    "volume_normalisation": lambda bs: [sp.expand(bs.volume_density ** 2 * bs.det_g_inv - 1)],
     "full_closedness": lambda bs: _d_omega(bs).terms.values(),
     "volume_divergence": lambda bs: _volume_divergence_residual(bs).terms.values(),
     "integrability": lambda bs: integrability_residual(bs).terms.values(),

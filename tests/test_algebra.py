@@ -4,7 +4,6 @@ import sympy as sp
 from syzlab.algebra import (
     BigradedElement,
     DegreeError,
-    GradedOperatorHandle,
     bracket,
     d_x,
     d_x_prime,
@@ -12,7 +11,6 @@ from syzlab.algebra import (
     decomposable_form,
     exp_nilpotent,
     from_form,
-    operator_order_defect,
     phi2,
     phi3,
     standard_symplectic_form,
@@ -135,24 +133,6 @@ class TestDifferentials:
                 assert d_x(d_x(e)).is_zero()
                 assert d_y(d_y(e)).is_zero()
                 assert (d_x(d_y(e)) + d_y(d_x(e))).sup_norm(3, 4) < 1e-12
-
-
-class TestOperatorHandles:
-    def test_shift_validation(self):
-        h = GradedOperatorHandle("d_x")
-        assert h.shift == (1, 0)
-        assert GradedOperatorHandle("d_y").shift == (0, 1)
-        with pytest.raises(DegreeError):
-            GradedOperatorHandle("d_x", (0, 1))
-        with pytest.raises(KeyError):
-            GradedOperatorHandle("d_q")
-
-    def test_defect_dispatch(self, chart2):
-        a = BigradedElement.term(chart2, 1, dys=(1,), dxs=(1,))
-        b = BigradedElement.term(chart2, 1, dys=(2,), dxs=(2,))
-        assert (operator_order_defect("d_x_prime", 2, [a, b]) - bracket(a, b)).is_zero()
-        with pytest.raises(DegreeError):
-            operator_order_defect("d_x", 4, [a, b, a, b])
 
 
 class TestBracket:

@@ -1,6 +1,7 @@
 """Every demo script and sample scenario runs, each in a fresh interpreter."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +40,10 @@ def test_sample_scenario_exit_code(name):
     argv = ["sheaf", "--monodromy", path] if name in SHEAF_PAYLOADS else ["run", path]
     proc = _run(["-m", "syzlab.cli", *argv])
     assert proc.returncode == SCENARIO_EXIT.get(name, 0), proc.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    proc = _run(["-c", code])
+    assert proc.returncode == 0, proc.stderr

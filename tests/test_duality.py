@@ -103,15 +103,6 @@ class TestPairingConvention:
         assert cycle_tangent_vector(CycleSpec(2, (1, 0, 0)), 3) == [1, 0, 0]
         assert cycle_tangent_vector(CycleSpec(2, (0, 1, 0)), 3) == [0, -1, 0]
 
-    def test_alternative_order_flips_signs_only(self):
-        # the two pairing orders differ by (-1)^(n-1): visible for even n
-        v1 = cycle_tangent_vector(CycleSpec(1, (1, 0)), 2, "lambda-first")
-        v2 = cycle_tangent_vector(CycleSpec(1, (1, 0)), 2, "lambda-last")
-        assert v1 == [0, -1] and v2 == [0, 1]
-        v1 = cycle_tangent_vector(CycleSpec(2, (0, 1, 0)), 3, "lambda-first")
-        v2 = cycle_tangent_vector(CycleSpec(2, (0, 1, 0)), 3, "lambda-last")
-        assert v1 == v2 == [0, -1, 0]
-
     def test_circle_basis_for_surfaces(self):
         # the x1 circle is the generator omitting axis 2, pairing to -e2
         assert cycle_tangent_vector(CycleSpec(1, (1, 0)), 2) == [0, -1]
@@ -150,27 +141,27 @@ class TestSymmetricClass:
     def test_symmetric_fixed_point(self, chart2):
         alpha = SymTensorField(chart2, [[1, sp.Rational(1, 2)],
                                         [sp.Rational(1, 2), 0]])
-        defect, wform = symmetric_class(alpha, "test")
+        defect, wform = alpha.antisymmetric_defect(), wedge_with_minus_omega(alpha)
         assert all(d == 0 for row in defect for d in row)
         assert wform == {}
-        out = symmetric_class(alpha, "symmetrize")
+        out = symmetric_class(alpha)
         assert out.entries == alpha.entries
 
     def test_constant_antisymmetric_collapses(self, chart2):
         alpha = SymTensorField(chart2, [[0, 1], [0, 0]])
-        out = symmetric_class(alpha, "symmetrize")
+        out = symmetric_class(alpha)
         assert all(e == 0 for row in out.entries for e in row)
 
     def test_linear_example(self, chart2):
         y1 = chart2.ys[0]
         alpha = SymTensorField(chart2, [[0, y1], [0, 0]])
-        defect, wform = symmetric_class(alpha, "test")
+        defect, wform = alpha.antisymmetric_defect(), wedge_with_minus_omega(alpha)
         assert defect[0][1] == -y1
         assert wform == {(1, 2): y1}
-        out = symmetric_class(alpha, "symmetrize")
+        out = symmetric_class(alpha)
         assert out.is_symmetric()
         # the difference from the input is a gradient: re-testing is a fixed point
-        again = symmetric_class(out, "symmetrize")
+        again = symmetric_class(out)
         assert again.entries == out.entries
 
     def test_three_dimensional(self):
@@ -183,7 +174,7 @@ class TestSymmetricClass:
             [0, y1, 0],
         ])
         assert alpha.is_gauss_manin_closed()
-        out = symmetric_class(alpha, "symmetrize")
+        out = symmetric_class(alpha)
         assert out.is_symmetric()
 
     def test_non_cocycle_rejected(self, chart2):
@@ -191,7 +182,7 @@ class TestSymmetricClass:
         alpha = SymTensorField(chart2, [[0, y2 ** 2], [0, 0]])
         assert not alpha.is_gauss_manin_closed()
         with pytest.raises(DualityError):
-            symmetric_class(alpha, "symmetrize")
+            symmetric_class(alpha)
 
     def test_rejects_fibre_dependence(self, chart2):
         with pytest.raises(DualityError):
@@ -305,22 +296,6 @@ class TestYukawa:
         value, oracle = yukawa(YukawaFamily(base, dirs), resolution=8, base_resolution=4)
         assert oracle is not None
         assert abs(value - oracle) <= 1e-8 * max(abs(oracle), 1.0)
-
-    def test_affine_extraction_from_callable(self, chart2):
-        base_matrix = [[I, 0], [0, I]]
-
-        def family(b):
-            return [[I + b[0], 0], [0, I + b[1]]]
-
-        fam = YukawaFamily.from_callable(family, chart2, 2)
-        value, oracle = yukawa(fam)
-        assert abs(value - oracle) < 1e-12
-
-        def nonaffine(b):
-            return [[I + b[0] ** 2, 0], [0, I + b[1]]]
-
-        with pytest.raises(DualityError):
-            YukawaFamily.from_callable(nonaffine, chart2, 2)
 
 
 def fibre_dependent(chart):

@@ -19,6 +19,7 @@ from syzlab.fields import (
     sup_norm_scalars,
     sup_norms,
 )
+from syzlab.k3 import GramLattice, K3MirrorInput
 
 
 def test_chart_validation():
@@ -63,7 +64,9 @@ def test_parse_refuses_strings_that_build_complex_values(text):
 
 @pytest.mark.parametrize("text", [
     "10^10^6", "(1+y1)^100000", "(((10^64)^64)^64)^64", "((1+y1)^64)^64",
-    "10^(1000001/2)", f"y1^{MAX_POWER + 1}", f"2^-{MAX_POWER + 1}"])
+    "10^(1000001/2)", f"y1^{MAX_POWER + 1}", f"2^-{MAX_POWER + 1}",
+    # a number inside a product, and powers that sympy merges
+    "((10^60*y1)^64)^64", "(((10^60*y1)^64)^64)^64", "(1+y1)^64*(1+y1)^64"])
 def test_parse_refuses_large_powers_at_once(text):
     start = time.perf_counter()
     with pytest.raises(GrammarError):
@@ -74,8 +77,22 @@ def test_parse_refuses_large_powers_at_once(text):
 def test_parse_builds_powers_up_to_the_bound():
     y1 = Chart(1, ((-1, 1),)).ys[0]
     assert parse_scalar("y1^6", 1) == y1 ** 6
+    assert parse_scalar("(2*y1)^6", 1) == 64 * y1 ** 6
+    assert parse_scalar("(1+y1/3)^64", 1) == (1 + y1 / 3) ** 64
     assert parse_scalar(f"(1+y1)^{MAX_POWER}", 1) == (1 + y1) ** MAX_POWER
     assert parse_scalar("(10^8)^64", 1) == sp.Integer(10) ** 512
+
+
+@pytest.mark.parametrize("value", [0.30000000000000004, 0.3333333333333333, 1000000.5])
+def test_a_float_reads_alike_everywhere(value):
+    """A box end, a beta number, a beta string and a K3 coordinate all read a
+    float as its shortest decimal."""
+    box_end = Chart(1, ((value, value + 1),)).box[0][0]
+    coord = K3MirrorInput(GramLattice.from_name("U2"), E=(1, 0, 0, 0),
+                          sigma0=(-1, 1, 0, 0), omega=(0, 0, value, value)).omega[2]
+    readings = [box_end, parse_scalar(value, 1), parse_scalar(repr(value), 1),
+                sp.Rational(coord.numerator, coord.denominator)]
+    assert readings == [sp.Rational(repr(value))] * 4
 
 
 # grammar strings of the demos and of the benchmark's symbolic generators,

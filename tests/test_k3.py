@@ -67,7 +67,9 @@ def random_valid_input(rng):
 
 class TestValidation:
     def test_valid_input_passes(self):
-        assert validate(full_input(), require_aligned=True) == []
+        inp = full_input()
+        assert validate(inp) == []
+        assert validate_and_align(inp) is inp  # already aligned
 
     def test_named_violations(self):
         with pytest.raises(K3ValidationError, match="section self-intersection"):
@@ -301,7 +303,8 @@ class TestTwistLift:
 
     def test_reduced_lift_gives_valid_input(self):
         inp = full_input(B=(2, 0, 1, -1, 0, 0))
-        assert validate(inp, require_aligned=True) == []
+        assert validate(inp) == []
+        assert validate_and_align(inp) is inp  # already aligned
         assert double_mirror_check(inp)["all_passed"]
 
 

@@ -196,9 +196,9 @@ class TestRunner:
         calls = []
         raw = k3.validate
 
-        def counted(inp, require_aligned=False):
+        def counted(inp):
             calls.append(inp)
-            return raw(inp, require_aligned)
+            return raw(inp)
 
         monkeypatch.setattr(k3, "validate", counted)
         doc = {"version": "1", "kind": "k3", "payload": {
@@ -259,12 +259,21 @@ class TestCli:
         ("semiflat-check", {"n": 1, "box": [[-1, 1]], "beta": [[{"im": "-1"}]]},
          {"compatible", "pointwise.positivity"}),
         ("hitchin", {"n": 1, "box": [[-1, 1]], "potential": "-y1^2"}, {"compatible"}),
+        # singular Im beta: V = 1/sqrt(det Im beta) is not finite
+        ("semiflat-check", {"n": 2, "box": [[-1, 1], [-1, 1]],
+                            "beta": [[{"im": "1"}, 0], [0, 0]]},
+         {"compatible", "pointwise.positivity"}),
     ])
     def test_incompatible_beta_is_a_failed_verdict(self, tmp_path, capsys,
                                                    kind, payload, failing):
         doc = {"version": "1", "kind": kind, "payload": payload}
         assert main(["run", write(tmp_path, doc), "--format", "json"]) == 1
-        report = json.loads(capsys.readouterr().out)
+
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        # strict JSON: a NaN or an infinity in the report is an error
+        report = json.loads(capsys.readouterr().out, parse_constant=refuse)
         assert {c["name"] for c in report["checks"] if not c["passed"]} == failing
         assert report["outputs"]["compatibility_error"]
 
@@ -383,6 +392,11 @@ INVALID_DATA = {
         "rank": 2, "monodromy": [[[2, 0], [0, 1]]]}},
     "k3_fibre_not_isotropic": {"version": "1", "kind": "k3", "payload": dict(
         _U2_K3, E=[1, 1, 0, 0])},
+    # lattice presets are spelled exactly: no aliases, no case folding
+    "k3_lattice_alias": {"version": "1", "kind": "k3", "payload": dict(
+        _U2_K3, lattice="U+U")},
+    "k3_lattice_lower_case": {"version": "1", "kind": "k3", "payload": dict(
+        _U2_K3, lattice="u2")},
     "k3_double_mirror_without_holomorphic_classes": {
         "version": "1", "kind": "k3", "payload": dict(_U2_K3, double_mirror=True)},
 }

@@ -121,24 +121,17 @@ class TestBuildOmega:
 
 class TestPointwise:
     def test_flat_all_zero(self, chart2):
-        rep = pointwise_checks(flat(chart2))
+        bs = flat(chart2)
+        rep = pointwise_checks(bs)
         assert rep["symmetry"].value == 0
         assert rep.notes["min_imbeta_eigenvalue"] == pytest.approx(1.0)
-        assert rep["volume_normalisation"].value == 0
+        assert sp.expand(bs.volume_density ** 2 * bs.det_g_inv - 1) == 0
 
     def test_constructed_asymmetry(self, chart2):
         y1 = chart2.ys[0]
         bs = BetaStructure(chart2, [[I, y1 + I * 0], [0, I]])
         rep = pointwise_checks(bs)
         assert rep["symmetry"].value == pytest.approx(1.0)  # sup |y1| on the box
-
-    def test_forced_volume_negative_test(self, chart2):
-        y1 = chart2.ys[0]
-        bs = BetaStructure(chart2, [[I * (1 + y1 ** 2), 0], [0, I]])
-        bs.volume_density = sp.Integer(1)
-        rep = pointwise_checks(bs)
-        assert rep["volume_normalisation"].value == pytest.approx(1.0)
-        assert not rep.verdict("volume_normalisation")
 
 
 class TestIntegrability:
@@ -472,17 +465,18 @@ class TestCompatibilityOnce:
         assert again.all_passed and "symmetry" in again.checks
 
     def test_override_is_never_cached(self, chart2):
-        """A wrong density set on a fresh structure fails normalisation; the
-        table of samples is per structure, so it reaches no other."""
+        """A wrong density set on a fresh structure fails the volume
+        divergence; the table of samples is per structure, so it reaches no
+        other."""
         y1 = chart2.ys[0]
-        beta = [[I * (1 + y1 ** 2), 0], [0, I]]
+        beta = [[I, 0], [0, I]]
         bs = BetaStructure(chart2, beta)
-        assert pointwise_checks(bs).verdict("volume_normalisation")
+        assert closedness_residuals(bs).verdict("volume_divergence")
         wrong = BetaStructure(chart2, beta)
-        wrong.volume_density = sp.Integer(1)
-        assert not pointwise_checks(wrong).verdict("volume_normalisation")
-        assert not pointwise_checks(wrong).verdict("volume_normalisation")
-        assert pointwise_checks(bs).verdict("volume_normalisation")
+        wrong.volume_density = 1 + y1 ** 2
+        assert not closedness_residuals(wrong).verdict("volume_divergence")
+        assert not closedness_residuals(wrong).verdict("volume_divergence")
+        assert closedness_residuals(bs).verdict("volume_divergence")
 
     def test_settings_are_part_of_the_key(self, chart2):
         y1 = chart2.ys[0]

@@ -10,82 +10,66 @@ complexes, fibre_models      integer cohomology of singular fibre models
 sheaf                        local systems on the sphere and Leray tables
 k3                           lattice-level K3 mirror map
 scenarios, cli               JSON scenario runner and command line
+
+Names and submodules are imported on first use (PEP 562), so the integer
+layers (intlinalg, complexes, fibre_models, sheaf), k3 on rational data, and
+the cli and scenarios on those kinds run without loading sympy or numpy.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .charts import Chart
-from .algebra import (
-    BigradedElement,
-    FormElement,
-    bracket,
-    d_x,
-    d_x_prime,
-    d_y,
-    exp_nilpotent,
-    from_form,
-    phi2,
-    phi3,
-    to_form,
-)
-from .semiflat import (
-    BetaStructure,
-    SemiflatReport,
-    action_coordinates,
-    build_omega,
-    closedness_residuals,
-    flatness_probe,
-    integrability_residual,
-    pointwise_checks,
-    reglue_check,
-    structure_equations,
-    translate_by_section,
-)
-from .duality import (
-    CycleSpec,
-    HitchinPotential,
-    SymTensorField,
-    YukawaFamily,
-    dual_structure_check,
-    duality_identities,
-    hitchin,
-    mclean_metrics,
-    period_one_form,
-    symmetric_class,
-    wedge_with_minus_omega,
-    yukawa,
-)
-from .complexes import (
-    CellularMap,
-    ChainComplex,
-    circle_complex,
-    product_complex,
-    quotient_complex,
-    torus_complex,
-)
-from .fibre_models import (
-    CohomologyResult,
-    build_model,
-    fibre_type_report,
-    integral_cohomology,
-    model_cohomology,
-)
-from .sheaf import (
-    E2Table,
-    LocalSystemOnSphere,
-    duality_checks,
-    e2_assemble,
-    euler_characteristic,
-    pushforward_cohomology,
-)
-from .k3 import (
-    GramLattice,
-    K3MirrorInput,
-    MirrorClasses,
-    double_mirror_check,
-    hyperkahler_rotate,
-    k3_lattice,
-    mirror_classes,
-    sublattice_quotient,
-    validate_and_align,
-)
+_EXPORTS = {
+    "charts": ("Chart",),
+    "algebra": (
+        "BigradedElement", "FormElement", "bracket", "d_x", "d_x_prime", "d_y",
+        "exp_nilpotent", "from_form", "phi2", "phi3", "to_form",
+    ),
+    "semiflat": (
+        "BetaStructure", "SemiflatReport", "action_coordinates", "build_omega",
+        "closedness_residuals", "flatness_probe", "integrability_residual",
+        "pointwise_checks", "reglue_check", "structure_equations",
+        "translate_by_section",
+    ),
+    "duality": (
+        "CycleSpec", "HitchinPotential", "SymTensorField", "YukawaFamily",
+        "dual_structure_check", "duality_identities", "hitchin", "mclean_metrics",
+        "period_one_form", "symmetric_class", "wedge_with_minus_omega", "yukawa",
+    ),
+    "complexes": (
+        "CellularMap", "ChainComplex", "circle_complex", "product_complex",
+        "quotient_complex", "torus_complex",
+    ),
+    "fibre_models": (
+        "CohomologyResult", "build_model", "fibre_type_report",
+        "integral_cohomology", "model_cohomology",
+    ),
+    "sheaf": (
+        "E2Table", "LocalSystemOnSphere", "duality_checks", "e2_assemble",
+        "euler_characteristic", "pushforward_cohomology",
+    ),
+    "k3": (
+        "GramLattice", "K3MirrorInput", "MirrorClasses", "double_mirror_check",
+        "hyperkahler_rotate", "k3_lattice", "mirror_classes", "sublattice_quotient",
+        "validate_and_align",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = frozenset(_EXPORTS) | {"fields", "quadrature", "intlinalg", "scenarios", "cli"}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import sympy as sp
@@ -23,15 +24,21 @@ class ChartError(ValueError):
 
 
 def _to_number(v):
-    """A box end as an exact sympy number; a float reads as its shortest
-    decimal, so 0.1 is 1/10."""
+    """A box end as an exact sympy number: an int, Fraction or sympy Rational
+    as itself, a float as its shortest decimal (0.1 is 1/10) and a string
+    through ``Fraction`` ("3/2", "0.5"); anything else is a ChartError."""
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ChartError(f"box end {v} is not finite")
         return sp.Rational(repr(v))
-    if isinstance(v, (int, sp.Rational)):
+    if isinstance(v, str):
+        try:
+            v = Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise ChartError(f"box end {v!r} is not a rational number") from None
+    if isinstance(v, (int, Fraction, sp.Rational)):
         return sp.Rational(v)
-    return sp.sympify(v)
+    raise ChartError(f"box end {v!r} is not a number")
 
 
 @dataclass(frozen=True)

@@ -248,8 +248,11 @@ def _fibre_symbolic_integral(expr, chart: Chart):
 def period_one_form(bs: BetaStructure, gamma: CycleSpec, y_points=None):
     """Covector field psi(gamma): v -> -(1/Vol) * period of i(v) Im Omega.
 
-    Returns (points, values) with values[p][j] the dy_j component at the
-    p-th base sample, plus a finite-difference closedness residual.
+    Returns (points, values, residual): values[p][j] is the dy_j component
+    at the p-th base sample, and residual is max |d(psi)| by central
+    differences, or None when y_points is not the chart's base grid of k^n
+    points with k >= 3 (a single point, say), on which d(psi) cannot be
+    differenced.
     """
     require_compatible(bs)
     chart, n = bs.chart, bs.n
@@ -273,13 +276,12 @@ def period_one_form(bs: BetaStructure, gamma: CycleSpec, y_points=None):
 
 
 def _fd_exterior_derivative_residual(pts, vals, chart):
-    """Max |d(psi)| by central differences on the regular base grid."""
+    """Max |d(psi)| by central differences on the chart's k^n base grid;
+    None when pts is not that grid for some k >= 3."""
     n = chart.n
-    if n < 2:
-        return 0.0
     k = round(len(pts) ** (1.0 / n))
-    if k ** n != len(pts) or k < 3:
-        return float("nan")
+    if k < 3 or pts.shape != (k ** n, n) or not np.allclose(pts, chart.base_grid(k)):
+        return None
     grid = vals.reshape(*([k] * n), n)
     steps = [(float(hi) - float(lo)) / (k - 1) for lo, hi in chart.box]
     worst = 0.0

@@ -23,7 +23,7 @@ any other string is a K3ValidationError, never handed to a sympy parser.
 Only a value that is not rational stays a sympy expression: the quadratic
 surds a non-Pythagorean phase alignment introduces, or symbolic library
 inputs.  A sympy result that turns out rational goes back to a Fraction, so
-rational data never touches sympy.
+rational data never touches sympy, nor imports it.
 
 The double mirror feeds the mirror classes back through the same map with
 the mirror's own twist class, read off the transverse part of ReOmega_n,
@@ -36,8 +36,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import sympy as sp
 
 from .intlinalg import (
     invert_unimodular,
@@ -61,6 +59,8 @@ def _norm(x):
         return x
     if isinstance(x, _RATIONAL):
         return Fraction(x)
+    import sympy as sp
+
     x = sp.expand(x)
     return Fraction(int(x.p), int(x.q)) if x.is_Rational else x
 
@@ -68,12 +68,16 @@ def _norm(x):
 def _is_zero(x):
     if isinstance(x, _RATIONAL):
         return x == 0
+    import sympy as sp
+
     return sp.simplify(sp.expand(x)) == 0
 
 
 def _positive(x):
     if isinstance(x, _RATIONAL):
         return x > 0
+    import sympy as sp
+
     return bool(sp.simplify(x) > 0)
 
 
@@ -84,6 +88,8 @@ def _sqrt(x):
         num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
         if num * num == x.numerator and den * den == x.denominator:
             return Fraction(num, den)
+    import sympy as sp
+
     return sp.sqrt(x)
 
 
@@ -100,7 +106,11 @@ def _coord(x):
 
 def _str(x):
     # str(Fraction) and sympy's sstr(Rational) print alike ("-3/2", "4")
-    return str(x) if type(x) is Fraction else sp.sstr(x)
+    if isinstance(x, _RATIONAL):
+        return str(x)
+    import sympy as sp
+
+    return sp.sstr(x)
 
 
 def _vec(values, rank):

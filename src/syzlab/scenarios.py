@@ -11,23 +11,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 
-import sympy as sp
 from jsonschema import Draft202012Validator
 
 from . import __version__
-from .charts import Chart
-from .fields import parse_scalar
-from .semiflat import (
-    DEFAULT_TOL,
-    BetaStructure,
-    CompatibilityError,
-    closedness_residuals,
-    pointwise_checks,
-    structure_equations,
-)
 
 SCHEMA_VERSION = "1"
 # kinds whose verdicts are exact: no grid or tolerance acts on them
@@ -245,6 +235,8 @@ def load_scenario(path):
 
 
 def _settings(doc):
+    from .semiflat import DEFAULT_TOL
+
     s = dict(doc.get("settings", {}))
     return {
         "grid": int(s.get("grid", 16)),
@@ -253,32 +245,46 @@ def _settings(doc):
 
 
 def _decode_chart(payload):
+    from .charts import Chart
+
     return Chart(payload["n"], tuple(tuple(iv) for iv in payload["box"]))
 
 
 def _decode_matrix(matrix, n):
+    from .fields import parse_scalar
+
     if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ScenarioError(f"matrices must be {n} x {n}")
     return [[parse_scalar(matrix[i][j], n) for j in range(n)] for i in range(n)]
 
 
 def _decode_beta(payload):
+    from .semiflat import BetaStructure
+
     chart = _decode_chart(payload)
     return BetaStructure(chart, _decode_matrix(payload["beta"], chart.n))
 
 
-def _input_errors():
-    """Library errors that mean the payload's data is invalid; evaluated only
-    while an exception propagates, so a successful run imports nothing here."""
-    from .charts import ChartError
-    from .duality import DualityError
-    from .fibre_models import ModelError
-    from .fields import GrammarError, PeriodicityError
-    from .k3 import K3ValidationError
-    from .sheaf import LocalSystemError
+# library errors that mean the payload's data is invalid
+_INPUT_ERRORS = ("fields.GrammarError", "fields.PeriodicityError", "charts.ChartError",
+                 "fibre_models.ModelError", "sheaf.LocalSystemError",
+                 "k3.K3ValidationError", "duality.DualityError")
 
-    return (GrammarError, PeriodicityError, ChartError, ModelError,
-            LocalSystemError, K3ValidationError, DualityError)
+
+def _loaded(*names):
+    """The error classes named "module.Class" whose syzlab module is imported.
+
+    An exception's class is loaded by the module that raised it, so a class
+    whose module was never imported cannot be the one propagating; building
+    an except tuple this way imports nothing, on the error path either.
+    """
+    found = []
+    for name in names:
+        module, _, cls = name.partition(".")
+        mod = sys.modules.get(f"{__package__}.{module}")
+        if mod is not None:
+            found.append(getattr(mod, cls))
+    return tuple(found)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +292,8 @@ def _input_errors():
 # ---------------------------------------------------------------------------
 
 def _run_semiflat(doc, report):
+    from .semiflat import closedness_residuals, pointwise_checks, structure_equations
+
     cfg = _settings(doc)
     bs = _decode_beta(doc["payload"])
     tol = cfg["tol"]
@@ -315,7 +323,10 @@ def _run_dualize(doc, report):
 
 
 def _run_hitchin(doc, report):
+    import sympy as sp
+
     from .duality import HitchinPotential, SymTensorField, hitchin
+    from .fields import parse_scalar
 
     cfg = _settings(doc)
     payload = doc["payload"]
@@ -451,12 +462,12 @@ def run_scenario_doc(doc) -> RunReport:
     start = time.monotonic()
     try:
         _DISPATCH[doc["kind"]](doc, report)
-    except CompatibilityError as exc:
+    except _loaded("semiflat.CompatibilityError") as exc:
         # an asymmetric beta or an Im(beta) that is not positive definite is
         # a failed verdict; checks recorded before it stay in the report
         report.add_check("compatible", False)
         report.outputs["compatibility_error"] = str(exc)
-    except _input_errors() as exc:
+    except _loaded(*_INPUT_ERRORS) as exc:
         raise ScenarioError(str(exc)) from exc
     report.timings["total_s"] = time.monotonic() - start
     return report

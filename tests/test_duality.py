@@ -88,6 +88,13 @@ class TestPeriods:
         _, _, residual = period_one_form(bs, CycleSpec(1, (1, 0)))
         assert residual < 1e-6
 
+    def test_no_closedness_residual_off_the_base_grid(self, chart2):
+        bs = flat(chart2)
+        grid = chart2.base_grid(3)
+        for y_points in ([(0.0, 0.0)], chart2.base_grid(2), grid[::-1]):
+            assert period_one_form(bs, CycleSpec(1, (1, 0)), y_points=y_points)[2] is None
+        assert period_one_form(bs, CycleSpec(1, (1, 0)), y_points=grid)[2] < 1e-6
+
     def test_nonzero_requirement(self):
         with pytest.raises(DualityError):
             CycleSpec(1, (0, 0))

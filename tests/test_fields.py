@@ -1,5 +1,6 @@
 import ast
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,14 @@ def test_chart_validation():
     c = Chart(2, ((-1, 1), (0, 2)))
     assert c.center == (0, 1)
     assert c.box_volume == 4
+
+
+def test_box_ends_are_numbers_never_evaluated(capsys):
+    assert Chart(1, ((Fraction(-1, 3), "3/2"),)).box == ((sp.Rational(-1, 3), sp.Rational(3, 2)),)
+    for bad in ('len([print("evaluated")]) - 2', "pi", "1/0", sp.pi, sp.Float(0.5), 1j, None):
+        with pytest.raises(ChartError):
+            Chart(1, ((bad, 5),))
+    assert capsys.readouterr().out == ""
 
 
 def test_parse_grammar_and_complex():

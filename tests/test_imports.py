@@ -1,0 +1,115 @@
+"""Import layering: the exact CLI commands load neither sympy nor numpy, and
+the lazy package namespace resolves every public name as before."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import syzlab
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "demos" / "scenarios"
+SRC = Path(syzlab.__file__).resolve().parent.parent
+
+# runs one cli command in a fresh interpreter; prints its exit code and which
+# of the heavy dependencies it loaded
+PROBE = """
+import contextlib, io, json, sys
+from syzlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in ("sympy", "numpy", "jsonschema") if m in sys.modules)]))
+"""
+
+# every name the package namespace re-exported when it imported its modules eagerly
+PUBLIC = {
+    "charts": ["Chart"],
+    "algebra": ["BigradedElement", "FormElement", "bracket", "d_x", "d_x_prime", "d_y",
+                "exp_nilpotent", "from_form", "phi2", "phi3", "to_form"],
+    "semiflat": ["BetaStructure", "SemiflatReport", "action_coordinates", "build_omega",
+                 "closedness_residuals", "flatness_probe", "integrability_residual",
+                 "pointwise_checks", "reglue_check", "structure_equations",
+                 "translate_by_section"],
+    "duality": ["CycleSpec", "HitchinPotential", "SymTensorField", "YukawaFamily",
+                "dual_structure_check", "duality_identities", "hitchin", "mclean_metrics",
+                "period_one_form", "symmetric_class", "wedge_with_minus_omega", "yukawa"],
+    "complexes": ["CellularMap", "ChainComplex", "circle_complex", "product_complex",
+                  "quotient_complex", "torus_complex"],
+    "fibre_models": ["CohomologyResult", "build_model", "fibre_type_report",
+                     "integral_cohomology", "model_cohomology"],
+    "sheaf": ["E2Table", "LocalSystemOnSphere", "duality_checks", "e2_assemble",
+              "euler_characteristic", "pushforward_cohomology"],
+    "k3": ["GramLattice", "K3MirrorInput", "MirrorClasses", "double_mirror_check",
+           "hyperkahler_rotate", "k3_lattice", "mirror_classes", "sublattice_quotient",
+           "validate_and_align"],
+}
+
+
+def _probe(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PROBE, *map(str, argv)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def k3_payload(tmp_path_factory):
+    path = tmp_path_factory.mktemp("k3") / "payload.json"
+    path.write_text(json.dumps(json.loads((SCENARIOS / "k3_toy.json").read_text())["payload"]))
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", SCENARIOS / "fibre_all.json"],
+    ["run", SCENARIOS / "k3_toy.json"],
+    ["sheaf", "--monodromy", SCENARIOS / "sheaf_24I1.json"],
+    ["fibre", "--model", "M21", "--cells", "2"],
+    ["k3", "--input", None],
+], ids=["run-fibre", "run-k3", "sheaf", "fibre", "k3"])
+def test_exact_commands_load_neither_sympy_nor_numpy(argv, k3_payload):
+    argv = [k3_payload if a is None else a for a in argv]
+    assert _probe(*argv, "--format", "json") == [0, ["jsonschema"]]
+
+
+@pytest.mark.parametrize("argv", [["list-models"], ["conventions"]])
+def test_catalogue_commands_load_no_dependency(argv):
+    assert _probe(*argv) == [0, []]
+
+
+@pytest.mark.parametrize("payload", [
+    {"rank": 1, "monodromy": [[[2]]]},
+    {"lattice": "U2", "E": [1, 0, 0, 0], "sigma0": [-1, 1, 0, 0], "omega": [0, 0, "pi", 1]},
+], ids=["sheaf", "k3"])
+def test_invalid_exact_payload_exits_2_without_sympy(payload, tmp_path):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    command = "sheaf --monodromy" if "rank" in payload else "k3 --input"
+    assert _probe(*command.split(), path) == [2, ["jsonschema"]]
+
+
+def test_every_public_name_resolves_to_its_module():
+    namespace = {}
+    exec("from syzlab import *", namespace)
+    listing = dir(syzlab)
+    for module, names in PUBLIC.items():
+        mod = importlib.import_module(f"syzlab.{module}")
+        assert getattr(syzlab, module) is mod
+        for name in names:
+            assert getattr(syzlab, name) is getattr(mod, name)
+            assert namespace[name] is getattr(mod, name)
+            assert name in listing
+    assert set(syzlab.__all__) == {name for names in PUBLIC.values() for name in names}
+
+
+def test_unknown_names_are_attribute_errors():
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        syzlab.nope  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from syzlab import nope", {})

@@ -12,8 +12,13 @@ i(d/dx_I) dx_{1..n} = (-1)^M dx_{I*} with I* the complement of I and
 M = #{(i, j) : i in I, j in I*, i > j}.  Forms are kept with all dy factors
 in front of all dx factors.
 
-Both element types share one sparse term store, (J, K) -> expanded sympy
-coefficient; every reordering sign comes from sorting in ``add_term``.
+Both element types share one sparse term store, (J, K) -> coefficient;
+every reordering sign comes from sorting in ``add_term``.  A coefficient is
+an expanded sympy expression, or a ``Jet``: the sampled value of a field on
+a block of grid rows with its first partials.  The operators differentiate
+through ``c.diff(v)`` and combine coefficients with ``+`` and ``*`` only, so
+one set of builders gives the exact identities on sympy coefficients and
+their sampled values on jets.
 
 Three graded operators act here: d_x (the fibre part of the exterior
 derivative, transported through the isomorphism; second order as a
@@ -62,11 +67,103 @@ def complement_sign(iset, n):
 
 
 # ---------------------------------------------------------------------------
+# numeric coefficients
+# ---------------------------------------------------------------------------
+
+class Jet:
+    """A field sampled on a block of grid rows, with its nonzero first partials.
+
+    ``value`` and each entry of ``partials`` (symbol -> partial) is a Python
+    complex constant or an array over the rows.  A product follows the
+    product rule; ``diff`` returns the partial as a value-only jet
+    (``partials`` None), which cannot be differentiated again: every residual
+    sampled this way needs first derivatives only.  A jet is zero, and equals
+    0, only when its value is the constant 0 and it has no partials, so
+    constant and structurally absent partials cancel exactly.
+    """
+
+    __slots__ = ("value", "partials")
+
+    def __init__(self, value, partials=None):
+        self.value = value
+        self.partials = partials
+
+    def is_zero(self):
+        return _is_zero_constant(self.value) and not self.partials
+
+    def __eq__(self, other):
+        return other == 0 and self.is_zero()
+
+    def diff(self, v):
+        if self.partials is None:
+            raise DegreeError("a jet carries first derivatives only")
+        return Jet(self.partials.get(v, 0j))
+
+    def _map(self, f):
+        """The jet of f(field) for a real-linear f, such as a real part."""
+        def g(z):
+            return complex(f(z)) if type(z) is complex else f(z)
+        partials = (None if self.partials is None
+                    else _summed({}, {v: g(p) for v, p in self.partials.items()}))
+        return Jet(g(self.value), partials)
+
+    def as_real_imag(self):
+        return self._map(lambda z: z.real), self._map(lambda z: z.imag)
+
+    def __neg__(self):
+        return self._map(lambda z: -z)
+
+    def __add__(self, other):
+        if not isinstance(other, Jet):
+            other = Jet(complex(other), {})
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
+        if self.partials is None or other.partials is None:
+            return Jet(self.value + other.value)
+        return Jet(self.value + other.value, _summed(self.partials, other.partials))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            other = Jet(complex(other), {})
+        if self.is_zero() or other.is_zero():
+            return Jet(0j, {})
+        a, b = self.value, other.value
+        if self.partials is None or other.partials is None:
+            return Jet(a * b)
+        return Jet(a * b, _summed({v: p * b for v, p in self.partials.items()},
+                                  {v: a * p for v, p in other.partials.items()}))
+
+    __rmul__ = __mul__
+
+
+def _is_zero_constant(z):
+    return type(z) is complex and z == 0
+
+
+def _summed(first, second):
+    """Two maps of partials added by symbol, without the constant zeros."""
+    out = dict(first)
+    for v, p in second.items():
+        out[v] = out[v] + p if v in out else p
+    return {v: p for v, p in out.items() if not _is_zero_constant(p)}
+
+
+def _sympified(coeff):
+    """A jet as it is; any other coefficient through sympify."""
+    return coeff if isinstance(coeff, Jet) else sp.sympify(coeff)
+
+
+# ---------------------------------------------------------------------------
 # the shared term store
 # ---------------------------------------------------------------------------
 
 class _Terms:
-    """Sparse map (J, K) -> expanded coefficient over a fixed chart."""
+    """Sparse map (J, K) -> coefficient over a fixed chart."""
 
     __slots__ = ("chart", "terms")
 
@@ -79,7 +176,8 @@ class _Terms:
 
     def add_term(self, jset, kset, coeff):
         """Add coeff * (J, K) for unsorted J, K: sorting gives the sign, and a
-        repeated index drops the term; an index above n raises DegreeError."""
+        repeated index drops the term; an index above n raises DegreeError.
+        A sympy or plain-number sum is expanded, and a zero sum is dropped."""
         jset, jsign = sort_with_sign(jset)
         kset, ksign = sort_with_sign(kset)
         if jset is None or kset is None:
@@ -88,7 +186,9 @@ class _Terms:
         if jset and jset[-1] > n or kset and kset[-1] > n:
             raise DegreeError(f"index out of range for dimension {n}")
         key = (jset, kset)
-        new = sp.expand(self.terms.get(key, 0) + jsign * ksign * coeff)
+        new = self.terms.get(key, 0) + jsign * ksign * coeff
+        if not isinstance(new, Jet):
+            new = sp.expand(new)
         if new == 0:
             self.terms.pop(key, None)
         else:
@@ -115,9 +215,8 @@ class _Terms:
 
     def scale(self, factor):
         out = type(self)(self.chart)
-        f = sp.sympify(factor)
         for (j, k), c in self.terms.items():
-            out.add_term(j, k, f * c)
+            out.add_term(j, k, factor * c)
         return out
 
     def _product(self, other, interleaved):
@@ -174,7 +273,7 @@ class BigradedElement(_Terms):
     @classmethod
     def term(cls, chart, coeff, dys=(), dxs=()):
         e = cls(chart)
-        e.add_term(dys, dxs, sp.sympify(coeff))
+        e.add_term(dys, dxs, _sympified(coeff))
         return e
 
     @classmethod
@@ -184,7 +283,7 @@ class BigradedElement(_Terms):
         n = chart.n
         for i in range(n):
             for j in range(n):
-                c = sp.sympify(matrix[i][j])
+                c = _sympified(matrix[i][j])
                 if c != 0:
                     e.add_term((j + 1,), (i + 1,), c)
         return e
@@ -242,11 +341,11 @@ class FormElement(_Terms):
         ys, xs = self.chart.ys, self.chart.xs
         for (jset, kset), c in self.terms.items():
             for a, y in enumerate(ys, start=1):
-                dc = sp.diff(c, y)
+                dc = c.diff(y)
                 if dc != 0:
                     out.add_term((a,) + jset, kset, dc)
             for a, x in enumerate(xs, start=1):
-                dc = sp.diff(c, x)
+                dc = c.diff(x)
                 if dc != 0:
                     # dx_a moves in front of dx_K past every dy factor
                     out.add_term(jset, (a,) + kset, ((-1) ** len(jset)) * dc)
@@ -326,7 +425,7 @@ def d_x(element: BigradedElement) -> BigradedElement:
     for (jset, iset), c in element.terms.items():
         qsign = (-1) ** len(jset)
         for i in iset:
-            dc = sp.diff(c, xs[i - 1])
+            dc = c.diff(xs[i - 1])
             if dc == 0:
                 continue
             above = sum(1 for j in iset if j > i)
@@ -341,7 +440,7 @@ def d_y(element: BigradedElement) -> BigradedElement:
     ys = element.chart.ys
     for (jset, iset), c in element.terms.items():
         for k in range(1, element.chart.n + 1):
-            dc = sp.diff(c, ys[k - 1])
+            dc = c.diff(ys[k - 1])
             if dc != 0:
                 out.add_term((k,) + jset, iset, dc)
     return out
@@ -413,10 +512,10 @@ def vector_field_bracket(a: BigradedElement, b: BigradedElement) -> BigradedElem
             l, m = jl[0], jm[0]
             i, jj = il[0], im[0]
             # v_{i,l} d(w_{j,m})/dx_i  d/dx_j   -   w_{i,m} d(v_{j,l})/dx_i d/dx_j
-            term1 = cv * sp.diff(cw, xs[i - 1])
+            term1 = cv * cw.diff(xs[i - 1])
             if term1 != 0:
                 out.add_term((l, m), (jj,), term1)
-            term2 = cw * sp.diff(cv, xs[jj - 1])
+            term2 = cw * cv.diff(xs[jj - 1])
             if term2 != 0:
                 out.add_term((l, m), (i,), -term2)
     return out
@@ -444,7 +543,7 @@ def decomposable_form(chart, beta_matrix, scale=1):
     for i in range(chart.n):
         form = {("x", i + 1): sp.Integer(1)}
         for j in range(chart.n):
-            c = sp.sympify(beta_matrix[i][j])
+            c = _sympified(beta_matrix[i][j])
             if c != 0:
                 form[("y", j + 1)] = c
         forms.append(form)

@@ -198,11 +198,11 @@ def require_fibre_periodic(expr, n):
 _BLOCK_SAMPLES = 1 << 14
 
 
-def blocks(evaluate, Y, X):
+def blocks(evaluate, Y, X, size=_BLOCK_SAMPLES):
     """(rows, evaluate(Y[rows], X[rows])) for consecutive slices of at most
-    _BLOCK_SAMPLES sample rows, so only one block of values is held at a time."""
-    for start in range(0, len(Y), _BLOCK_SAMPLES):
-        rows = slice(start, start + _BLOCK_SAMPLES)
+    ``size`` sample rows, so only one block of values is held at a time."""
+    for start in range(0, len(Y), size):
+        rows = slice(start, start + size)
         yield rows, evaluate(Y[rows], X[rows])
 
 
@@ -234,12 +234,40 @@ def compile_scalars(exprs, chart: Chart):
 
 class SupNorm(float):
     """The sampled max |z| of a group of expressions; .re and .im are the
-    sampled max |Re z| and max |Im z|, taken in the same pass."""
+    sampled max |Re z| and max |Im z|, taken in the same pass, and .at,
+    .re_at and .im_at the sample points (y, x) where each is first reached
+    (None for a part that is 0 at every sample)."""
 
-    def __new__(cls, value, re, im):
+    def __new__(cls, value, re, im, at=(None, None, None)):
         norm = super().__new__(cls, value)
         norm.re, norm.im = float(re), float(im)
+        norm.at, norm.re_at, norm.im_at = at
         return norm
+
+
+class Peaks:
+    """Running max |z|, |Re z| and |Im z| of groups of sampled values, folded
+    in one block of sample rows at a time, with the point of each.  A NaN
+    sample is the peak from then on, as numpy's maximum makes it."""
+
+    def __init__(self, count):
+        self.peak = np.zeros((count, 3))
+        self.at = [[None] * 3 for _ in range(count)]
+
+    def add(self, k, vals, Y, X):
+        """Fold in group k on one block: vals has one row per expression and
+        one column per sample row of (Y, X), or one column for values that
+        are constant on the block."""
+        for part, mags in enumerate((np.abs(vals), np.abs(vals.real), np.abs(vals.imag))):
+            per_row = mags.max(axis=0)
+            idx = int(np.argmax(per_row))
+            best, current = per_row[idx], self.peak[k, part]
+            if best > current or (np.isnan(best) and not np.isnan(current)):
+                self.peak[k, part] = best
+                self.at[k][part] = (tuple(map(float, Y[idx])), tuple(map(float, X[idx])))
+
+    def norms(self):
+        return [SupNorm(*peak, at=tuple(at)) for peak, at in zip(self.peak, self.at)]
 
 
 def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
@@ -247,8 +275,8 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
 
     The nonzero expressions of all groups are compiled into one evaluator,
     whose blocks are reduced as they come; only running maxima of |z|, |Re z|
-    and |Im z| per expression are kept.  A group whose expressions are all
-    exactly 0 is 0.0.
+    and |Im z| per group are kept.  A group whose expressions are all exactly
+    0 is 0.0.
     """
     groups = list(groups)
     owner, exprs = [], []
@@ -258,15 +286,15 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
             if e != 0:
                 owner.append(k)
                 exprs.append(e)
-    peak = np.zeros((3, len(exprs)))
+    peaks = Peaks(len(groups))
     if exprs:
+        members = {k: np.flatnonzero(np.array(owner) == k) for k in set(owner)}
         Y, X = chart.sample_points(base_k, fibre_k)
-        for _, vals in blocks(compile_scalars(exprs, chart), Y, X):
-            peak = np.maximum(peak, [np.abs(part).max(axis=1)
-                                     for part in (vals, vals.real, vals.imag)])
+        for rows, vals in blocks(compile_scalars(exprs, chart), Y, X):
+            for k, idx in members.items():
+                peaks.add(k, vals[idx], Y[rows], X[rows])
             del vals  # so the next block is not evaluated beside this one
-    owner = np.array(owner, dtype=int)
-    return [SupNorm(*peak[:, owner == k].max(axis=1, initial=0.0)) for k in range(len(groups))]
+    return peaks.norms()
 
 
 def sup_norm_scalars(exprs, chart: Chart, base_k=5, fibre_k=8):

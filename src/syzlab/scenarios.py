@@ -156,12 +156,15 @@ class RunReport:
     outputs: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
-    def add_check(self, name, passed, value=None, tol=None):
+    def add_check(self, name, passed, value=None, tol=None, worst_point=None):
         entry = {"name": name, "passed": bool(passed)}
         if value is not None:
             entry["value"] = float(value)
         if tol is not None:
             entry["tol"] = float(tol)
+        if worst_point is not None:
+            y, x = worst_point
+            entry["worst_point"] = {"y": list(y), "x": list(x)}
         self.checks.append(entry)
 
     @property
@@ -299,14 +302,17 @@ def _run_semiflat(doc, report):
     tol = cfg["tol"]
     pw = pointwise_checks(bs, tol=tol)
     for name, check in pw.checks.items():
-        report.add_check(f"pointwise.{name}", check.passed, check.value, check.tol)
+        report.add_check(f"pointwise.{name}", check.passed, check.value, check.tol,
+                         check.worst_point)
     closed = closedness_residuals(bs, tol=tol)
     for name, check in closed.checks.items():
-        report.add_check(f"closedness.{name}", check.passed, check.value, check.tol)
+        report.add_check(f"closedness.{name}", check.passed, check.value, check.tol,
+                         check.worst_point)
     report.add_check("closedness.equivalence", closed.notes["equivalence_consistent"])
     struct = structure_equations(bs, tol=tol)
     for name, check in struct.checks.items():
-        report.add_check(f"structure.{name}", check.passed, check.value, check.tol)
+        report.add_check(f"structure.{name}", check.passed, check.value, check.tol,
+                         check.worst_point)
 
 
 def _run_dualize(doc, report):
@@ -316,7 +322,8 @@ def _run_dualize(doc, report):
     bs = _decode_beta(doc["payload"])
     rep = dual_structure_check(bs, resolution=cfg["grid"], tol=cfg["tol"])
     for name, check in rep.checks.items():
-        report.add_check(f"dual.{name}", check.passed, check.value, check.tol)
+        report.add_check(f"dual.{name}", check.passed, check.value, check.tol,
+                         check.worst_point)
     report.outputs["vol_samples"] = rep.notes["vol_samples"]
     report.outputs["dual_vol_samples"] = rep.notes["dual_vol_samples"]
     report.outputs["volume_form_closed_residual"] = rep.notes["volume_form_closed_residual"]
@@ -339,7 +346,8 @@ def _run_hitchin(doc, report):
     bs, info = hitchin(pot, twist, tol=cfg["tol"])
     closed = info["closedness"]
     for name, check in closed.checks.items():
-        report.add_check(f"closedness.{name}", check.passed, check.value, check.tol)
+        report.add_check(f"closedness.{name}", check.passed, check.value, check.tol,
+                         check.worst_point)
     report.add_check("determinant_criterion_consistent", info["criterion_consistent"])
     report.outputs["hessian_determinant_residual"] = info["determinant_residual"]
     report.outputs["hessian_determinant_value"] = sp.sstr(info["determinant_value"])

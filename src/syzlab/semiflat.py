@@ -3,21 +3,28 @@
 A BetaStructure packages the n x n complex matrix beta = b + i*gInv on a
 chart: b is the Ehresmann-connection matrix, gInv the inverse fibre metric.
 The candidate holomorphic volume form is Omega = V * exp(beta) with
-V = 1/sqrt(det Im beta).  d(Omega) = 0 splits into two complex residuals,
-each built once: integrability d_y(beta) - [beta, beta]/2 =
-connection_curvature + i*covariant_metric, and volume divergence
-d_y(V) - d_x'(V*beta) = parallel_volume - i*fibre_harmonic.  The four
-structure equations are their real and imaginary parts.
+V = 1/sqrt(det Im beta).  d(Omega) = 0 splits into two complex residuals:
+integrability d_y(beta) - [beta, beta]/2 = connection_curvature +
+i*covariant_metric, and volume divergence d_y(V) - d_x'(V*beta) =
+parallel_volume - i*fibre_harmonic.  The four structure equations are their
+real and imaginary parts.
 
-All residual norms are sup-norms of coefficient functions over the chart's
-fixed sample grid (5 base x 8 fibre points per axis).  Each structure keeps
-one table of sampled residual peaks (|z|, |Re z|, |Im z|) by name: each
-residual is built and sampled once, and every report selects from the table.
+Each residual has one builder, a function of (chart, beta, V) over the
+graded algebra.  On sympy entries it gives the exact identity; the reported
+magnitudes come from the same builders run on first-order numeric jets
+(``algebra.Jet``): the entries of beta and their first partials, and V with
+dV = -V d(det)/(2 det), sampled on the chart's fixed grid of 5 base x 8 fibre
+points per axis.  Every residual needs first derivatives only.  Each
+structure keeps one table of sampled residual peaks (|z|, |Re z|, |Im z| and
+where each is reached) by name: each residual is sampled once, and every
+report selects from the table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 import sympy as sp
@@ -25,17 +32,22 @@ import sympy as sp
 from .algebra import (
     BigradedElement,
     FormElement,
+    Jet,
     bracket,
     d_x_prime,
     d_y,
     decomposable_form,
     exp_nilpotent,
+    sort_with_sign,
 )
 from .charts import Chart
-from .fields import GrammarError, blocks, compile_scalars, require_fibre_periodic, sup_norms
+from .fields import GrammarError, Peaks, blocks, compile_scalars, require_fibre_periodic
 
 DEFAULT_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-9
+# sample rows per block of jets: a builder holds a few hundred arrays of this
+# length at once (d(Omega) at n = 3)
+_JET_ROWS = 4096
 
 
 class CompatibilityError(ValueError):
@@ -46,6 +58,8 @@ class CompatibilityError(ValueError):
 class ResidualCheck:
     value: float
     tol: float
+    # the sample point (y, x) of the sampled peak, where there is one
+    worst_point: tuple = None
 
     @property
     def passed(self):
@@ -59,8 +73,8 @@ class SemiflatReport:
     checks: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
-    def add(self, name, value, tol=DEFAULT_TOL):
-        self.checks[name] = ResidualCheck(float(value), float(tol))
+    def add(self, name, value, tol=DEFAULT_TOL, worst_point=None):
+        self.checks[name] = ResidualCheck(float(value), float(tol), worst_point)
 
     def __getitem__(self, name):
         return self.checks[name]
@@ -74,9 +88,9 @@ class SemiflatReport:
 
 
 class BetaStructure:
-    """beta = b + i*gInv on a chart; b, gInv, det gInv and V = sqrt(det g) =
-    1/sqrt(det Im beta) are derived once, never supplied (V = zoo when Im
-    beta is singular: compatibility decides the verdict)."""
+    """beta = b + i*gInv on a chart; b and gInv are derived once, and the
+    symbolic det gInv and V = sqrt(det g) = 1/sqrt(det Im beta) on first use
+    (V = zoo when Im beta is singular: compatibility decides the verdict)."""
 
     def __init__(self, chart: Chart, beta):
         self.chart = chart
@@ -89,8 +103,6 @@ class BetaStructure:
         parts = [[entry.as_real_imag() for entry in row] for row in beta]
         self.b_matrix = [[re for re, _ in row] for row in parts]
         self.g_inv = [[im for _, im in row] for row in parts]
-        self.det_g_inv = sp.expand(sp.Matrix(self.g_inv).det())
-        self.volume_density = 1 / sp.sqrt(self.det_g_inv)
         # sampled residuals by name, filled by _sampled: a SupNorm each, and
         # for "positivity" the least eigenvalue of Im beta and where
         self._samples = {}
@@ -98,6 +110,14 @@ class BetaStructure:
     @property
     def n(self):
         return self.chart.n
+
+    @functools.cached_property
+    def det_g_inv(self):
+        return sp.expand(sp.Matrix(self.g_inv).det())
+
+    @functools.cached_property
+    def volume_density(self):
+        return 1 / sp.sqrt(self.det_g_inv)
 
     def beta_element(self) -> BigradedElement:
         return BigradedElement.from_matrix(self.chart, self.beta)
@@ -108,31 +128,91 @@ class BetaStructure:
     def g_inv_element(self) -> BigradedElement:
         return BigradedElement.from_matrix(self.chart, self.g_inv)
 
+    @functools.cached_property
+    def _jet_source(self):
+        """One evaluator for the distinct varying entries of beta and their
+        nonzero first partials, and the layout of beta's jets in its output:
+        layout[i][j] = (value, {symbol: partial}), each a complex constant or
+        a row of the evaluator's output."""
+        exprs, rows = [], {}
+
+        def slot(expr):
+            if not expr.free_symbols:
+                return complex(expr)
+            if expr not in rows:
+                rows[expr] = len(exprs)
+                exprs.append(expr)
+            return rows[expr]
+
+        symbols = self.chart.ys + self.chart.xs
+        layout = [[(slot(e), {v: slot(d) for v in symbols
+                              if v in e.free_symbols and (d := sp.diff(e, v)) != 0})
+                   for e in row] for row in self.beta]
+        return compile_scalars(exprs, self.chart), layout, bool(exprs)
+
+    def _beta_jets(self):
+        """(Y, X, jets) over the sample grid, at most _JET_ROWS rows at a time
+        (one block when beta is constant): jets[i][j] is the Jet of beta[i][j]
+        on the rows Y, X."""
+        evaluate, layout, varies = self._jet_source
+        Y, X = self.chart.sample_points()
+        for rows, vals in blocks(evaluate, Y, X, _JET_ROWS if varies else len(Y)):
+            def pick(slot):
+                return slot if isinstance(slot, complex) else vals[slot]
+            yield Y[rows], X[rows], [[Jet(pick(v), {s: pick(p) for s, p in partials.items()})
+                                      for v, partials in row] for row in layout]
+
     @np.errstate(all="ignore")
     def min_imbeta_eigenvalue(self):
         """Least eigenvalue of sym(Im beta) over the sample grid, and where;
-        b is sampled too, and a beta not finite there is a GrammarError."""
-        Y, X = self.chart.sample_points()
-        evaluate = compile_scalars([e for row in self.g_inv + self.b_matrix for e in row],
-                                   self.chart)
-        least = []
-        for rows, vals in blocks(evaluate, Y, X):
+        a beta not finite there is a GrammarError."""
+        n, least, where = self.n, np.inf, None
+        for Y, X, beta in self._beta_jets():
+            vals = _stack([entry.value for row in beta for entry in row])
             finite = np.isfinite(vals).all(axis=0)
             if not finite.all():
-                y, x = (tuple(map(float, p[rows][np.argmin(finite)])) for p in (Y, X))
+                y, x = (tuple(map(float, p[np.argmin(finite)])) for p in (Y, X))
                 raise GrammarError(f"beta is not finite at the sample point y = {y}, x = {x}")
-            mats = vals[: self.n ** 2].real.T.reshape(-1, self.n, self.n)
-            least.append(np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0])
-        least = np.concatenate(least)
-        idx = int(np.argmin(least))
-        return float(least[idx]), (tuple(map(float, Y[idx])), tuple(map(float, X[idx])))
+            mats = vals.imag.T.reshape(-1, n, n)
+            eig = np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0]
+            idx = int(np.argmin(eig))
+            if eig[idx] < least:
+                least, where = float(eig[idx]), (tuple(map(float, Y[idx])),
+                                                 tuple(map(float, X[idx])))
+        return least, where
+
+
+def _stack(values):
+    """Jet values as one array, a row each: one column per sample row, or a
+    single column when every value is a constant."""
+    return np.stack(np.broadcast_arrays(*values)).reshape(len(values), -1)
+
+
+def _determinant(matrix):
+    """The Leibniz determinant; entries of any coefficient type."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        term = sort_with_sign(perm)[1]
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total + term
+    return total
+
+
+def _volume_jet(beta):
+    """V = det(Im beta)^(-1/2) as a jet, with dV = -V d(det)/(2 det)."""
+    det = _determinant(_part(beta, 1))
+    V = 1 / np.sqrt(det.value + 0j)
+    V = complex(V) if np.ndim(V) == 0 else V
+    return Jet(V, {v: -V * p / (2 * det.value) for v, p in det.partials.items()})
 
 
 def pointwise_checks(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     """Symmetry and positivity residuals at samples."""
     rep = _sampled_report(bs, ["symmetry"], tol)
     mineig, worst = _sampled(bs, ["positivity"])[0]
-    rep.checks["positivity"] = ResidualCheck(-mineig, -POSITIVITY_FLOOR)
+    rep.checks["positivity"] = ResidualCheck(-mineig, -POSITIVITY_FLOOR, worst)
     rep.notes["min_imbeta_eigenvalue"] = mineig
     rep.notes["worst_point"] = worst
     return rep
@@ -161,38 +241,63 @@ def omega_form(bs: BetaStructure) -> FormElement:
     return decomposable_form(bs.chart, bs.beta, scale=bs.volume_density)
 
 
-def _d_omega(bs: BetaStructure) -> FormElement:
-    return omega_form(bs).exterior_derivative()
+# the residual builders: functions of (chart, beta, V), on sympy entries or jets
+
+def _d_omega(chart, beta, V) -> FormElement:
+    """d(V * prod(dx_i + sum beta_ij dy_j))."""
+    return decomposable_form(chart, beta, scale=V).exterior_derivative()
 
 
-def _connection_curvature(b: BigradedElement) -> BigradedElement:
-    """F_b = d_y(b) - [b, b]/2."""
-    return d_y(b) - bracket(b, b).scale(sp.Rational(1, 2))
+def _connection_curvature(chart, beta) -> BigradedElement:
+    """F = d_y(beta) - [beta, beta]/2, a bidegree (-1, 2) element."""
+    element = BigradedElement.from_matrix(chart, beta)
+    return d_y(element) - bracket(element, element).scale(sp.Rational(1, 2))
+
+
+def _volume_divergence_residual(chart, beta, V) -> BigradedElement:
+    """d_y(V) - d_x'(V * beta), the degree-(0,1) piece of d(Omega) = 0."""
+    return (d_y(BigradedElement.term(chart, V))
+            - d_x_prime(BigradedElement.from_matrix(chart, beta).scale(V)))
 
 
 def integrability_residual(bs: BetaStructure) -> BigradedElement:
     """d_y(beta) - [beta, beta]/2, a bidegree (-1, 2) element."""
-    return _connection_curvature(bs.beta_element())
+    return _connection_curvature(bs.chart, bs.beta)
 
 
-def _volume_divergence_residual(bs: BetaStructure) -> BigradedElement:
-    """d_y(V) - d_x'(V * beta), the degree-(0,1) piece of d(Omega) = 0."""
-    V = bs.volume_density
-    return d_y(BigradedElement.term(bs.chart, V)) - d_x_prime(bs.beta_element().scale(V))
+def _part(beta, k):
+    """The real (k = 0) or imaginary (k = 1) parts of beta's entries."""
+    return [[entry.as_real_imag()[k] for entry in row] for row in beta]
 
 
-# each sampled residual by name: the expressions whose sup-norm it is
+# each sampled residual by name: the coefficients whose sup-norm it is
 _RESIDUALS = {
-    "symmetry": lambda bs: [sp.expand(bs.beta[i][j] - bs.beta[j][i])
-                            for i in range(bs.n) for j in range(i + 1, bs.n)],
-    "full_closedness": lambda bs: _d_omega(bs).terms.values(),
-    "volume_divergence": lambda bs: _volume_divergence_residual(bs).terms.values(),
-    "integrability": lambda bs: integrability_residual(bs).terms.values(),
-    "connection_flatness": lambda bs: _connection_curvature(bs.b_element()).terms.values(),
-    "metric_fibre_gradient": lambda bs: [sp.diff(entry, x) for row in bs.g_inv
-                                         for entry in row for x in bs.chart.xs],
-    "volume_fibre_gradient": lambda bs: [sp.diff(bs.volume_density, x) for x in bs.chart.xs],
+    "symmetry": lambda chart, beta, V: [beta[i][j] - beta[j][i] for i in range(chart.n)
+                                        for j in range(i + 1, chart.n)],
+    "full_closedness": lambda chart, beta, V: _d_omega(chart, beta, V).terms.values(),
+    "volume_divergence":
+        lambda chart, beta, V: _volume_divergence_residual(chart, beta, V).terms.values(),
+    "integrability": lambda chart, beta, V: _connection_curvature(chart, beta).terms.values(),
+    "connection_flatness":
+        lambda chart, beta, V: _connection_curvature(chart, _part(beta, 0)).terms.values(),
+    "metric_fibre_gradient": lambda chart, beta, V: [g.diff(x) for row in _part(beta, 1)
+                                                     for g in row for x in chart.xs],
+    "volume_fibre_gradient": lambda chart, beta, V: [V.diff(x) for x in chart.xs],
 }
+
+
+@np.errstate(all="ignore")
+def _sample_residuals(bs: BetaStructure, names):
+    """The SupNorm of each named residual, from its builder run on the jets
+    of beta and V, block by block."""
+    peaks = Peaks(len(names))
+    for Y, X, beta in bs._beta_jets():
+        V = _volume_jet(beta)
+        for k, name in enumerate(names):
+            values = [c.value for c in _RESIDUALS[name](bs.chart, beta, V) if c != 0]
+            if values:
+                peaks.add(k, _stack(values), Y, X)
+    return peaks.norms()
 
 
 def _sampled(bs: BetaStructure, names):
@@ -200,14 +305,14 @@ def _sampled(bs: BetaStructure, names):
 
     The least eigenvalue of Im beta is taken first, so that a beta with a
     pole on the grid is rejected unsampled; the named residuals not yet in
-    the table are then built and sampled together by one sup_norms call.
+    the table are then sampled together in one pass over the grid.
     """
     table = bs._samples
     if "positivity" not in table:
         table["positivity"] = bs.min_imbeta_eigenvalue()
     new = [name for name in names if name not in table]
     if new:
-        table.update(zip(new, sup_norms([_RESIDUALS[name](bs) for name in new], bs.chart)))
+        table.update(zip(new, _sample_residuals(bs, new)))
     return [table[name] for name in names]
 
 
@@ -215,7 +320,7 @@ def _sampled_report(bs: BetaStructure, names, tol) -> SemiflatReport:
     """One check per named residual: its sampled max |z| against tol."""
     rep = SemiflatReport()
     for name, peak in zip(names, _sampled(bs, names)):
-        rep.add(name, peak, tol)
+        rep.add(name, peak, tol, peak.at)
     return rep
 
 
@@ -248,10 +353,10 @@ def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     require_compatible(bs, tol)
     integrability, divergence = _sampled(bs, ["integrability", "volume_divergence"])
     rep = SemiflatReport()
-    rep.add("connection_curvature", integrability.re, tol)
-    rep.add("covariant_metric", integrability.im, tol)
-    rep.add("fibre_harmonic", divergence.im, tol)
-    rep.add("parallel_volume", divergence.re, tol)
+    rep.add("connection_curvature", integrability.re, tol, integrability.re_at)
+    rep.add("covariant_metric", integrability.im, tol, integrability.im_at)
+    rep.add("fibre_harmonic", divergence.im, tol, divergence.im_at)
+    rep.add("parallel_volume", divergence.re, tol, divergence.re_at)
     return rep
 
 

@@ -464,19 +464,19 @@ class TestCompatibilityOnce:
         assert again.notes["min_imbeta_eigenvalue"] == pytest.approx(1.0)
         assert again.all_passed and "symmetry" in again.checks
 
-    def test_override_is_never_cached(self, chart2):
-        """A wrong density set on a fresh structure fails the volume
-        divergence; the table of samples is per structure, so it reaches no
-        other."""
+    def test_samples_belong_to_one_structure(self, chart2):
+        """A flat structure passes the volume divergence and one whose Im beta
+        grows with y1 fails it; each keeps its own table of samples, so
+        neither verdict reaches the other, in either order."""
         y1 = chart2.ys[0]
-        beta = [[I, 0], [0, I]]
-        bs = BetaStructure(chart2, beta)
+        bs = BetaStructure(chart2, [[I, 0], [0, I]])
         assert closedness_residuals(bs).verdict("volume_divergence")
-        wrong = BetaStructure(chart2, beta)
-        wrong.volume_density = 1 + y1 ** 2
+        wrong = BetaStructure(chart2, [[I * (1 + y1 ** 2), 0], [0, I]])
         assert not closedness_residuals(wrong).verdict("volume_divergence")
         assert not closedness_residuals(wrong).verdict("volume_divergence")
         assert closedness_residuals(bs).verdict("volume_divergence")
+        assert bs._samples["volume_divergence"] == 0
+        assert wrong._samples["volume_divergence"] > 0.1
 
     def test_settings_are_part_of_the_key(self, chart2):
         y1 = chart2.ys[0]
@@ -508,17 +508,16 @@ class TestOneEvaluatorPerReport:
                                       [y2 / 5, I * (2 + y1 ** 2 / 3)]])
 
     def test_each_report_compiles_once(self, chart2, compile_calls):
-        """Each report compiles at most one evaluator, and none for the
-        residuals an earlier report sampled."""
+        """The first report compiles the structure's one evaluator, of beta
+        and its first partials; every later report samples through it."""
         bs = self.structure(chart2)
         pointwise_checks(bs)
-        assert len(compile_calls) <= 2
-        for report, compiles in ((closedness_residuals, 1), (structure_equations, 0),
-                                 (flatness_probe, 1)):
+        assert len(compile_calls) == 1
+        for report in (closedness_residuals, structure_equations, flatness_probe):
             compile_calls.clear()
             rep = report(bs)
             assert not rep.all_passed
-            assert len(compile_calls) == compiles, report.__name__
+            assert compile_calls == [], report.__name__
 
     def test_structure_equations_after_closedness_compile_nothing(self, chart2,
                                                                   compile_calls):
@@ -530,24 +529,25 @@ class TestOneEvaluatorPerReport:
 
     def test_semiflat_scenario_builds_each_residual_once(self, monkeypatch, compile_calls):
         """pointwise, closedness and structure reports of one n = 2 scenario
-        build each closedness residual once and compile two evaluators: the
-        eigenvalue check's and one for the three residuals."""
+        (one block of jets) build each closedness residual once and compile
+        one evaluator, of beta and its first partials, which the eigenvalue
+        check and the residuals share."""
         import syzlab.semiflat as semiflat
         from syzlab.scenarios import run_scenario_doc
 
         built = []
-        for name in ("integrability_residual", "_volume_divergence_residual", "_d_omega"):
+        for name in ("_connection_curvature", "_volume_divergence_residual", "_d_omega"):
             raw = getattr(semiflat, name)
-            monkeypatch.setattr(semiflat, name,
-                                lambda bs, raw=raw, name=name: built.append(name) or raw(bs))
+            monkeypatch.setattr(semiflat, name, lambda *args, raw=raw, name=name:
+                                built.append(name) or raw(*args))
         doc = {"version": "1", "kind": "semiflat-check", "payload": {
             "n": 2, "box": [[-1, 1], [-1, 1]],
             "beta": [[{"re": "y2/3", "im": "2+y1^2/4"}, {"im": "1/5"}],
                      [{"im": "1/5"}, {"im": "3+sin(2*pi*x1)/2"}]]}}
         run_scenario_doc(doc)
-        assert sorted(built) == ["_d_omega", "_volume_divergence_residual",
-                                 "integrability_residual"]
-        assert len(compile_calls) == 2
+        assert sorted(built) == ["_connection_curvature", "_d_omega",
+                                 "_volume_divergence_residual"]
+        assert len(compile_calls) == 1
 
     def test_duality_builds_d_omega_once(self, chart2, monkeypatch):
         import syzlab.duality as duality
@@ -559,11 +559,12 @@ class TestOneEvaluatorPerReport:
         for module in (semiflat, duality):
             if getattr(module, "_d_omega", None) is raw:
                 monkeypatch.setattr(module, "_d_omega",
-                                    lambda bs: built.append(bs) or raw(bs))
+                                    lambda *args: built.append(args) or raw(*args))
         bs = BetaStructure(chart2, [[2 * I, I / 3], [I / 3, 3 * I]])
         mclean_metrics(bs)
         duality_identities(bs, CycleSpec(1, (1, 0)), {2: 1})
-        assert built == [bs]
+        # one build, on the jets of this structure's one block of samples
+        assert len(built) == 1 and built[0][0] == bs.chart
 
 
 def _hand_structure_residuals(bs):
@@ -622,8 +623,9 @@ class TestStructureEquationsAreViews:
         assert not {"to_form", "build_omega"} & set(vars(duality))
 
     @pytest.mark.parametrize("kind, payload, dets", [
+        # the semi-flat residuals are sampled from jets: no symbolic det gInv
         ("semiflat-check", {"beta": [[{"re": "y2/3", "im": "2+y1^2/4"}, {"im": "1/5"}],
-                                     [{"im": "1/5"}, {"im": "3+sin(2*pi*x1)/2"}]]}, 1),
+                                     [{"im": "1/5"}, {"im": "3+sin(2*pi*x1)/2"}]]}, 0),
         ("dualize", {"beta": [[{"re": "1/2", "im": "2"}, {"im": "1/5"}],
                               [{"im": "1/5"}, {"im": "3"}]]}, 2),
         ("hitchin", {"potential": "(y1^2 + y2^2)/2 + y1^3/10"}, 1),

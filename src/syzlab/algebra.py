@@ -14,8 +14,8 @@ in front of all dx factors.
 
 Both element types share one sparse term store, (J, K) -> coefficient;
 every reordering sign comes from sorting in ``add_term``.  A coefficient is
-an expanded sympy expression, or a ``Jet``: the sampled value of a field on
-a block of grid rows with its first partials.  The operators differentiate
+an expanded sympy expression, or a ``Jet`` (from ``fields``): the sampled
+value of a field on a block of grid rows with its first partials.  The operators differentiate
 through ``c.diff(v)`` and combine coefficients with ``+`` and ``*`` only, so
 one set of builders gives the exact identities on sympy coefficients and
 their sampled values on jets.
@@ -32,12 +32,7 @@ from __future__ import annotations
 import sympy as sp
 
 from .charts import Chart, require_same_chart
-from .fields import sup_norm_scalars
-
-
-class DegreeError(ValueError):
-    """Raised for operations applied at an invalid (bi)degree."""
-
+from .fields import DegreeError, Jet, sup_norm_scalars
 
 # ---------------------------------------------------------------------------
 # index bookkeeping
@@ -64,93 +59,6 @@ def complement_sign(iset, n):
     istar = tuple(j for j in range(1, n + 1) if j not in iset)
     M = sum(1 for i in iset for j in istar if i > j)
     return istar, (-1) ** M
-
-
-# ---------------------------------------------------------------------------
-# numeric coefficients
-# ---------------------------------------------------------------------------
-
-class Jet:
-    """A field sampled on a block of grid rows, with its nonzero first partials.
-
-    ``value`` and each entry of ``partials`` (symbol -> partial) is a Python
-    complex constant or an array over the rows.  A product follows the
-    product rule; ``diff`` returns the partial as a value-only jet
-    (``partials`` None), which cannot be differentiated again: every residual
-    sampled this way needs first derivatives only.  A jet is zero, and equals
-    0, only when its value is the constant 0 and it has no partials, so
-    constant and structurally absent partials cancel exactly.
-    """
-
-    __slots__ = ("value", "partials")
-
-    def __init__(self, value, partials=None):
-        self.value = value
-        self.partials = partials
-
-    def is_zero(self):
-        return _is_zero_constant(self.value) and not self.partials
-
-    def __eq__(self, other):
-        return other == 0 and self.is_zero()
-
-    def diff(self, v):
-        if self.partials is None:
-            raise DegreeError("a jet carries first derivatives only")
-        return Jet(self.partials.get(v, 0j))
-
-    def _map(self, f):
-        """The jet of f(field) for a real-linear f, such as a real part."""
-        def g(z):
-            return complex(f(z)) if type(z) is complex else f(z)
-        partials = (None if self.partials is None
-                    else _summed({}, {v: g(p) for v, p in self.partials.items()}))
-        return Jet(g(self.value), partials)
-
-    def as_real_imag(self):
-        return self._map(lambda z: z.real), self._map(lambda z: z.imag)
-
-    def __neg__(self):
-        return self._map(lambda z: -z)
-
-    def __add__(self, other):
-        if not isinstance(other, Jet):
-            other = Jet(complex(other), {})
-        if self.is_zero() or other.is_zero():
-            return other if self.is_zero() else self
-        if self.partials is None or other.partials is None:
-            return Jet(self.value + other.value)
-        return Jet(self.value + other.value, _summed(self.partials, other.partials))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            other = Jet(complex(other), {})
-        if self.is_zero() or other.is_zero():
-            return Jet(0j, {})
-        a, b = self.value, other.value
-        if self.partials is None or other.partials is None:
-            return Jet(a * b)
-        return Jet(a * b, _summed({v: p * b for v, p in self.partials.items()},
-                                  {v: a * p for v, p in other.partials.items()}))
-
-    __rmul__ = __mul__
-
-
-def _is_zero_constant(z):
-    return type(z) is complex and z == 0
-
-
-def _summed(first, second):
-    """Two maps of partials added by symbol, without the constant zeros."""
-    out = dict(first)
-    for v, p in second.items():
-        out[v] = out[v] + p if v in out else p
-    return {v: p for v, p in out.items() if not _is_zero_constant(p)}
 
 
 def _sympified(coeff):

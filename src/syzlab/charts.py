@@ -6,6 +6,7 @@ coordinate is periodic with period 1.  Dimensions 1 <= n <= 3 are supported.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,9 +89,12 @@ class Chart:
         """Uniform k^n grid on the fibre torus, shape (k^n, n)."""
         return product_grid([circle_points(k)] * self.n)
 
+    @functools.lru_cache(maxsize=8)
     def sample_points(self, base_k=5, fibre_k=8):
-        """Full product grid: returns (Y, X) arrays of shape (npts, n)."""
+        """Full product grid: returns (Y, X) arrays of shape (npts, n), built
+        once per (chart, base_k, fibre_k) and read-only."""
         grid = product_grid([self.base_grid(base_k), self.fibre_grid(fibre_k)])
+        grid.flags.writeable = False
         return grid[:, : self.n], grid[:, self.n:]
 
 

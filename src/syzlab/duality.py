@@ -22,7 +22,7 @@ import sympy as sp
 
 from .algebra import FormElement
 from .charts import Chart
-from .fields import compile_scalars, fibre_frequencies, sup_norm_scalars
+from .fields import fibre_frequencies, sup_norm_scalars
 from .quadrature import chart_integral, fibre_means, subtorus_grid
 from .semiflat import (
     DEFAULT_TOL,
@@ -503,10 +503,10 @@ def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
     report = SemiflatReport()
     report.notes["volume_form_closed_residual"] = _volume_form_gap(dual, tol)
     pts = chart.base_grid(3)
-    mats, dual_vols, (vols,) = _normalised_metric(dual, pts, resolution,
-                                                  [bs.volume_density])
-    fn = compile_scalars([h_n[i][j] for i in range(n) for j in range(n)], chart)
-    expect = fn(pts, np.zeros_like(pts)).real.T.reshape(len(pts), n, n)
+    # h_n is fibre-constant: its fibre means are its values
+    mats, dual_vols, (vols, *expect) = _normalised_metric(
+        dual, pts, resolution, [bs.volume_density] + [e for row in h_n for e in row])
+    expect = np.array(expect).T.reshape(len(pts), n, n)
     dual_vols = dual_vols * np.linalg.det(expect)
     # each defect is a fibre mean at a base point: its worst point has no x
     for name, defect, limit in (

@@ -23,6 +23,7 @@ quadrature and fibrewise translations rely on.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 
@@ -206,30 +207,236 @@ def blocks(evaluate, Y, X, size=_BLOCK_SAMPLES):
         yield rows, evaluate(Y[rows], X[rows])
 
 
-def compile_scalars(exprs, chart: Chart):
-    """Vectorised evaluator for a list of expressions.
+class DegreeError(ValueError):
+    """Raised for operations applied at an invalid (bi)degree."""
 
-    The list is compiled once, with common subexpressions shared.  Returns
-    f(Y, X) -> complex array of shape (len(exprs), npts) where Y, X are
-    (npts, n) sample arrays; f evaluates one block of rows at a time.
+
+class UnsupportedNode(TypeError):
+    """Raised for a node kind that Walk does not evaluate."""
+
+
+@functools.lru_cache(maxsize=1024)
+def constant(c):
+    """c as a Python complex, converted once per process (a sympy number
+    through evalf)."""
+    return complex(c)
+
+
+class Jet:
+    """A field sampled on a block of grid rows, with its nonzero first partials.
+
+    ``value`` and each entry of ``partials`` (symbol -> partial) is a Python
+    complex constant or an array over the rows.  A product follows the
+    product rule; ``diff`` returns the partial as a value-only jet
+    (``partials`` None), which cannot be differentiated again: every residual
+    sampled this way needs first derivatives only.  A jet is zero, and equals
+    0, only when its value is the constant 0 and it has no partials, so
+    constant and structurally absent partials cancel exactly.
     """
-    exprs = list(exprs)
-    syms = list(chart.ys) + list(chart.xs)
-    if not exprs:
-        return lambda Y, X: np.zeros((0, len(Y)), dtype=complex)
-    fn = sp.lambdify(syms, exprs, modules="numpy", cse=True)
 
-    def columns(Y, X):
-        return fn(*(Y[:, i] for i in range(chart.n)), *(X[:, i] for i in range(chart.n)))
+    __slots__ = ("value", "partials")
 
-    def evaluate(Y, X):
-        out = np.empty((len(exprs), len(Y)), dtype=complex)
-        for rows, vals in blocks(columns, Y, X):
+    def __init__(self, value, partials=None):
+        self.value = value
+        self.partials = partials
+
+    def is_zero(self):
+        return _is_zero_constant(self.value) and not self.partials
+
+    def __eq__(self, other):
+        return other == 0 and self.is_zero()
+
+    def diff(self, v):
+        if self.partials is None:
+            raise DegreeError("a jet carries first derivatives only")
+        return Jet(self.partials.get(v, 0j))
+
+    def _map(self, f):
+        """The jet of f(field) for a real-linear f, such as a real part."""
+        def g(z):
+            return complex(f(z)) if type(z) is complex else f(z)
+        partials = (None if self.partials is None
+                    else _summed({}, {v: g(p) for v, p in self.partials.items()}))
+        return Jet(g(self.value), partials)
+
+    def as_real_imag(self):
+        return self._map(lambda z: z.real), self._map(lambda z: z.imag)
+
+    def __neg__(self):
+        return self._map(lambda z: -z)
+
+    def __add__(self, other):
+        if not isinstance(other, Jet):
+            other = Jet(constant(other), {})
+        if self.is_zero() or other.is_zero():
+            return other if self.is_zero() else self
+        if self.partials is None or other.partials is None:
+            return Jet(self.value + other.value)
+        return Jet(self.value + other.value, _summed(self.partials, other.partials))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, Jet):
+            other = Jet(constant(other), {})
+        if self.is_zero() or other.is_zero():
+            return Jet(0j, {})
+        a, b = self.value, other.value
+        return _chain((self, other), a * b, lambda: (b, a))
+
+    __rmul__ = __mul__
+
+
+def _is_zero_constant(z):
+    return type(z) is complex and z == 0
+
+
+def _summed(first, second):
+    """Two maps of partials added by symbol, without the constant zeros."""
+    out = dict(first)
+    for v, p in second.items():
+        out[v] = out[v] + p if v in out else p
+    return {v: p for v, p in out.items() if not _is_zero_constant(p)}
+
+
+# ---------------------------------------------------------------------------
+# the evaluator: one walk of the expression trees, on jets
+# ---------------------------------------------------------------------------
+
+def _chain(args, value, grads):
+    """The jet of f(*args) from f's value and grads(), f's partial in each
+    argument, which is taken only when every argument carries partials."""
+    if any(a.partials is None for a in args):
+        return Jet(value)
+    terms = [{v: g * p for v, p in a.partials.items()} for a, g in zip(args, grads())]
+    return Jet(value, functools.reduce(_summed, terms))
+
+
+def _unary(f, df):
+    return lambda a: _chain((a,), f(a.value), lambda: (df(a.value),))
+
+
+def _power_op(k, half):
+    """z^k, or for half sqrt(z)^k = z^(k/2) with the principal root."""
+    def op(a):
+        root = np.sqrt(a.value) if half else a.value
+        return _chain((a,), root ** k,
+                      lambda: ((k / 2 if half else k) * root ** (k - 1 - half),))
+    return op
+
+
+def _atan2(a, b):
+    y, x = a.value.real, b.value.real
+    return _chain((a, b), np.arctan2(y, x), lambda: (x / (x * x + y * y), -y / (x * x + y * y)))
+
+
+# the nodes Walk evaluates besides numeric powers; Abs and atan2 come from
+# as_real_imag of a power such as V = det(Im beta)^(-1/2), on real arguments
+_OPS = {
+    sp.Add: lambda *args: functools.reduce(operator.add, args),
+    sp.Mul: lambda *args: functools.reduce(operator.mul, args),
+    sp.sin: _unary(np.sin, np.cos),
+    sp.cos: _unary(np.cos, lambda v: -np.sin(v)),
+    sp.exp: _unary(np.exp, np.exp),
+    sp.Abs: _unary(np.abs, lambda v: np.sign(v.real)),
+    sp.atan2: _atan2,
+}
+
+
+class Walk:
+    """One evaluator for a list of expressions in the chart variables.
+
+    The trees are walked once, memoised by node, into one program: a node
+    shared within or between expressions is computed once, and a subtree
+    free of chart variables is one complex constant.  The program runs on
+    jets, so it gives plain values (``evaluate``, ``values``) or values with
+    first partials by the chain rule (``jets``), on complex arrays over a
+    block of sample rows; each intermediate is dropped after its last use.
+    It evaluates numbers, pi, I, the chart variables, sums, products,
+    integer and half-integer powers (with the principal root), sin, cos,
+    exp, and the Abs and atan2 that ``as_real_imag`` makes; any other node
+    raises UnsupportedNode.
+    """
+
+    def __init__(self, exprs, chart: Chart):
+        self.symbols = tuple(chart.ys) + tuple(chart.xs)
+        self._memo = {s: i for i, s in enumerate(self.symbols)}
+        self._steps = []
+        self.outputs = [self._visit(sp.sympify(e)) for e in exprs]
+        del self._memo
+        kept = {o for o in self.outputs if type(o) is int}
+        self.varies = bool(kept)
+        last = {a: i for i, (_, args) in enumerate(self._steps) for a in args if type(a) is int}
+        drops = [[] for _ in self._steps]
+        for slot, i in last.items():
+            if slot not in kept:
+                drops[i].append(slot)
+        self._steps = [(op, args, drop) for (op, args), drop in zip(self._steps, drops)]
+
+    def _visit(self, node):
+        """The slot of node's value, or its complex constant."""
+        found = self._memo.get(node)
+        if found is None:
+            if node.is_Symbol:
+                raise UnsupportedNode(f"{node} is not a variable of the chart")
+            args = [self._visit(a) for a in node.args]
+            if all(type(a) is complex for a in args):
+                found = constant(node)
+            else:
+                self._steps.append(self._step(node, args))
+                found = len(self.symbols) + len(self._steps) - 1
+            self._memo[node] = found
+        return found
+
+    @staticmethod
+    def _step(node, args):
+        """(op, args) of a node with a varying argument; its constant
+        arguments become constant jets."""
+        exp = node.exp if node.is_Pow else None
+        if exp is not None and exp.is_Rational and exp.q <= 2 and type(args[0]) is int:
+            return _power_op(int(exp.p), exp.q == 2), args[:1]
+        if node.func not in _OPS:
+            raise UnsupportedNode(f"cannot evaluate the {node.func.__name__} node {node}")
+        return _OPS[node.func], [a if type(a) is int else Jet(a, {}) for a in args]
+
+    def _run(self, leaves):
+        vals = leaves + [None] * len(self._steps)
+        for i, (op, args, drop) in enumerate(self._steps, start=len(leaves)):
+            vals[i] = op(*[vals[a] if type(a) is int else a for a in args])
+            for slot in drop:
+                vals[slot] = None
+        return [vals[o] if type(o) is int else Jet(o, {}) for o in self.outputs]
+
+    def _leaves(self, Y, X):
+        """The chart variables at the points (Y, X), whose last axis is the
+        coordinate, as complex arrays; none when no expression varies."""
+        if not self.varies:
+            return []
+        return [*np.array(np.moveaxis(Y, -1, 0), dtype=complex),
+                *np.array(np.moveaxis(X, -1, 0), dtype=complex)]
+
+    def jets(self, Y, X):
+        """The Jet of each expression on one block of sample rows (Y, X)."""
+        return self._run([Jet(leaf, {s: 1 + 0j})
+                          for s, leaf in zip(self.symbols, self._leaves(Y, X))])
+
+    def evaluate(self, Y, X):
+        """The value of each expression at the points (Y, X), arrays whose
+        other axes broadcast together: a complex constant, or an array of
+        the broadcast shape of the leaves it depends on."""
+        return [jet.value for jet in self._run([Jet(leaf) for leaf in self._leaves(Y, X)])]
+
+    def values(self, Y, X):
+        """Complex array (len(exprs), len(Y)) of the values on the sample
+        rows (Y, X), evaluated one block of rows at a time."""
+        out = np.empty((len(self.outputs), len(Y)), dtype=complex)
+        for rows, vals in blocks(self.evaluate, Y, X):
             for i, v in enumerate(vals):
                 out[i, rows] = v
         return out
-
-    return evaluate
 
 
 class SupNorm(float):
@@ -273,8 +480,7 @@ class Peaks:
 def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
     """The SupNorm of each group of expressions over the deterministic sample grid.
 
-    The nonzero expressions of all groups are compiled into one evaluator,
-    whose blocks are reduced as they come; only running maxima of |z|, |Re z|
+    The nonzero expressions of all groups go into one Walk, whose blocks are reduced as they come; only running maxima of |z|, |Re z|
     and |Im z| per group are kept.  A group whose expressions are all exactly
     0 is 0.0.
     """
@@ -290,7 +496,7 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
     if exprs:
         members = {k: np.flatnonzero(np.array(owner) == k) for k in set(owner)}
         Y, X = chart.sample_points(base_k, fibre_k)
-        for rows, vals in blocks(compile_scalars(exprs, chart), Y, X):
+        for rows, vals in blocks(Walk(exprs, chart).values, Y, X):
             for k, idx in members.items():
                 peaks.add(k, vals[idx], Y[rows], X[rows])
             del vals  # so the next block is not evaluated beside this one

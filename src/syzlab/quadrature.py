@@ -5,7 +5,7 @@ Fibre means use a uniform product grid (on the whole fibre torus or, with
 is spectrally accurate for smooth periodic integrands.  Chart integrals
 weight fibre means with a tensor Gauss-Legendre rule on the base box.
 
-Both go through one primitive, ``fibre_means``, which compiles a whole list
+Both go through one primitive, ``fibre_means``, which walks a whole list
 of integrands once and averages it over a set of fibre samples at each base
 point.
 """
@@ -16,29 +16,28 @@ import numpy as np
 import sympy as sp
 
 from .charts import Chart, circle_points, product_grid
-from .fields import _BLOCK_SAMPLES, compile_scalars, require_fibre_periodic
+from .fields import _BLOCK_SAMPLES, Walk, require_fibre_periodic
 
 
 def fibre_means(exprs, chart: Chart, y_points, X):
     """Means over the fibre samples X of each expression at each base point.
 
-    Every expression must be syntactically fibre-periodic.  The list is
-    compiled once and evaluated on the product of y_points and the rows of
-    X, a block of base points at a time; returns a complex array of shape
-    (len(exprs), len(y_points)).
+    Every expression must be syntactically fibre-periodic.  The list goes
+    into one Walk, evaluated on a block of base points against all rows of
+    X by broadcasting, so a subexpression free of x is evaluated once per
+    base point; returns a complex array of shape (len(exprs), len(y_points)).
     """
     n = chart.n
     exprs = [require_fibre_periodic(sp.sympify(e), n) for e in exprs]
     Y = np.asarray(y_points, dtype=float).reshape(-1, n)
     X = np.asarray(X, dtype=float).reshape(-1, n)
-    evaluate = compile_scalars(exprs, chart)
+    walk = Walk(exprs, chart)
     out = np.empty((len(exprs), len(Y)), dtype=complex)
     step = max(1, _BLOCK_SAMPLES // len(X))
     for start in range(0, len(Y), step):
-        rows = Y[start:start + step]
-        grid = product_grid([rows, X])
-        vals = evaluate(grid[:, :n], grid[:, n:]).reshape(len(exprs), len(rows), len(X))
-        out[:, start:start + len(rows)] = vals.mean(axis=2)
+        rows = slice(start, start + step)
+        for i, v in enumerate(walk.evaluate(Y[rows, None], X[None])):
+            out[i, rows] = np.mean(v, axis=-1) if np.ndim(v) else v
     return out
 
 

@@ -12,9 +12,9 @@ real and imaginary parts.
 Each residual has one builder, a function of (chart, beta, V) over the
 graded algebra.  On sympy entries it gives the exact identity; the reported
 magnitudes come from the same builders run on first-order numeric jets
-(``algebra.Jet``): the entries of beta and their first partials, and V with
-dV = -V d(det)/(2 det), sampled on the chart's fixed grid of 5 base x 8 fibre
-points per axis.  Every residual needs first derivatives only.  Each
+(``fields.Jet``): the entries of beta with their first partials, from one
+``fields.Walk`` of their trees, and V with dV = -V d(det)/(2 det), sampled on
+the chart's fixed grid of 5 base x 8 fibre points per axis.  Every residual needs first derivatives only.  Each
 structure keeps one table of sampled residual peaks (|z|, |Re z|, |Im z| and
 where each is reached) by name: each residual is sampled once, and every
 report selects from the table.
@@ -41,7 +41,7 @@ from .algebra import (
     sort_with_sign,
 )
 from .charts import Chart
-from .fields import GrammarError, Peaks, blocks, compile_scalars, require_fibre_periodic
+from .fields import GrammarError, Peaks, Walk, blocks, require_fibre_periodic
 
 DEFAULT_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-9
@@ -129,38 +129,18 @@ class BetaStructure:
         return BigradedElement.from_matrix(self.chart, self.g_inv)
 
     @functools.cached_property
-    def _jet_source(self):
-        """One evaluator for the distinct varying entries of beta and their
-        nonzero first partials, and the layout of beta's jets in its output:
-        layout[i][j] = (value, {symbol: partial}), each a complex constant or
-        a row of the evaluator's output."""
-        exprs, rows = [], {}
-
-        def slot(expr):
-            if not expr.free_symbols:
-                return complex(expr)
-            if expr not in rows:
-                rows[expr] = len(exprs)
-                exprs.append(expr)
-            return rows[expr]
-
-        symbols = self.chart.ys + self.chart.xs
-        layout = [[(slot(e), {v: slot(d) for v in symbols
-                              if v in e.free_symbols and (d := sp.diff(e, v)) != 0})
-                   for e in row] for row in self.beta]
-        return compile_scalars(exprs, self.chart), layout, bool(exprs)
+    def _walk(self):
+        """One evaluator of beta's entries, row by row."""
+        return Walk([entry for row in self.beta for entry in row], self.chart)
 
     def _beta_jets(self):
         """(Y, X, jets) over the sample grid, at most _JET_ROWS rows at a time
         (one block when beta is constant): jets[i][j] is the Jet of beta[i][j]
         on the rows Y, X."""
-        evaluate, layout, varies = self._jet_source
+        walk, n = self._walk, self.n
         Y, X = self.chart.sample_points()
-        for rows, vals in blocks(evaluate, Y, X, _JET_ROWS if varies else len(Y)):
-            def pick(slot):
-                return slot if isinstance(slot, complex) else vals[slot]
-            yield Y[rows], X[rows], [[Jet(pick(v), {s: pick(p) for s, p in partials.items()})
-                                      for v, partials in row] for row in layout]
+        for rows, jets in blocks(walk.jets, Y, X, _JET_ROWS if walk.varies else len(Y)):
+            yield Y[rows], X[rows], [jets[i * n:(i + 1) * n] for i in range(n)]
 
     @np.errstate(all="ignore")
     def min_imbeta_eigenvalue(self):
@@ -420,7 +400,7 @@ def action_coordinates(period_forms, chart: Chart):
     on non-closed input or on a degenerate Jacobian at the sample grid.
     """
     ys = chart.ys
-    potentials = []
+    potentials, jacobian = [], []
     for lam in period_forms:
         lam = _check_base_one_form(lam, chart)
         dlam = base_one_form_differential(lam, chart)
@@ -432,11 +412,10 @@ def action_coordinates(period_forms, chart: Chart):
         if any(sp.simplify(g) != 0 for g in grad):
             raise ValueError("antiderivative not expressible in the grammar")
         potentials.append(u)
-    jac = sp.Matrix([[sp.diff(u, ys[j]) for j in range(chart.n)] for u in potentials])
+        jacobian.extend(lam)  # du = lam is the Jacobian's row
     Y = chart.base_grid(5)
-    X = np.zeros_like(Y)
-    entries = [jac[i, j] for i in range(chart.n) for j in range(chart.n)]
-    vals = compile_scalars(entries, chart)(Y, X).real.T.reshape(len(Y), chart.n, chart.n)
+    vals = Walk(jacobian, chart).values(Y, np.zeros_like(Y)).real.T.reshape(
+        len(Y), chart.n, chart.n)
     dets = np.linalg.det(vals)
     if np.min(np.abs(dets)) < 1e-12:
         raise ValueError("period forms are pointwise dependent on the box")

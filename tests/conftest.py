@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -19,7 +20,8 @@ def chart3():
 
 @pytest.fixture
 def compile_calls(monkeypatch):
-    """Count compile_scalars calls through every syzlab module that binds it."""
+    """Count the evaluators built (fields.Walk) through every syzlab module
+    that binds the name; each entry is the number of expressions."""
     import importlib
     import pkgutil
     import sys
@@ -29,17 +31,54 @@ def compile_calls(monkeypatch):
 
     for info in pkgutil.iter_modules(syzlab.__path__):
         importlib.import_module(f"syzlab.{info.name}")
-    raw = fields.compile_scalars
+    raw = fields.Walk
     calls = []
 
     def counted(exprs, chart):
-        calls.append(len(list(exprs)))
+        exprs = list(exprs)
+        calls.append(len(exprs))
         return raw(exprs, chart)
 
     for name, mod in list(sys.modules.items()):
-        if name.startswith("syzlab") and getattr(mod, "compile_scalars", None) is raw:
-            monkeypatch.setattr(mod, "compile_scalars", counted)
+        if name.startswith("syzlab") and getattr(mod, "Walk", None) is raw:
+            monkeypatch.setattr(mod, "Walk", counted)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# reference evaluators, independent of fields.Walk
+# ---------------------------------------------------------------------------
+
+def lambdify_values(exprs, chart, Y, X):
+    """Complex array (len(exprs), len(Y)) of sympy's own numpy code for the
+    expressions (one lambdify with common subexpressions) at the sample rows
+    (Y, X), taken 8192 rows at a time."""
+    exprs = list(exprs)
+    fn = sp.lambdify(list(chart.ys) + list(chart.xs), exprs, modules="numpy", cse=True)
+    out = np.empty((len(exprs), len(Y)), dtype=complex)
+    for start in range(0, len(Y), 8192):
+        rows = slice(start, start + 8192)
+        for i, v in enumerate(fn(*Y[rows].T, *X[rows].T)):
+            out[i, rows] = v
+    return out
+
+
+def lambdify_sup_norms(groups, chart):
+    """(max |z|, max |Re z|, max |Im z|) of each group of expressions over
+    the chart's sample grid, by lambdify_values; 0 for an empty group."""
+    Y, X = chart.sample_points()
+    out = []
+    for group in groups:
+        group = [e for e in map(sp.sympify, group) if e != 0]
+        vals = lambdify_values(group, chart, Y, X) if group else np.zeros((1, 1))
+        out.append(tuple(float(np.max(np.abs(part))) for part in (vals, vals.real, vals.imag)))
+    return out
+
+
+def diff_values(expr, chart, Y, X):
+    """{symbol: sampled sp.diff(expr, symbol)} over the chart variables."""
+    syms = list(chart.ys) + list(chart.xs)
+    return {v: lambdify_values([sp.diff(expr, v)], chart, Y, X)[0] for v in syms}
 
 
 def chart_of_dim(n):

@@ -13,7 +13,7 @@ from syzlab.fields import (
     MAX_POWER,
     GrammarError,
     PeriodicityError,
-    compile_scalars,
+    Walk,
     fibre_frequencies,
     parse_scalar,
     require_fibre_periodic,
@@ -21,6 +21,8 @@ from syzlab.fields import (
     sup_norms,
 )
 from syzlab.k3 import GramLattice, K3MirrorInput
+
+from conftest import lambdify_values
 
 
 def test_chart_validation():
@@ -31,6 +33,19 @@ def test_chart_validation():
     c = Chart(2, ((-1, 1), (0, 2)))
     assert c.center == (0, 1)
     assert c.box_volume == 4
+
+
+def test_sample_points_are_cached_and_read_only():
+    chart = Chart(2, ((-1, 1), (0, 2)))
+    Y, X = chart.sample_points()
+    again = Chart(2, ((-1, 1), (0, 2))).sample_points()
+    assert again[0] is Y and again[1] is X
+    assert Y.shape == X.shape == (25 * 64, 2)
+    assert chart.sample_points(3, 4)[0].shape == (9 * 16, 2)
+    for grid in (Y, X, Y[:10]):
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 7.0
+    assert Y[0, 0] == -1.0 and X[0, 0] == 0.0
 
 
 def test_box_ends_are_numbers_never_evaluated(capsys):
@@ -213,7 +228,7 @@ def test_sup_norms_all_zero_group_is_not_compiled(monkeypatch):
     def refuse(exprs, chart):
         raise AssertionError("compiled an all-zero group")
 
-    monkeypatch.setattr(fields, "compile_scalars", refuse)
+    monkeypatch.setattr(fields, "Walk", refuse)
     chart = Chart(1, ((-1, 1),))
     assert sup_norms([[sp.Integer(0), 0], []], chart) == [0.0, 0.0]
 
@@ -238,7 +253,7 @@ def benchmark_beta3():
     return BetaStructure(chart, beta)
 
 
-def test_cse_evaluator_matches_plain_lambdify():
+def test_walk_matches_plain_lambdify():
     from syzlab.semiflat import omega_form
 
     bs = benchmark_beta3()
@@ -246,10 +261,8 @@ def test_cse_evaluator_matches_plain_lambdify():
     exprs = list(omega_form(bs).exterior_derivative().terms.values())
     assert len(exprs) > 5
     Y, X = chart.sample_points(3, 4)
-    got = compile_scalars(exprs, chart)(Y, X)
-    plain = sp.lambdify(list(chart.ys) + list(chart.xs), exprs, modules="numpy")
-    want = np.array([np.broadcast_to(np.asarray(v, dtype=complex), len(Y))
-                     for v in plain(*Y.T, *X.T)])
+    got = Walk(exprs, chart).values(Y, X)
+    want = lambdify_values(exprs, chart, Y, X)
     scale = np.max(np.abs(want))
     assert scale > 0.1
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
@@ -275,7 +288,7 @@ def test_sup_norms_matches_whole_grid_per_group():
     got = sup_norms(groups, chart)
     assert got[-1] == 0.0
     for value, group in zip(got, groups[:-1]):
-        want = float(np.max(np.abs(compile_scalars(group, chart)(Y, X))))
+        want = float(np.max(np.abs(lambdify_values(group, chart, Y, X))))
         assert want > 0.01
         assert abs(value - want) <= 1e-12 * want
         assert sup_norm_scalars(group, chart) == pytest.approx(value, rel=1e-12)
@@ -292,7 +305,7 @@ def test_evaluate_in_blocks_equals_pieces():
     assert npts > 2 * _BLOCK_SAMPLES
     Y = rng.uniform(-1, 1, (npts, 2))
     X = rng.uniform(0, 1, (npts, 2))
-    evaluate = compile_scalars(exprs, chart)
+    evaluate = Walk(exprs, chart).values
     whole = evaluate(Y, X)
     pieces = np.concatenate([evaluate(Y[s:s + 999], X[s:s + 999])
                              for s in range(0, npts, 999)], axis=1)
@@ -308,7 +321,7 @@ def _enclosing_functions(tree):
 
 
 def test_one_evaluator_and_no_symbolic_fibre_integration():
-    """lambdify lives only in fields.py and the sample block size only in
+    """lambdify appears nowhere in src/ and the sample block size only in
     fields.py and quadrature.py; sympy integrate in src/ only in
     semiflat.base_potential, so fibre means never take the heurisch detour
     and the Poincare lemma is written once."""
@@ -318,8 +331,7 @@ def test_one_evaluator_and_no_symbolic_fibre_integration():
     owners = []
     for path in files:
         text = path.read_text()
-        if path.name != "fields.py":
-            assert "lambdify" not in text, path.name
+        assert "lambdify" not in text, path.name
         if path.name not in ("fields.py", "quadrature.py"):
             assert "_BLOCK_SAMPLES" not in text, path.name
         tree = ast.parse(text)

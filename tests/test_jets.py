@@ -2,8 +2,9 @@
 
 Every residual in a structure's table of samples is computed by running the
 graded-algebra builders on jets of beta and V.  Here each one is compared
-with the exact symbolic residual, expanded by sympy and sampled by
-``fields.sup_norms`` on the same grid, in |z|, |Re z| and |Im z|.
+with the exact symbolic residual, expanded by sympy and sampled on the same
+grid by sympy's own lambdify (``conftest.lambdify_sup_norms``), in |z|,
+|Re z| and |Im z|.
 """
 
 import random
@@ -14,7 +15,7 @@ import sympy as sp
 
 from syzlab.algebra import DegreeError, Jet
 from syzlab.charts import Chart
-from syzlab.fields import parse_scalar, sup_norms
+from syzlab.fields import parse_scalar
 from syzlab.semiflat import (
     BetaStructure,
     _connection_curvature,
@@ -23,6 +24,8 @@ from syzlab.semiflat import (
     integrability_residual,
     omega_form,
 )
+
+from conftest import lambdify_sup_norms, lambdify_values
 
 NAMES = ("symmetry", "full_closedness", "volume_divergence", "integrability",
          "connection_flatness", "metric_fibre_gradient", "volume_fibre_gradient")
@@ -53,11 +56,11 @@ def close(jet, exact):
 
 def assert_matches_symbolic(bs, label):
     table = dict(zip(NAMES, _sampled(bs, NAMES)))
-    exact = dict(zip(NAMES, sup_norms(symbolic_residuals(bs).values(), bs.chart)))
+    exact = dict(zip(NAMES, lambdify_sup_norms(symbolic_residuals(bs).values(), bs.chart)))
     for name in NAMES:
-        for part in ("real", "re", "im"):
-            got = float(table[name]) if part == "real" else getattr(table[name], part)
-            want = float(exact[name]) if part == "real" else getattr(exact[name], part)
+        peak = table[name]
+        for part, got, want in zip(("abs", "re", "im"), (float(peak), peak.re, peak.im),
+                                   exact[name]):
             assert close(got, want), (label, name, part, got, want)
 
 
@@ -184,13 +187,11 @@ def test_worst_point_of_a_failing_residual():
 
 
 def test_worst_point_matches_the_symbolic_argmax():
-    from syzlab.fields import compile_scalars
-
     bs = BetaStructure(chart_of(1), [[sp.I * parse_scalar("2 + (1 + y1)*cos(2*pi*x1)/4", 1)]])
     (peak,) = _sampled(bs, ["full_closedness"])
     exprs = list(omega_form(bs).exterior_derivative().terms.values())
     Y, X = bs.chart.sample_points()
-    mags = np.abs(compile_scalars(exprs, bs.chart)(Y, X)).max(axis=0)
+    mags = np.abs(lambdify_values(exprs, bs.chart, Y, X)).max(axis=0)
     idx = int(np.argmax(mags))
     assert peak.at == ((float(Y[idx, 0]),), (float(X[idx, 0]),)) == ((1.0,), (0.25,))
 

@@ -6,8 +6,10 @@ import sympy as sp
 
 from syzlab import quadrature
 from syzlab.charts import Chart
-from syzlab.fields import PeriodicityError, compile_scalars
+from syzlab.fields import PeriodicityError
 from syzlab.quadrature import chart_integral, fibre_means, subtorus_grid
+
+from conftest import lambdify_values
 
 
 @pytest.fixture
@@ -103,7 +105,7 @@ def test_fibre_means_batches_points_and_expressions(chart2):
     X = chart2.fibre_grid(8)
     for i, e in enumerate(exprs):
         for p, y in enumerate(pts):
-            vals = compile_scalars([e], chart2)(np.tile(y, (len(X), 1)), X)[0]
+            vals = lambdify_values([e], chart2, np.tile(y, (len(X), 1)), X)[0]
             assert abs(means[i, p] - np.mean(vals)) < 1e-15
     with pytest.raises(PeriodicityError):
         fibre_means([sp.Integer(1), x1], chart2, pts, chart2.fibre_grid(4))

@@ -1,0 +1,136 @@
+"""fields.Walk, the one evaluator, against sympy's own lambdify and diff.
+
+Seeded random expressions cover every node kind the walk accepts: numbers,
+pi, I, the chart variables, sums, products, negative integer powers,
+half-integer powers such as (...)^(-3/2), exp, nested sin and cos, and the
+Abs and atan2 that as_real_imag makes.  Values must agree with lambdify to
+1e-12 and first partials with the sampled sp.diff to 1e-10, both relative to
+the expression's largest sample.
+"""
+
+import random
+
+import numpy as np
+import pytest
+import sympy as sp
+
+from syzlab.charts import Chart
+from syzlab.fields import Jet, UnsupportedNode, Walk, constant
+
+from conftest import diff_values, lambdify_values
+
+CHART = Chart(2, ((-1, 1), (-1, 1)))
+Y1, Y2 = CHART.ys
+X1, X2 = CHART.xs
+
+
+def real_expr(rng, depth):
+    """A real-valued expression of the chart variables."""
+    if depth == 0:
+        return rng.choice([Y1, Y2, X1, X2, sp.Rational(rng.randint(-5, 5), rng.randint(1, 4)),
+                           sp.pi / 4, Y1 - sp.Rational(1, 3)])
+    a, b = real_expr(rng, depth - 1), real_expr(rng, depth - 1)
+    positive = 2 + a ** 2
+    return rng.choice([
+        a + b, a * b - 1, a ** rng.randint(2, 3), positive ** -rng.randint(1, 2),
+        positive ** sp.Rational(1, 2), positive ** sp.Rational(-1, 2),
+        positive ** sp.Rational(-3, 2), sp.exp(a / 2), sp.sin(2 * sp.pi * a),
+        sp.cos(sp.sin(a) + b), sp.Abs(a), sp.atan2(a, Y2 - b / 4), sp.atan2(0, Y1 * b - 1),
+    ])
+
+
+def complex_expr(rng, depth):
+    """re + I*im, sometimes raised to a negative or half-integer power."""
+    z = real_expr(rng, depth) + sp.I * real_expr(rng, depth)
+    return rng.choice([z, z * (3 + sp.I * real_expr(rng, 1)) ** -2,
+                       (4 + sp.I * real_expr(rng, depth)) ** sp.Rational(-3, 2)])
+
+
+def exprs_for(seed):
+    rng = random.Random(f"walk:{seed}")
+    return ([real_expr(rng, rng.randint(1, 3)) for _ in range(8)]
+            + [complex_expr(rng, rng.randint(1, 2)) for _ in range(4)])
+
+
+def sample_rows(seed, count=300):
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1, 1, (count, 2)), rng.uniform(0, 1, (count, 2))
+
+
+def assert_close(got, want, rel):
+    scale = max(1.0, float(np.max(np.abs(want))))
+    assert np.all(np.isfinite(want))
+    assert float(np.max(np.abs(got - want))) <= rel * scale
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_values_match_lambdify(seed):
+    exprs = exprs_for(seed)
+    Y, X = sample_rows(seed)
+    got = Walk(exprs, CHART).values(Y, X)
+    want = lambdify_values(exprs, CHART, Y, X)
+    for e, g, w in zip(exprs, got, want):
+        assert_close(g, w, 1e-12), e
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_jets_match_sympy_diff(seed):
+    exprs = exprs_for(seed)
+    Y, X = sample_rows(seed)
+    jets = Walk(exprs, CHART).jets(Y, X)
+    for e, jet in zip(exprs, jets):
+        want = lambdify_values([e], CHART, Y, X)[0]
+        assert_close(np.broadcast_to(jet.value, len(Y)), want, 1e-12)
+        for v, partial in diff_values(e, CHART, Y, X).items():
+            got = np.broadcast_to(jet.partials.get(v, 0j), len(Y))
+            assert_close(got, partial, 1e-10), (e, v)
+
+
+def test_kinds_covered():
+    """The seeded expressions reach every node kind the walk accepts."""
+    kinds = set()
+    for seed in range(6):
+        for e in exprs_for(seed):
+            for node in sp.preorder_traversal(e):
+                if isinstance(node, sp.Pow):
+                    kinds.add(("Pow", node.exp.q, node.exp < 0))
+                kinds.add(type(node).__name__ if node.args else "atom")
+    assert {"Add", "Mul", "exp", "sin", "cos", "Abs", "atan2", "atom"} <= kinds
+    assert {("Pow", 1, True), ("Pow", 2, True), ("Pow", 2, False)} <= kinds
+    assert any(e.has(sp.Rational(-3, 2)) for seed in range(6) for e in exprs_for(seed))
+
+
+@pytest.mark.parametrize("expr", [
+    sp.log(2 + Y1), sp.tan(X1), 2 ** Y1, (2 + Y1) ** sp.Rational(1, 3), sp.Symbol("z"),
+    sp.sin(Y1) + sp.sign(Y2),
+])
+def test_unsupported_nodes_raise(expr):
+    with pytest.raises(UnsupportedNode):
+        Walk([sp.Integer(1), expr], CHART)
+
+
+def test_constant_subtrees_fold_and_shared_nodes_run_once():
+    s = sp.sin(2 * sp.pi * X1)
+    walk = Walk([s * Y1, s + sp.sqrt(2) * sp.log(3), sp.log(2)], CHART)
+    # sin's argument, sin, the product and the sum: each node once
+    assert len(walk._steps) == 4
+    Y, X = sample_rows(0, 5)
+    vals = walk.values(Y, X)
+    assert np.allclose(vals[1], np.sin(2 * np.pi * X[:, 0]) + np.sqrt(2) * np.log(3))
+    assert np.all(vals[2] == np.log(2))
+
+
+def test_sympy_constants_meet_jets_through_one_conversion(monkeypatch):
+    """A sympy number that meets a jet goes through evalf once per process,
+    from either side of the operator."""
+    constant.cache_clear()
+    converted = []
+    raw = sp.Expr.__complex__
+    monkeypatch.setattr(sp.Expr, "__complex__",
+                        lambda self: converted.append(str(self)) or raw(self))
+    jet = Jet(np.arange(3.0) + 0j, {Y1: 1 + 0j})
+    for _ in range(3):
+        jet = sp.Rational(1, 2) * (jet * sp.Rational(1, 2)) + sp.Integer(1)
+    assert sorted(converted) == ["1", "1/2"]
+    assert np.allclose(jet.value, np.arange(3.0) / 64 + 1 + 1 / 4 + 1 / 16)
+    assert jet.diff(Y1).value == 1 / 64

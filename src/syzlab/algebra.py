@@ -15,7 +15,7 @@ in front of all dx factors.
 Both element types share one sparse term store, (J, K) -> coefficient;
 every reordering sign comes from sorting in ``add_term``.  A coefficient is
 an expanded sympy expression, or a ``Jet`` (from ``fields``): the sampled
-value of a field on a block of grid rows with its first partials.  The operators differentiate
+values of a field with its first partials.  The operators differentiate
 through ``c.diff(v)`` and combine coefficients with ``+`` and ``*`` only, so
 one set of builders gives the exact identities on sympy coefficients and
 their sampled values on jets.

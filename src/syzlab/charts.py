@@ -90,12 +90,16 @@ class Chart:
         return product_grid([circle_points(k)] * self.n)
 
     @functools.lru_cache(maxsize=8)
-    def sample_points(self, base_k=5, fibre_k=8):
-        """Full product grid: returns (Y, X) arrays of shape (npts, n), built
-        once per (chart, base_k, fibre_k) and read-only."""
-        grid = product_grid([self.base_grid(base_k), self.fibre_grid(fibre_k)])
-        grid.flags.writeable = False
-        return grid[:, : self.n], grid[:, self.n:]
+    def sample_axes(self, base_k=5, fibre_k=8):
+        """The axes of the sample grid, read-only and built once per (chart,
+        base_k, fibre_k): base_k points across each side of the box, then
+        fibre_k circle points per fibre axis.  The grid is their product in
+        row-major order, as ``product_grid`` lists it."""
+        axes = [np.linspace(float(lo), float(hi), base_k) for lo, hi in self.box]
+        axes += [circle_points(fibre_k) for _ in range(self.n)]
+        for axis in axes:
+            axis.flags.writeable = False
+        return tuple(axes)
 
 
 def circle_points(k):

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import itertools
 import math
 import operator
 
@@ -194,17 +195,9 @@ def require_fibre_periodic(expr, n):
     return expr
 
 
-# sample rows evaluated at once: temporaries stay a few MB per expression
+# samples evaluated at once: temporaries stay a few MB per expression
 # even on a 3-d chart integral (512 x 4096 samples)
 _BLOCK_SAMPLES = 1 << 14
-
-
-def blocks(evaluate, Y, X, size=_BLOCK_SAMPLES):
-    """(rows, evaluate(Y[rows], X[rows])) for consecutive slices of at most
-    ``size`` sample rows, so only one block of values is held at a time."""
-    for start in range(0, len(Y), size):
-        rows = slice(start, start + size)
-        yield rows, evaluate(Y[rows], X[rows])
 
 
 class DegreeError(ValueError):
@@ -223,15 +216,15 @@ def constant(c):
 
 
 class Jet:
-    """A field sampled on a block of grid rows, with its nonzero first partials.
+    """A sampled field with its nonzero first partials.
 
     ``value`` and each entry of ``partials`` (symbol -> partial) is a Python
-    complex constant or an array over the rows.  A product follows the
-    product rule; ``diff`` returns the partial as a value-only jet
-    (``partials`` None), which cannot be differentiated again: every residual
-    sampled this way needs first derivatives only.  A jet is zero, and equals
-    0, only when its value is the constant 0 and it has no partials, so
-    constant and structurally absent partials cancel exactly.
+    complex constant or an array over the samples; they broadcast together.
+    A product follows the product rule; ``diff`` returns the partial as a
+    value-only jet (``partials`` None), which cannot be differentiated again:
+    every residual sampled this way needs first derivatives only.  A jet is
+    zero, and equals 0, only when its value is the constant 0 and it has no
+    partials, so constant and structurally absent partials cancel exactly.
     """
 
     __slots__ = ("value", "partials")
@@ -352,9 +345,10 @@ class Walk:
     The trees are walked once, memoised by node, into one program: a node
     shared within or between expressions is computed once, and a subtree
     free of chart variables is one complex constant.  The program runs on
-    jets, so it gives plain values (``evaluate``, ``values``) or values with
-    first partials by the chain rule (``jets``), on complex arrays over a
-    block of sample rows; each intermediate is dropped after its last use.
+    jets: ``evaluate`` gives the values at given points, and ``grid`` the
+    values, or values with first partials by the chain rule, on a product
+    grid; each intermediate is dropped after its last use.  ``reads`` holds
+    the positions of the chart variables the program reads.
     It evaluates numbers, pi, I, the chart variables, sums, products,
     integer and half-integer powers (with the principal root), sin, cos,
     exp, and the Abs and atan2 that ``as_real_imag`` makes; any other node
@@ -368,7 +362,8 @@ class Walk:
         self.outputs = [self._visit(sp.sympify(e)) for e in exprs]
         del self._memo
         kept = {o for o in self.outputs if type(o) is int}
-        self.varies = bool(kept)
+        slots = kept.union(a for _, args in self._steps for a in args if type(a) is int)
+        self.reads = tuple(sorted(s for s in slots if s < len(self.symbols)))
         last = {a: i for i, (_, args) in enumerate(self._steps) for a in args if type(a) is int}
         drops = [[] for _ in self._steps]
         for slot, i in last.items():
@@ -402,41 +397,58 @@ class Walk:
             raise UnsupportedNode(f"cannot evaluate the {node.func.__name__} node {node}")
         return _OPS[node.func], [a if type(a) is int else Jet(a, {}) for a in args]
 
-    def _run(self, leaves):
-        vals = leaves + [None] * len(self._steps)
-        for i, (op, args, drop) in enumerate(self._steps, start=len(leaves)):
+    def _run(self, coord, jets):
+        """The outputs, as jets with first partials or as values, from
+        coord(i), the array of the i-th chart variable, taken for those the
+        program reads."""
+        vals = [None] * (len(self.symbols) + len(self._steps))
+        for i in self.reads:
+            vals[i] = Jet(np.asarray(coord(i), dtype=complex),
+                          {self.symbols[i]: 1 + 0j} if jets else None)
+        for i, (op, args, drop) in enumerate(self._steps, start=len(self.symbols)):
             vals[i] = op(*[vals[a] if type(a) is int else a for a in args])
             for slot in drop:
                 vals[slot] = None
-        return [vals[o] if type(o) is int else Jet(o, {}) for o in self.outputs]
-
-    def _leaves(self, Y, X):
-        """The chart variables at the points (Y, X), whose last axis is the
-        coordinate, as complex arrays; none when no expression varies."""
-        if not self.varies:
-            return []
-        return [*np.array(np.moveaxis(Y, -1, 0), dtype=complex),
-                *np.array(np.moveaxis(X, -1, 0), dtype=complex)]
-
-    def jets(self, Y, X):
-        """The Jet of each expression on one block of sample rows (Y, X)."""
-        return self._run([Jet(leaf, {s: 1 + 0j})
-                          for s, leaf in zip(self.symbols, self._leaves(Y, X))])
+        out = [vals[o] if type(o) is int else Jet(o, {}) for o in self.outputs]
+        return out if jets else [jet.value for jet in out]
 
     def evaluate(self, Y, X):
         """The value of each expression at the points (Y, X), arrays whose
         other axes broadcast together: a complex constant, or an array of
         the broadcast shape of the leaves it depends on."""
-        return [jet.value for jet in self._run([Jet(leaf) for leaf in self._leaves(Y, X)])]
+        n = len(self.symbols) // 2
+        return self._run(lambda i: (Y if i < n else X)[..., i % n], False)
 
-    def values(self, Y, X):
-        """Complex array (len(exprs), len(Y)) of the values on the sample
-        rows (Y, X), evaluated one block of rows at a time."""
-        out = np.empty((len(self.outputs), len(Y)), dtype=complex)
-        for rows, vals in blocks(self.evaluate, Y, X):
-            for i, v in enumerate(vals):
-                out[i, rows] = v
-        return out
+    def grid(self, axes, size=None, jets=False):
+        """(box, values or jets) on the product grid of the 1-d ``axes``, one
+        per chart variable, a sub-box with axes ``box`` at a time.  Each
+        variable varies on its own axis, so an output is a complex constant
+        or an array of extent 1 on the axes of the variables it does not
+        read.  With ``size``, leading axes the program reads are split one
+        point at a time until the rest of them span at most ``size`` points;
+        the sub-boxes come in row-major order."""
+        split, span = [], math.prod(len(axes[i]) for i in self.reads)
+        for i in self.reads:
+            if size is None or span <= size:
+                break
+            split.append(i)
+            span //= len(axes[i])
+        shapes = [[-1 if a == i else 1 for a in range(len(axes))] for i in range(len(axes))]
+        for point in itertools.product(*(range(len(axes[i])) for i in split)):
+            box = list(axes)
+            for i, j in zip(split, point):
+                box[i] = axes[i][j:j + 1]
+            yield box, self._run(lambda i: np.reshape(box[i], shapes[i]), jets)
+
+
+def sample_point(axes, shape, flat):
+    """The point (y, x) of the flat index into an array of the given shape
+    over the grid of ``axes``: index 0 on every axis of extent 1, the first
+    grid point in row-major order that carries the indexed value."""
+    index = (0,) * (len(axes) - len(shape)) + np.unravel_index(flat, shape)
+    coords = [float(axis[i]) for axis, i in zip(axes, index)]
+    n = len(axes) // 2
+    return tuple(coords[:n]), tuple(coords[n:])
 
 
 class SupNorm(float):
@@ -454,24 +466,25 @@ class SupNorm(float):
 
 class Peaks:
     """Running max |z|, |Re z| and |Im z| of groups of sampled values, folded
-    in one block of sample rows at a time, with the point of each.  A NaN
-    sample is the peak from then on, as numpy's maximum makes it."""
+    in one sub-box of the sample grid at a time, with the point of each.  A
+    NaN sample is the peak from then on, as numpy's maximum makes it."""
 
     def __init__(self, count):
         self.peak = np.zeros((count, 3))
         self.at = [[None] * 3 for _ in range(count)]
 
-    def add(self, k, vals, Y, X):
-        """Fold in group k on one block: vals has one row per expression and
-        one column per sample row of (Y, X), or one column for values that
-        are constant on the block."""
+    def add(self, k, vals, box):
+        """Fold in group k on the sub-box with axes ``box``: vals are the
+        group's values there, complex constants or arrays that broadcast
+        against the sub-box's grid."""
+        vals = np.stack(np.broadcast_arrays(*vals))
         for part, mags in enumerate((np.abs(vals), np.abs(vals.real), np.abs(vals.imag))):
-            per_row = mags.max(axis=0)
-            idx = int(np.argmax(per_row))
-            best, current = per_row[idx], self.peak[k, part]
+            per_point = mags.max(axis=0)
+            flat = int(np.argmax(per_point))
+            best, current = per_point.flat[flat], self.peak[k, part]
             if best > current or (np.isnan(best) and not np.isnan(current)):
                 self.peak[k, part] = best
-                self.at[k][part] = (tuple(map(float, Y[idx])), tuple(map(float, X[idx])))
+                self.at[k][part] = sample_point(box, per_point.shape, flat)
 
     def norms(self):
         return [SupNorm(*peak, at=tuple(at)) for peak, at in zip(self.peak, self.at)]
@@ -480,9 +493,10 @@ class Peaks:
 def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
     """The SupNorm of each group of expressions over the deterministic sample grid.
 
-    The nonzero expressions of all groups go into one Walk, whose blocks are reduced as they come; only running maxima of |z|, |Re z|
-    and |Im z| per group are kept.  A group whose expressions are all exactly
-    0 is 0.0.
+    The nonzero expressions of all groups go into one Walk, evaluated on the
+    grid by broadcasting, one sub-box of at most _BLOCK_SAMPLES points at a
+    time; only running maxima of |z|, |Re z| and |Im z| per group are kept.
+    A group whose expressions are all exactly 0 is 0.0.
     """
     groups = list(groups)
     owner, exprs = [], []
@@ -494,12 +508,12 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
                 exprs.append(e)
     peaks = Peaks(len(groups))
     if exprs:
-        members = {k: np.flatnonzero(np.array(owner) == k) for k in set(owner)}
-        Y, X = chart.sample_points(base_k, fibre_k)
-        for rows, vals in blocks(Walk(exprs, chart).values, Y, X):
+        members = {k: [i for i, o in enumerate(owner) if o == k] for k in set(owner)}
+        walk = Walk(exprs, chart)
+        for box, vals in walk.grid(chart.sample_axes(base_k, fibre_k), _BLOCK_SAMPLES):
             for k, idx in members.items():
-                peaks.add(k, vals[idx], Y[rows], X[rows])
-            del vals  # so the next block is not evaluated beside this one
+                peaks.add(k, [vals[i] for i in idx], box)
+            del vals  # so the next sub-box is not evaluated beside this one
     return peaks.norms()
 
 

@@ -14,10 +14,13 @@ graded algebra.  On sympy entries it gives the exact identity; the reported
 magnitudes come from the same builders run on first-order numeric jets
 (``fields.Jet``): the entries of beta with their first partials, from one
 ``fields.Walk`` of their trees, and V with dV = -V d(det)/(2 det), sampled on
-the chart's fixed grid of 5 base x 8 fibre points per axis.  Every residual needs first derivatives only.  Each
-structure keeps one table of sampled residual peaks (|z|, |Re z|, |Im z| and
-where each is reached) by name: each residual is sampled once, and every
-report selects from the table.
+the chart's fixed grid of 5 base x 8 fibre points per axis, each chart
+variable on its own axis: every jet, and every residual made from them, is an
+array over the axes of the variables it depends on, so an x-free beta is
+sampled at the 5^n base points only.  Every residual needs first derivatives
+only.  Each structure keeps one table of sampled residual peaks (|z|, |Re z|,
+|Im z| and where each is reached) by name: each residual is sampled once, and
+every report selects from the table.
 """
 
 from __future__ import annotations
@@ -41,12 +44,13 @@ from .algebra import (
     sort_with_sign,
 )
 from .charts import Chart
-from .fields import GrammarError, Peaks, Walk, blocks, require_fibre_periodic
+from .fields import GrammarError, Peaks, Walk, require_fibre_periodic, sample_point
 
 DEFAULT_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-9
-# sample rows per block of jets: a builder holds a few hundred arrays of this
-# length at once (d(Omega) at n = 3)
+# the most points a sub-box of jets spans on the axes beta reads, whose leading
+# axes are split one point at a time until the rest span at most this many: a
+# builder holds a few hundred arrays of this size at once (d(Omega) at n = 3)
 _JET_ROWS = 4096
 
 
@@ -134,38 +138,30 @@ class BetaStructure:
         return Walk([entry for row in self.beta for entry in row], self.chart)
 
     def _beta_jets(self):
-        """(Y, X, jets) over the sample grid, at most _JET_ROWS rows at a time
-        (one block when beta is constant): jets[i][j] is the Jet of beta[i][j]
-        on the rows Y, X."""
-        walk, n = self._walk, self.n
-        Y, X = self.chart.sample_points()
-        for rows, jets in blocks(walk.jets, Y, X, _JET_ROWS if walk.varies else len(Y)):
-            yield Y[rows], X[rows], [jets[i * n:(i + 1) * n] for i in range(n)]
+        """(box, jets) over the sample grid, a sub-box (see _JET_ROWS) with
+        axes box at a time: jets[i][j] is the Jet of beta[i][j] there."""
+        n = self.n
+        for box, jets in self._walk.grid(self.chart.sample_axes(), _JET_ROWS, jets=True):
+            yield box, [jets[i * n:(i + 1) * n] for i in range(n)]
 
     @np.errstate(all="ignore")
     def min_imbeta_eigenvalue(self):
         """Least eigenvalue of sym(Im beta) over the sample grid, and where;
         a beta not finite there is a GrammarError."""
         n, least, where = self.n, np.inf, None
-        for Y, X, beta in self._beta_jets():
-            vals = _stack([entry.value for row in beta for entry in row])
+        for box, beta in self._beta_jets():
+            vals = np.stack(np.broadcast_arrays(*[entry.value for row in beta for entry in row]))
+            points = vals.shape[1:]
             finite = np.isfinite(vals).all(axis=0)
             if not finite.all():
-                y, x = (tuple(map(float, p[np.argmin(finite)])) for p in (Y, X))
+                y, x = sample_point(box, points, int(np.argmin(finite)))
                 raise GrammarError(f"beta is not finite at the sample point y = {y}, x = {x}")
-            mats = vals.imag.T.reshape(-1, n, n)
+            mats = vals.imag.reshape(n * n, -1).T.reshape(-1, n, n)
             eig = np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0]
             idx = int(np.argmin(eig))
             if eig[idx] < least:
-                least, where = float(eig[idx]), (tuple(map(float, Y[idx])),
-                                                 tuple(map(float, X[idx])))
+                least, where = float(eig[idx]), sample_point(box, points, idx)
         return least, where
-
-
-def _stack(values):
-    """Jet values as one array, a row each: one column per sample row, or a
-    single column when every value is a constant."""
-    return np.stack(np.broadcast_arrays(*values)).reshape(len(values), -1)
 
 
 def _determinant(matrix):
@@ -269,14 +265,14 @@ _RESIDUALS = {
 @np.errstate(all="ignore")
 def _sample_residuals(bs: BetaStructure, names):
     """The SupNorm of each named residual, from its builder run on the jets
-    of beta and V, block by block."""
+    of beta and V, sub-box by sub-box."""
     peaks = Peaks(len(names))
-    for Y, X, beta in bs._beta_jets():
+    for box, beta in bs._beta_jets():
         V = _volume_jet(beta)
         for k, name in enumerate(names):
             values = [c.value for c in _RESIDUALS[name](bs.chart, beta, V) if c != 0]
             if values:
-                peaks.add(k, _stack(values), Y, X)
+                peaks.add(k, values, box)
     return peaks.norms()
 
 
@@ -413,10 +409,10 @@ def action_coordinates(period_forms, chart: Chart):
             raise ValueError("antiderivative not expressible in the grammar")
         potentials.append(u)
         jacobian.extend(lam)  # du = lam is the Jacobian's row
-    Y = chart.base_grid(5)
-    vals = Walk(jacobian, chart).values(Y, np.zeros_like(Y)).real.T.reshape(
-        len(Y), chart.n, chart.n)
-    dets = np.linalg.det(vals)
+    axes = chart.sample_axes()[:chart.n] + (np.zeros(1),) * chart.n
+    ((_, vals),) = Walk(jacobian, chart).grid(axes)
+    vals = np.stack(np.broadcast_arrays(*vals), axis=-1).real
+    dets = np.linalg.det(vals.reshape(-1, chart.n, chart.n))
     if np.min(np.abs(dets)) < 1e-12:
         raise ValueError("period forms are pointwise dependent on the box")
     return potentials

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from syzlab.charts import Chart
+from syzlab.charts import Chart, product_grid
 from syzlab.algebra import BigradedElement
 
 
@@ -49,6 +49,13 @@ def compile_calls(monkeypatch):
 # reference evaluators, independent of fields.Walk
 # ---------------------------------------------------------------------------
 
+def grid_rows(chart, base_k=5, fibre_k=8):
+    """The chart's sample grid as dense rows (Y, X), one row per point in
+    row-major order: charts.product_grid of the sample axes."""
+    grid = product_grid(chart.sample_axes(base_k, fibre_k))
+    return grid[:, :chart.n], grid[:, chart.n:]
+
+
 def lambdify_values(exprs, chart, Y, X):
     """Complex array (len(exprs), len(Y)) of sympy's own numpy code for the
     expressions (one lambdify with common subexpressions) at the sample rows
@@ -66,7 +73,7 @@ def lambdify_values(exprs, chart, Y, X):
 def lambdify_sup_norms(groups, chart):
     """(max |z|, max |Re z|, max |Im z|) of each group of expressions over
     the chart's sample grid, by lambdify_values; 0 for an empty group."""
-    Y, X = chart.sample_points()
+    Y, X = grid_rows(chart)
     out = []
     for group in groups:
         group = [e for e in map(sp.sympify, group) if e != 0]

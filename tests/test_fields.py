@@ -22,7 +22,7 @@ from syzlab.fields import (
 )
 from syzlab.k3 import GramLattice, K3MirrorInput
 
-from conftest import lambdify_values
+from conftest import grid_rows, lambdify_values
 
 
 def test_chart_validation():
@@ -35,17 +35,22 @@ def test_chart_validation():
     assert c.box_volume == 4
 
 
-def test_sample_points_are_cached_and_read_only():
+def test_sample_axes_are_cached_and_read_only():
     chart = Chart(2, ((-1, 1), (0, 2)))
-    Y, X = chart.sample_points()
-    again = Chart(2, ((-1, 1), (0, 2))).sample_points()
-    assert again[0] is Y and again[1] is X
-    assert Y.shape == X.shape == (25 * 64, 2)
-    assert chart.sample_points(3, 4)[0].shape == (9 * 16, 2)
-    for grid in (Y, X, Y[:10]):
+    axes = chart.sample_axes()
+    again = Chart(2, ((-1, 1), (0, 2))).sample_axes()
+    assert again is axes
+    assert [len(a) for a in axes] == [5, 5, 8, 8]
+    assert [len(a) for a in chart.sample_axes(3, 4)] == [3, 3, 4, 4]
+    for axis in (*axes, axes[0][:2]):
         with pytest.raises(ValueError, match="read-only"):
-            grid[0, 0] = 7.0
-    assert Y[0, 0] == -1.0 and X[0, 0] == 0.0
+            axis[0] = 7.0
+    assert list(axes[1]) == [0.0, 0.5, 1.0, 1.5, 2.0]
+    assert list(axes[3]) == [k / 8 for k in range(8)]
+    # the grid is the axes' product in row-major order: the base grid, then the fibre's
+    Y, X = grid_rows(chart)
+    assert np.array_equal(Y, np.repeat(chart.base_grid(), 64, axis=0))
+    assert np.array_equal(X, np.tile(chart.fibre_grid(), (25, 1)))
 
 
 def test_box_ends_are_numbers_never_evaluated(capsys):
@@ -260,8 +265,12 @@ def test_walk_matches_plain_lambdify():
     chart = bs.chart
     exprs = list(omega_form(bs).exterior_derivative().terms.values())
     assert len(exprs) > 5
-    Y, X = chart.sample_points(3, 4)
-    got = Walk(exprs, chart).values(Y, X)
+    axes = chart.sample_axes(3, 4)
+    ((box, got),) = Walk(exprs, chart).grid(axes)
+    assert box == list(axes)
+    shape = [len(a) for a in axes]
+    got = np.array([np.broadcast_to(v, shape).ravel() for v in got])
+    Y, X = grid_rows(chart, 3, 4)
     want = lambdify_values(exprs, chart, Y, X)
     scale = np.max(np.abs(want))
     assert scale > 0.1
@@ -283,7 +292,7 @@ def test_sup_norms_matches_whole_grid_per_group():
               list(_volume_divergence_residual(chart, bs.beta, V).terms.values()),
               list(integrability_residual(bs).terms.values()),
               [sp.Integer(0)]]
-    Y, X = chart.sample_points()
+    Y, X = grid_rows(chart)
     assert len(Y) == 64_000 and len(Y) > 3 * _BLOCK_SAMPLES
     got = sup_norms(groups, chart)
     assert got[-1] == 0.0
@@ -295,23 +304,31 @@ def test_sup_norms_matches_whole_grid_per_group():
 
 
 def test_evaluate_in_blocks_equals_pieces():
+    """The grid in sub-boxes, split along the leading axes the expressions
+    read and yielded in row-major order, equals the grid in one piece."""
     chart = Chart(2, ((-1, 1), (-1, 1)))
     y1, y2 = chart.ys
     x1, x2 = chart.xs
-    exprs = [sp.sin(2 * sp.pi * x1) * y1 ** 2 + sp.cos(4 * sp.pi * x2 + y2),
-             sp.Integer(3), sp.I * y2 / (2 + y1)]
-    rng = np.random.default_rng(7)
-    npts = 40_000
-    assert npts > 2 * _BLOCK_SAMPLES
-    Y = rng.uniform(-1, 1, (npts, 2))
-    X = rng.uniform(0, 1, (npts, 2))
-    evaluate = Walk(exprs, chart).values
-    whole = evaluate(Y, X)
-    pieces = np.concatenate([evaluate(Y[s:s + 999], X[s:s + 999])
-                             for s in range(0, npts, 999)], axis=1)
-    assert whole.shape == (3, npts)
-    assert np.allclose(whole, pieces, rtol=1e-15, atol=0)
-    assert np.all(whole[1] == 3)
+    exprs = [sp.sin(2 * sp.pi * x1) * y1 ** 2, sp.Integer(3), sp.I * y1 / (2 + x2)]
+    walk = Walk(exprs, chart)
+    assert walk.reads == (0, 2, 3)  # y2 is read by no expression
+    axes = chart.sample_axes(5, 6)
+    ((_, whole),) = walk.grid(axes)
+    assert [np.shape(v) for v in whole] == [(5, 1, 6, 1), (), (5, 1, 1, 6)]
+    assert whole[1] == 3
+    pieces = list(walk.grid(axes, size=30))
+    # y1 and x1 split: the rest of the read axes, x2, spans 6 <= 30 points
+    assert len(pieces) == 5 * 6
+    for k, (box, vals) in enumerate(pieces):
+        i, j = divmod(k, 6)
+        assert [len(a) for a in box] == [1, 5, 1, 6]
+        assert box[0][0] == axes[0][i] and box[2][0] == axes[2][j]
+        assert np.array_equal(vals[0], whole[0][i:i + 1, :, j:j + 1])
+        assert np.array_equal(vals[2], whole[2][i:i + 1])
+        assert vals[1] == 3
+    # y1 split: x1 and x2 span 36 points
+    assert len(list(walk.grid(axes, size=36))) == 5
+    assert len(list(Walk([sp.Integer(1)], chart).grid(axes, size=1))) == 1
 
 
 def _enclosing_functions(tree):
@@ -377,7 +394,7 @@ SUP_NORMS = ("sup_norm", "sup_norms", "sup_norm_scalars")
 
 def test_no_sup_norm_call_in_the_library_picks_a_grid():
     """Every sampled residual in src/ is taken on the one fixed grid: no call
-    to a sup-norm, or to the sample grid the residual jets are sampled on,
+    to a sup-norm, or to the sample axes the residual jets are sampled on,
     passes a grid size, except the sup-norms forwarding their own grid
     parameters."""
     src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
@@ -391,11 +408,11 @@ def test_no_sup_norm_call_in_the_library_picks_a_grid():
             if not isinstance(call, ast.Call) or id(call) in forwarding:
                 continue
             name = getattr(call.func, "attr", getattr(call.func, "id", None))
-            if name not in SUP_NORMS + ("sample_points",):
+            if name not in SUP_NORMS + ("sample_axes",):
                 continue
             calls += 1
             # a method call takes no arguments; the functions take exprs, chart
-            allowed = 0 if name in ("sup_norm", "sample_points") else 2
+            allowed = 0 if name in ("sup_norm", "sample_axes") else 2
             where = f"{path.name}:{call.lineno}"
             assert len(call.args) <= allowed, where
             assert not {k.arg for k in call.keywords} & {"base_k", "fibre_k"}, where

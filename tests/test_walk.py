@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from syzlab.charts import Chart
+from syzlab.charts import Chart, product_grid
 from syzlab.fields import Jet, UnsupportedNode, Walk, constant
 
 from conftest import diff_values, lambdify_values
@@ -57,6 +57,11 @@ def sample_rows(seed, count=300):
     return rng.uniform(-1, 1, (count, 2)), rng.uniform(0, 1, (count, 2))
 
 
+def dense(vals, rows):
+    """Walk outputs, constants or arrays over the rows, as one array a row each."""
+    return np.array([np.broadcast_to(v, rows) for v in vals])
+
+
 def assert_close(got, want, rel):
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.all(np.isfinite(want))
@@ -67,7 +72,7 @@ def assert_close(got, want, rel):
 def test_values_match_lambdify(seed):
     exprs = exprs_for(seed)
     Y, X = sample_rows(seed)
-    got = Walk(exprs, CHART).values(Y, X)
+    got = dense(Walk(exprs, CHART).evaluate(Y, X), len(Y))
     want = lambdify_values(exprs, CHART, Y, X)
     for e, g, w in zip(exprs, got, want):
         assert_close(g, w, 1e-12), e
@@ -75,14 +80,17 @@ def test_values_match_lambdify(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_jets_match_sympy_diff(seed):
+    """Jets on the product grid of random axes, against dense rows."""
     exprs = exprs_for(seed)
-    Y, X = sample_rows(seed)
-    jets = Walk(exprs, CHART).jets(Y, X)
+    axes = [np.sort(a) for a in np.random.default_rng(seed).uniform(-1, 1, (4, 5))]
+    ((_, jets),) = Walk(exprs, CHART).grid(axes, jets=True)
+    grid = product_grid(axes)
+    Y, X = grid[:, :2], grid[:, 2:]
     for e, jet in zip(exprs, jets):
         want = lambdify_values([e], CHART, Y, X)[0]
-        assert_close(np.broadcast_to(jet.value, len(Y)), want, 1e-12)
+        assert_close(np.broadcast_to(jet.value, (5,) * 4).ravel(), want, 1e-12)
         for v, partial in diff_values(e, CHART, Y, X).items():
-            got = np.broadcast_to(jet.partials.get(v, 0j), len(Y))
+            got = np.broadcast_to(jet.partials.get(v, 0j), (5,) * 4).ravel()
             assert_close(got, partial, 1e-10), (e, v)
 
 
@@ -114,8 +122,9 @@ def test_constant_subtrees_fold_and_shared_nodes_run_once():
     walk = Walk([s * Y1, s + sp.sqrt(2) * sp.log(3), sp.log(2)], CHART)
     # sin's argument, sin, the product and the sum: each node once
     assert len(walk._steps) == 4
+    assert walk.reads == (0, 2)  # y1 and x1
     Y, X = sample_rows(0, 5)
-    vals = walk.values(Y, X)
+    vals = walk.evaluate(Y, X)
     assert np.allclose(vals[1], np.sin(2 * np.pi * X[:, 0]) + np.sqrt(2) * np.log(3))
     assert np.all(vals[2] == np.log(2))
 

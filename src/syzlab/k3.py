@@ -17,13 +17,17 @@ The mirror classes are
 
 with ImOmega_n = ImOmega / vol.  All identity checks are exact.
 
-Coordinates are ``fractions.Fraction`` values: ints, floats (read through
-their shortest decimal, so 0.1 is 1/10) and rational strings such as "3/2";
-any other string is a K3ValidationError, never handed to a sympy parser.
-Only a value that is not rational stays a sympy expression: the quadratic
-surds a non-Pythagorean phase alignment introduces, or symbolic library
-inputs.  A sympy result that turns out rational goes back to a Fraction, so
-rational data never touches sympy, nor imports it.
+Inside the map a class is a ``_Vec``: integer numerators over one positive
+integer denominator, reduced by one gcd, so each pairing makes one
+``fractions.Fraction`` and the elementwise steps make none.  Coordinates at
+the boundary (K3MirrorInput, MirrorClasses, the public helpers) are
+Fractions, read from ints, floats (through their shortest decimal, so 0.1 is
+1/10) and rational strings such as "3/2"; any other string is a
+K3ValidationError, never handed to a sympy parser.  Only a value that is
+not rational is a sympy expression (a numerator over the same denominator
+inside a _Vec): the quadratic surds a non-Pythagorean phase alignment
+introduces, or symbolic library inputs.  A sympy result that turns out
+rational goes back to a Fraction, so rational data never imports sympy.
 
 The double mirror feeds the mirror classes back through the same map with
 the mirror's own twist class, read off the transverse part of ReOmega_n,
@@ -33,6 +37,7 @@ components and negates the component in (E-perp intersect sigma0-perp).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -113,15 +118,74 @@ def _str(x):
     return sp.sstr(x)
 
 
-def _vec(values, rank):
+def _read(values, rank):
     v = [_coord(x) for x in values]
     if len(v) != rank:
         raise K3ValidationError(f"vector must have {rank} coordinates")
     return tuple(v)
 
 
-def _gcd_all(ints):
-    return math.gcd(*(int(v) for v in ints))
+def _split(x):
+    """(numerator, positive integer denominator) of a scalar."""
+    return (x.numerator, x.denominator) if isinstance(x, _RATIONAL) else (x, 1)
+
+
+_ZERO = Fraction(0)
+
+
+def _div(n, d):
+    if type(n) is int:
+        return Fraction(n, d) if n else _ZERO
+    return _norm(n / d)
+
+
+class _Vec:
+    """A lattice class as numerators over one positive integer denominator.
+
+    Rational numerators are ints, reduced with the denominator by one gcd.
+    A surd or symbolic numerator leaves the vector unreduced, its numerators
+    normalised one by one.
+    """
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums, den=1):
+        try:
+            g = math.gcd(*nums, den)
+        except TypeError:
+            nums, g = [_norm(n) for n in nums], 1
+        self.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+        self.den = den // g
+
+    @classmethod
+    def of(cls, coords):
+        """The vector of a coordinate sequence (or the _Vec itself)."""
+        if type(coords) is cls:
+            return coords
+        try:
+            den = math.lcm(*(x.denominator for x in coords))
+        except AttributeError:  # a string, float, surd or symbol: over 1
+            return cls([_coord(x) for x in coords])
+        return cls([x.numerator * (den // x.denominator) for x in coords], den)
+
+    def coords(self):
+        return tuple(_div(n, self.den) for n in self.nums)
+
+    def __eq__(self, other):
+        return all(_is_zero(a * other.den - b * self.den)
+                   for a, b in zip(self.nums, other.nums))
+
+
+def _axpy(alpha, x, y):
+    """alpha*x + y."""
+    p, q = _split(alpha)
+    a, b = p * y.den, q * x.den
+    return _Vec([a * s + b * t for s, t in zip(x.nums, y.nums)], q * x.den * y.den)
+
+
+def _scale(alpha, x):
+    p, q = _split(alpha)
+    return _Vec([p * s for s in x.nums], q * x.den)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +225,7 @@ class GramLattice:
     """Integral lattice given by a symmetric Gram matrix."""
 
     gram: tuple
+    _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = tuple(tuple(int(x) for x in row) for row in self.gram)
@@ -169,39 +234,36 @@ class GramLattice:
                 if g[i][j] != g[j][i]:
                     raise K3ValidationError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", g)
+        object.__setattr__(self, "_rows", tuple(
+            (i, tuple((j, x) for j, x in enumerate(row) if x))
+            for i, row in enumerate(g) if any(row)))
 
     @property
     def rank(self):
         return len(self.gram)
 
     def dot(self, u, v):
+        """Pairing of two classes given as coordinate tuples or _Vecs."""
+        u, v = _Vec.of(u), _Vec.of(v)
+        un, vn = u.nums, v.nums
         total = 0
-        for i in range(self.rank):
-            gi = self.gram[i]
-            ui = u[i]
-            if ui == 0:
-                continue
-            for j in range(self.rank):
-                if gi[j] and v[j] != 0:
-                    total += ui * gi[j] * v[j]
-        return _norm(total)
+        for i, row in self._rows:
+            if un[i]:
+                total += un[i] * sum([x * vn[j] for j, x in row])
+        return _div(total, u.den * v.den)
 
     def is_unimodular(self):
         return is_unimodular(self.gram)
 
     @classmethod
+    @functools.cache
     def from_name(cls, name):
-        if name == "U":
-            return cls(tuple(map(tuple, hyperbolic_plane())))
-        if name == "U2":
-            return cls(tuple(map(tuple, block_diag(hyperbolic_plane(),
-                                                   hyperbolic_plane()))))
-        if name == "U3":
-            return cls(tuple(map(tuple, block_diag(*[hyperbolic_plane()] * 3))))
-        if name == "K3":
-            return cls(tuple(map(tuple, block_diag(
-                *([hyperbolic_plane()] * 3 + [e8_gram(-1), e8_gram(-1)])))))
-        raise K3ValidationError(f"unknown lattice preset {name!r}")
+        """The preset lattice, built once and shared (it is frozen)."""
+        planes = {"U": 1, "U2": 2, "U3": 3, "K3": 3}.get(name)
+        if planes is None:
+            raise K3ValidationError(f"unknown lattice preset {name!r}")
+        e8s = [e8_gram(-1)] * 2 if name == "K3" else []
+        return cls(tuple(map(tuple, block_diag(*[hyperbolic_plane()] * planes, *e8s))))
 
 
 def k3_lattice():
@@ -235,22 +297,23 @@ class K3MirrorInput:
     B: tuple = None
     re_omega: tuple = None
     im_omega: tuple = None
+    _vectors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.lattice.rank
         self.E = tuple(int(x) for x in self.E)
         self.sigma0 = tuple(int(x) for x in self.sigma0)
-        self.omega = _vec(self.omega, r)
-        self.B = _vec(self.B, r) if self.B is not None else (Fraction(0),) * r
+        self.omega = _read(self.omega, r)
+        self.B = _read(self.B, r) if self.B is not None else (Fraction(0),) * r
         # reduce the twist lift to the section-orthogonal representative;
         # adding a fibre-class multiple keeps the class and the fibre pairing
-        shift = self.lattice.dot(self.B, self.sigma0)
+        shift = self.dot(self._vector("B"), self._vector("sigma0"))
         if shift != 0:
-            self.B = tuple(_norm(b - shift * e) for b, e in zip(self.B, self.E))
+            self.B = _axpy(-shift, self._vector("E"), self._vector("B")).coords()
         if self.re_omega is not None:
-            self.re_omega = _vec(self.re_omega, r)
+            self.re_omega = _read(self.re_omega, r)
         if self.im_omega is not None:
-            self.im_omega = _vec(self.im_omega, r)
+            self.im_omega = _read(self.im_omega, r)
         if (self.re_omega is None) != (self.im_omega is None):
             raise K3ValidationError("provide both re/im holomorphic classes or neither")
         bad = validate(self)
@@ -264,42 +327,50 @@ class K3MirrorInput:
     def dot(self, u, v):
         return self.lattice.dot(u, v)
 
+    def _vector(self, name):
+        """The _Vec of a class field, built once for each value it holds."""
+        value = getattr(self, name)
+        held = self._vectors.get(name)
+        if held is None or held[0] is not value:
+            held = self._vectors[name] = (value, _Vec.of(value))
+        return held[1]
+
     @property
     def vol(self):
         if not self.has_holomorphic_data:
             return Fraction(1)
-        return self.dot(self.re_omega, self.E)
+        return self.dot(self._vector("re_omega"), self._vector("E"))
 
 
 def validate(inp: K3MirrorInput):
     """Return the list of violated invariants (named); empty when valid."""
     d = inp.dot
+    E, s0, w, B = map(inp._vector, ("E", "sigma0", "omega", "B"))
     bad = []
-    if not _is_zero(d(inp.E, inp.E)):
+    if not _is_zero(d(E, E)):
         bad.append("fibre class is not isotropic")
-    if _gcd_all(inp.E) != 1:
+    if math.gcd(*inp.E) != 1:
         bad.append("fibre class is not primitive")
-    if d(inp.sigma0, inp.sigma0) != -2:
+    if d(s0, s0) != -2:
         bad.append("section self-intersection must be -2")
-    if d(inp.sigma0, inp.E) != 1:
+    if d(s0, E) != 1:
         bad.append("section must meet the fibre once")
-    if not _is_zero(d(inp.omega, inp.E)):
+    if not _is_zero(d(w, E)):
         bad.append("kaehler class must pair to zero with the fibre")
-    if not _is_zero(d(inp.B, inp.E)):
+    if not _is_zero(d(B, E)):
         bad.append("twist class must pair to zero with the fibre")
-    if not _is_zero(d(inp.B, inp.sigma0)):
+    if not _is_zero(d(B, s0)):
         bad.append("twist lift must pair to zero with the section")
-    w2 = d(inp.omega, inp.omega)
+    w2 = d(w, w)
     if not _positive(w2):
         bad.append("kaehler square must be positive")
     if inp.has_holomorphic_data:
-        r2 = d(inp.re_omega, inp.re_omega)
-        i2 = d(inp.im_omega, inp.im_omega)
-        if not _is_zero(r2 - w2) or not _is_zero(i2 - w2):
+        re, im = inp._vector("re_omega"), inp._vector("im_omega")
+        if not _is_zero(d(re, re) - w2) or not _is_zero(d(im, im) - w2):
             bad.append("holomorphic-class squares must equal the kaehler square")
-        if not _is_zero(d(inp.re_omega, inp.im_omega)):
+        if not _is_zero(d(re, im)):
             bad.append("holomorphic re/im parts must be orthogonal")
-        if not _is_zero(d(inp.omega, inp.re_omega)) or not _is_zero(d(inp.omega, inp.im_omega)):
+        if not _is_zero(d(w, re)) or not _is_zero(d(w, im)):
             bad.append("kaehler class must be orthogonal to the holomorphic class")
     return bad
 
@@ -309,9 +380,10 @@ def _require_aligned(inp: K3MirrorInput, context=""):
     rest of the input was checked when it was constructed."""
     bad = []
     if inp.has_holomorphic_data:
-        if not _is_zero(inp.dot(inp.im_omega, inp.E)):
+        E = inp._vector("E")
+        if not _is_zero(inp.dot(inp._vector("im_omega"), E)):
             bad.append("phase not aligned: Im pairing with the fibre is nonzero")
-        if not _positive(inp.dot(inp.re_omega, inp.E)):
+        if not _positive(inp.dot(inp._vector("re_omega"), E)):
             bad.append("phase not aligned: Re pairing with the fibre is not positive")
     if bad:
         raise K3ValidationError(context + "; ".join(bad))
@@ -323,20 +395,17 @@ def validate_and_align(inp: K3MirrorInput) -> K3MirrorInput:
     if not inp.has_holomorphic_data:
         return inp
     d = inp.dot
-    a = d(inp.re_omega, inp.E)
-    b = d(inp.im_omega, inp.E)
+    E, re, im = map(inp._vector, ("E", "re_omega", "im_omega"))
+    a, b = d(re, E), d(im, E)
     if _is_zero(a) and _is_zero(b):
         raise K3ValidationError("fibre class is null against the holomorphic class")
     if _is_zero(b) and _positive(a):
         return inp
     h = _sqrt(_norm(a * a + b * b))
     cos_t, sin_t = _norm(a / h), _norm(-b / h)
-    new_re = tuple(_norm(cos_t * r - sin_t * i)
-                   for r, i in zip(inp.re_omega, inp.im_omega))
-    new_im = tuple(_norm(sin_t * r + cos_t * i)
-                   for r, i in zip(inp.re_omega, inp.im_omega))
     out = K3MirrorInput(inp.lattice, inp.E, inp.sigma0, inp.omega, inp.B,
-                        new_re, new_im)
+                        _axpy(cos_t, re, _scale(-sin_t, im)).coords(),
+                        _axpy(sin_t, re, _scale(cos_t, im)).coords())
     _require_aligned(out, "alignment failed: ")
     return out
 
@@ -375,30 +444,23 @@ def sublattice_quotient(lattice: GramLattice, E):
     Returns (quotient GramLattice, basis rows in ambient coordinates).
     """
     E = [int(x) for x in E]
-    if _gcd_all(E) != 1:
+    if math.gcd(*E) != 1:
         raise K3ValidationError("fibre class is not primitive")
     if lattice.dot(E, E) != 0:
         raise K3ValidationError("fibre class is not isotropic")
     r = lattice.rank
-    pair_row = [[int(lattice.dot(E, basis_vector(r, j)))] for j in range(r)]
-    # kernel of v -> E.v : columns of the transpose pairing
-    perp = kernel_basis([[row[0] for row in pair_row]])
+    # kernel of v -> E.v
+    perp = kernel_basis([[int(lattice.dot(E, basis_vector(r, j))) for j in range(r)]])
     # coordinates of E inside the perp basis
     coords = solve_int([[perp[b][i] for b in range(len(perp))] for i in range(r)],
                        [[e] for e in E])
     avec = [coords[i][0] for i in range(len(perp))]
-    if _gcd_all(avec) != 1:
+    if math.gcd(*avec) != 1:
         raise K3ValidationError("fibre class is not primitive inside its perp")
     comp = _complete_to_basis(avec)
     # new basis of E-perp: first vector is E, the rest descend to the quotient
-    new_basis = []
-    for col in range(len(perp)):
-        vec = [0] * r
-        for b in range(len(perp)):
-            for i in range(r):
-                vec[i] += comp[b][col] * perp[b][i]
-        new_basis.append(vec)
-    quots = new_basis[1:]
+    quots = [[sum(comp[b][col] * perp[b][i] for b in range(len(perp))) for i in range(r)]
+             for col in range(1, len(perp))]
     gram = [[int(lattice.dot(u, v)) for v in quots] for u in quots]
     return GramLattice(tuple(map(tuple, gram))), quots
 
@@ -427,50 +489,38 @@ class MirrorClasses:
     identities: dict = field(default_factory=dict)
 
     def as_dict(self):
-        def fmt(v):
-            return [_str(x) for x in v] if v is not None else None
-
-        return {
-            "omega_mirror": fmt(self.omega_mirror),
-            "omega_n_mirror_re": fmt(self.omega_n_mirror_re),
-            "omega_n_mirror_im": fmt(self.omega_n_mirror_im),
-            "re_omega_mirror": fmt(self.re_omega_mirror),
-            "im_omega_mirror": fmt(self.im_omega_mirror),
-            "vol": _str(self.vol),
-            "vol_mirror": _str(self.vol_mirror),
-            "identities": {k: bool(v) for k, v in self.identities.items()},
-        }
+        out = {}
+        for name in ("omega_mirror", "omega_n_mirror_re", "omega_n_mirror_im",
+                     "re_omega_mirror", "im_omega_mirror"):
+            v = getattr(self, name)
+            out[name] = [_str(x) for x in v] if v is not None else None
+        return {**out, "vol": _str(self.vol), "vol_mirror": _str(self.vol_mirror),
+                "identities": {k: bool(v) for k, v in self.identities.items()}}
 
 
-def _axpy(alpha, x, y):
-    return tuple(_norm(alpha * a + b) for a, b in zip(x, y))
+def _mirror_holomorphic(d, E, s0, w, B, w2):
+    """Re and Im of Omega_n_mirror: sigma0 - B + lam E and -omega + mu E."""
+    lam = 1 - (d(B, B) - w2) / 2
+    mu = d(w, s0) - d(w, B)
+    return _axpy(lam, E, _axpy(-1, B, s0)), _axpy(-1, w, _scale(mu, E))
 
 
-def _scale(alpha, x):
-    return tuple(_norm(alpha * a) for a in x)
+def _mirror_kaehler(d, E, s0, B, im_n):
+    """omega_mirror = ImOmega_n + (ImOmega_n.(B - sigma0)) E."""
+    return _axpy(d(im_n, _axpy(-1, s0, B)), E, im_n)
 
 
 def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     """Compute the mirror classes and verify their identities exactly."""
     _require_aligned(inp)
     d = inp.dot
-    E, s0, w, B = inp.E, inp.sigma0, inp.omega, inp.B
+    E, s0, w, B = map(inp._vector, ("E", "sigma0", "omega", "B"))
     vol = inp.vol
-
     w2 = d(w, w)
-    B2 = d(B, B)
-    ws0 = d(w, s0)
-    wB = d(w, B)
-
-    # normalised mirror holomorphic class
-    lam = 1 - (B2 - w2) / 2
-    mu = ws0 - wB
-    on_re = tuple(_norm(s - b + lam * e) for s, b, e in zip(s0, B, E))
-    on_im = tuple(_norm(-ww + mu * e) for ww, e in zip(w, E))
-
+    on_re, on_im = _mirror_holomorphic(d, E, s0, w, B, w2)
     re_mirror = _scale(1 / vol, on_re)
     im_mirror = _scale(1 / vol, on_im)
-    vol_mirror = d(re_mirror, inp.E)
+    vol_mirror = d(re_mirror, E)
 
     identities = {}
     on_sq_re = d(on_re, on_re) - d(on_im, on_im)
@@ -479,19 +529,17 @@ def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     identities["mirror_holomorphic_fibre_pairing_one"] = _is_zero(d(on_re, E) - 1) and _is_zero(d(on_im, E))
     identities["volume_reciprocity"] = _is_zero(vol * vol_mirror - 1)
 
+    omega_mirror = None
     if inp.has_holomorphic_data:
-        im_n = _scale(1 / vol, inp.im_omega)
-        kappa = d(im_n, tuple(b - s for b, s in zip(B, s0)))
-        omega_mirror = _axpy(kappa, E, im_n)
-        identities["mirror_kaehler_fibre_orthogonal"] = _is_zero(d(omega_mirror, E))
+        om = _mirror_kaehler(d, E, s0, B, _scale(1 / vol, inp._vector("im_omega")))
+        identities["mirror_kaehler_fibre_orthogonal"] = _is_zero(d(om, E))
         identities["mirror_kaehler_vs_holomorphic"] = (
-            _is_zero(d(on_re, omega_mirror)) and _is_zero(d(on_im, omega_mirror)))
-        identities["mirror_kaehler_square"] = _is_zero(
-            d(omega_mirror, omega_mirror) - w2 / vol ** 2)
-    else:
-        omega_mirror = None
+            _is_zero(d(on_re, om)) and _is_zero(d(on_im, om)))
+        identities["mirror_kaehler_square"] = _is_zero(d(om, om) - w2 / vol ** 2)
+        omega_mirror = om.coords()
 
-    return MirrorClasses(omega_mirror, on_re, on_im, re_mirror, im_mirror,
+    return MirrorClasses(omega_mirror, on_re.coords(), on_im.coords(),
+                         re_mirror.coords(), im_mirror.coords(),
                          vol, vol_mirror, identities)
 
 
@@ -502,41 +550,42 @@ def kahler_obstructions(inp: K3MirrorInput, classes):
     mirror real class; the full Picard computation is out of scope, so only
     user-declared classes are screened.  Returns the offending classes.
     """
-    d = inp.lattice.dot
-    bad = []
-    for cls in classes:
-        v = tuple(int(x) for x in cls)
-        if d(v, v) == -2:
-            bad.append(v)
-    return bad
+    vectors = [tuple(int(x) for x in cls) for cls in classes]
+    return [v for v in vectors if inp.dot(v, v) == -2]
 
 
 # ---------------------------------------------------------------------------
 # fibrewise negation and the double mirror
 # ---------------------------------------------------------------------------
 
-def split_components(inp_or_lattice, E, s0, v):
-    """Decompose v = alpha*E + beta*sigma0 + w with w in E-perp and sigma0-perp."""
-    d = inp_or_lattice.dot
+def _components(d, E, s0, v):
     beta = d(v, E)
     alpha = _norm(d(v, s0) + 2 * beta)
-    w = tuple(_norm(vi - alpha * e - beta * s) for vi, e, s in zip(v, E, s0))
-    return alpha, beta, w
+    return alpha, beta, _axpy(-alpha, E, _axpy(-beta, s0, v))
+
+
+def split_components(inp_or_lattice, E, s0, v):
+    """Decompose v = alpha*E + beta*sigma0 + w with w in E-perp and sigma0-perp."""
+    alpha, beta, w = _components(inp_or_lattice.dot, *map(_Vec.of, (E, s0, v)))
+    return alpha, beta, w.coords()
+
+
+def _negate(d, E, s0, v):
+    # alpha E + beta sigma0 - w = v - 2w
+    return _axpy(-2, _components(d, E, s0, v)[2], v)
 
 
 def fibrewise_negation(lattice_like, E, s0, v):
     """Fix the E and sigma0 components; negate the transverse component."""
-    alpha, beta, w = split_components(lattice_like, E, s0, v)
-    return tuple(_norm(alpha * e + beta * s - ww) for e, s, ww in zip(E, s0, w))
+    return _negate(lattice_like.dot, *map(_Vec.of, (E, s0, v))).coords()
 
 
 def transverse_twist_class(inp: K3MirrorInput):
     """The mirror's twist class: transverse part of ReOmega / vol."""
     if not inp.has_holomorphic_data:
         raise K3ValidationError("twist readout needs the holomorphic classes")
-    re_n = _scale(1 / inp.vol, inp.re_omega)
-    _, _, w = split_components(inp, inp.E, inp.sigma0, re_n)
-    return w
+    re_n = _scale(1 / inp.vol, inp._vector("re_omega"))
+    return _components(inp.dot, inp._vector("E"), inp._vector("sigma0"), re_n)[2].coords()
 
 
 def double_mirror_check(inp: K3MirrorInput) -> dict:
@@ -548,34 +597,23 @@ def double_mirror_check(inp: K3MirrorInput) -> dict:
     if not inp.has_holomorphic_data:
         raise K3ValidationError("double mirror needs the holomorphic classes")
     first = mirror_classes(inp)
-    b_mirror = transverse_twist_class(inp)
     second_input = K3MirrorInput(
-        inp.lattice, inp.E, inp.sigma0,
-        omega=first.omega_mirror,
-        B=b_mirror,
-        re_omega=first.re_omega_mirror,
-        im_omega=first.im_omega_mirror,
-    )
+        inp.lattice, inp.E, inp.sigma0, omega=first.omega_mirror, B=transverse_twist_class(inp),
+        re_omega=first.re_omega_mirror, im_omega=first.im_omega_mirror)
     second = mirror_classes(second_input)
 
-    neg = lambda v: fibrewise_negation(inp, inp.E, inp.sigma0, v)
-    recovered = {
-        "omega": neg(second.omega_mirror),
-        "re_omega": neg(second.re_omega_mirror),
-        "im_omega": neg(second.im_omega_mirror),
-    }
+    given = inp._vector
+    neg = lambda u: _negate(inp.dot, given("E"), given("sigma0"), _Vec.of(u))
     report = {
         "first_classes": first,
         "first_identities": first.identities,
         "second_identities": second.identities,
-        "omega_recovered": all(_is_zero(a - b) for a, b in zip(recovered["omega"], inp.omega)),
-        "re_omega_recovered": all(_is_zero(a - b) for a, b in zip(recovered["re_omega"], inp.re_omega)),
-        "im_omega_recovered": all(_is_zero(a - b) for a, b in zip(recovered["im_omega"], inp.im_omega)),
-        "twist_recovered": all(
-            _is_zero(a - b) for a, b in zip(
-                tuple(-x for x in transverse_twist_class(second_input)), inp.B)),
-        "negation_involutive": all(
-            _is_zero(a - b) for a, b in zip(neg(neg(inp.omega)), inp.omega)),
+        "omega_recovered": neg(second.omega_mirror) == given("omega"),
+        "re_omega_recovered": neg(second.re_omega_mirror) == given("re_omega"),
+        "im_omega_recovered": neg(second.im_omega_mirror) == given("im_omega"),
+        "twist_recovered": (_scale(-1, _Vec.of(transverse_twist_class(second_input)))
+                            == given("B")),
+        "negation_involutive": neg(neg(given("omega"))) == given("omega"),
     }
     report["all_passed"] = all(bool(v) for k, v in report.items()
                                if k.endswith("recovered") or k == "negation_involutive")

@@ -1,9 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
+import syzlab.k3 as k3
 from syzlab.k3 import (
     GramLattice,
     K3MirrorInput,
@@ -20,6 +22,7 @@ from syzlab.k3 import (
     validate,
     validate_and_align,
 )
+from syzlab.scenarios import run_scenario_doc
 
 U3 = GramLattice.from_name("U3")
 E = (1, 0, 0, 0, 0, 0)
@@ -148,6 +151,24 @@ class TestSublatticeQuotient:
     def test_rejects_non_isotropic(self):
         with pytest.raises(K3ValidationError):
             sublattice_quotient(GramLattice.from_name("U2"), (1, 1, 0, 0))
+
+
+class TestGramLattice:
+    def test_presets_are_built_once(self):
+        assert GramLattice.from_name("K3") is k3_lattice()
+        assert GramLattice.from_name("U3") is U3
+        with pytest.raises(K3ValidationError, match="unknown lattice preset"):
+            GramLattice.from_name("E8")
+
+    def test_user_gram_is_checked(self):
+        with pytest.raises(K3ValidationError, match="symmetric"):
+            GramLattice(((0, 1), (2, 0)))
+        lat = GramLattice(((2, 1), (1, 0)))
+        assert lat.dot((1, 0), (0, 1)) == 1
+        # coordinates are read as K3MirrorInput reads them: no string reaches sympy
+        assert lat.dot(("1/2", 1), (0.5, 1)) == Fraction(3, 2)
+        with pytest.raises(K3ValidationError, match="not a rational number"):
+            lat.dot(("sqrt(4)", 1), (1, 0))
 
 
 class TestMirrorClasses:
@@ -394,3 +415,224 @@ class TestCanonicalFormIdentities:
             new_k = tuple(sorted({1: 2, 2: 1}[k] for k in kset))
             relabeled.add_term(new_j, new_k, sign * coeff)
         assert (relabeled - im).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# independent oracle: the module docstring's formulas in sympy.Matrix
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _oracle_gram(rank):
+    """Three hyperbolic planes, then (rank 22) two E8(-1) blocks, Bourbaki
+    labels with node 2 on node 4, written out here rather than imported."""
+    U = sp.Matrix([[0, 1], [1, 0]])
+    if rank == 6:
+        return sp.diag(U, U, U)
+    e8 = sp.zeros(8, 8)
+    for a, b in [(1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (2, 4)]:
+        e8[a - 1, b - 1] = e8[b - 1, a - 1] = 1
+    e8 = e8 - 2 * sp.eye(8)
+    return sp.diag(U, U, U, e8, e8)
+
+
+def _oracle(G, E, s0, omega, B, re, im):
+    """Mirror classes straight from the docstring, with sympy matrices."""
+    GE, Gs0 = G * E, G * s0
+    pair = lambda u, Gv: sp.expand((u.T * Gv)[0, 0])
+    B = B - pair(B, Gs0) * E                     # the lift with B.sigma0 = 0
+    a, b = pair(re, GE), pair(im, GE)
+    if b != 0 or a <= 0:                         # rotate so Im.E = 0 < Re.E
+        h = sp.sqrt(a ** 2 + b ** 2)
+        re, im = (a * re + b * im) / h, (a * im - b * re) / h
+    vol = pair(re, GE)
+    # Omega_n_mirror = sigma0 - Z + c E with Z = B + i omega; all but c are real
+    GB, Gw = G * B, G * omega
+    Z2 = pair(B, GB) - pair(omega, Gw) + 2 * sp.I * pair(B, Gw)
+    c_re, c_im = sp.expand(1 - Z2 / 2 + sp.I * pair(omega, Gs0)).as_real_imag()
+    on_re, on_im = s0 - B + c_re * E, -omega + c_im * E
+    im_n = im / vol
+    return {
+        "omega_mirror": im_n + pair(im_n, GB - Gs0) * E,
+        "omega_n_mirror_re": on_re,
+        "omega_n_mirror_im": on_im,
+        "re_omega_mirror": on_re / vol,
+        "im_omega_mirror": on_im / vol,
+        "vol": vol,
+        "vol_mirror": pair(on_re / vol, GE),
+    }
+
+
+def _oracle_input(rng, rank, decimal):
+    """A random valid input over E = e0, sigma0 = e1 - e0, as sympy columns.
+
+    An aligned triple Re = a(e0+e1) + c(e2-e3), Im = y(e4+e5),
+    omega = u(e2+e3) + v(e4-e5) with a^2 - c^2 = y^2 = u^2 - v^2 is moved
+    by reflections in transverse vectors (isometries fixing E and sigma0),
+    scaled, and given a random phase; the twist class gets a random lift
+    B.sigma0 = B[0].  With ``decimal`` every coordinate is a finite decimal.
+    """
+    G = _oracle_gram(rank)
+    col = lambda *xs: sp.Matrix(list(xs) + [0] * (rank - len(xs)))
+    k, m, n = rng.choice([(5, 3, 4), (5, 4, 3), (13, 5, 12), (25, 7, 24)])
+    c, v = rng.choice((m, -m, 0)), rng.choice((m, -m))
+    a = k if c else n
+    re, im, omega = col(a, a, c, -c), col(0, 0, 0, 0, n, n), col(0, 0, k, k, v, -v)
+    for _ in range(rng.randint(0, 2)):
+        r = col(0, 0, *[rng.randint(-1, 1) for _ in range(rank - 2)])
+        rr = (r.T * G * r)[0, 0]
+        if rr != 0 and (not decimal or rr in (2, -2, 4, -4, 8, -8)):
+            re, im, omega = [x - 2 * (x.T * G * r)[0, 0] / rr * r for x in (re, im, omega)]
+    s = sp.Rational(rng.choice((1, 3, 5)), rng.choice((2, 4, 5)) if decimal else rng.randint(1, 7))
+    re, im, omega = s * re, s * im, s * omega
+    if rng.random() < 0.6:
+        cs, sn = rng.choice([(3, 4), (4, 3), (-3, 4), (0, 1), (-1, 0)])
+        h = sp.sqrt(cs * cs + sn * sn)
+        re, im = (cs * re - sn * im) / h, (sn * re + cs * im) / h
+    den = 2 if decimal else rng.randint(1, 3)
+    B = col(rng.choice((0, 0, 1, -2)), 0,
+            *[sp.Rational(rng.randint(-3, 3), den) for _ in range(rank - 2)])
+    return re, im, omega, B
+
+
+@pytest.mark.parametrize("rank", [6, 22])
+def test_mirror_classes_match_independent_oracle(rank):
+    """100 seeded inputs per lattice: every MirrorClasses vector, vol and
+    vol_mirror equal the oracle's exactly, and the double mirror recovers
+    the input.  Inputs cover aligned ones, Pythagorean re-phasing, twist
+    lifts with B.sigma0 != 0, and float coordinates."""
+    rng = random.Random(f"k3-oracle:{rank}")
+    lattice = k3_lattice() if rank == 22 else U3
+    G = _oracle_gram(rank)
+    assert tuple(map(tuple, G.tolist())) == lattice.gram
+    E, s0 = basis_vector(rank, 0), (-1, 1) + (0,) * (rank - 2)
+    E_col, s0_col = sp.Matrix(E), sp.Matrix(s0)
+    covered = {"aligned": 0, "rotated": 0, "lift": 0, "float": 0}
+    for case in range(100):
+        decimal = case % 4 == 0
+        classes = _oracle_input(rng, rank, decimal)
+        if decimal:
+            assert all(Fraction(repr(float(x))) == Fraction(str(x)) for c in classes for x in c)
+            given = [[float(x) for x in c] for c in classes]
+            classes = [sp.Matrix([sp.Rational(repr(x)) for x in c]) for c in given]
+        else:
+            given = [[str(x) for x in c] for c in classes]
+        re, im, omega, B = classes
+        pair = lambda u, v: (u.T * G * v)[0, 0]
+        aligned = pair(im, E_col) == 0 and pair(re, E_col) > 0
+        covered["aligned" if aligned else "rotated"] += 1
+        covered["lift"] += pair(B, s0_col) != 0
+        covered["float"] += decimal
+
+        inp = K3MirrorInput(lattice, E=E, sigma0=s0, omega=given[2], B=given[3],
+                            re_omega=given[0], im_omega=given[1])
+        mc = mirror_classes(validate_and_align(inp))
+        expected = _oracle(G, E_col, s0_col, omega, B, re, im)
+        for key, want in expected.items():
+            got = getattr(mc, key)
+            if key.startswith("vol"):
+                want, got = [want], [got]
+            assert all(type(x) is Fraction for x in got), key
+            assert list(got) == [Fraction(int(x.p), int(x.q)) for x in want], (case, key)
+        assert all(mc.identities.values())
+        report = double_mirror_check(inp)
+        assert all(report[key] for key in (
+            "omega_recovered", "re_omega_recovered", "im_omega_recovered",
+            "twist_recovered", "negation_involutive", "all_passed")), case
+    assert min(covered.values()) >= 15, covered
+
+
+# ---------------------------------------------------------------------------
+# every identity.* and double_mirror.* verdict can fail
+# ---------------------------------------------------------------------------
+
+# vol = 2, a nonzero twist class, and a ReOmega without transverse part, so
+# the mirror's own twist class is 0
+DEFECT_PAYLOAD = {
+    "lattice": "U3", "E": [1, 0, 0, 0, 0, 0], "sigma0": [-1, 1, 0, 0, 0, 0],
+    "omega": [0, 0, 2, 2, 0, 0], "B": [0, 0, "1/2", "-1/2", 0, 0],
+    "re_omega": [2, 2, 0, 0, 0, 0], "im_omega": [0, 0, 0, 0, 2, 2]}
+
+
+def _id(*names):
+    return {f"identity.{n}" for n in names}
+
+
+def _dm(*names):
+    return {f"double_mirror.{n}" for n in names}
+
+
+# (planted function, change(result, *args), only on call n, double mirror,
+#  the checks that must fail); the changes use k3's own vector operations
+DEFECTS = {
+    "none": (None, None, None, True, set()),
+    "lambda_off_by_one": (
+        "_mirror_holomorphic", lambda out, d, E, *_: (k3._axpy(1, E, out[0]), out[1]),
+        None, False, _id("mirror_holomorphic_null")),
+    "omega_n_mirror_doubled": (
+        "_mirror_holomorphic", lambda out, *_: tuple(k3._scale(2, v) for v in out),
+        None, False, _id("mirror_holomorphic_fibre_pairing_one", "volume_reciprocity")),
+    "re_mirror_divided_by_vol_twice": (
+        "_scale", lambda out, alpha, x: (k3._axpy(alpha - 1, out, out) if U3.dot(x, E) == 1
+                                         else out),
+        None, False, _id("volume_reciprocity")),
+    "kaehler_mirror_gains_section": (
+        "_mirror_kaehler", lambda out, d, E, s0, *_: k3._axpy(1, s0, out),
+        None, False, _id("mirror_kaehler_fibre_orthogonal", "mirror_kaehler_vs_holomorphic",
+                         "mirror_kaehler_square")),
+    "kappa_off_by_one": (
+        "_mirror_kaehler", lambda out, d, E, *_: k3._axpy(1, E, out),
+        None, False, _id("mirror_kaehler_vs_holomorphic")),
+    "kaehler_mirror_doubled": (
+        "_mirror_kaehler", lambda out, *_: k3._scale(2, out),
+        None, False, _id("mirror_kaehler_square")),
+    "second_kappa_off_by_one": (
+        "_mirror_kaehler", lambda out, d, E, *_: k3._axpy(1, E, out),
+        2, True, _dm("omega_recovered")),
+    "alpha_misses_two_beta": (
+        "_components", lambda out, d, E, s0, v: (
+            out[0] - 2 * out[1], out[1], k3._axpy(2 * out[1], E, out[2])),
+        None, True, _dm("re_omega_recovered", "twist_recovered")),
+    "second_mu_off_by_one": (
+        "_mirror_holomorphic", lambda out, d, E, *_: (out[0], k3._axpy(1, E, out[1])),
+        2, True, _dm("im_omega_recovered")),
+    "twist_readout_drops_sign": (
+        "transverse_twist_class", lambda out, inp: tuple(-x for x in out),
+        None, True, _dm("twist_recovered")),
+    "negation_scales_transverse_by_minus_two": (
+        "_negate", lambda out, d, E, s0, v: k3._axpy(-1, k3._components(d, E, s0, v)[2], out),
+        None, True, _dm("omega_recovered", "im_omega_recovered", "negation_involutive")),
+    # the identity is an involution: negation_involutive alone cannot see it
+    "negation_fixes_transverse": (
+        "_negate", lambda out, d, E, s0, v: v,
+        None, True, _dm("omega_recovered", "im_omega_recovered")),
+}
+
+
+def _plant(monkeypatch, name, change, only_call):
+    raw, calls = getattr(k3, name), []
+
+    def planted(*args):
+        calls.append(1)
+        out = raw(*args)
+        return change(out, *args) if only_call in (None, len(calls)) else out
+
+    monkeypatch.setattr(k3, name, planted)
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_planted_defect_fails_exactly_its_checks(monkeypatch, defect):
+    name, change, only_call, double, expected = DEFECTS[defect]
+    if name:
+        _plant(monkeypatch, name, change, only_call)
+    report = run_scenario_doc({"version": "1", "kind": "k3", "payload": {
+        **DEFECT_PAYLOAD, "double_mirror": double}})
+    names = {c["name"] for c in report.checks}
+    assert len(names) == (11 if double else 6)
+    assert {c["name"] for c in report.checks if not c["passed"]} == expected
+
+
+def test_every_k3_verdict_has_a_planted_defect():
+    report = run_scenario_doc({"version": "1", "kind": "k3", "payload": {
+        **DEFECT_PAYLOAD, "double_mirror": True}})
+    failing = set().union(*(d[-1] for d in DEFECTS.values()))
+    assert failing == {c["name"] for c in report.checks}

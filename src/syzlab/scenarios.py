@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field
-
-from jsonschema import Draft202012Validator
 
 from . import __version__
 
@@ -145,6 +145,154 @@ PAYLOAD_SCHEMAS = {
 }
 
 
+# ---------------------------------------------------------------------------
+# schema compiler: each schema dict above becomes one checker closure, once
+# per process.  It implements exactly the keywords the schemas use, with JSON
+# Schema 2020-12 semantics (tests/test_schema.py holds it to a reference
+# validator), and rejects NaN and infinite numbers, which Python's json reads.
+# ---------------------------------------------------------------------------
+
+_KEYWORDS = {"type", "properties", "required", "additionalProperties", "items",
+             "minItems", "maxItems", "minimum", "maximum", "exclusiveMinimum",
+             "const", "enum", "oneOf"}
+_VALID = ()
+_NON_FINITE = "non-finite number"
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "array": lambda v: isinstance(v, list),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+    "number": _is_number,
+    "object": lambda v: isinstance(v, dict),
+    "string": lambda v: isinstance(v, str),
+}
+# keyword: (test that the number violates it, what the message calls the bound)
+_BOUNDS = {"minimum": (operator.lt, "less than"),
+           "maximum": (operator.gt, "greater than"),
+           "exclusiveMinimum": (operator.le, "not greater than")}
+
+
+def _same(value, const):
+    """JSON equality with a scalar: a bool equals only itself, 1 equals 1.0."""
+    if isinstance(value, bool) or isinstance(const, bool):
+        return value is const
+    return value == const
+
+
+def _nested(errors, key):
+    return [((key, *path), message) for path, message in errors]
+
+
+def _compile(schema):
+    """A checker for schema: value -> list of (path below value, message),
+    empty when value is valid.  A keyword, type or const outside the
+    implemented set raises, so none is ever silently ignored."""
+    names = schema.get("type", [])
+    names = [names] if isinstance(names, str) else names
+    allowed = schema.get("enum", []) + ([schema["const"]] if "const" in schema else [])
+    unknown = sorted(set(schema) - _KEYWORDS) + [n for n in names if n not in _TYPES]
+    if schema.get("additionalProperties", False) is not False:
+        unknown.append("additionalProperties")
+    unknown += [c for c in allowed if isinstance(c, (list, dict))]
+    if unknown:
+        raise NotImplementedError(f"schema uses unimplemented {unknown}")
+
+    parts = []
+    if names:
+        tests = [_TYPES[name] for name in names]
+        test = tests[0] if len(tests) == 1 else lambda v: any(t(v) for t in tests)
+        finite = "number" in names or "integer" in names
+        expected = " or ".join(map(repr, names))
+
+        def check_type(value):
+            if finite and isinstance(value, float) and not math.isfinite(value):
+                return [((), _NON_FINITE)]
+            if test(value):
+                return _VALID
+            return [((), f"{reprlib.repr(value)} is not of type {expected}")]
+        parts.append(check_type)
+    if allowed:
+        what = repr(schema["const"]) if "const" in schema else f"one of {allowed!r}"
+
+        def check_value(value):
+            if any(_same(value, c) for c in allowed):
+                return _VALID
+            return [((), f"{reprlib.repr(value)} is not {what}")]
+        parts.append(check_value)
+    bounds = [(fails, schema[k], text) for k, (fails, text) in _BOUNDS.items() if k in schema]
+    if bounds:
+        def check_bounds(value):
+            if not _is_number(value):
+                return _VALID
+            return [((), f"{value!r} is {text} {limit!r}")
+                    for fails, limit, text in bounds if fails(value, limit)]
+        parts.append(check_bounds)
+    if {"properties", "required", "additionalProperties"} & schema.keys():
+        props = {k: _compile(s) for k, s in schema.get("properties", {}).items()}
+        required, closed = schema.get("required", ()), "additionalProperties" in schema
+
+        def check_object(value):
+            if not isinstance(value, dict):
+                return _VALID
+            errors = [((), f"{k!r} is a required property") for k in required if k not in value]
+            for key, child in value.items():
+                sub = props.get(key)
+                if sub is None:
+                    if closed:
+                        errors.append(((key,), "unknown property"))
+                elif found := sub(child):
+                    errors += _nested(found, key)
+            return errors
+        parts.append(check_object)
+    if {"items", "minItems", "maxItems"} & schema.keys():
+        item = _compile(schema["items"]) if "items" in schema else None
+        low, high = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        limits = ", ".join(f"{k} {schema[k]}" for k in ("minItems", "maxItems") if k in schema)
+
+        def check_array(value):
+            if not isinstance(value, list):
+                return _VALID
+            errors = [] if low <= len(value) <= high else [
+                ((), f"has {len(value)} items ({limits})")]
+            if item is not None:
+                for i, child in enumerate(value):
+                    if found := item(child):
+                        errors += _nested(found, i)
+            return errors
+        parts.append(check_array)
+    if "oneOf" in schema:
+        branches = [_compile(s) for s in schema["oneOf"]]
+
+        def check_one_of(value):
+            valid = sum(not branch(value) for branch in branches)
+            if valid == 1:
+                return _VALID
+            return [((), f"{reprlib.repr(value)} matches {valid} of the "
+                         f"{len(branches)} oneOf alternatives, not exactly one")]
+        parts.append(check_one_of)
+
+    if len(parts) == 1:
+        return parts[0]
+
+    def check(value):
+        # the first failing keyword group is the error: a value of the wrong
+        # type is reported for its type alone
+        for part in parts:
+            if errors := part(value):
+                return errors
+        return _VALID
+    return check
+
+
+_CHECK_SCENARIO = _compile(SCENARIO_SCHEMA)
+_CHECK_PAYLOAD = {kind: _compile(schema) for kind, schema in PAYLOAD_SCHEMAS.items()}
+
+
 class ScenarioError(ValueError):
     """Schema violations and unparseable scenario files."""
 
@@ -196,32 +344,25 @@ class RunReport:
         return "\n".join(lines)
 
 
-def _non_finite(node, path=""):
-    """JSON-pointer paths of NaN and infinite numbers in node; json reads NaN,
-    Infinity and overflowing literals, and the schema's number type admits them."""
-    if isinstance(node, float) and not math.isfinite(node):
-        yield path
-    elif isinstance(node, (dict, list)):
-        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _non_finite(child, f"{path}/{key}")
-
-
 def validate_scenario(doc):
-    bad = next(_non_finite(doc), None)
-    if bad is not None:
-        raise ScenarioError(f"non-finite number at {bad or '/'}")
-    _check_schema(SCENARIO_SCHEMA, doc)
+    _raise_errors(_CHECK_SCENARIO(doc))
     if "settings" in doc and doc["kind"] in _EXACT_KINDS:
         raise ScenarioError(f"{doc['kind']} scenarios take no settings")
-    _check_schema(PAYLOAD_SCHEMAS[doc["kind"]], doc["payload"])
+    _raise_errors(_CHECK_PAYLOAD[doc["kind"]](doc["payload"]), "/payload")
     return doc
 
 
-def _check_schema(schema, instance):
-    errors = sorted(Draft202012Validator(schema).iter_errors(instance),
-                    key=lambda e: list(e.path))
-    if errors:
-        raise ScenarioError("; ".join(e.message for e in errors))
+def _raise_errors(errors, prefix=""):
+    """Raise one ScenarioError naming every error, each at its JSON pointer."""
+    if not errors:
+        return
+    lines = []
+    for path, message in errors:
+        pointer = prefix + "".join(
+            "/" + str(key).replace("~", "~0").replace("/", "~1") for key in path) or "/"
+        lines.append((pointer, f"{message} at {pointer}" if message is _NON_FINITE
+                      else f"{pointer}: {message}"))
+    raise ScenarioError("; ".join(line for _, line in sorted(lines)))
 
 
 def _read_json(path):

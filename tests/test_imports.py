@@ -1,5 +1,6 @@
-"""Import layering: the exact CLI commands load neither sympy nor numpy, and
-the lazy package namespace resolves every public name as before."""
+"""Import layering: the exact CLI commands load neither sympy nor numpy, no
+command loads jsonschema (a test-only reference), and the lazy package
+namespace resolves every public name as before."""
 
 import importlib
 import json
@@ -75,7 +76,11 @@ def k3_payload(tmp_path_factory):
 ], ids=["run-fibre", "run-k3", "sheaf", "fibre", "k3"])
 def test_exact_commands_load_neither_sympy_nor_numpy(argv, k3_payload):
     argv = [k3_payload if a is None else a for a in argv]
-    assert _probe(*argv, "--format", "json") == [0, ["jsonschema"]]
+    assert _probe(*argv, "--format", "json") == [0, []]
+
+
+def test_symbolic_command_loads_no_jsonschema():
+    assert _probe("run", SCENARIOS / "flat_torus.json") == [0, ["numpy", "sympy"]]
 
 
 @pytest.mark.parametrize("argv", [["list-models"], ["conventions"]])
@@ -91,7 +96,7 @@ def test_invalid_exact_payload_exits_2_without_sympy(payload, tmp_path):
     path = tmp_path / "payload.json"
     path.write_text(json.dumps(payload))
     command = "sheaf --monodromy" if "rank" in payload else "k3 --input"
-    assert _probe(*command.split(), path) == [2, ["jsonschema"]]
+    assert _probe(*command.split(), path) == [2, []]
 
 
 def test_every_public_name_resolves_to_its_module():

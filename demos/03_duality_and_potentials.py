@@ -41,8 +41,8 @@ print("   fibre volume =", mm["vol"], "| route agreement:",
 print("\n== period covectors of fibre cycles ==")
 flat = BetaStructure(chart, [[I, 0], [0, I]])
 for coeffs in ((1, 0), (0, 1)):
-    _, psi, _ = period_one_form(flat, CycleSpec(1, coeffs), y_points=[(0.0, 0.0)])
-    print(f"   cycle {coeffs} -> covector {psi[0]}")
+    _, psi, dpsi = period_one_form(flat, CycleSpec(1, coeffs), base=[[0.0], [0.0]])
+    print(f"   cycle {coeffs} -> covector {psi[0]} | d(psi) = {dpsi:.1e}")
 rep = duality_identities(flat, CycleSpec(1, (1, 0)), {1: sp.Integer(1)})
 print("   pairing residuals:",
       {k: f"{v.value:.1e}" for k, v in rep.checks.items()})

@@ -2,6 +2,9 @@
 
 Coordinates are y1..yn on the base and x1..xn on the fibre; every fibre
 coordinate is periodic with period 1.  Dimensions 1 <= n <= 3 are supported.
+Every sample grid is the product of 1-d axes, one per chart variable
+(``sample_axes`` for the residual grid); ``product_grid`` lists a grid's
+points where a returned value carries them.
 """
 
 from __future__ import annotations
@@ -81,14 +84,6 @@ class Chart:
             vol *= hi - lo
         return vol
 
-    def base_grid(self, k=5):
-        """Deterministic k^n grid of base sample points, shape (k^n, n)."""
-        return product_grid([np.linspace(float(lo), float(hi), k) for lo, hi in self.box])
-
-    def fibre_grid(self, k=8):
-        """Uniform k^n grid on the fibre torus, shape (k^n, n)."""
-        return product_grid([circle_points(k)] * self.n)
-
     @functools.lru_cache(maxsize=8)
     def sample_axes(self, base_k=5, fibre_k=8):
         """The axes of the sample grid, read-only and built once per (chart,
@@ -107,23 +102,11 @@ def circle_points(k):
     return np.arange(k) / k
 
 
-def product_grid(factors):
-    """Cartesian product of point sets, in itertools.product order.
-
-    Each factor is a 1-d array of coordinates or a (k, d) array of points.
-    Returns one row per combination, the factors' columns side by side; the
-    last factor varies fastest.
-    """
-    blocks = [np.asarray(f, dtype=float) for f in factors]
-    blocks = [b if b.ndim == 2 else b[:, None] for b in blocks]
-    out = np.empty([len(b) for b in blocks] + [sum(b.shape[1] for b in blocks)])
-    col = 0
-    for axis, b in enumerate(blocks):
-        shape = [1] * len(blocks) + [b.shape[1]]
-        shape[axis] = len(b)
-        out[..., col:col + b.shape[1]] = b.reshape(shape)
-        col += b.shape[1]
-    return out.reshape(-1, col)
+def product_grid(axes):
+    """The points of the product grid of 1-d axes, one row each, in
+    itertools.product order: the last axis varies fastest."""
+    mesh = np.meshgrid(*[np.asarray(a, dtype=float) for a in axes], indexing="ij")
+    return np.stack(mesh, axis=-1).reshape(-1, len(axes))
 
 
 def require_same_chart(a, b):

@@ -21,9 +21,9 @@ import numpy as np
 import sympy as sp
 
 from .algebra import FormElement
-from .charts import Chart
+from .charts import Chart, circle_points, product_grid
 from .fields import fibre_frequencies, sup_norm_scalars
-from .quadrature import chart_integral, fibre_means, subtorus_grid
+from .quadrature import chart_integral, fibre_means
 from .semiflat import (
     DEFAULT_TOL,
     BetaStructure,
@@ -123,19 +123,31 @@ def _volume_form_gap(bs: BetaStructure, tol):
     return gap
 
 
-def _normalised_metric(bs: BetaStructure, pts, resolution, extra):
+def _base_axes(chart: Chart, k):
+    """k evenly spaced points across each side of the base box."""
+    return [np.linspace(float(lo), float(hi), k) for lo, hi in chart.box]
+
+
+def _fibre_axes(n, resolution, omit=None):
+    """resolution circle points per fibre axis; the omitted (1-based) axis
+    is held at 0, so the mean is over the coordinate subtorus without it."""
+    return [np.zeros(1) if i == omit else circle_points(resolution) for i in range(1, n + 1)]
+
+
+def _normalised_metric(bs: BetaStructure, base, resolution, extra):
     """Fibre means of V * gInv_ij, V and each extra integrand, in one pass.
 
     Returns (h_n, vol, extra_means): h_n[p] = <V gInv> / <V> and vol[p] =
-    <V> at the p-th base point, and extra_means[k][p] the mean of extra[k].
+    <V> at the p-th point of the base axes, and extra_means[k][p] the mean
+    of extra[k].
     """
     chart, n = bs.chart, bs.n
     v = bs.volume_density
     means = fibre_means(
         [v * bs.g_inv[i][j] for i in range(n) for j in range(n)] + [v] + list(extra),
-        chart, pts, chart.fibre_grid(resolution)).real
+        chart, list(base) + _fibre_axes(n, resolution)).real
     vol = means[n * n]
-    h_n = means[: n * n].T.reshape(len(pts), n, n) / vol[:, None, None]
+    h_n = means[: n * n].T.reshape(len(vol), n, n) / vol[:, None, None]
     return h_n, vol, means[n * n + 1:]
 
 
@@ -165,13 +177,14 @@ def mclean_metrics(bs: BetaStructure, tol=DEFAULT_TOL):
     except _SymbolicIntegrationError:
         symbolic_ok = False
 
-    pts = chart.base_grid(3)
+    base = _base_axes(chart, 3)
+    pts = product_grid(base)
     entries = [(i, j) for i in range(n) for j in range(n)]
     # pairing route: h_ij picks the dx_{complement of axis i+1} coefficient
     # of i(d/dy_j) Im Omega, oriented by dx_i ^ dx_{complement} =
     # (-1)^i dx_{1..n} (0-based i)
     hn, vols, pairing = _normalised_metric(
-        bs, pts, FIBRE_RESOLUTION, [coeffs[j][i] for i, j in entries])
+        bs, base, FIBRE_RESOLUTION, [coeffs[j][i] for i, j in entries])
     signs = np.array([(-1) ** i for i, _ in entries])[:, None]
     h_quad = (signs * pairing).T.reshape(len(pts), n, n)
     h_formula = hn * vols[:, None, None]
@@ -245,14 +258,15 @@ def _fibre_symbolic_integral(expr, chart: Chart):
 # period embeddings
 # ---------------------------------------------------------------------------
 
-def period_one_form(bs: BetaStructure, gamma: CycleSpec, y_points=None):
+def period_one_form(bs: BetaStructure, gamma: CycleSpec, base=None):
     """Covector field psi(gamma): v -> -(1/Vol) * period of i(v) Im Omega.
 
-    Returns (points, values, residual): values[p][j] is the dy_j component
-    at the p-th base sample, and residual is max |d(psi)| by central
-    differences, or None when y_points is not the chart's base grid of k^n
-    points with k >= 3 (a single point, say), on which d(psi) cannot be
-    differenced.
+    ``base`` holds the n 1-d base axes to sample (default: 5 points across
+    each side of the box; n one-point axes give a single point).  Returns
+    (points, values, residual): values[p][j] is the dy_j component at the
+    p-th point of the axes' product, in row-major order, and residual is
+    max |d_a psi_b - d_b psi_a| over those points, exact from the jets of
+    the fibre means: with psi = -P/Vol, d psi = -(dP Vol - P dVol)/Vol^2.
     """
     require_compatible(bs)
     chart, n = bs.chart, bs.n
@@ -260,37 +274,21 @@ def period_one_form(bs: BetaStructure, gamma: CycleSpec, y_points=None):
         raise DualityError("period embedding needs n >= 2")
     omit = _omitted_axis_coefficients(gamma, n)
     coeffs = _im_omega_coefficient_forms(bs)
-    pts = chart.base_grid(5) if y_points is None else np.asarray(y_points, dtype=float)
-    vol = fibre_means([bs.volume_density], chart, pts,
-                      chart.fibre_grid(FIBRE_RESOLUTION))[0].real
-    total = np.zeros((len(pts), n))
+    base = _base_axes(chart, 5) if base is None else list(base)
+    vol, dvol = (m[0].real for m in fibre_means(
+        [bs.volume_density], chart, base + _fibre_axes(n, FIBRE_RESOLUTION), jets=True))
+    # periods[b] and dperiods[b][a] = d_a periods[b], at each base point
+    periods, dperiods = np.zeros((n, len(vol))), np.zeros((n, n, len(vol)))
     for i in range(1, n + 1):
         if omit[i - 1] == 0:
             continue
-        periods = fibre_means([coeffs[j][i - 1] for j in range(n)], chart, pts,
-                              subtorus_grid(n, i, FIBRE_RESOLUTION)).real
-        total += omit[i - 1] * periods.T
-    vals = -total / vol[:, None]
-    residual = _fd_exterior_derivative_residual(pts, vals, chart)
-    return pts, vals, residual
-
-
-def _fd_exterior_derivative_residual(pts, vals, chart):
-    """Max |d(psi)| by central differences on the chart's k^n base grid;
-    None when pts is not that grid for some k >= 3."""
-    n = chart.n
-    k = round(len(pts) ** (1.0 / n))
-    if k < 3 or pts.shape != (k ** n, n) or not np.allclose(pts, chart.base_grid(k)):
-        return None
-    grid = vals.reshape(*([k] * n), n)
-    steps = [(float(hi) - float(lo)) / (k - 1) for lo, hi in chart.box]
-    worst = 0.0
-    for a in range(n):
-        for b in range(a + 1, n):
-            d_a_psib = np.gradient(grid[..., b], steps[a], axis=a, edge_order=2)
-            d_b_psia = np.gradient(grid[..., a], steps[b], axis=b, edge_order=2)
-            worst = max(worst, float(np.max(np.abs(d_a_psib - d_b_psia))))
-    return worst
+        means, grads = fibre_means([coeffs[j][i - 1] for j in range(n)], chart,
+                                   base + _fibre_axes(n, FIBRE_RESOLUTION, omit=i), jets=True)
+        periods += omit[i - 1] * means.real
+        dperiods += omit[i - 1] * grads.real
+    dpsi = -(dperiods * vol - periods[:, None] * dvol) / vol ** 2
+    residual = float(np.max(np.abs(dpsi - dpsi.swapaxes(0, 1))))
+    return product_grid(base), (-periods / vol).T, residual
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +305,7 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
     require_compatible(bs, tol)
     chart, n = bs.chart, bs.n
     y0 = gamma.at if gamma.at is not None else tuple(float(c) for c in chart.center)
+    base = [np.array([float(c)]) for c in y0]
     omit = _omitted_axis_coefficients(gamma, n)
     v = cycle_tangent_vector(gamma, n)
     report = SemiflatReport()
@@ -323,15 +322,15 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
     for i in range(1, n + 1):
         meets = omit[i - 1] != 0 and i in alpha
         exprs = [coeffs[r][i - 1] for r in range(n)] + ([alpha[i]] if meets else [])
-        per = fibre_means(exprs, chart, [y0],
-                          subtorus_grid(n, i, FIBRE_RESOLUTION))[:, 0].real
+        per = fibre_means(exprs, chart,
+                          base + _fibre_axes(n, FIBRE_RESOLUTION, omit=i))[:, 0].real
         periods[:, i - 1] = per[:n]
         if meets:
             lhs += omit[i - 1] * per[n]
 
     # -integral over the fibre of i(v(gamma)) omega ^ alpha, i(v) omega = -sum v_i dx_i
     axes = [i for i in range(1, n + 1) if v[i - 1] != 0 and alpha.get(i, 0) != 0]
-    hn, vol, means = _normalised_metric(bs, [y0], FIBRE_RESOLUTION,
+    hn, vol, means = _normalised_metric(bs, base, FIBRE_RESOLUTION,
                                         [alpha[i] for i in axes])
     hn, vol = hn[0], vol[0]
     rhs = 0.0
@@ -502,10 +501,11 @@ def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
     require_compatible(dual, tol)
     report = SemiflatReport()
     report.notes["volume_form_closed_residual"] = _volume_form_gap(dual, tol)
-    pts = chart.base_grid(3)
+    base = _base_axes(chart, 3)
+    pts = product_grid(base)
     # h_n is fibre-constant: its fibre means are its values
     mats, dual_vols, (vols, *expect) = _normalised_metric(
-        dual, pts, resolution, [bs.volume_density] + [e for row in h_n for e in row])
+        dual, base, resolution, [bs.volume_density] + [e for row in h_n for e in row])
     expect = np.array(expect).T.reshape(len(pts), n, n)
     dual_vols = dual_vols * np.linalg.det(expect)
     # each defect is a fibre mean at a base point: its worst point has no x

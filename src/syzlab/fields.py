@@ -345,9 +345,9 @@ class Walk:
     The trees are walked once, memoised by node, into one program: a node
     shared within or between expressions is computed once, and a subtree
     free of chart variables is one complex constant.  The program runs on
-    jets: ``evaluate`` gives the values at given points, and ``grid`` the
-    values, or values with first partials by the chain rule, on a product
-    grid; each intermediate is dropped after its last use.  ``reads`` holds
+    jets: ``grid``, the only way to run it, gives the values, or values with
+    first partials by the chain rule, on a product grid of 1-d axes; each
+    intermediate is dropped after its last use.  ``reads`` holds
     the positions of the chart variables the program reads.
     It evaluates numbers, pi, I, the chart variables, sums, products,
     integer and half-integer powers (with the principal root), sin, cos,
@@ -397,13 +397,15 @@ class Walk:
             raise UnsupportedNode(f"cannot evaluate the {node.func.__name__} node {node}")
         return _OPS[node.func], [a if type(a) is int else Jet(a, {}) for a in args]
 
-    def _run(self, coord, jets):
-        """The outputs, as jets with first partials or as values, from
-        coord(i), the array of the i-th chart variable, taken for those the
-        program reads."""
+    def _run(self, box, jets):
+        """The outputs, as jets with first partials or as values, on the
+        product grid of the 1-d axes ``box``: the i-th chart variable the
+        program reads varies on axis i."""
         vals = [None] * (len(self.symbols) + len(self._steps))
         for i in self.reads:
-            vals[i] = Jet(np.asarray(coord(i), dtype=complex),
+            shape = [1] * len(box)
+            shape[i] = -1
+            vals[i] = Jet(np.reshape(np.asarray(box[i], dtype=complex), shape),
                           {self.symbols[i]: 1 + 0j} if jets else None)
         for i, (op, args, drop) in enumerate(self._steps, start=len(self.symbols)):
             vals[i] = op(*[vals[a] if type(a) is int else a for a in args])
@@ -412,33 +414,27 @@ class Walk:
         out = [vals[o] if type(o) is int else Jet(o, {}) for o in self.outputs]
         return out if jets else [jet.value for jet in out]
 
-    def evaluate(self, Y, X):
-        """The value of each expression at the points (Y, X), arrays whose
-        other axes broadcast together: a complex constant, or an array of
-        the broadcast shape of the leaves it depends on."""
-        n = len(self.symbols) // 2
-        return self._run(lambda i: (Y if i < n else X)[..., i % n], False)
-
     def grid(self, axes, size=None, jets=False):
-        """(box, values or jets) on the product grid of the 1-d ``axes``, one
-        per chart variable, a sub-box with axes ``box`` at a time.  Each
-        variable varies on its own axis, so an output is a complex constant
-        or an array of extent 1 on the axes of the variables it does not
-        read.  With ``size``, leading axes the program reads are split one
-        point at a time until the rest of them span at most ``size`` points;
-        the sub-boxes come in row-major order."""
+        """(index, box, values or jets) on the product grid of the 1-d
+        ``axes``, one per chart variable, a sub-box at a time: ``index`` is
+        the tuple of slices, one per axis, that picks the sub-box out of the
+        whole grid, and ``box`` its axes.  Each variable varies on its own
+        axis, so an output is a complex constant or an array of extent 1 on
+        the axes of the variables it does not read.  With ``size``, leading
+        axes the program reads are split one point at a time until the rest
+        of them span at most ``size`` points; the sub-boxes come in row-major
+        order."""
         split, span = [], math.prod(len(axes[i]) for i in self.reads)
         for i in self.reads:
             if size is None or span <= size:
                 break
             split.append(i)
             span //= len(axes[i])
-        shapes = [[-1 if a == i else 1 for a in range(len(axes))] for i in range(len(axes))]
         for point in itertools.product(*(range(len(axes[i])) for i in split)):
-            box = list(axes)
+            index, box = [slice(None)] * len(axes), list(axes)
             for i, j in zip(split, point):
-                box[i] = axes[i][j:j + 1]
-            yield box, self._run(lambda i: np.reshape(box[i], shapes[i]), jets)
+                index[i], box[i] = slice(j, j + 1), axes[i][j:j + 1]
+            yield tuple(index), box, self._run(box, jets)
 
 
 def sample_point(axes, shape, flat):
@@ -510,7 +506,7 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
     if exprs:
         members = {k: [i for i, o in enumerate(owner) if o == k] for k in set(owner)}
         walk = Walk(exprs, chart)
-        for box, vals in walk.grid(chart.sample_axes(base_k, fibre_k), _BLOCK_SAMPLES):
+        for _, box, vals in walk.grid(chart.sample_axes(base_k, fibre_k), _BLOCK_SAMPLES):
             for k, idx in members.items():
                 peaks.add(k, [vals[i] for i in idx], box)
             del vals  # so the next sub-box is not evaluated beside this one

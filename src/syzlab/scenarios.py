@@ -391,7 +391,8 @@ def _settings(doc):
 def _decode_chart(payload):
     from .charts import Chart
 
-    return Chart(payload["n"], tuple(tuple(iv) for iv in payload["box"]))
+    # the schema's integers admit integral floats such as 2.0
+    return Chart(int(payload["n"]), tuple(tuple(iv) for iv in payload["box"]))
 
 
 def _decode_matrix(matrix, n):
@@ -541,7 +542,7 @@ def _run_sheaf(doc, report):
     )
 
     payload = doc["payload"]
-    system = LocalSystemOnSphere(payload["rank"], payload["monodromy"])
+    system = LocalSystemOnSphere(int(payload["rank"]), payload["monodromy"])
     push = pushforward_cohomology(system)
     chi = euler_characteristic(system)
     ranks = [r for r, _ in push.groups]

@@ -141,7 +141,7 @@ class BetaStructure:
         """(box, jets) over the sample grid, a sub-box (see _JET_ROWS) with
         axes box at a time: jets[i][j] is the Jet of beta[i][j] there."""
         n = self.n
-        for box, jets in self._walk.grid(self.chart.sample_axes(), _JET_ROWS, jets=True):
+        for _, box, jets in self._walk.grid(self.chart.sample_axes(), _JET_ROWS, jets=True):
             yield box, [jets[i * n:(i + 1) * n] for i in range(n)]
 
     @np.errstate(all="ignore")
@@ -410,7 +410,7 @@ def action_coordinates(period_forms, chart: Chart):
         potentials.append(u)
         jacobian.extend(lam)  # du = lam is the Jacobian's row
     axes = chart.sample_axes()[:chart.n] + (np.zeros(1),) * chart.n
-    ((_, vals),) = Walk(jacobian, chart).grid(axes)
+    ((_, _, vals),) = Walk(jacobian, chart).grid(axes)
     vals = np.stack(np.broadcast_arrays(*vals), axis=-1).real
     dets = np.linalg.det(vals.reshape(-1, chart.n, chart.n))
     if np.min(np.abs(dets)) < 1e-12:

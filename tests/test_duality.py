@@ -6,7 +6,7 @@ import pytest
 import sympy as sp
 
 from syzlab import duality
-from syzlab.charts import Chart
+from syzlab.charts import Chart, circle_points, product_grid
 from syzlab.duality import (
     CycleSpec,
     _fibre_symbolic_integral,
@@ -74,26 +74,84 @@ class TestMcLean:
         assert mm["report"]["metric_symmetry"].value < 1e-8
 
 
+def base_axes(chart, k):
+    return [np.linspace(float(lo), float(hi), k) for lo, hi in chart.box]
+
+
+def central_difference_curl(chart, vals, k):
+    """max over a < b of |d_a psi_b - d_b psi_a| at each point of the k^n
+    grid of base_axes(chart, k), by central differences (one-sided, second
+    order, at the edges) of psi's values there: the oracle for
+    period_one_form's exact residual, O(h^2) off it."""
+    n = chart.n
+    grid = vals.reshape(*([k] * n), n)
+    steps = [(float(hi) - float(lo)) / (k - 1) for lo, hi in chart.box]
+    worst = np.zeros([k] * n)
+    for a in range(n):
+        for b in range(a + 1, n):
+            d_a_psib = np.gradient(grid[..., b], steps[a], axis=a, edge_order=2)
+            d_b_psia = np.gradient(grid[..., a], steps[b], axis=b, edge_order=2)
+            worst = np.maximum(worst, np.abs(d_a_psib - d_b_psia))
+    return worst
+
+
+def not_closed(chart):
+    """A base- and fibre-dependent beta whose period covectors are not closed."""
+    y1, y2 = chart.ys
+    x1, x2 = chart.xs
+    off = y1 / 5 + I * y2 / 5
+    return BetaStructure(chart, [
+        [I * (3 + y2 + sp.sin(2 * sp.pi * x1) / 2), off],
+        [off, I * (3 + y1 ** 2 / 4 + sp.cos(2 * sp.pi * x2) / 3)]])
+
+
 class TestPeriods:
     def test_flat_coordinate_cycles(self, chart2):
         bs = flat(chart2)
-        at = [(0.0, 0.0)]
-        _, psi, _ = period_one_form(bs, CycleSpec(1, (1, 0)), y_points=at)
+        at = [[0.0], [0.0]]
+        _, psi, _ = period_one_form(bs, CycleSpec(1, (1, 0)), base=at)
         assert np.allclose(psi[0], [0.0, 1.0], atol=1e-12)
-        _, psi, _ = period_one_form(bs, CycleSpec(1, (0, 1)), y_points=at)
+        _, psi, _ = period_one_form(bs, CycleSpec(1, (0, 1)), base=at)
         assert np.allclose(psi[0], [-1.0, 0.0], atol=1e-12)
 
     def test_closedness_by_finite_differences(self, chart2):
-        bs = flat(chart2)
-        _, _, residual = period_one_form(bs, CycleSpec(1, (1, 0)))
-        assert residual < 1e-6
+        """The exact residual agrees with the central-difference oracle: below
+        1e-12 on closed cases, and to O(h^2) where psi is not closed."""
+        y1, y2 = chart2.ys
+        x1 = chart2.xs[0]
+        base_only = BetaStructure(chart2, [
+            [I * (3 + y1 * y2 / 2 + sp.sin(2 * sp.pi * x1) / 2), 0], [0, 3 * I]])
+        for bs, cycle in [(flat(chart2), (1, 0)), (flat(chart2), (0, 1)),
+                          (base_only, (1, 0))]:
+            _, vals, residual = period_one_form(bs, CycleSpec(1, cycle))
+            assert residual < 1e-12
+            assert central_difference_curl(chart2, vals, 5).max() < 1e-12
+        bs = not_closed(chart2)
+        for cycle in ((1, 0), (0, 1)):
+            errors = []
+            for k in (5, 9, 17):
+                _, vals, residual = period_one_form(bs, CycleSpec(1, cycle),
+                                                    base=base_axes(chart2, k))
+                assert residual > 0.4
+                errors.append(abs(residual - central_difference_curl(chart2, vals, k).max()))
+            # two halvings of h: O(h^2) cuts the gap 16-fold, O(h) only 4-fold
+            assert errors[0] < 2e-3 * residual and errors[2] < errors[0] / 8, errors
 
-    def test_no_closedness_residual_off_the_base_grid(self, chart2):
+    def test_closedness_residual_on_every_base_grid(self, chart2):
+        """A float on any base axes, a single point included; each point's
+        value is its own, so the grid's residual is the max of the points',
+        and the centre's agrees with the oracle's at the centre of the grid."""
         bs = flat(chart2)
-        grid = chart2.base_grid(3)
-        for y_points in ([(0.0, 0.0)], chart2.base_grid(2), grid[::-1]):
-            assert period_one_form(bs, CycleSpec(1, (1, 0)), y_points=y_points)[2] is None
-        assert period_one_form(bs, CycleSpec(1, (1, 0)), y_points=grid)[2] < 1e-6
+        grid = base_axes(chart2, 3)
+        for base in ([[0.0], [0.0]], base_axes(chart2, 2), [a[::-1] for a in grid], grid):
+            residual = period_one_form(bs, CycleSpec(1, (1, 0)), base=base)[2]
+            assert type(residual) is float and residual < 1e-12
+        bs, gamma = not_closed(chart2), CycleSpec(1, (0, 1))
+        pts, vals, whole = period_one_form(bs, gamma, base=base_axes(chart2, 5))
+        alone = [period_one_form(bs, gamma, base=[[y1], [y2]])[2] for y1, y2 in pts]
+        assert max(alone) == pytest.approx(whole, rel=1e-12)
+        assert tuple(pts[12]) == (0.0, 0.0) and alone[12] > 0.4
+        assert abs(alone[12] - central_difference_curl(chart2, vals, 5)[2, 2]) < 1e-3
 
     def test_nonzero_requirement(self):
         with pytest.raises(DualityError):
@@ -356,7 +414,7 @@ class TestBatchedQuadrature:
 
 def grid_mean(expr, chart, y_point, k=32):
     """Mean over a k x k fibre grid, the trapezoidal rule on the 2-torus."""
-    X = chart.fibre_grid(k)
+    X = product_grid([circle_points(k)] * chart.n)
     f = sp.lambdify(list(chart.ys) + list(chart.xs), expr, modules="numpy")
     Y = np.broadcast_to(np.asarray(y_point, dtype=float), X.shape)
     return np.mean(np.broadcast_to(f(*Y.T, *X.T), len(X)))

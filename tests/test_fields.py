@@ -1,4 +1,5 @@
 import ast
+import itertools
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from syzlab.charts import Chart, ChartError
+from syzlab.charts import Chart, ChartError, circle_points, product_grid
 from syzlab.fields import (
     _BLOCK_SAMPLES,
     MAX_POWER,
@@ -49,8 +50,12 @@ def test_sample_axes_are_cached_and_read_only():
     assert list(axes[3]) == [k / 8 for k in range(8)]
     # the grid is the axes' product in row-major order: the base grid, then the fibre's
     Y, X = grid_rows(chart)
-    assert np.array_equal(Y, np.repeat(chart.base_grid(), 64, axis=0))
-    assert np.array_equal(X, np.tile(chart.fibre_grid(), (25, 1)))
+    base = product_grid([np.linspace(-1, 1, 5), np.linspace(0, 2, 5)])
+    assert np.array_equal(base, list(itertools.product(np.linspace(-1, 1, 5),
+                                                       np.linspace(0, 2, 5))))
+    fibre = product_grid([circle_points(8)] * 2)
+    assert np.array_equal(Y, np.repeat(base, 64, axis=0))
+    assert np.array_equal(X, np.tile(fibre, (25, 1)))
 
 
 def test_box_ends_are_numbers_never_evaluated(capsys):
@@ -266,8 +271,8 @@ def test_walk_matches_plain_lambdify():
     exprs = list(omega_form(bs).exterior_derivative().terms.values())
     assert len(exprs) > 5
     axes = chart.sample_axes(3, 4)
-    ((box, got),) = Walk(exprs, chart).grid(axes)
-    assert box == list(axes)
+    ((index, box, got),) = Walk(exprs, chart).grid(axes)
+    assert index == (slice(None),) * 6 and box == list(axes)
     shape = [len(a) for a in axes]
     got = np.array([np.broadcast_to(v, shape).ravel() for v in got])
     Y, X = grid_rows(chart, 3, 4)
@@ -313,14 +318,16 @@ def test_evaluate_in_blocks_equals_pieces():
     walk = Walk(exprs, chart)
     assert walk.reads == (0, 2, 3)  # y2 is read by no expression
     axes = chart.sample_axes(5, 6)
-    ((_, whole),) = walk.grid(axes)
+    ((_, _, whole),) = walk.grid(axes)
     assert [np.shape(v) for v in whole] == [(5, 1, 6, 1), (), (5, 1, 1, 6)]
     assert whole[1] == 3
     pieces = list(walk.grid(axes, size=30))
     # y1 and x1 split: the rest of the read axes, x2, spans 6 <= 30 points
     assert len(pieces) == 5 * 6
-    for k, (box, vals) in enumerate(pieces):
+    for k, (index, box, vals) in enumerate(pieces):
         i, j = divmod(k, 6)
+        # the slices that place the sub-box in the whole grid
+        assert index == (slice(i, i + 1), slice(None), slice(j, j + 1), slice(None))
         assert [len(a) for a in box] == [1, 5, 1, 6]
         assert box[0][0] == axes[0][i] and box[2][0] == axes[2][j]
         assert np.array_equal(vals[0], whole[0][i:i + 1, :, j:j + 1])
@@ -417,3 +424,30 @@ def test_no_sup_norm_call_in_the_library_picks_a_grid():
             assert len(call.args) <= allowed, where
             assert not {k.arg for k in call.keywords} & {"base_k", "fibre_k"}, where
     assert calls >= 3
+
+
+POINT_ROW_GRIDS = ("base_grid", "fibre_grid", "subtorus_grid")
+
+
+def test_walk_grid_is_the_only_evaluation_entry_point():
+    """Every grid in src/ is a tuple of 1-d axes evaluated through Walk.grid:
+    Walk has no other public method, no module outside Walk calls one of
+    Walk's methods but grid, and no module defines a point-row grid helper."""
+    src = Path(__file__).resolve().parents[1] / "src" / "syzlab"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    walk = next(node for node in ast.walk(trees["fields.py"])
+                if isinstance(node, ast.ClassDef) and node.name == "Walk")
+    methods = {fn.name for fn in walk.body if isinstance(fn, ast.FunctionDef)}
+    assert {m for m in methods if not m.startswith("_")} == {"grid"}
+    inside = {id(node) for node in ast.walk(walk)}
+    grids = 0
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            where = f"{name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in POINT_ROW_GRIDS, where
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and id(node) not in inside):
+                assert node.func.attr not in (methods - {"grid"}) | {"evaluate"}, where
+                grids += node.func.attr == "grid"
+    assert grids >= 4

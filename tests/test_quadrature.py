@@ -5,9 +5,9 @@ import pytest
 import sympy as sp
 
 from syzlab import quadrature
-from syzlab.charts import Chart
-from syzlab.fields import PeriodicityError
-from syzlab.quadrature import chart_integral, fibre_means, subtorus_grid
+from syzlab.charts import Chart, circle_points, product_grid
+from syzlab.fields import _BLOCK_SAMPLES, PeriodicityError, Walk
+from syzlab.quadrature import chart_integral, fibre_means
 
 from conftest import lambdify_values
 
@@ -17,15 +17,29 @@ def chart2():
     return Chart(2, ((-1, 1), (-1, 1)))
 
 
+def point_axes(y_point):
+    """n one-point base axes: a single base point."""
+    return [np.array([float(c)]) for c in y_point]
+
+
+def fibre_axes(n, resolution):
+    return [circle_points(resolution)] * n
+
+
+def base_axes(chart, k):
+    return [np.linspace(float(lo), float(hi), k) for lo, hi in chart.box]
+
+
 def fibre_mean(expr, chart, y_point, resolution):
-    return complex(fibre_means([expr], chart, [y_point], chart.fibre_grid(resolution))[0, 0])
+    axes = point_axes(y_point) + fibre_axes(chart.n, resolution)
+    return complex(fibre_means([expr], chart, axes)[0, 0])
 
 
 def test_public_names_are_the_ones_the_library_calls():
     public = {name for name, obj in vars(quadrature).items()
               if inspect.isfunction(obj) and obj.__module__ == quadrature.__name__
               and not name.startswith("_")}
-    assert public == {"fibre_means", "subtorus_grid", "chart_integral"}
+    assert public == {"fibre_means", "chart_integral"}
     import syzlab
 
     assert not hasattr(syzlab, "integrate")
@@ -70,12 +84,12 @@ def test_chart_integral_mixed(chart2):
 
 
 def test_subtorus_integral():
+    """A coordinate subtorus is a fibre axis held at a single 0."""
     chart = Chart(3, ((-1, 1),) * 3)
     x1, x2, x3 = chart.xs
-    X = subtorus_grid(3, 1, 8)
-    assert X.shape == (64, 3) and np.all(X[:, 0] == 0)
+    axes = point_axes((0, 0, 0)) + [np.zeros(1)] + fibre_axes(2, 8)
     val = fibre_means([sp.cos(2 * sp.pi * x2) ** 2, sp.cos(2 * sp.pi * x1)],
-                      chart, [(0, 0, 0)], X)[:, 0]
+                      chart, axes)[:, 0]
     assert abs(val[0] - 0.5) < 1e-12
     # the omitted axis is held at 0, not averaged
     assert abs(val[1] - 1.0) < 1e-15
@@ -87,34 +101,57 @@ def test_determinism(chart2):
     a = chart_integral(expr, chart2)
     b = chart_integral(expr, chart2)
     assert a == b
-    pts = chart2.base_grid(3)
-    X = chart2.fibre_grid(8)
-    assert np.array_equal(fibre_means([expr], chart2, pts, X),
-                          fibre_means([expr], chart2, pts, X))
+    axes = base_axes(chart2, 3) + fibre_axes(2, 8)
+    assert np.array_equal(fibre_means([expr], chart2, axes),
+                          fibre_means([expr], chart2, axes))
 
 
 def test_fibre_means_batches_points_and_expressions(chart2):
     x1, x2 = chart2.xs
     y1 = chart2.ys[0]
     exprs = [y1 * sp.cos(2 * sp.pi * x1) ** 2, sp.sin(2 * sp.pi * x2), sp.Integer(1)]
-    pts = [(-0.5, 0.0), (0.25, 1.0)]
-    means = fibre_means(exprs, chart2, pts, chart2.fibre_grid(8))
-    assert means.shape == (3, 2)
-    assert np.allclose(means, [[-0.25, 0.125], [0, 0], [1, 1]], atol=1e-14)
-    # reference: one evaluator per (expression, point), as a plain loop
-    X = chart2.fibre_grid(8)
+    base = [np.array([-0.5, 0.25]), np.array([0.0, 1.0])]
+    means = fibre_means(exprs, chart2, base + fibre_axes(2, 8))
+    # the base points in row-major order, as product_grid lists them
+    pts = product_grid(base)
+    assert means.shape == (3, 4)
+    assert np.allclose(means, [[-0.25, -0.25, 0.125, 0.125], [0] * 4, [1] * 4], atol=1e-14)
+    # reference: one evaluator per (expression, point) on dense fibre rows, as a plain loop
+    X = product_grid(fibre_axes(2, 8))
     for i, e in enumerate(exprs):
         for p, y in enumerate(pts):
             vals = lambdify_values([e], chart2, np.tile(y, (len(X), 1)), X)[0]
             assert abs(means[i, p] - np.mean(vals)) < 1e-15
     with pytest.raises(PeriodicityError):
-        fibre_means([sp.Integer(1), x1], chart2, pts, chart2.fibre_grid(4))
+        fibre_means([sp.Integer(1), x1], chart2, base + fibre_axes(2, 4))
 
 
 def test_fibre_means_over_several_blocks(chart2):
-    y1, x1 = chart2.ys[0], chart2.xs[0]
-    pts = chart2.base_grid(3)[:7]
-    # 4096 fibre samples per base point: the 7 points span several blocks
-    means = fibre_means([y1 + sp.cos(2 * sp.pi * x1) ** 2], chart2, pts,
-                        chart2.fibre_grid(64))[0]
-    assert np.allclose(means, pts[:, 0] + 0.5, rtol=0, atol=1e-14)
+    y1, y2 = chart2.ys
+    x1, x2 = chart2.xs
+    # reads every axis: 4096 fibre samples per base point, so the 9 points
+    # span several blocks
+    expr = y1 + sp.cos(2 * sp.pi * (x1 + x2) + y2) ** 2
+    axes = base_axes(chart2, 3) + fibre_axes(2, 64)
+    assert len(list(Walk([expr], chart2).grid(axes, _BLOCK_SAMPLES))) > 1
+    means = fibre_means([expr], chart2, axes)[0]
+    assert np.allclose(means, product_grid(axes[:2])[:, 0] + 0.5, rtol=0, atol=1e-14)
+
+
+def test_jets_give_the_means_of_the_base_partials(chart2):
+    """The fibre mean of a jet is the jet of the fibre mean: with jets, the
+    means of the y-partials, against sympy's diff of the exact mean."""
+    y1, y2 = chart2.ys
+    x1, x2 = chart2.xs
+    expr = y1 ** 2 * y2 * (2 + sp.cos(2 * sp.pi * x1)) ** 2 + sp.sin(2 * sp.pi * x2 + y2)
+    mean = 4.5 * y1 ** 2 * y2  # <(2 + cos)^2> = 9/2; <sin(2 pi x2 + y2)> = 0
+    base = base_axes(chart2, 3)
+    axes = base + fibre_axes(2, 8)
+    means, grads = fibre_means([expr, sp.Integer(7)], chart2, axes, jets=True)
+    assert np.array_equal(means, fibre_means([expr, sp.Integer(7)], chart2, axes))
+    assert grads.shape == (2, 2, 9)
+    pts = product_grid(base)
+    for a, y in enumerate((y1, y2)):
+        want = sp.lambdify((y1, y2), sp.diff(mean, y))(*pts.T)
+        assert np.allclose(grads[0, a], want, rtol=0, atol=1e-13)
+    assert np.all(grads[1] == 0)

@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -432,6 +433,45 @@ class TestInvalidData:
         doc = {"version": "1", "kind": "sheaf", "payload": {
             "rank": 2, "monodromy": [[[1, 1], [0, 1]], [[1, -1], [0, 1]]]}}
         assert main(["run", write(tmp_path, doc)]) == 3
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+RANK_ONE = {"version": "1", "kind": "sheaf",
+            "payload": {"rank": 1, "monodromy": [[[1]], [[1]]]}}
+
+
+def _as_float(doc, key):
+    out = json.loads(json.dumps(doc))
+    payload = out["payload"] if "payload" in out else out
+    payload[key] = float(payload[key])
+    return out
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("run", "flat_torus.json", "n"),
+    ("run", "yukawa_n2.json", "n"),
+    ("run", "hitchin_cubic.json", "n"),
+    ("sheaf", "sheaf_24I1.json", "rank"),
+    ("run", RANK_ONE, "rank"),
+])
+def test_integral_float_runs_as_its_integer(command, doc, key, tmp_path, capsys):
+    """The schema's integers admit integral floats (2.0): such a document
+    gives the same report, apart from its echo of the input and its
+    timings, and exit code as its integer form."""
+    if isinstance(doc, str):
+        doc = json.loads((SCENARIOS / doc).read_text())
+    results = []
+    for version in (doc, _as_float(doc, key)):
+        path = write(tmp_path, version)
+        argv = ["sheaf", "--monodromy", path] if command == "sheaf" else ["run", path]
+        code = main([*argv, "--format", "json"])
+        captured = capsys.readouterr()
+        assert "internal error" not in captured.err
+        report = json.loads(captured.out)
+        del report["scenario"], report["timings"]
+        results.append((code, report))
+    assert results[0] == results[1]
+    assert results[0][0] in (0, 1)
 
 
 class TestThreadCap:

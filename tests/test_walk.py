@@ -52,14 +52,17 @@ def exprs_for(seed):
             + [complex_expr(rng, rng.randint(1, 2)) for _ in range(4)])
 
 
-def sample_rows(seed, count=300):
+def sample_axes(seed, count=4):
+    """Random 1-d axes: y1, y2 in (-1, 1), then x1, x2 in (0, 1)."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-1, 1, (count, 2)), rng.uniform(0, 1, (count, 2))
+    return [*rng.uniform(-1, 1, (2, count)), *rng.uniform(0, 1, (2, count))]
 
 
-def dense(vals, rows):
-    """Walk outputs, constants or arrays over the rows, as one array a row each."""
-    return np.array([np.broadcast_to(v, rows) for v in vals])
+def dense(vals, axes):
+    """Walk outputs on the grid of axes, constants or arrays broadcast over
+    it, as one array a grid point each in row-major order."""
+    shape = [len(a) for a in axes]
+    return np.array([np.broadcast_to(v, shape).ravel() for v in vals])
 
 
 def assert_close(got, want, rel):
@@ -71,9 +74,11 @@ def assert_close(got, want, rel):
 @pytest.mark.parametrize("seed", range(6))
 def test_values_match_lambdify(seed):
     exprs = exprs_for(seed)
-    Y, X = sample_rows(seed)
-    got = dense(Walk(exprs, CHART).evaluate(Y, X), len(Y))
-    want = lambdify_values(exprs, CHART, Y, X)
+    axes = sample_axes(seed)
+    ((_, _, vals),) = Walk(exprs, CHART).grid(axes)
+    got = dense(vals, axes)
+    grid = product_grid(axes)
+    want = lambdify_values(exprs, CHART, grid[:, :2], grid[:, 2:])
     for e, g, w in zip(exprs, got, want):
         assert_close(g, w, 1e-12), e
 
@@ -83,7 +88,7 @@ def test_jets_match_sympy_diff(seed):
     """Jets on the product grid of random axes, against dense rows."""
     exprs = exprs_for(seed)
     axes = [np.sort(a) for a in np.random.default_rng(seed).uniform(-1, 1, (4, 5))]
-    ((_, jets),) = Walk(exprs, CHART).grid(axes, jets=True)
+    ((_, _, jets),) = Walk(exprs, CHART).grid(axes, jets=True)
     grid = product_grid(axes)
     Y, X = grid[:, :2], grid[:, 2:]
     for e, jet in zip(exprs, jets):
@@ -123,9 +128,10 @@ def test_constant_subtrees_fold_and_shared_nodes_run_once():
     # sin's argument, sin, the product and the sum: each node once
     assert len(walk._steps) == 4
     assert walk.reads == (0, 2)  # y1 and x1
-    Y, X = sample_rows(0, 5)
-    vals = walk.evaluate(Y, X)
-    assert np.allclose(vals[1], np.sin(2 * np.pi * X[:, 0]) + np.sqrt(2) * np.log(3))
+    axes = sample_axes(0, 5)
+    ((_, _, vals),) = walk.grid(axes)
+    x1 = axes[2].reshape(1, 1, 5, 1)
+    assert np.allclose(vals[1], np.sin(2 * np.pi * x1) + np.sqrt(2) * np.log(3))
     assert np.all(vals[2] == np.log(2))
 
 

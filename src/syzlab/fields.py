@@ -415,10 +415,10 @@ class Walk:
         return out if jets else [jet.value for jet in out]
 
     def grid(self, axes, size=None, jets=False):
-        """(index, box, values or jets) on the product grid of the 1-d
-        ``axes``, one per chart variable, a sub-box at a time: ``index`` is
-        the tuple of slices, one per axis, that picks the sub-box out of the
-        whole grid, and ``box`` its axes.  Each variable varies on its own
+        """(index, values or jets) on the product grid of the 1-d ``axes``,
+        one per chart variable, a sub-box at a time: ``index`` is the tuple
+        of slices, one per axis, that picks the sub-box out of the whole
+        grid.  Each variable varies on its own
         axis, so an output is a complex constant or an array of extent 1 on
         the axes of the variables it does not read.  With ``size``, leading
         axes the program reads are split one point at a time until the rest
@@ -431,18 +431,19 @@ class Walk:
             split.append(i)
             span //= len(axes[i])
         for point in itertools.product(*(range(len(axes[i])) for i in split)):
-            index, box = [slice(None)] * len(axes), list(axes)
+            index = [slice(None)] * len(axes)
             for i, j in zip(split, point):
-                index[i], box[i] = slice(j, j + 1), axes[i][j:j + 1]
-            yield tuple(index), box, self._run(box, jets)
+                index[i] = slice(j, j + 1)
+            yield tuple(index), self._run([a[s] for a, s in zip(axes, index)], jets)
 
 
-def sample_point(axes, shape, flat):
+def sample_point(axes, index, shape, flat):
     """The point (y, x) of the flat index into an array of the given shape
-    over the grid of ``axes``: index 0 on every axis of extent 1, the first
-    grid point in row-major order that carries the indexed value."""
-    index = (0,) * (len(axes) - len(shape)) + np.unravel_index(flat, shape)
-    coords = [float(axis[i]) for axis, i in zip(axes, index)]
+    over the sub-box ``index`` (as Walk.grid yields it) of the grid of
+    ``axes``: index 0 on every axis of extent 1, the first grid point in
+    row-major order that carries the indexed value."""
+    where = (0,) * (len(axes) - len(shape)) + np.unravel_index(flat, shape)
+    coords = [float(axis[s][i]) for axis, s, i in zip(axes, index, where)]
     n = len(axes) // 2
     return tuple(coords[:n]), tuple(coords[n:])
 
@@ -469,10 +470,10 @@ class Peaks:
         self.peak = np.zeros((count, 3))
         self.at = [[None] * 3 for _ in range(count)]
 
-    def add(self, k, vals, box):
-        """Fold in group k on the sub-box with axes ``box``: vals are the
-        group's values there, complex constants or arrays that broadcast
-        against the sub-box's grid."""
+    def add(self, k, vals, axes, index):
+        """Fold in group k on the sub-box ``index`` of the grid of ``axes``:
+        vals are the group's values there, complex constants or arrays that
+        broadcast against the sub-box's grid."""
         vals = np.stack(np.broadcast_arrays(*vals))
         for part, mags in enumerate((np.abs(vals), np.abs(vals.real), np.abs(vals.imag))):
             per_point = mags.max(axis=0)
@@ -480,7 +481,7 @@ class Peaks:
             best, current = per_point.flat[flat], self.peak[k, part]
             if best > current or (np.isnan(best) and not np.isnan(current)):
                 self.peak[k, part] = best
-                self.at[k][part] = sample_point(box, per_point.shape, flat)
+                self.at[k][part] = sample_point(axes, index, per_point.shape, flat)
 
     def norms(self):
         return [SupNorm(*peak, at=tuple(at)) for peak, at in zip(self.peak, self.at)]
@@ -505,10 +506,10 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
     peaks = Peaks(len(groups))
     if exprs:
         members = {k: [i for i, o in enumerate(owner) if o == k] for k in set(owner)}
-        walk = Walk(exprs, chart)
-        for _, box, vals in walk.grid(chart.sample_axes(base_k, fibre_k), _BLOCK_SAMPLES):
+        axes = chart.sample_axes(base_k, fibre_k)
+        for index, vals in Walk(exprs, chart).grid(axes, _BLOCK_SAMPLES):
             for k, idx in members.items():
-                peaks.add(k, [vals[i] for i in idx], box)
+                peaks.add(k, [vals[i] for i in idx], axes, index)
             del vals  # so the next sub-box is not evaluated beside this one
     return peaks.norms()
 

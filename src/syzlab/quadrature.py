@@ -15,6 +15,7 @@ and averages it over the fibre axes.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import sympy as sp
@@ -30,7 +31,8 @@ def fibre_means(exprs, chart: Chart, axes, jets=False):
     Every expression must be syntactically fibre-periodic.  The list goes
     into one Walk on the product grid, a sub-box of at most _BLOCK_SAMPLES
     points at a time, so a subexpression is evaluated only on the axes of
-    the variables it reads.  Returns a complex array of shape
+    the variables it reads.  Only base axes are split: a sub-box holds every
+    fibre sample of its base points, however many there are.  Returns a complex array of shape
     (len(exprs), base points), the base points in row-major order as
     ``product_grid`` lists them; with ``jets``, also the means of the base
     partials, shape (len(exprs), n, base points).
@@ -40,7 +42,8 @@ def fibre_means(exprs, chart: Chart, axes, jets=False):
     parts = 1 + (n if jets else 0)
     means = np.empty((len(exprs), parts, *(len(a) for a in axes[:n])), dtype=complex)
     fibre = tuple(range(n, 2 * n))
-    for index, _, vals in Walk(exprs, chart).grid(axes, _BLOCK_SAMPLES, jets):
+    size = max(_BLOCK_SAMPLES, math.prod(len(a) for a in axes[n:]))
+    for index, vals in Walk(exprs, chart).grid(axes, size, jets):
         for i, v in enumerate(vals):
             samples = [v.value] + [v.partials.get(y, 0j) for y in chart.ys] if jets else [v]
             for k, s in enumerate(samples):

@@ -138,29 +138,30 @@ class BetaStructure:
         return Walk([entry for row in self.beta for entry in row], self.chart)
 
     def _beta_jets(self):
-        """(box, jets) over the sample grid, a sub-box (see _JET_ROWS) with
-        axes box at a time: jets[i][j] is the Jet of beta[i][j] there."""
+        """(index, jets) over the sample grid, the sub-box (see _JET_ROWS)
+        ``index`` of ``chart.sample_axes()`` at a time: jets[i][j] is the Jet
+        of beta[i][j] there."""
         n = self.n
-        for _, box, jets in self._walk.grid(self.chart.sample_axes(), _JET_ROWS, jets=True):
-            yield box, [jets[i * n:(i + 1) * n] for i in range(n)]
+        for index, jets in self._walk.grid(self.chart.sample_axes(), _JET_ROWS, jets=True):
+            yield index, [jets[i * n:(i + 1) * n] for i in range(n)]
 
     @np.errstate(all="ignore")
     def min_imbeta_eigenvalue(self):
         """Least eigenvalue of sym(Im beta) over the sample grid, and where;
         a beta not finite there is a GrammarError."""
-        n, least, where = self.n, np.inf, None
-        for box, beta in self._beta_jets():
+        n, least, where, axes = self.n, np.inf, None, self.chart.sample_axes()
+        for index, beta in self._beta_jets():
             vals = np.stack(np.broadcast_arrays(*[entry.value for row in beta for entry in row]))
             points = vals.shape[1:]
             finite = np.isfinite(vals).all(axis=0)
             if not finite.all():
-                y, x = sample_point(box, points, int(np.argmin(finite)))
+                y, x = sample_point(axes, index, points, int(np.argmin(finite)))
                 raise GrammarError(f"beta is not finite at the sample point y = {y}, x = {x}")
             mats = vals.imag.reshape(n * n, -1).T.reshape(-1, n, n)
             eig = np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0]
             idx = int(np.argmin(eig))
             if eig[idx] < least:
-                least, where = float(eig[idx]), sample_point(box, points, idx)
+                least, where = float(eig[idx]), sample_point(axes, index, points, idx)
         return least, where
 
 
@@ -266,13 +267,13 @@ _RESIDUALS = {
 def _sample_residuals(bs: BetaStructure, names):
     """The SupNorm of each named residual, from its builder run on the jets
     of beta and V, sub-box by sub-box."""
-    peaks = Peaks(len(names))
-    for box, beta in bs._beta_jets():
+    peaks, axes = Peaks(len(names)), bs.chart.sample_axes()
+    for index, beta in bs._beta_jets():
         V = _volume_jet(beta)
         for k, name in enumerate(names):
             values = [c.value for c in _RESIDUALS[name](bs.chart, beta, V) if c != 0]
             if values:
-                peaks.add(k, values, box)
+                peaks.add(k, values, axes, index)
     return peaks.norms()
 
 
@@ -410,7 +411,7 @@ def action_coordinates(period_forms, chart: Chart):
         potentials.append(u)
         jacobian.extend(lam)  # du = lam is the Jacobian's row
     axes = chart.sample_axes()[:chart.n] + (np.zeros(1),) * chart.n
-    ((_, _, vals),) = Walk(jacobian, chart).grid(axes)
+    ((_, vals),) = Walk(jacobian, chart).grid(axes)
     vals = np.stack(np.broadcast_arrays(*vals), axis=-1).real
     dets = np.linalg.det(vals.reshape(-1, chart.n, chart.n))
     if np.min(np.abs(dets)) < 1e-12:

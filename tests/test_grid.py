@@ -112,9 +112,9 @@ def test_residuals_are_sampled_where_they_vary(entries, limit, monkeypatch):
     sizes = []
     add = Peaks.add
 
-    def recorded(self, k, vals, box):
+    def recorded(self, k, vals, axes, index):
         sizes.append(max(np.size(v) for v in vals))
-        return add(self, k, vals, box)
+        return add(self, k, vals, axes, index)
 
     monkeypatch.setattr(Peaks, "add", recorded)
     _sampled(structure(entries), NAMES)

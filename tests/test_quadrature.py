@@ -138,6 +138,22 @@ def test_fibre_means_over_several_blocks(chart2):
     assert np.allclose(means, product_grid(axes[:2])[:, 0] + 0.5, rtol=0, atol=1e-14)
 
 
+def test_a_fibre_grid_above_the_block_size_is_never_split(chart2):
+    """130^2 fibre samples exceed _BLOCK_SAMPLES: only base axes are split,
+    so each mean is over the whole fibre, for an x-only integrand (whose
+    first read axis is a fibre axis) too."""
+    y1, y2 = chart2.ys
+    x1, x2 = chart2.xs
+    assert 130 ** 2 > _BLOCK_SAMPLES
+    exprs = [y1 + sp.cos(2 * sp.pi * x1) ** 2 + sp.sin(2 * sp.pi * x2),
+             sp.cos(2 * sp.pi * x1) ** 2 * sp.cos(2 * sp.pi * x2) ** 2]
+    axes = [np.array([-0.5, 0.25]), np.array([0.0])] + fibre_axes(2, 130)
+    means, grads = fibre_means(exprs, chart2, axes, jets=True)
+    assert np.allclose(means, [[0.0, 0.75], [0.25, 0.25]], rtol=0, atol=1e-13)
+    assert np.allclose(grads[0], [[1, 1], [0, 0]], rtol=0, atol=1e-13)
+    assert np.array_equal(means, fibre_means(exprs, chart2, axes))
+
+
 def test_jets_give_the_means_of_the_base_partials(chart2):
     """The fibre mean of a jet is the jet of the fibre mean: with jets, the
     means of the y-partials, against sympy's diff of the exact mean."""

@@ -75,7 +75,7 @@ def assert_close(got, want, rel):
 def test_values_match_lambdify(seed):
     exprs = exprs_for(seed)
     axes = sample_axes(seed)
-    ((_, _, vals),) = Walk(exprs, CHART).grid(axes)
+    ((_, vals),) = Walk(exprs, CHART).grid(axes)
     got = dense(vals, axes)
     grid = product_grid(axes)
     want = lambdify_values(exprs, CHART, grid[:, :2], grid[:, 2:])
@@ -88,7 +88,7 @@ def test_jets_match_sympy_diff(seed):
     """Jets on the product grid of random axes, against dense rows."""
     exprs = exprs_for(seed)
     axes = [np.sort(a) for a in np.random.default_rng(seed).uniform(-1, 1, (4, 5))]
-    ((_, _, jets),) = Walk(exprs, CHART).grid(axes, jets=True)
+    ((_, jets),) = Walk(exprs, CHART).grid(axes, jets=True)
     grid = product_grid(axes)
     Y, X = grid[:, :2], grid[:, 2:]
     for e, jet in zip(exprs, jets):
@@ -129,7 +129,7 @@ def test_constant_subtrees_fold_and_shared_nodes_run_once():
     assert len(walk._steps) == 4
     assert walk.reads == (0, 2)  # y1 and x1
     axes = sample_axes(0, 5)
-    ((_, _, vals),) = walk.grid(axes)
+    ((_, vals),) = walk.grid(axes)
     x1 = axes[2].reshape(1, 1, 5, 1)
     assert np.allclose(vals[1], np.sin(2 * np.pi * x1) + np.sqrt(2) * np.log(3))
     assert np.all(vals[2] == np.log(2))

@@ -2,10 +2,11 @@
 
 Modules
 -------
-charts, fields, quadrature   symbolic scalar fields and quadrature on charts
+charts, fields, quadrature   expression nodes, scalar fields and quadrature on charts
 algebra                      bigraded dy/polyvector algebra and its operators
-semiflat                     beta-structures and their structure equations
-duality                      base metrics, periods, dual structures, coupling
+semiflat                     beta-structures, structure equations, Hessian
+                             structures and the coupling integral
+duality                      base metrics, periods, dual structures (symbolic)
 complexes, fibre_models      integer cohomology of singular fibre models
 sheaf                        local systems on the sphere and Leray tables
 k3                           lattice-level K3 mirror map
@@ -14,6 +15,10 @@ scenarios, cli               JSON scenario runner and command line
 Names and submodules are imported on first use (PEP 562), so the integer
 layers (intlinalg, complexes, fibre_models, sheaf), k3 on rational data, and
 the cli and scenarios on those kinds run without loading sympy or numpy.
+Expressions are syzlab's own nodes (``fields``), so the semi-flat, Hessian
+and coupling checks (charts, fields, algebra, quadrature, semiflat) load
+numpy but import sympy only inside the functions that convert to or from
+it; duality, the symbolic layer, imports sympy.
 """
 
 import importlib
@@ -27,15 +32,14 @@ _EXPORTS = {
         "exp_nilpotent", "from_form", "phi2", "phi3", "to_form",
     ),
     "semiflat": (
-        "BetaStructure", "SemiflatReport", "action_coordinates", "build_omega",
-        "closedness_residuals", "flatness_probe", "integrability_residual",
-        "pointwise_checks", "reglue_check", "structure_equations",
-        "translate_by_section",
+        "BetaStructure", "HitchinPotential", "SemiflatReport", "YukawaFamily",
+        "action_coordinates", "build_omega", "closedness_residuals", "flatness_probe",
+        "hitchin", "integrability_residual", "pointwise_checks", "reglue_check",
+        "structure_equations", "translate_by_section", "yukawa",
     ),
     "duality": (
-        "CycleSpec", "HitchinPotential", "SymTensorField", "YukawaFamily",
-        "dual_structure_check", "duality_identities", "hitchin", "mclean_metrics",
-        "period_one_form", "symmetric_class", "wedge_with_minus_omega", "yukawa",
+        "CycleSpec", "SymTensorField", "dual_structure_check", "duality_identities",
+        "mclean_metrics", "period_one_form", "symmetric_class", "wedge_with_minus_omega",
     ),
     "complexes": (
         "CellularMap", "ChainComplex", "circle_complex", "product_complex",

@@ -14,11 +14,12 @@ in front of all dx factors.
 
 Both element types share one sparse term store, (J, K) -> coefficient;
 every reordering sign comes from sorting in ``add_term``.  A coefficient is
-an expanded sympy expression, or a ``Jet`` (from ``fields``): the sampled
-values of a field with its first partials.  The operators differentiate
-through ``c.diff(v)`` and combine coefficients with ``+`` and ``*`` only, so
-one set of builders gives the exact identities on sympy coefficients and
-their sampled values on jets.
+an expression node or ``Pair`` (from ``fields``), an expanded sympy
+expression, or a ``Jet``: the sampled values of a field with its first
+partials.  The operators differentiate through ``c.diff(v)`` in the chart
+variables and combine coefficients with ``+`` and ``*`` only, so one set of
+builders gives the exact identities on nodes or sympy coefficients and their
+sampled values on jets.  Only a sympy coefficient imports sympy.
 
 Three graded operators act here: d_x (the fibre part of the exterior
 derivative, transported through the isomorphism; second order as a
@@ -29,10 +30,21 @@ the second-order defect of d_x'.
 
 from __future__ import annotations
 
-import sympy as sp
+import math
+from fractions import Fraction
 
 from .charts import Chart, require_same_chart
-from .fields import DegreeError, Jet, sup_norm_scalars
+from .fields import (
+    ONE,
+    ZERO,
+    DegreeError,
+    Jet,
+    Node,
+    Pair,
+    is_sympy,
+    as_field,
+    sup_norm_scalars,
+)
 
 # ---------------------------------------------------------------------------
 # index bookkeeping
@@ -61,9 +73,10 @@ def complement_sign(iset, n):
     return istar, (-1) ** M
 
 
-def _sympified(coeff):
-    """A jet as it is; any other coefficient through sympify."""
-    return coeff if isinstance(coeff, Jet) else sp.sympify(coeff)
+def _coefficient(coeff):
+    """A jet or sympy expression as it is; any other coefficient as a node
+    or Pair."""
+    return coeff if isinstance(coeff, Jet) or is_sympy(coeff) else as_field(coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +98,7 @@ class _Terms:
     def add_term(self, jset, kset, coeff):
         """Add coeff * (J, K) for unsorted J, K: sorting gives the sign, and a
         repeated index drops the term; an index above n raises DegreeError.
-        A sympy or plain-number sum is expanded, and a zero sum is dropped."""
+        A sympy sum is expanded, and a zero sum is dropped."""
         jset, jsign = sort_with_sign(jset)
         kset, ksign = sort_with_sign(kset)
         if jset is None or kset is None:
@@ -94,9 +107,13 @@ class _Terms:
         if jset and jset[-1] > n or kset and kset[-1] > n:
             raise DegreeError(f"index out of range for dimension {n}")
         key = (jset, kset)
-        new = self.terms.get(key, 0) + jsign * ksign * coeff
-        if not isinstance(new, Jet):
-            new = sp.expand(new)
+        coeff = jsign * ksign * coeff
+        old = self.terms.get(key)
+        new = coeff if old is None else old + coeff
+        if is_sympy(new):
+            new = new.expand()
+        elif not isinstance(new, (Jet, Node, Pair)):
+            new = as_field(new)
         if new == 0:
             self.terms.pop(key, None)
         else:
@@ -145,8 +162,8 @@ class _Terms:
         jset, jsign = sort_with_sign(dys)
         kset, ksign = sort_with_sign(dxs)
         if jset is None or kset is None:
-            return sp.Integer(0)
-        return jsign * ksign * self.terms.get((jset, kset), sp.Integer(0))
+            return ZERO
+        return jsign * ksign * self.terms.get((jset, kset), ZERO)
 
     def is_zero(self):
         return not self.terms
@@ -181,7 +198,7 @@ class BigradedElement(_Terms):
     @classmethod
     def term(cls, chart, coeff, dys=(), dxs=()):
         e = cls(chart)
-        e.add_term(dys, dxs, _sympified(coeff))
+        e.add_term(dys, dxs, _coefficient(coeff))
         return e
 
     @classmethod
@@ -191,14 +208,14 @@ class BigradedElement(_Terms):
         n = chart.n
         for i in range(n):
             for j in range(n):
-                c = _sympified(matrix[i][j])
+                c = _coefficient(matrix[i][j])
                 if c != 0:
                     e.add_term((j + 1,), (i + 1,), c)
         return e
 
     # -- ring structure ----------------------------------------------------
     def __mul__(self, other):
-        if isinstance(other, (int, float, complex, sp.Expr)):
+        if not isinstance(other, _Terms):
             return self.scale(other)
         return self._product(other, interleaved=False)
 
@@ -441,7 +458,7 @@ def exp_nilpotent(beta: BigradedElement) -> BigradedElement:
     power = BigradedElement.unit(beta.chart)
     for p in range(1, n + 1):
         power = power * beta
-        out = out + power.scale(sp.Rational(1, sp.factorial(p)))
+        out = out + power.scale(Fraction(1, math.factorial(p)))
     return out
 
 
@@ -449,9 +466,9 @@ def decomposable_form(chart, beta_matrix, scale=1):
     """Direct expansion of scale * wedge_i (dx_i + sum_j beta[i][j] dy_j)."""
     forms = []
     for i in range(chart.n):
-        form = {("x", i + 1): sp.Integer(1)}
+        form = {("x", i + 1): ONE}
         for j in range(chart.n):
-            c = _sympified(beta_matrix[i][j])
+            c = _coefficient(beta_matrix[i][j])
             if c != 0:
                 form[("y", j + 1)] = c
         forms.append(form)

@@ -2,25 +2,36 @@
 
 Coordinates are y1..yn on the base and x1..xn on the fibre; every fibre
 coordinate is periodic with period 1.  Dimensions 1 <= n <= 3 are supported.
-Every sample grid is the product of 1-d axes, one per chart variable
-(``sample_axes`` for the residual grid); ``product_grid`` lists a grid's
-points where a returned value carries them.
+The chart variables are expression nodes (``fields.variable``); sympy
+callers may use them as sympy symbols, and ``Y_SYMBOLS``/``X_SYMBOLS`` are
+the matching sympy symbols, made on first use.  Box ends are exact
+``Fraction``s.  Every sample grid is the product of 1-d axes, one per chart
+variable (``sample_axes`` for the residual grid); ``product_grid`` lists a
+grid's points where a returned value carries them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
+
+from .fields import X_VARS, Y_VARS
 
 MAX_DIM = 3
 
-Y_SYMBOLS = sp.symbols("y1 y2 y3", real=True)
-X_SYMBOLS = sp.symbols("x1 x2 x3", real=True)
+
+def __getattr__(name):
+    # the sympy symbols of the chart variables, for symbolic callers
+    if name in ("Y_SYMBOLS", "X_SYMBOLS"):
+        from .fields import to_sympy
+
+        return tuple(map(to_sympy, Y_VARS if name == "Y_SYMBOLS" else X_VARS))
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ChartError(ValueError):
@@ -28,20 +39,21 @@ class ChartError(ValueError):
 
 
 def _to_number(v):
-    """A box end as an exact sympy number: an int, Fraction or sympy Rational
-    as itself, a float as its shortest decimal (0.1 is 1/10) and a string
-    through ``Fraction`` ("3/2", "0.5"); anything else is a ChartError."""
+    """A box end as a Fraction: an int, Fraction or other exact rational
+    (such as a sympy Rational) as itself, a float as its shortest decimal
+    (0.1 is 1/10) and a string through ``Fraction`` ("3/2", "0.5"); anything
+    else is a ChartError."""
     if isinstance(v, float):
         if not math.isfinite(v):
             raise ChartError(f"box end {v} is not finite")
-        return sp.Rational(repr(v))
+        return Fraction(repr(v))
     if isinstance(v, str):
         try:
-            v = Fraction(v)
+            return Fraction(v)
         except (ValueError, ZeroDivisionError):
             raise ChartError(f"box end {v!r} is not a rational number") from None
-    if isinstance(v, (int, Fraction, sp.Rational)):
-        return sp.Rational(v)
+    if isinstance(v, numbers.Rational):
+        return Fraction(int(v.numerator), int(v.denominator))
     raise ChartError(f"box end {v!r} is not a number")
 
 
@@ -67,11 +79,11 @@ class Chart:
 
     @property
     def ys(self):
-        return Y_SYMBOLS[: self.n]
+        return Y_VARS[: self.n]
 
     @property
     def xs(self):
-        return X_SYMBOLS[: self.n]
+        return X_VARS[: self.n]
 
     @property
     def center(self):
@@ -79,10 +91,7 @@ class Chart:
 
     @property
     def box_volume(self):
-        vol = sp.Integer(1)
-        for lo, hi in self.box:
-            vol *= hi - lo
-        return vol
+        return math.prod(hi - lo for lo, hi in self.box)
 
     @functools.lru_cache(maxsize=8)
     def sample_axes(self, base_k=5, fibre_k=8):

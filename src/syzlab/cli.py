@@ -34,16 +34,17 @@ fibre volume (K3)    vol = ReOmega.E after phase alignment; vol * dual-vol = 1
 """
 
 
-def _print_report(report, fmt, out):
-    """Print the report and write it to out; False if out cannot be written."""
+def _print_report(text, report, fmt, out):
+    """Print the report (its JSON text given) and write the JSON to out;
+    False if out cannot be written."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(report.to_json())
+                fh.write(text)
         except OSError as exc:
             print(f"cannot write report: {exc}", file=sys.stderr)
             return False
-    print(report.to_json() if fmt == "json" else report.to_text())
+    print(text if fmt == "json" else report.to_text())
     return True
 
 
@@ -67,13 +68,16 @@ def _run_doc(read, args, kind=None):
         if kind is not None:
             doc = {"version": SCHEMA_VERSION, "kind": kind, "payload": doc}
         report = run_scenario_doc(_apply_settings(doc, args))
+        # serialised before anything is printed: a report JSON cannot hold
+        # is an internal error, with nothing on stdout
+        text = report.to_json()
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except Exception as exc:  # noqa: BLE001 - map to the documented exit code
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if not _print_report(report, args.format, args.out):
+    if not _print_report(text, report, args.format, args.out):
         return EXIT_PARSE
     return EXIT_OK if report.passed else EXIT_VERDICT
 

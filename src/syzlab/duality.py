@@ -9,41 +9,46 @@ e_i^* <-> (-1)^(i-1) e_1 ^ ... e_i-hat ... ^ e_n  (front-slot order).
 Dualisation is implemented for fibre-constant metrics: the dual inverse
 metric matrix is h_n itself, and the dual fibre volume carries the lattice
 covolume det(h_n), which produces the volume reciprocity Vol * dual-Vol = 1.
+
+This is the symbolic layer: McLean's closed forms, periods, symmetric
+classes and dualisation; it imports sympy when it is imported.  Its sampled
+integrands are expression nodes all the same.  The Hessian structures and
+the coupling integral (``HitchinPotential``, ``hitchin``, ``YukawaFamily``,
+``yukawa``) live in ``semiflat`` and are importable from here.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 import sympy as sp
 
-from .algebra import FormElement
+from .algebra import FormElement, decomposable_form
 from .charts import Chart, circle_points, product_grid
-from .fields import fibre_frequencies, sup_norm_scalars
-from .quadrature import chart_integral, fibre_means
-from .semiflat import (
+from .fields import ZERO, Pair, as_field
+from .quadrature import fibre_means
+from .semiflat import (  # noqa: F401  (HitchinPotential ... yukawa: re-exported)
     DEFAULT_TOL,
+    FIBRE_RESOLUTION,
+    ORIENTATION_SIGN,
     BetaStructure,
+    DualityError,
+    HitchinPotential,
     SemiflatReport,
+    YukawaFamily,
     _sampled,
     base_one_form_differential,
     base_potential,
-    closedness_residuals,
-    omega_form,
+    hitchin,
+    reads_fibre,
     require_compatible,
+    yukawa,
 )
 
-# fibre quadrature points per axis, where no caller chooses them
-FIBRE_RESOLUTION = 16
 # Vol * dual-Vol = 1 holds to rounding on a fibre-constant metric
 RECIPROCITY_TOL = 1e-10
-
-
-class DualityError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,11 @@ def _im_omega_coefficient_forms(bs: BetaStructure):
     """For each base axis j, the fibre (n-1)-form of i(d/dy_j) Im Omega.
 
     Returns coeffs[j][i] = coefficient of dx_{1..n minus i} in the
-    restriction to the fibre, read off the dy_j ^ dx_K terms of Im Omega.
+    restriction to the fibre, read off the dy_j ^ dx_K terms of Im Omega:
+    nodes, from Omega's expansion on the re/im pairs of beta (V is real).
     """
-    _, im_form = omega_form(bs).real_imag()
+    omega = decomposable_form(bs.chart, bs.pairs, scale=bs.volume_node)
+    _, im_form = omega.real_imag()
     axes = range(1, bs.n + 1)
     rows = [im_form.contract_base_vector(j) for j in axes]
     return [[row.coefficient(dxs=[a for a in axes if a != i]) for i in axes] for row in rows]
@@ -142,9 +149,9 @@ def _normalised_metric(bs: BetaStructure, base, resolution, extra):
     of extra[k].
     """
     chart, n = bs.chart, bs.n
-    v = bs.volume_density
+    v = bs.volume_node
     means = fibre_means(
-        [v * bs.g_inv[i][j] for i in range(n) for j in range(n)] + [v] + list(extra),
+        [v * bs.pairs[i][j].im for i in range(n) for j in range(n)] + [v] + list(extra),
         chart, list(base) + _fibre_axes(n, resolution)).real
     vol = means[n * n]
     h_n = means[: n * n].T.reshape(len(vol), n, n) / vol[:, None, None]
@@ -229,10 +236,14 @@ def _fibre_symbolic_integral(expr, chart: Chart):
     x-dependent integrand raises _SymbolicIntegrationError, for quadrature.
     """
     expr = sp.sympify(expr)
-    xs = chart.xs
+    xs = [sp.sympify(x) for x in chart.xs]
     if expr.free_symbols.isdisjoint(xs):
         return expr
-    frequencies = fibre_frequencies(expr, chart.n)
+    # the integer frequency vector of each x-dependent sin/cos atom (the
+    # structure's entries are fibre-periodic, so each argument is linear in x)
+    frequencies = {atom: tuple(int(sp.expand(sp.diff(atom.args[0], x)) / (2 * sp.pi))
+                               for x in xs)
+                   for atom in expr.atoms(sp.sin, sp.cos) if not atom.free_symbols.isdisjoint(xs)}
     dummies = {atom: sp.Dummy() for atom in frequencies}
     poly = expr.xreplace(dummies)
     if not poly.is_polynomial(*dummies.values()):
@@ -276,7 +287,7 @@ def period_one_form(bs: BetaStructure, gamma: CycleSpec, base=None):
     coeffs = _im_omega_coefficient_forms(bs)
     base = _base_axes(chart, 5) if base is None else list(base)
     vol, dvol = (m[0].real for m in fibre_means(
-        [bs.volume_density], chart, base + _fibre_axes(n, FIBRE_RESOLUTION), jets=True))
+        [bs.volume_node], chart, base + _fibre_axes(n, FIBRE_RESOLUTION), jets=True))
     # periods[b] and dperiods[b][a] = d_a periods[b], at each base point
     periods, dperiods = np.zeros((n, len(vol))), np.zeros((n, n, len(vol)))
     for i in range(1, n + 1):
@@ -310,7 +321,7 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
     v = cycle_tangent_vector(gamma, n)
     report = SemiflatReport()
 
-    alpha = {int(i): sp.sympify(c) for i, c in alpha.items()}
+    alpha = {int(i): as_field(c) for i, c in alpha.items()}
     coeffs = _im_omega_coefficient_forms(bs)
     report.notes["volume_form_closed_residual"] = _volume_form_gap(bs, tol)
 
@@ -366,13 +377,11 @@ class SymTensorField:
 
     def __post_init__(self):
         n = self.chart.n
-        ent = [[sp.expand(sp.sympify(self.entries[i][j])) for j in range(n)]
-               for i in range(n)]
-        for row in ent:
-            for e in row:
-                if set(e.free_symbols) & set(self.chart.xs):
-                    raise DualityError("tensor entries must depend on y only")
-        self.entries = ent
+        if any(reads_fibre(self.entries[i][j], self.chart)
+               for i in range(n) for j in range(n)):
+            raise DualityError("tensor entries must depend on y only")
+        self.entries = [[sp.expand(sp.sympify(self.entries[i][j])) for j in range(n)]
+                        for i in range(n)]
 
     def antisymmetric_defect(self):
         n = self.chart.n
@@ -425,60 +434,8 @@ def symmetric_class(alpha: SymTensorField):
 
 
 # ---------------------------------------------------------------------------
-# potential-generated structures and dualisation
+# dualisation
 # ---------------------------------------------------------------------------
-
-@dataclass
-class HitchinPotential:
-    """Convex potential on the base; its Hessian is the inverse fibre metric."""
-
-    chart: Chart
-    phi: object
-
-    def __post_init__(self):
-        self.phi = sp.expand(sp.sympify(self.phi))
-        if set(self.phi.free_symbols) & set(self.chart.xs):
-            raise DualityError("potential must depend on the base variables only")
-
-    @property
-    def hessian(self):
-        ys = self.chart.ys[: self.chart.n]
-        return [[sp.expand(sp.diff(self.phi, a, b)) for b in ys] for a in ys]
-
-
-def hitchin(potential: HitchinPotential, b_field: SymTensorField = None,
-            tol=DEFAULT_TOL):
-    """Structure with inverse metric Hess(phi), optionally twisted by b.
-
-    Returns (structure, info): info carries the determinant-constancy
-    residual of the Hessian, which decides closedness in action-angle
-    coordinates, and the closedness report itself.
-    """
-    chart = potential.chart
-    hess = potential.hessian
-    n = chart.n
-    if b_field is not None:
-        if not b_field.is_symmetric():
-            raise DualityError("twist tensor must be symmetric")
-        b = b_field.entries
-    else:
-        b = [[sp.Integer(0)] * n for _ in range(n)]
-    beta = [[b[i][j] + sp.I * hess[i][j] for j in range(n)] for i in range(n)]
-    bs = BetaStructure(chart, beta)
-    require_compatible(bs, tol)
-
-    det_centre = bs.det_g_inv.subs(dict(zip(chart.ys, chart.center)))
-    det_residual = sup_norm_scalars([sp.expand(bs.det_g_inv - det_centre)], chart)
-    closed = closedness_residuals(bs, tol)
-    info = {
-        "determinant_residual": det_residual,
-        "determinant_value": det_centre,
-        "closedness": closed,
-        "criterion_consistent":
-            (det_residual < tol) == closed.verdict("full_closedness"),
-    }
-    return bs, info
-
 
 def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
                          tol=DEFAULT_TOL) -> SemiflatReport:
@@ -490,13 +447,10 @@ def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
     """
     require_compatible(bs, tol)
     chart, n = bs.chart, bs.n
-    xs = chart.xs
-    for row in bs.g_inv:
-        for e in row:
-            if set(e.free_symbols) & set(xs):
-                raise DualityError("dualisation needs a fibre-constant metric")
-    h_n = [[sp.expand(bs.g_inv[i][j]) for j in range(n)] for i in range(n)]
-    dual = BetaStructure(chart, [[sp.I * h_n[i][j] for j in range(n)] for i in range(n)])
+    h_n = [[entry.im for entry in row] for row in bs.pairs]
+    if any(reads_fibre(e, chart) for row in h_n for e in row):
+        raise DualityError("dualisation needs a fibre-constant metric")
+    dual = BetaStructure(chart, [[Pair(ZERO, e) for e in row] for row in h_n])
 
     require_compatible(dual, tol)
     report = SemiflatReport()
@@ -505,7 +459,7 @@ def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
     pts = product_grid(base)
     # h_n is fibre-constant: its fibre means are its values
     mats, dual_vols, (vols, *expect) = _normalised_metric(
-        dual, base, resolution, [bs.volume_density] + [e for row in h_n for e in row])
+        dual, base, resolution, [bs.volume_node] + [e for row in h_n for e in row])
     expect = np.array(expect).T.reshape(len(pts), n, n)
     dual_vols = dual_vols * np.linalg.det(expect)
     # each defect is a fibre mean at a base point: its worst point has no x
@@ -517,54 +471,3 @@ def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
     report.notes["vol_samples"] = vols.tolist()
     report.notes["dual_vol_samples"] = dual_vols.tolist()
     return report
-
-
-# ---------------------------------------------------------------------------
-# coupling integral over twist directions
-# ---------------------------------------------------------------------------
-
-ORIENTATION_SIGN = {1: 1, 2: -1, 3: -1}  # (-1)^(n(n-1)/2)
-
-
-class YukawaFamily:
-    """Affine family beta(b) = base + sum_k b_k * direction_k."""
-
-    def __init__(self, base: BetaStructure, directions):
-        self.base = base
-        n = base.n
-        if len(directions) != n:
-            raise DualityError("need one twist direction per base axis")
-        self.directions = [
-            [[sp.expand(sp.sympify(d[i][j])) for j in range(n)] for i in range(n)]
-            for d in directions
-        ]
-
-
-def _direction_determinant_sum(family: YukawaFamily):
-    n = family.base.n
-    total = sp.Integer(0)
-    for perm in permutations(range(n)):
-        m = sp.Matrix(n, n, lambda i, j: family.directions[perm[i]][i][j])
-        total += m.det()
-    return sp.expand(total)
-
-
-def yukawa(family: YukawaFamily, resolution=FIBRE_RESOLUTION, base_resolution=8):
-    """Coupling integral over the chart of V^2 times the direction determinants.
-
-    Returns (value, oracle) where oracle is the constant-integrand closed
-    form (None when the integrand is not constant).
-    """
-    bs = family.base
-    require_compatible(bs)
-    chart, n = bs.chart, bs.n
-    sign = ORIENTATION_SIGN[n]
-    det_sum = _direction_determinant_sum(family)
-    integrand = sp.expand(bs.volume_density ** 2 * det_sum)
-
-    oracle = None
-    if not integrand.free_symbols:
-        oracle = complex(sign * integrand * chart.box_volume)
-
-    total = chart_integral(integrand, chart, base_resolution, resolution)
-    return sign * total, oracle

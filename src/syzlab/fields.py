@@ -1,18 +1,30 @@
-"""Symbolic scalar fields on a chart.
+"""Scalar fields on a chart: the grammar's expression nodes and their evaluator.
 
-Coefficient functions are sympy expressions over the real chart symbols
-y1..y3, x1..x3.  The configuration grammar is a closed whitelist: numeric
-literals, the chart variables, the constant ``pi``, unary ``+ -``, infix
-``+ - * / ^`` and the functions ``sin cos exp`` of one argument.  A string
-is built node by node from its Python syntax tree and never evaluated.  A
-float, in a string or as a JSON number, reads as its shortest decimal (0.1 is
-1/10), as chart boxes and K3 coordinates do.  Complex values
-enter only as {"re": ..., "im": ...} pairs, so a parsed string is always a
-real-valued expression: a string that builds to something containing I, such
-as "(-1)^(1/2)", is refused.  A numeric exponent above MAX_POWER, or one
-that times the bit length of the largest number in its base passes MAX_BITS,
-is refused before the power is computed; so is an exponent above MAX_POWER
-that sympy makes by merging powers, as in (1+y1)^64*(1+y1)^64.
+Coefficient functions are syzlab's own expression nodes (``Node``) over the
+real chart variables y1..y3, x1..x3.  The configuration grammar is a closed
+whitelist: numeric literals, the chart variables, the constant ``pi``, unary
+``+ -``, infix ``+ - * / ^`` and the functions ``sin cos exp`` of one
+argument.  A string is built node by node from its Python syntax tree and
+never evaluated.  A float, in a string or as a JSON number, reads as its
+shortest decimal (0.1 is 1/10), as chart boxes and K3 coordinates do.
+Complex values enter only as {"re": ..., "im": ...} pairs, which parse to a
+``Pair`` of two real nodes: a string that builds to something complex, such
+as "(-1)^(1/2)", is refused.
+
+Nodes are hash-consed: equal expressions are one object.  Their constructors
+fold as sympy's automatic evaluation does: numbers are exact ``Fraction``s
+and fold, like terms of a sum and like bases of a product are collected (so
+x1 - x1 is 0), a rational times a sum is distributed over the sum, a power
+of a product is distributed over its factors, exp(a)*exp(b) merges when a
+and b differ by a rational factor, and sin/cos fold at rational multiples of
+pi and pull out a sign or a multiple of pi/2.  A numeric exponent above
+MAX_POWER, or one that times the bit length of the largest number in its
+base passes MAX_BITS, is refused before the power is computed; so is an
+exponent above MAX_POWER that the collection of like bases makes, as in
+(1+y1)^64*(1+y1)^64.  Nodes differentiate (``diff``), evaluate exactly at a
+rational point (``exact``), and convert to and from sympy (``to_sympy``,
+``from_sympy``) for the symbolic layer and library callers; sympy is
+imported only by those conversions.
 
 Fibre periodicity is enforced syntactically: a fibre variable x_i may occur
 only inside sin/cos whose argument is 2*pi*(integer)*x_i plus an x-free
@@ -23,21 +35,24 @@ quadrature and fibrewise translations rely on.
 from __future__ import annotations
 
 import ast
+import cmath
 import functools
 import itertools
 import math
 import operator
+import sys
+from fractions import Fraction
 
 import numpy as np
-import sympy as sp
 
-from .charts import X_SYMBOLS, Y_SYMBOLS, Chart
-
-ALLOWED_FUNCTIONS = (sp.sin, sp.cos, sp.exp)
+FUNCTIONS = ("sin", "cos", "exp")
+Y_NAMES = ("y1", "y2", "y3")
+X_NAMES = ("x1", "x2", "x3")
 # the largest exponent in a parsed expression, and the most bits a power may
 # give the numbers of its base
 MAX_POWER = 64
 MAX_BITS = 4096
+_HALF = Fraction(1, 2)
 
 
 class GrammarError(ValueError):
@@ -48,108 +63,1032 @@ class PeriodicityError(ValueError):
     """Raised when a field is not syntactically fibre-periodic."""
 
 
-_NAMES = {s.name: s for s in Y_SYMBOLS + X_SYMBOLS}
-_NAMES["pi"] = sp.pi
-_CALLS = {f.__name__: f for f in ALLOWED_FUNCTIONS}
-_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
-_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
-           ast.Div: operator.truediv}
+class DegreeError(ValueError):
+    """Raised for operations applied at an invalid (bi)degree."""
 
 
-def _number(value):
-    """A JSON or literal number as an exact sympy number; a float reads as
-    its shortest decimal, so 0.1 is 1/10."""
-    if isinstance(value, int):
-        return sp.Integer(value)
-    if not math.isfinite(value):
-        raise GrammarError(f"{value} is not finite")
-    return sp.Rational(repr(value))
+class UnsupportedNode(TypeError):
+    """Raised for an expression that has no node form, or a node that Walk
+    does not evaluate."""
 
 
-def _power(base, exp):
-    """base^exp, refused before it is computed when the exponent is a number
-    above MAX_POWER or times the bit length of the largest number in the base
-    passes MAX_BITS: sympy distributes a power over a product, so
-    (10^60*y1)^64 would build 10^3840."""
-    if exp.is_Rational:
-        bits = max((max(abs(r.p).bit_length(), r.q.bit_length())
-                    for r in base.atoms(sp.Rational)), default=1)
-        if abs(exp) > MAX_POWER or abs(exp) * bits > MAX_BITS:
+# ---------------------------------------------------------------------------
+# expression nodes
+# ---------------------------------------------------------------------------
+
+def is_sympy(value):
+    """Whether value is a sympy object; never imports sympy."""
+    sp = sys.modules.get("sympy")
+    return sp is not None and isinstance(value, sp.Basic)
+
+
+class Node:
+    """One hash-consed expression of the grammar.
+
+    ``op`` and ``args``:
+      "num"   a Fraction
+      "var"   a chart variable's name
+      "pi"    ()
+      "add"   (constant, ((term, coefficient), ...)): no term is a sum or a number
+      "mul"   ((base, exponent), ...): Fraction exponents, no base is a number
+              with an integral exponent; two factors at least, or one whose
+              exponent is not 1
+      "sin", "cos", "exp"   the argument
+      "const" (complex value, sympy object): a constant without node form,
+              from ``from_sympy`` only
+    A rational times a product is the one-term sum (0, ((product, c),)).
+    Equal nodes are one object, so a node equals another only when it is it.
+    """
+
+    __slots__ = ("op", "args", "vars", "bits", "real", "nonneg", "positive", "_value", "_sym")
+
+    def __eq__(self, other):
+        if isinstance(other, Node):
+            return self is other
+        if isinstance(other, (int, Fraction, float)):
+            return self.op == "num" and self.args == other
+        if is_sympy(other):
+            import sympy as sp
+
+            mine = to_sympy(self)
+            return bool(mine == other or sp.expand(mine - other) == 0)
+        return NotImplemented
+
+    __hash__ = object.__hash__
+
+    @property
+    def name(self):
+        if self.op != "var":
+            raise AttributeError("name")
+        return self.args
+
+    def __bool__(self):
+        return not (self.op == "num" and self.args == 0)
+
+    # -- arithmetic; a sympy or Pair operand takes over ----------------------
+    def __add__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else add(self, other)
+
+    def __radd__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else add(other, self)
+
+    def __sub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else add(self, negate(other))
+
+    def __rsub__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else add(other, negate(self))
+
+    def __mul__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else mul(self, other)
+
+    def __rmul__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else mul(other, self)
+
+    def __truediv__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else mul(self, power(other, -1))
+
+    def __rtruediv__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else mul(other, power(self, -1))
+
+    def __pow__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else _python_power(self, other)
+
+    def __rpow__(self, other):
+        other = _operand(other)
+        return NotImplemented if other is None else _python_power(other, self)
+
+    def __neg__(self):
+        return negate(self)
+
+    def __pos__(self):
+        return self
+
+    def diff(self, *vs):
+        """The partial derivative in the chart variables vs in turn (each a
+        variable node, a sympy symbol or a name; an integer repeats the
+        variable before it), as sympy's diff takes them."""
+        out, last = self, None
+        for v in vs:
+            for v in [last] * (v - 1) if isinstance(v, int) else [v]:
+                out, last = diff(out, v if isinstance(v, str) else v.name), v
+        return out
+
+    def as_real_imag(self):
+        return self, ZERO
+
+    def exact(self, point=None):
+        """The exact value at a rational point {name: number}, a Fraction,
+        or None where it is not rational (pi, a surd, sin(1), ...)."""
+        point = {k: Fraction(v) for k, v in (point or {}).items()}
+        return _exact(self, point, {})
+
+    def subs(self, *args, **kwargs):
+        """The node with chart variables replaced by numbers or nodes, given
+        as {variable or name: value}; any other substitution is sympy's, on
+        the sympy view."""
+        if len(args) == 1 and isinstance(args[0], dict) and not kwargs:
+            point = {getattr(k, "name", k): _operand(v) for k, v in args[0].items()}
+            if None not in point.values() and all(isinstance(k, str) for k in point):
+                return _subs(self, point, {})
+        return to_sympy(self).subs(*args, **kwargs)
+
+    def value(self):
+        """The complex value of a node that reads no chart variable."""
+        if self._value is None:
+            if self.vars:
+                raise TypeError(f"{self} depends on {sorted(self.vars)}")
+            try:
+                self._value = _constant_value(self)
+            except (OverflowError, ZeroDivisionError):
+                # beyond floating point, as a sampled value would be
+                self._value = complex(math.nan, math.nan)
+        return self._value
+
+    def __complex__(self):
+        return self.value()
+
+    def __float__(self):
+        z = self.value()
+        if z.imag:
+            raise TypeError(f"{self} is not real")
+        return z.real
+
+    def _sympy_(self):
+        return to_sympy(self)
+
+    def __getattr__(self, name):
+        # the sympy view answers what a node does not, for symbolic callers
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(to_sympy(self), name)
+
+    def __str__(self):
+        return _print(self)
+
+    __repr__ = __str__
+
+
+_TABLE = {}
+
+
+def _bits(q):
+    return max(abs(q.numerator).bit_length(), q.denominator.bit_length(), 1)
+
+
+def _intern(op, args, key=None):
+    key = (op, args if key is None else key)
+    node = _TABLE.get(key)
+    if node is not None:
+        return node
+    node = object.__new__(Node)
+    node.op, node.args, node._value, node._sym = op, args, None, None
+    node.vars, node.bits = frozenset(), 1
+    if op == "num":
+        node.bits, node.real, node.nonneg, node.positive = _bits(args), True, args >= 0, args > 0
+    elif op == "var":
+        node.vars, node.real, node.nonneg, node.positive = frozenset((args,)), True, False, False
+    elif op == "pi":
+        node.real = node.nonneg = node.positive = True
+    elif op == "const":
+        z = args[0]
+        node.real, node.nonneg, node.positive = z.imag == 0, z.imag == 0 and z.real >= 0, \
+            z.imag == 0 and z.real > 0
+    elif op == "add":
+        const, terms = args
+        node.vars = frozenset().union(*(t.vars for t, _ in terms))
+        node.bits = max([_bits(const)] + [max(t.bits, _bits(c)) for t, c in terms])
+        node.real = all(t.real for t, _ in terms)
+        node.nonneg = const >= 0 and all(c > 0 and t.nonneg for t, c in terms)
+        node.positive = node.nonneg and (const > 0 or any(t.positive for t, _ in terms))
+    elif op == "mul":
+        node.vars = frozenset().union(*(b.vars for b, _ in args))
+        node.bits = max(max(b.bits, _bits(e)) for b, e in args)
+        node.real = all(_real_factor(b, e) for b, e in args)
+        node.nonneg = all(_nonneg_factor(b, e) for b, e in args)
+        node.positive = all(b.positive for b, _ in args)
+    else:  # sin, cos, exp
+        node.vars, node.bits, node.real = args.vars, args.bits, args.real
+        node.nonneg = node.positive = op == "exp" and args.real
+    if not node.vars and node.real and not node.nonneg and op in ("add", "mul", "sin", "cos"):
+        # the sign of a real constant is its value's, as sympy decides it
+        node.nonneg, node.positive = node.value().real >= 0, node.value().real > 0
+    _TABLE[key] = node
+    return node
+
+
+def _nonneg_factor(base, e):
+    """Whether base^e is known nonnegative: a positive base, a nonnegative
+    one to a positive power, or a real one to a positive even power."""
+    return base.positive or (e > 0 and (base.nonneg or (
+        e.denominator == 1 and e % 2 == 0 and base.real)))
+
+
+def _real_factor(base, e):
+    """Whether base^e is known real (and finite): a negative power of a
+    variable base may be infinite."""
+    if base.positive:
+        return True
+    if e > 0:
+        return base.real and (e.denominator == 1 or base.nonneg)
+    return e.denominator == 1 and base.real and not base.vars
+
+
+def number(q):
+    return _intern("num", Fraction(q))
+
+
+ZERO, ONE, MINUS_ONE = number(0), number(1), number(-1)
+PI = _intern("pi", ())
+
+
+def variable(name):
+    return _intern("var", name)
+
+
+Y_VARS = tuple(variable(name) for name in Y_NAMES)
+X_VARS = tuple(variable(name) for name in X_NAMES)
+
+
+def _decimal(value):
+    """A JSON or literal number as a Fraction; a float reads as its shortest
+    decimal, so 0.1 is 1/10."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise GrammarError(f"{value} is not finite")
+        return Fraction(repr(float(value)))
+    return Fraction(value)
+
+
+def _operand(value):
+    """value as a node for arithmetic with nodes; None for a sympy or Pair
+    operand, whose own operators take over."""
+    if isinstance(value, Node):
+        return value
+    if isinstance(value, (int, Fraction, float)):
+        return number(_decimal(value))
+    return None
+
+
+def _python_power(base, e):
+    """base ** e in Python code: outside the grammar (a power that reads a
+    chart variable, or that sympy keeps complex) it is sympy's power."""
+    try:
+        return power(base, e)
+    except GrammarError:
+        return to_sympy(base) ** to_sympy(e)
+
+
+def _coeff_term(node):
+    """(c, t) with node = c * t and t free of a rational factor."""
+    if node.op == "num":
+        return node.args, ONE
+    if node.op == "add" and node.args[0] == 0 and len(node.args[1]) == 1:
+        term, c = node.args[1][0]
+        return c, term
+    return Fraction(1), node
+
+
+def _factors(node):
+    """(c, ((base, exponent), ...)) with node = c * prod base^exponent."""
+    c, term = _coeff_term(node)
+    if term is ONE:
+        return c, ()
+    if term.op == "mul":
+        return c, term.args
+    return c, ((term, Fraction(1)),)
+
+
+def _sum(const, terms):
+    items = tuple((t, c) for t, c in terms.items() if c)
+    if not items:
+        return number(const)
+    if const == 0 and len(items) == 1 and items[0][1] == 1:
+        return items[0][0]
+    return _intern("add", (Fraction(const), items), (Fraction(const), frozenset(items)))
+
+
+def add(*items):
+    """The sum, flattened, with numbers folded and like terms collected."""
+    const, terms = Fraction(0), {}
+    for a in items:
+        if a.op == "num":
+            const += a.args
+        elif a.op == "add":
+            const += a.args[0]
+            for t, c in a.args[1]:
+                terms[t] = terms.get(t, 0) + c
+        else:
+            terms[a] = terms.get(a, 0) + 1
+    return _sum(const, terms)
+
+
+def negate(a):
+    return mul(MINUS_ONE, a)
+
+
+def _scaled(c, node):
+    """c * node for a rational c: a sum takes the factor term by term."""
+    if c == 1:
+        return node
+    if c == 0:
+        return ZERO
+    if node.op == "num":
+        return number(c * node.args)
+    if node.op == "add":
+        return _sum(node.args[0] * c, {t: k * c for t, k in node.args[1]})
+    return _intern("add", (Fraction(0), ((node, Fraction(c)),)),
+                   (Fraction(0), frozenset(((node, Fraction(c)),))))
+
+
+def mul(*items):
+    """The product, flattened, with numbers folded and like bases collected."""
+    coeff, pairs = Fraction(1), []
+    for a in items:
+        c, factors = _factors(a)
+        coeff *= c
+        pairs.extend(factors)
+    return _product(coeff, pairs)
+
+
+def _product(coeff, pairs):
+    """coeff * prod base^exponent, normalised: equal bases collect their
+    exponents, exp factors whose arguments share a term merge, numeric
+    bases fold, and a base that is itself a product or scaled term is
+    distributed once its exponent is an integer."""
+    if coeff == 0:
+        return ZERO
+    bases, exps, work = {}, {}, list(pairs)
+    while work:
+        b, e = work.pop(0)
+        if b.op == "exp" and (e.denominator == 1 or b.args.real):
+            c, t = _coeff_term(b.args)
+            exps[t] = exps.get(t, 0) + c * e
+        else:
+            bases[b] = bases.get(b, 0) + e
+        if not work:
+            # bases whose exponent became an integer open up again
+            again = [(b, e) for b, e in bases.items() if e and e.denominator == 1
+                     and (b.op in ("mul", "num") or _coeff_term(b)[1] is not b)]
+            for b, e in again:
+                del bases[b]
+                c, factors = _factors(power(b, e))
+                coeff *= c
+                work.extend(factors)
+    if coeff == 0:
+        return ZERO
+    factors, radicals = [], {}
+    for b, e in bases.items():
+        if e == 0:
+            continue
+        if b.op == "num":
+            radicals.setdefault(e, []).append(b.args)
+            continue
+        factors.append((b, Fraction(e)))
+    for e, nums in radicals.items():
+        c, more = _factors(_number_power(math.prod(nums), e))
+        coeff *= c
+        factors.extend(more)
+    for t, c in exps.items():
+        if c:
+            factors.append((_intern("exp", _scaled(c, t)), Fraction(1)))
+    if not factors:
+        return number(coeff)
+    if len(factors) == 1 and factors[0][1] == 1:
+        core = factors[0][0]
+    else:
+        core = _intern("mul", tuple(factors), frozenset(factors))
+    return _scaled(coeff, core)
+
+
+def _root(q, r):
+    """The exact r-th root of a positive Fraction, or None."""
+    out = []
+    for n in (q.numerator, q.denominator):
+        guess = math.isqrt(n) if r == 2 else round(n ** (1.0 / r))
+        hit = next((g for g in (guess - 1, guess, guess + 1) if g >= 0 and g ** r == n), None)
+        if hit is None:
+            return None
+        out.append(hit)
+    return Fraction(out[0], out[1])
+
+
+def _number_power(q, e):
+    """q^e for rational q and e, exact where it is rational."""
+    q, e = Fraction(q), Fraction(e)
+    if e.denominator == 1:
+        if q == 0 and e < 0:
+            raise GrammarError(f"0^{e} is not finite")
+        return number(q ** int(e))
+    if q < 0:
+        if e.denominator == 2:
+            raise GrammarError(f"({q})^({e}) is complex")
+        raise GrammarError(f"non-integer power ({q})^({e})")
+    if q == 0:
+        if e < 0:
+            raise GrammarError(f"0^{e} is not finite")
+        return ZERO
+    root = _root(q, e.denominator)
+    if root is not None:
+        return number(root ** e.numerator)
+    whole = e.numerator // e.denominator
+    frac = e - whole
+    coeff, base = q ** whole, q
+    if frac.denominator == 2 and q.denominator != 1:
+        # sqrt(a/b) = sqrt(a*b)/b
+        coeff, base = coeff / q.denominator, Fraction(q.numerator * q.denominator)
+    node = _intern("mul", ((number(base), frac),), frozenset(((number(base), frac),)))
+    return _scaled(coeff, node)
+
+
+def power(base, e):
+    """base^e for a numeric exponent e (a number or number node)."""
+    if isinstance(e, Node):
+        if e.op != "num":
+            if base is ONE:
+                return ONE
+            if base.op == "exp":
+                return function("exp", mul(base.args, e))
+            raise GrammarError(f"non-integer power ({base})^({e})")
+        e = e.args
+    e = Fraction(e)
+    if e == 0:
+        return ONE
+    if e == 1:
+        return base
+    if base.op == "num":
+        return _number_power(base.args, e)
+    if base.op == "exp" and (e.denominator == 1 or base.args.real):
+        return function("exp", _scaled(e, base.args))
+    if e.denominator != 1 and base.op == "mul" and len(base.args) == 1 and not base.vars \
+            and base.real and base.value().real < 0:
+        raise GrammarError(f"({base})^({e}) is complex")
+    c, factors = _factors(base)
+    if e.denominator == 1:
+        return _product(Fraction(1), [(number(c), e)] + [(b, k * e) for b, k in factors])
+    if c == 1 and len(factors) == 1:
+        b, k = factors[0]
+        if k == 1:
+            # a single atom or sum: kept as a factor
+            return _product(Fraction(1), [(base, e)])
+        merged = _root_of_power(b, k, e)
+        if merged is not None:
+            return _product(Fraction(1), [merged])
+    # a fractional power of a product: nonnegative factors come out
+    out, rest = [(number(abs(c)), e)], []
+    for b, k in factors:
+        if b.positive or (k > 0 and b.nonneg) or (
+                not b.vars and b.real and _factor_value(b, k).real > 0):
+            out.append((b, k * e))
+        elif k > 0 and k.denominator == 1 and k % 2 == 0 and b.real:
+            if (k * e).denominator != 1 or (k * e) % 2:
+                raise GrammarError(f"({base})^({e}) needs Abs, which is outside the grammar")
+            out.append((b, k * e))
+        else:
+            rest.append((b, k))
+    if not rest:
+        if c < 0:
+            raise GrammarError(f"({base})^({e}) is complex")
+        return _product(Fraction(1), out)
+    inner = _product(Fraction(1) if c > 0 else Fraction(-1), rest)
+    if inner.op == "mul" and len(inner.args) == 1:
+        merged = _root_of_power(*inner.args[0], e)
+        if merged is not None:
+            return _product(Fraction(1), out + [merged])
+    return _product(Fraction(1), out + [(inner, e)])
+
+
+def _root_of_power(b, k, e):
+    """(b^k)^e for a fractional e as one factor (b, k e) where that holds:
+    |k| < 1 or b >= 0; an even k on a real b makes |b|^(k e), which is b^(k e)
+    for an even k e and refused otherwise (Abs).  None: it stays nested."""
+    if abs(k) < 1 or b.nonneg:
+        return b, k * e
+    if k.denominator == 1 and k % 2 == 0 and b.real:
+        if (k * e).denominator == 1 and (k * e) % 2 == 0:
+            return b, k * e
+        if negate(b).nonneg:
+            return negate(b), k * e
+        raise GrammarError(f"({b})^({k * e}) needs Abs, which is outside the grammar")
+    return None
+
+
+def _minus(a):
+    """Whether a has a leading minus sign, as sympy decides for a product or
+    a number; a sum with more negative than positive terms."""
+    if a.op == "num":
+        return a.args < 0
+    if a.op != "add":
+        return False
+    const, terms = a.args
+    if const == 0 and len(terms) == 1:
+        return terms[0][1] < 0
+    neg = (const < 0) + sum(c < 0 for _, c in terms)
+    pos = (const > 0) + sum(c > 0 for _, c in terms)
+    return neg > pos
+
+
+def _pi_multiple(a):
+    c, t = _coeff_term(a)
+    return c if t is PI else None
+
+
+# sin(k*pi) at the multiples of pi/6 and pi/4 in [0, 2)
+_SIN_PI = {Fraction(0): (0, 0), Fraction(1, 6): (Fraction(1, 2), 0),
+           Fraction(1, 4): (Fraction(1, 2), 2), Fraction(1, 3): (Fraction(1, 2), 3),
+           Fraction(1, 2): (1, 0)}
+
+
+def _sin_pi(k):
+    """sin(k*pi) as a node for the table's multiples, else None."""
+    k = k % 2
+    sign = 1
+    if k >= 1:
+        k, sign = k - 1, -1
+    if k > _HALF:
+        k = 1 - k
+    if k not in _SIN_PI:
+        return None
+    c, surd = _SIN_PI[k]
+    return _scaled(sign * Fraction(c), _number_power(surd, _HALF) if surd else ONE)
+
+
+def function(name, a):
+    """sin, cos or exp of a, folded at 0, at multiples of pi and by sign."""
+    if name == "exp":
+        return ONE if a is ZERO else _intern("exp", a)
+    sin = name == "sin"
+    if a is ZERO:
+        return ZERO if sin else ONE
+    if _minus(a):
+        return negate(function(name, negate(a))) if sin else function(name, negate(a))
+    k = _pi_multiple(a)
+    if k is not None:
+        folded = _sin_pi(k if sin else k + _HALF)
+        if folded is not None:
+            return folded
+    if a.op == "add":
+        terms = dict(a.args[1])
+        m = terms.pop(PI, 0)
+        if m:
+            m1 = m % _HALF
+            m2 = m - m1
+            if m2:
+                terms[PI] = m1
+                rest = _sum(a.args[0], terms)
+                s, c = _sin_pi(m2), _sin_pi(m2 + _HALF)
+                if sin:
+                    return add(mul(s, function("cos", rest)), mul(c, function("sin", rest)))
+                return add(mul(c, function("cos", rest)), negate(mul(s, function("sin", rest))))
+    return _intern(name, a)
+
+
+def diff(node, name):
+    """d node / d name, memoised per (node, name)."""
+    if name not in node.vars:
+        return ZERO
+    key = (node, name)
+    found = _DIFFS.get(key)
+    if found is None:
+        found = _DIFFS[key] = _diff(node, name)
+    return found
+
+
+_DIFFS = {}
+
+
+def _diff(node, name):
+    op, args = node.op, node.args
+    if op == "var":
+        return ONE
+    if op == "add":
+        return add(*[_scaled(c, diff(t, name)) for t, c in args[1]])
+    if op == "mul":
+        terms = []
+        for i, (b, e) in enumerate(args):
+            db = diff(b, name)
+            if db is ZERO:
+                continue
+            rest = [(bb, ee) for j, (bb, ee) in enumerate(args) if j != i]
+            terms.append(mul(_product(e, rest + [(b, e - 1)]), db))
+        return add(*terms)
+    inner = diff(args, name)
+    if op == "sin":
+        return mul(function("cos", args), inner)
+    if op == "cos":
+        return negate(mul(function("sin", args), inner))
+    return mul(node, inner)  # exp
+
+
+def _exact(node, point, memo):
+    if node in memo:
+        return memo[node]
+    op, args = node.op, node.args
+    out = None
+    if op == "num":
+        out = args
+    elif op == "var":
+        out = point.get(args)
+    elif op == "add":
+        parts = [_exact(t, point, memo) for t, _ in args[1]]
+        if None not in parts:
+            out = args[0] + sum(c * p for (_, c), p in zip(args[1], parts))
+    elif op == "mul":
+        out = Fraction(1)
+        for b, e in args:
+            v = _exact(b, point, memo)
+            if v is None or (v == 0 and e < 0):
+                out = None
+                break
+            if e.denominator != 1:
+                if v < 0:
+                    out = None
+                    break
+                v = _root(v, e.denominator)
+                if v is None:
+                    out = None
+                    break
+                e = Fraction(e.numerator)
+            out *= v ** int(e)
+    elif op in FUNCTIONS:
+        if _exact(args, point, memo) == 0:
+            out = Fraction(0) if op == "sin" else Fraction(1)
+    memo[node] = out
+    return out
+
+
+def _subs(node, point, memo):
+    if node in memo:
+        return memo[node]
+    op, args = node.op, node.args
+    if not node.vars & point.keys():
+        out = node
+    elif op == "var":
+        out = point[args]
+    elif op == "add":
+        out = add(number(args[0]), *[_scaled(c, _subs(t, point, memo)) for t, c in args[1]])
+    elif op == "mul":
+        out = mul(*[power(_subs(b, point, memo), e) for b, e in args])
+    else:
+        out = function(op, _subs(args, point, memo))
+    memo[node] = out
+    return out
+
+
+def _constant_value(node):
+    """The complex value of a variable-free node, principal roots."""
+    op, args = node.op, node.args
+    if op == "num":
+        return complex(args)
+    if op == "pi":
+        return complex(math.pi)
+    if op == "const":
+        return args[0]
+    if op == "add":
+        out = complex(args[0])
+        for t, c in args[1]:
+            out += complex(c) * t.value()
+        return out
+    if op == "mul":
+        out = 1 + 0j
+        for b, e in args:
+            out *= _factor_value(b, e)
+        return out
+    return {"sin": cmath.sin, "cos": cmath.cos, "exp": cmath.exp}[op](args.value())
+
+
+def _factor_value(base, e):
+    """base^e for a variable-free base, with the principal root."""
+    v = base.value()
+    if e.denominator == 1:
+        return v ** int(e)
+    if e.denominator == 2:
+        return cmath.sqrt(v) ** int(2 * e)
+    return v ** float(e)
+
+
+def _print(node):
+    op, args = node.op, node.args
+    if op == "num":
+        return str(args)
+    if op == "var":
+        return args
+    if op == "pi":
+        return "pi"
+    if op == "const":
+        return str(args[1])
+    if op == "add":
+        parts = [] if args[0] == 0 else [str(args[0])]
+        for t, c in args[1]:
+            text = str(t) if t.op == "mul" else _atom(t)
+            parts.append(str(t) if c == 1 else f"-{text}" if c == -1 else f"{c}*{text}")
+        return " + ".join(parts).replace("+ -", "- ")
+    if op == "mul":
+        return "*".join(_atom(b) if e == 1 else f"{_atom(b)}^{_atom(number(e))}"
+                        for b, e in args)
+    return f"{op}({args})"
+
+
+def _atom(node):
+    text = str(node)
+    return text if node.op in ("var", "pi", "sin", "cos", "exp") or (
+        node.op == "num" and node.args.denominator == 1 and node.args >= 0) else f"({text})"
+
+
+class Pair:
+    """A complex field re + i*im from two real nodes: the only complex
+    values of the grammar."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    def __eq__(self, other):
+        if isinstance(other, Pair):
+            return self.re is other.re and self.im is other.im
+        if isinstance(other, (int, Fraction, float, Node)):
+            return self.im is ZERO and self.re == other
+        if is_sympy(other):
+            return (to_sympy(self) - other).expand() == 0
+        return NotImplemented
+
+    __hash__ = None
+
+    @staticmethod
+    def _of(value):
+        if isinstance(value, Pair):
+            return value
+        node = _operand(value)
+        return None if node is None else Pair(node, ZERO)
+
+    def __add__(self, other):
+        o = Pair._of(other)
+        return NotImplemented if o is None else Pair(self.re + o.re, self.im + o.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = Pair._of(other)
+        return NotImplemented if o is None else Pair(self.re - o.re, self.im - o.im)
+
+    def __rsub__(self, other):
+        o = Pair._of(other)
+        return NotImplemented if o is None else Pair(o.re - self.re, o.im - self.im)
+
+    def __mul__(self, other):
+        o = Pair._of(other)
+        if o is None:
+            return NotImplemented
+        if o.im is ZERO:
+            return Pair(self.re * o.re, self.im * o.re)
+        return Pair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Pair(-self.re, -self.im)
+
+    def diff(self, v):
+        return Pair(self.re.diff(v), self.im.diff(v))
+
+    def as_real_imag(self):
+        return self.re, self.im
+
+    def _sympy_(self):
+        return to_sympy(self)
+
+    def __str__(self):
+        return f"{self.re} + I*({self.im})"
+
+    __repr__ = __str__
+
+
+def variables(expr):
+    """The names of the chart variables expr reads: a node, a Pair, a sympy
+    expression (by its symbols' names) or a number."""
+    if isinstance(expr, Node):
+        return set(expr.vars)
+    if isinstance(expr, Pair):
+        return set(expr.re.vars | expr.im.vars)
+    if is_sympy(expr):
+        return {s.name for s in expr.free_symbols}
+    return set()
+
+
+def as_field(value):
+    """A node or Pair for a node, Pair, number, Python complex or sympy
+    expression (through from_sympy)."""
+    if isinstance(value, (Node, Pair)):
+        return value
+    if isinstance(value, complex):
+        return Pair(number(_decimal(value.real)), number(_decimal(value.imag)))
+    node = _operand(value)
+    if node is not None:
+        return node
+    if is_sympy(value):
+        return from_sympy(value)
+    raise UnsupportedNode(f"{value!r} is not an expression")
+
+
+def to_sympy(expr):
+    """The sympy expression of a node or Pair (real chart symbols)."""
+    import sympy as sp
+
+    if isinstance(expr, Pair):
+        return to_sympy(expr.re) + sp.I * to_sympy(expr.im)
+    if not isinstance(expr, Node):
+        return sp.sympify(expr)
+    if expr._sym is None:
+        op, args = expr.op, expr.args
+        if op == "num":
+            out = sp.Rational(args.numerator, args.denominator)
+        elif op == "var":
+            out = sp.Symbol(args, real=True)
+        elif op == "pi":
+            out = sp.pi
+        elif op == "const":
+            out = args[1]
+        elif op == "add":
+            out = sp.Add(to_sympy(number(args[0])),
+                         *[to_sympy(number(c)) * to_sympy(t) for t, c in args[1]])
+        elif op == "mul":
+            out = sp.Mul(*[to_sympy(b) ** to_sympy(number(e)) for b, e in args])
+        else:
+            out = getattr(sp, op)(to_sympy(args))
+        expr._sym = out
+    return expr._sym
+
+
+def from_sympy(expr):
+    """The node of a sympy expression, or a Pair where it has a term in I.
+
+    Chart symbols must be real (as ``Chart.ys``/``xs`` convert); a subtree
+    free of chart symbols without node form (log(2), a float) becomes one
+    constant; anything else raises UnsupportedNode."""
+    import sympy as sp
+
+    expr = sp.sympify(expr)
+    if expr.has(sp.I):
+        expr = sp.expand(expr)
+        return Pair(_from_sympy(expr.coeff(sp.I, 0), {}), _from_sympy(expr.coeff(sp.I), {}))
+    return _from_sympy(expr, {})
+
+
+def _from_sympy(expr, memo):
+    found = memo.get(expr)
+    if found is not None:
+        return found
+    import sympy as sp
+
+    try:
+        if expr.is_Rational:
+            out = number(Fraction(int(expr.p), int(expr.q)))
+        elif expr is sp.pi:
+            out = PI
+        elif expr.is_Symbol:
+            if expr.name not in Y_NAMES + X_NAMES or expr != sp.Symbol(expr.name, real=True):
+                raise UnsupportedNode(f"{expr} is not a variable of the chart")
+            out = variable(expr.name)
+        elif expr.is_Add:
+            out = add(*[_from_sympy(a, memo) for a in expr.args])
+        elif expr.is_Mul:
+            out = mul(*[_from_sympy(a, memo) for a in expr.args])
+        elif expr.is_Pow and expr.exp.is_Rational:
+            out = power(_from_sympy(expr.base, memo), Fraction(int(expr.exp.p), int(expr.exp.q)))
+        elif isinstance(expr, (sp.sin, sp.cos, sp.exp)):
+            out = function(type(expr).__name__, _from_sympy(expr.args[0], memo))
+        else:
+            raise UnsupportedNode(f"cannot evaluate the {type(expr).__name__} node {expr}")
+    except (UnsupportedNode, GrammarError):
+        if expr.free_symbols:
+            raise
+        out = _intern("const", (complex(expr), expr), expr)
+    memo[expr] = out
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the grammar
+# ---------------------------------------------------------------------------
+
+_NAMES = {v.args: v for v in Y_VARS + X_VARS}
+_NAMES["pi"] = PI
+_BINARY = {ast.Add: add, ast.Sub: lambda a, b: add(a, negate(b)), ast.Mult: mul,
+           ast.Div: lambda a, b: mul(a, power(b, -1))}
+
+
+def _power_of(base, exp):
+    """base^exp from a ``^`` of the source, refused before it is computed
+    when the exponent is a number above MAX_POWER or times the bit length of
+    the largest number in the base passes MAX_BITS: a power distributes over
+    a product, so (10^60*y1)^64 would build 10^3840."""
+    if exp.op == "num":
+        if abs(exp.args) > MAX_POWER or abs(exp.args) * base.bits > MAX_BITS:
             raise GrammarError(f"a power with exponent {exp} exceeds {MAX_POWER} or "
                                f"{MAX_BITS} bits")
-    return base ** exp
+    return power(base, exp)
 
 
 def _build(node):
-    """The sympy expression of one syntax-tree node of the grammar, combined
-    with Python's operators on sympy operands as an evaluated string would be."""
+    """The expression node of one syntax-tree node of the grammar."""
     if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-        return _power(_build(node.left), _build(node.right))
+        return _power_of(_build(node.left), _build(node.right))
     if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
         return _BINARY[type(node.op)](_build(node.left), _build(node.right))
-    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
-        return _UNARY[type(node.op)](_build(node.operand))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+        return _build(node.operand)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return negate(_build(node.operand))
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-            and node.func.id in _CALLS and not node.keywords and len(node.args) == 1
+            and node.func.id in FUNCTIONS and not node.keywords and len(node.args) == 1
             and not isinstance(node.args[0], ast.Starred)):
-        return _CALLS[node.func.id](_build(node.args[0]))
+        return function(node.func.id, _build(node.args[0]))
     if isinstance(node, ast.Name) and node.id in _NAMES:
         return _NAMES[node.id]
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        return _number(node.value)
+        return number(_decimal(node.value))
     raise GrammarError(f"{ast.unparse(node)} is outside the grammar")
 
 
 def parse_scalar(value, n=3):
     """Parse a grammar string, a number, or a {"re","im"} pair.
 
-    Returns a sympy expression; the pair form yields re + I*im.
-    """
+    Returns a Node; the pair form yields a Pair.  A node, Pair or sympy
+    expression is checked against the grammar (a sympy one converted)."""
     if isinstance(value, dict):
         extra = set(value) - {"re", "im"}
         if extra:
             raise GrammarError(f"unknown keys in complex literal: {sorted(extra)}")
-        re = parse_scalar(value.get("re", 0), n)
-        im = parse_scalar(value.get("im", 0), n)
-        return re + sp.I * im
-    if isinstance(value, (int, float)):
-        return validate_grammar(_number(value), n)
-    if isinstance(value, sp.Expr):
-        validate_grammar(value, n)
-        return value
+        return Pair(parse_scalar(value.get("re", 0), n), parse_scalar(value.get("im", 0), n))
+    if isinstance(value, (int, float, Fraction)):
+        return validate_grammar(number(_decimal(value)), n)
+    if isinstance(value, (Node, Pair)):
+        return validate_grammar(value, n)
+    if is_sympy(value):
+        try:
+            return validate_grammar(from_sympy(value), n)
+        except UnsupportedNode as exc:
+            raise GrammarError(str(exc)) from None
     if not isinstance(value, str):
         raise GrammarError(f"cannot parse {value!r} as a scalar field")
     try:
         # ValueError: a null byte; RecursionError: nesting too deep to build
         expr = _build(ast.parse(value.replace("^", "**"), mode="eval").body)
+    except GrammarError as exc:
+        if "complex" in str(exc):
+            raise GrammarError(f"{value!r} is complex; complex values enter only as "
+                               '{"re": ..., "im": ...}') from None
+        raise
     except (SyntaxError, ValueError, RecursionError) as exc:
         raise GrammarError(f"cannot parse {value!r}: {exc}") from None
-    if expr.has(sp.I):
-        raise GrammarError(f"{value!r} is complex; complex values enter only as "
-                           '{"re": ..., "im": ...}')
-    validate_grammar(expr, n)
-    return expr
+    return validate_grammar(expr, n)
 
 
 def validate_grammar(expr, n=3):
-    """Check that expr is finite and uses only grammar node kinds, chart
-    variables and exponents of at most MAX_POWER."""
-    if expr.has(sp.nan, sp.zoo, sp.oo, -sp.oo):
-        raise GrammarError(f"{expr} is not finite")
-    allowed_syms = set(Y_SYMBOLS[:n]) | set(X_SYMBOLS[:n])
-    for sym in expr.free_symbols:
-        if sym not in allowed_syms:
-            raise GrammarError(f"unknown variable {sym} (chart dimension {n})")
-    for node in sp.preorder_traversal(expr):
-        if isinstance(node, sp.Function) and not isinstance(node, ALLOWED_FUNCTIONS):
-            raise GrammarError(f"function {node.func} is outside the grammar")
-        if isinstance(node, sp.Pow):
-            if not (node.exp.is_Integer or node.exp == sp.Rational(1, 2)
-                    or node.exp == -sp.Rational(1, 2)):
-                raise GrammarError(f"non-integer power {node}")
-            if abs(node.exp) > MAX_POWER:
-                raise GrammarError(f"{node} has an exponent above {MAX_POWER}")
+    """Check that expr uses only grammar nodes, chart variables of dimension
+    n and exponents that are integers of at most MAX_POWER or +-1/2."""
+    if isinstance(expr, Pair):
+        validate_grammar(expr.re, n)
+        validate_grammar(expr.im, n)
+        return expr
+    unknown = expr.vars - set(Y_NAMES[:n] + X_NAMES[:n])
+    if unknown:
+        raise GrammarError(f"unknown variable {min(unknown)} (chart dimension {n})")
+    for node in _preorder(expr):
+        if node.op == "const":
+            raise GrammarError(f"{node} is outside the grammar")
+        if node.op == "mul":
+            for b, e in node.args:
+                if not (e.denominator == 1 or abs(e) == _HALF):
+                    raise GrammarError(f"non-integer power ({b})^({e})")
+                if abs(e) > MAX_POWER:
+                    raise GrammarError(f"({b})^{e} has an exponent above {MAX_POWER}")
     return expr
+
+
+def _preorder(node):
+    seen, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        yield node
+        if node.op == "add":
+            stack.extend(t for t, _ in node.args[1])
+        elif node.op == "mul":
+            stack.extend(b for b, _ in node.args)
+        elif node.op in FUNCTIONS:
+            stack.append(node.args)
 
 
 def fibre_frequencies(expr, n):
@@ -158,33 +1097,39 @@ def fibre_frequencies(expr, n):
     Every occurrence of a fibre variable must sit inside sin/cos whose
     argument is 2*pi*(k . x) plus an x-free phase, k an integer vector;
     otherwise PeriodicityError names the first violation.  x-free subtrees
-    are skipped.
+    are skipped.  A Pair's halves are read both.
     """
-    xs = X_SYMBOLS[:n]
+    expr = as_field(expr)
+    if isinstance(expr, Pair):
+        return {**fibre_frequencies(expr.re, n), **fibre_frequencies(expr.im, n)}
+    xs = set(X_NAMES[:n])
     found = {}
 
     def frequency(atom, x):
-        slope = sp.expand(sp.diff(atom.args[0], x))
-        if slope.free_symbols:
+        c, t = _coeff_term(diff(atom.args, x))
+        if t.vars:
             raise PeriodicityError(f"argument of {atom} is nonlinear in {x}")
-        k = slope / (2 * sp.pi)
-        if not k.is_integer:
+        k = c / 2
+        if c and (t is not PI or k.denominator != 1):
             raise PeriodicityError(
                 f"frequency of {x} in {atom} is not an integer multiple of 2*pi")
         return int(k)
 
     def visit(node):
-        if node.free_symbols.isdisjoint(xs):
+        if node.vars.isdisjoint(xs):
             return
-        if isinstance(node, (sp.sin, sp.cos)):
-            found[node] = tuple(frequency(node, x) for x in xs)
-        elif node.is_Symbol:
+        if node.op in ("sin", "cos"):
+            found[node] = tuple(frequency(node, x) for x in X_NAMES[:n])
+        elif node.op == "var":
             raise PeriodicityError(f"fibre variable {node} appears outside sin/cos")
-        elif isinstance(node, sp.exp):
+        elif node.op == "exp":
             raise PeriodicityError(f"fibre variable inside exp in {node}")
+        elif node.op == "add":
+            for t, _ in node.args[1]:
+                visit(t)
         else:
-            for arg in node.args:
-                visit(arg)
+            for b, _ in node.args:
+                visit(b)
 
     visit(expr)
     return found
@@ -195,17 +1140,13 @@ def require_fibre_periodic(expr, n):
     return expr
 
 
+# ---------------------------------------------------------------------------
+# sampled fields: jets
+# ---------------------------------------------------------------------------
+
 # samples evaluated at once: temporaries stay a few MB per expression
 # even on a 3-d chart integral (512 x 4096 samples)
 _BLOCK_SAMPLES = 1 << 14
-
-
-class DegreeError(ValueError):
-    """Raised for operations applied at an invalid (bi)degree."""
-
-
-class UnsupportedNode(TypeError):
-    """Raised for a node kind that Walk does not evaluate."""
 
 
 @functools.lru_cache(maxsize=1024)
@@ -218,7 +1159,7 @@ def constant(c):
 class Jet:
     """A sampled field with its nonzero first partials.
 
-    ``value`` and each entry of ``partials`` (symbol -> partial) is a Python
+    ``value`` and each entry of ``partials`` (variable -> partial) is a Python
     complex constant or an array over the samples; they broadcast together.
     A product follows the product rule; ``diff`` returns the partial as a
     value-only jet (``partials`` None), which cannot be differentiated again:
@@ -288,7 +1229,7 @@ def _is_zero_constant(z):
 
 
 def _summed(first, second):
-    """Two maps of partials added by symbol, without the constant zeros."""
+    """Two maps of partials added by variable, without the constant zeros."""
     out = dict(first)
     for v, p in second.items():
         out[v] = out[v] + p if v in out else p
@@ -296,7 +1237,7 @@ def _summed(first, second):
 
 
 # ---------------------------------------------------------------------------
-# the evaluator: one walk of the expression trees, on jets
+# the evaluator: one walk of the expression nodes, on jets
 # ---------------------------------------------------------------------------
 
 def _chain(args, value, grads):
@@ -321,45 +1262,44 @@ def _power_op(k, half):
     return op
 
 
-def _atan2(a, b):
-    y, x = a.value.real, b.value.real
-    return _chain((a, b), np.arctan2(y, x), lambda: (x / (x * x + y * y), -y / (x * x + y * y)))
+def _sum_op(const, coeffs):
+    """const + sum c_i * a_i."""
+    def op(*args):
+        terms = [a if c == 1 else a * c for a, c in zip(args, coeffs)]
+        if const:
+            terms.insert(0, const)
+        return functools.reduce(operator.add, terms)
+    return op
 
 
-# the nodes Walk evaluates besides numeric powers; Abs and atan2 come from
-# as_real_imag of a power such as V = det(Im beta)^(-1/2), on real arguments
-_OPS = {
-    sp.Add: lambda *args: functools.reduce(operator.add, args),
-    sp.Mul: lambda *args: functools.reduce(operator.mul, args),
-    sp.sin: _unary(np.sin, np.cos),
-    sp.cos: _unary(np.cos, lambda v: -np.sin(v)),
-    sp.exp: _unary(np.exp, np.exp),
-    sp.Abs: _unary(np.abs, lambda v: np.sign(v.real)),
-    sp.atan2: _atan2,
-}
+def _product_op(*args):
+    return functools.reduce(operator.mul, args)
+
+
+_UNARY = {"sin": _unary(np.sin, np.cos), "cos": _unary(np.cos, lambda v: -np.sin(v)),
+          "exp": _unary(np.exp, np.exp)}
 
 
 class Walk:
     """One evaluator for a list of expressions in the chart variables.
 
-    The trees are walked once, memoised by node, into one program: a node
-    shared within or between expressions is computed once, and a subtree
-    free of chart variables is one complex constant.  The program runs on
-    jets: ``grid``, the only way to run it, gives the values, or values with
-    first partials by the chain rule, on a product grid of 1-d axes; each
-    intermediate is dropped after its last use.  ``reads`` holds
-    the positions of the chart variables the program reads.
-    It evaluates numbers, pi, I, the chart variables, sums, products,
-    integer and half-integer powers (with the principal root), sin, cos,
-    exp, and the Abs and atan2 that ``as_real_imag`` makes; any other node
-    raises UnsupportedNode.
+    Each expression is a node or a Pair (sympy input goes through
+    ``from_sympy``).  The nodes are walked once, memoised, into one program:
+    a node shared within or between expressions is computed once, and a
+    subtree free of chart variables is one complex constant.  The program
+    runs on jets: ``grid``, the only way to run it, gives the values, or
+    values with first partials by the chain rule, on a product grid of 1-d
+    axes; each intermediate is dropped after its last use.  ``reads`` holds
+    the positions of the chart variables the program reads.  Powers must be
+    integers or half-integers (with the principal root); any other power, or
+    a variable outside the chart, raises UnsupportedNode.
     """
 
-    def __init__(self, exprs, chart: Chart):
+    def __init__(self, exprs, chart):
         self.symbols = tuple(chart.ys) + tuple(chart.xs)
         self._memo = {s: i for i, s in enumerate(self.symbols)}
         self._steps = []
-        self.outputs = [self._visit(sp.sympify(e)) for e in exprs]
+        self.outputs = [self._output(as_field(e)) for e in exprs]
         del self._memo
         kept = {o for o in self.outputs if type(o) is int}
         slots = kept.union(a for _, args in self._steps for a in args if type(a) is int)
@@ -371,31 +1311,72 @@ class Walk:
                 drops[i].append(slot)
         self._steps = [(op, args, drop) for (op, args), drop in zip(self._steps, drops)]
 
+    def _output(self, expr):
+        if not isinstance(expr, Pair):
+            return self._visit(expr)
+        re, im = self._visit(expr.re), self._visit(expr.im)
+        if type(re) is complex and type(im) is complex:
+            return re + 1j * im
+        if type(re) is complex and re == 0:
+            return self._push(_product_op, [im, 1j])
+        return self._push(lambda a, b: a + b * 1j, [re, im])
+
+    def _push(self, op, args):
+        self._steps.append((op, [a if type(a) is int else Jet(a, {}) for a in args]))
+        return len(self.symbols) + len(self._steps) - 1
+
     def _visit(self, node):
         """The slot of node's value, or its complex constant."""
         found = self._memo.get(node)
         if found is None:
-            if node.is_Symbol:
+            if not node.vars:
+                found = node.value()
+            elif node.op == "var":
                 raise UnsupportedNode(f"{node} is not a variable of the chart")
-            args = [self._visit(a) for a in node.args]
-            if all(type(a) is complex for a in args):
-                found = constant(node)
             else:
-                self._steps.append(self._step(node, args))
-                found = len(self.symbols) + len(self._steps) - 1
+                found = self._step(node)
             self._memo[node] = found
         return found
 
-    @staticmethod
-    def _step(node, args):
-        """(op, args) of a node with a varying argument; its constant
-        arguments become constant jets."""
-        exp = node.exp if node.is_Pow else None
-        if exp is not None and exp.is_Rational and exp.q <= 2 and type(args[0]) is int:
-            return _power_op(int(exp.p), exp.q == 2), args[:1]
-        if node.func not in _OPS:
-            raise UnsupportedNode(f"cannot evaluate the {node.func.__name__} node {node}")
-        return _OPS[node.func], [a if type(a) is int else Jet(a, {}) for a in args]
+    def _step(self, node):
+        op, args = node.op, node.args
+        if op in _UNARY:
+            return self._push(_UNARY[op], [self._visit(args)])
+        if op == "add":
+            const, terms = args
+            if const == 0 and len(terms) == 1 and terms[0][0].op == "mul":
+                # a rational times a product: one product, constants first
+                return self._times(terms[0][1], terms[0][0].args)
+            folded, varying, coeffs = complex(const), [], []
+            for t, c in terms:
+                slot = self._visit(t)
+                if type(slot) is complex:
+                    folded += complex(c) * slot
+                else:
+                    varying.append(slot)
+                    coeffs.append(complex(c))
+            return self._push(_sum_op(folded, coeffs), varying)
+        return self._times(1, args)
+
+    def _times(self, coeff, factors):
+        """coeff * prod base^exponent: constant factors fold into one
+        complex constant, first; each varying power is its own step."""
+        folded, varying = complex(coeff), []
+        for b, e in factors:
+            if not b.vars:
+                folded *= _factor_value(b, e)
+                continue
+            if e.denominator > 2:
+                raise UnsupportedNode(f"cannot evaluate the power ({b})^({e})")
+            slot = self._visit(b)
+            if e != 1:
+                slot = self._push(_power_op(int(e.numerator), e.denominator == 2), [slot])
+            varying.append(slot)
+        if folded != 1:
+            varying.insert(0, folded)
+        if len(varying) == 1:
+            return varying[0]
+        return self._push(_product_op, varying)
 
     def _run(self, box, jets):
         """The outputs, as jets with first partials or as values, on the
@@ -487,7 +1468,7 @@ class Peaks:
         return [SupNorm(*peak, at=tuple(at)) for peak, at in zip(self.peak, self.at)]
 
 
-def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
+def sup_norms(groups, chart, base_k=5, fibre_k=8):
     """The SupNorm of each group of expressions over the deterministic sample grid.
 
     The nonzero expressions of all groups go into one Walk, evaluated on the
@@ -499,7 +1480,7 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
     owner, exprs = [], []
     for k, group in enumerate(groups):
         for e in group:
-            e = sp.sympify(e)
+            e = as_field(e)
             if e != 0:
                 owner.append(k)
                 exprs.append(e)
@@ -514,6 +1495,6 @@ def sup_norms(groups, chart: Chart, base_k=5, fibre_k=8):
     return peaks.norms()
 
 
-def sup_norm_scalars(exprs, chart: Chart, base_k=5, fibre_k=8):
+def sup_norm_scalars(exprs, chart, base_k=5, fibre_k=8):
     """Max |value| of the expressions over the deterministic sample grid."""
     return sup_norms([exprs], chart, base_k, fibre_k)[0]

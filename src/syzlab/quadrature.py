@@ -18,17 +18,17 @@ import functools
 import math
 
 import numpy as np
-import sympy as sp
 
 from .charts import Chart, circle_points
-from .fields import _BLOCK_SAMPLES, Walk, require_fibre_periodic
+from .fields import _BLOCK_SAMPLES, Walk, as_field, require_fibre_periodic
 
 
 def fibre_means(exprs, chart: Chart, axes, jets=False):
     """Means over the fibre axes of each expression at each base point.
 
     ``axes`` holds 2n 1-d axes, the n base axes and then the n fibre axes.
-    Every expression must be syntactically fibre-periodic.  The list goes
+    Each expression is a node or Pair (or sympy, converted) and must be
+    syntactically fibre-periodic.  The list goes
     into one Walk on the product grid, a sub-box of at most _BLOCK_SAMPLES
     points at a time, so a subexpression is evaluated only on the axes of
     the variables it reads.  Only base axes are split: a sub-box holds every
@@ -38,7 +38,7 @@ def fibre_means(exprs, chart: Chart, axes, jets=False):
     partials, shape (len(exprs), n, base points).
     """
     n = chart.n
-    exprs = [require_fibre_periodic(sp.sympify(e), n) for e in exprs]
+    exprs = [require_fibre_periodic(as_field(e), n) for e in exprs]
     parts = 1 + (n if jets else 0)
     means = np.empty((len(exprs), parts, *(len(a) for a in axes[:n])), dtype=complex)
     fibre = tuple(range(n, 2 * n))

@@ -330,7 +330,10 @@ class RunReport:
         }
 
     def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2, default=str)
+        """The report as JSON; a value JSON cannot hold exactly (NaN, an
+        infinity, a Fraction or an expression) raises instead of being
+        stringified."""
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2, allow_nan=False)
 
     def to_text(self):
         lines = [f"scenario: {self.scenario.get('kind')}"]
@@ -413,7 +416,7 @@ def _decode_beta(payload):
 # library errors that mean the payload's data is invalid
 _INPUT_ERRORS = ("fields.GrammarError", "fields.PeriodicityError", "charts.ChartError",
                  "fibre_models.ModelError", "sheaf.LocalSystemError",
-                 "k3.K3ValidationError", "duality.DualityError")
+                 "k3.K3ValidationError", "semiflat.DualityError")
 
 
 def _loaded(*names):
@@ -472,10 +475,8 @@ def _run_dualize(doc, report):
 
 
 def _run_hitchin(doc, report):
-    import sympy as sp
-
-    from .duality import HitchinPotential, SymTensorField, hitchin
     from .fields import parse_scalar
+    from .semiflat import HitchinPotential, hitchin
 
     cfg = _settings(doc)
     payload = doc["payload"]
@@ -483,6 +484,8 @@ def _run_hitchin(doc, report):
     pot = HitchinPotential(chart, parse_scalar(payload["potential"], chart.n))
     twist = None
     if "twist_potential" in payload:
+        from .duality import SymTensorField
+
         f = parse_scalar(payload["twist_potential"], chart.n)
         twist = SymTensorField(chart, HitchinPotential(chart, f).hessian)
     bs, info = hitchin(pot, twist, tol=cfg["tol"])
@@ -492,11 +495,23 @@ def _run_hitchin(doc, report):
                          check.worst_point)
     report.add_check("determinant_criterion_consistent", info["criterion_consistent"])
     report.outputs["hessian_determinant_residual"] = info["determinant_residual"]
-    report.outputs["hessian_determinant_value"] = sp.sstr(info["determinant_value"])
+    report.outputs["hessian_determinant_value"] = _exact_text(info["determinant_value"])
+
+
+def _exact_text(value):
+    """sympy's sstr of an exact value: a Fraction prints alike ("3/2", "-4")
+    without sympy, anything else through sympy."""
+    from fractions import Fraction
+
+    if isinstance(value, Fraction):
+        return str(value)
+    import sympy as sp
+
+    return sp.sstr(value)
 
 
 def _run_yukawa(doc, report):
-    from .duality import YukawaFamily, yukawa
+    from .semiflat import YukawaFamily, yukawa
 
     cfg = _settings(doc)
     payload = doc["payload"]

@@ -9,6 +9,11 @@ i*covariant_metric, and volume divergence d_y(V) - d_x'(V*beta) =
 parallel_volume - i*fibre_harmonic.  The four structure equations are their
 real and imaginary parts.
 
+beta's entries are kept as the two real expression nodes of each entry
+(``fields.Pair``), so b and gInv are read off, not recomputed; ``beta``,
+``b_matrix``, ``g_inv``, ``det_g_inv`` and ``volume_density`` are sympy views
+made on first use, for the symbolic layer.
+
 Each residual has one builder, a function of (chart, beta, V) over the
 graded algebra.  On sympy entries it gives the exact identity; the reported
 magnitudes come from the same builders run on first-order numeric jets
@@ -21,16 +26,21 @@ sampled at the 5^n base points only.  Every residual needs first derivatives
 only.  Each structure keeps one table of sampled residual peaks (|z|, |Re z|,
 |Im z| and where each is reached) by name: each residual is sampled once, and
 every report selects from the table.
+
+Hessian (Hitchin) structures and the coupling integral live here too: a
+potential's Hessian is taken with the node ``diff``, its determinant by
+Leibniz, and the coupling integrand V^2 * (direction determinants) is one
+node; none of them needs sympy on rational data.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
-import sympy as sp
 
 from .algebra import (
     BigradedElement,
@@ -44,9 +54,25 @@ from .algebra import (
     sort_with_sign,
 )
 from .charts import Chart
-from .fields import GrammarError, Peaks, Walk, require_fibre_periodic, sample_point
+from .fields import (
+    ZERO,
+    GrammarError,
+    Pair,
+    Peaks,
+    Walk,
+    as_field,
+    power,
+    require_fibre_periodic,
+    sample_point,
+    sup_norm_scalars,
+    to_sympy,
+    variables,
+)
+from .quadrature import chart_integral
 
 DEFAULT_TOL = 1e-8
+# fibre quadrature points per axis, where no caller chooses them
+FIBRE_RESOLUTION = 16
 POSITIVITY_FLOOR = 1e-9
 # the most points a sub-box of jets spans on the axes beta reads, whose leading
 # axes are split one point at a time until the rest span at most this many: a
@@ -56,6 +82,10 @@ _JET_ROWS = 4096
 
 class CompatibilityError(ValueError):
     """Raised when beta is not symmetric positive-imaginary where required."""
+
+
+class DualityError(ValueError):
+    """Raised for invalid potentials, twists, cycles and dualisation input."""
 
 
 @dataclass
@@ -91,22 +121,26 @@ class SemiflatReport:
         return all(c.passed for c in self.checks.values())
 
 
+def _pair(entry):
+    """An entry of beta as a Pair of real nodes (sympy through from_sympy)."""
+    entry = as_field(entry)
+    return entry if isinstance(entry, Pair) else Pair(entry, ZERO)
+
+
 class BetaStructure:
-    """beta = b + i*gInv on a chart; b and gInv are derived once, and the
-    symbolic det gInv and V = sqrt(det g) = 1/sqrt(det Im beta) on first use
-    (V = zoo when Im beta is singular: compatibility decides the verdict)."""
+    """beta = b + i*gInv on a chart, kept as ``pairs``, the re/im nodes of
+    each entry; ``det_node`` is det gInv and ``volume_node`` is
+    V = sqrt(det g) = 1/sqrt(det Im beta), and the sympy views are made on
+    first use (a sympy V is zoo when Im beta is singular: compatibility
+    decides the verdict)."""
 
     def __init__(self, chart: Chart, beta):
         self.chart = chart
         n = chart.n
-        beta = [[sp.expand(sp.sympify(beta[i][j])) for j in range(n)] for i in range(n)]
-        for row in beta:
+        self.pairs = [[_pair(beta[i][j]) for j in range(n)] for i in range(n)]
+        for row in self.pairs:
             for entry in row:
                 require_fibre_periodic(entry, n)
-        self.beta = beta
-        parts = [[entry.as_real_imag() for entry in row] for row in beta]
-        self.b_matrix = [[re for re, _ in row] for row in parts]
-        self.g_inv = [[im for _, im in row] for row in parts]
         # sampled residuals by name, filled by _sampled: a SupNorm each, and
         # for "positivity" the least eigenvalue of Im beta and where
         self._samples = {}
@@ -115,13 +149,46 @@ class BetaStructure:
     def n(self):
         return self.chart.n
 
+    def _view(self, part):
+        import sympy as sp
+
+        return [[sp.expand(to_sympy(getattr(e, part))) for e in row] for row in self.pairs]
+
+    @functools.cached_property
+    def b_matrix(self):
+        return self._view("re")
+
+    @functools.cached_property
+    def g_inv(self):
+        return self._view("im")
+
+    @functools.cached_property
+    def beta(self):
+        import sympy as sp
+
+        return [[sp.expand(b + sp.I * g) for b, g in zip(*rows)]
+                for rows in zip(self.b_matrix, self.g_inv)]
+
     @functools.cached_property
     def det_g_inv(self):
+        import sympy as sp
+
         return sp.expand(sp.Matrix(self.g_inv).det())
 
     @functools.cached_property
     def volume_density(self):
+        import sympy as sp
+
         return 1 / sp.sqrt(self.det_g_inv)
+
+    @functools.cached_property
+    def det_node(self):
+        return _determinant([[e.im for e in row] for row in self.pairs])
+
+    @functools.cached_property
+    def volume_node(self):
+        """V as a node, for a compatible structure."""
+        return power(self.det_node, Fraction(-1, 2))
 
     def beta_element(self) -> BigradedElement:
         return BigradedElement.from_matrix(self.chart, self.beta)
@@ -135,7 +202,7 @@ class BetaStructure:
     @functools.cached_property
     def _walk(self):
         """One evaluator of beta's entries, row by row."""
-        return Walk([entry for row in self.beta for entry in row], self.chart)
+        return Walk([entry for row in self.pairs for entry in row], self.chart)
 
     def _beta_jets(self):
         """(index, jets) over the sample grid, the sub-box (see _JET_ROWS)
@@ -228,7 +295,7 @@ def _d_omega(chart, beta, V) -> FormElement:
 def _connection_curvature(chart, beta) -> BigradedElement:
     """F = d_y(beta) - [beta, beta]/2, a bidegree (-1, 2) element."""
     element = BigradedElement.from_matrix(chart, beta)
-    return d_y(element) - bracket(element, element).scale(sp.Rational(1, 2))
+    return d_y(element) - bracket(element, element).scale(Fraction(1, 2))
 
 
 def _volume_divergence_residual(chart, beta, V) -> BigradedElement:
@@ -341,14 +408,22 @@ def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
 # fibrewise translations, action coordinates, regluing
 # ---------------------------------------------------------------------------
 
+def reads_fibre(expr, chart: Chart):
+    """Whether expr (a node, Pair, sympy expression or number) reads a fibre
+    variable of the chart; variables compare by name, so a node and a sympy
+    symbol of the same variable agree."""
+    return bool(variables(expr) & {x.name for x in chart.xs})
+
+
 def _check_base_one_form(sigma, chart):
-    sigma = [sp.expand(sp.sympify(s)) for s in sigma]
+    import sympy as sp
+
+    sigma = list(sigma)
     if len(sigma) != chart.n:
         raise ValueError("section must give one component per base axis")
-    for s in sigma:
-        if set(s.free_symbols) & set(chart.xs):
-            raise ValueError("section components must depend on y only")
-    return sigma
+    if any(reads_fibre(s, chart) for s in sigma):
+        raise ValueError("section components must depend on y only")
+    return [sp.expand(sp.sympify(s)) for s in sigma]
 
 
 def translate_by_section(bs: BetaStructure, sigma) -> BetaStructure:
@@ -356,6 +431,8 @@ def translate_by_section(bs: BetaStructure, sigma) -> BetaStructure:
 
     New matrix: beta_ij(y, x + sigma(y)) + d(sigma_i)/dy_j.
     """
+    import sympy as sp
+
     sigma = _check_base_one_form(sigma, bs.chart)
     n, xs, ys = bs.n, bs.chart.xs, bs.chart.ys
     shift = {xs[i]: xs[i] + sigma[i] for i in range(n)}
@@ -376,6 +453,8 @@ def base_potential(form: FormElement) -> FormElement:
     """A potential of a closed base form (the caller checks closedness) by the
     Poincare lemma, axis by axis from the box centre: the terms led by dy_a
     integrate along y_a, and the rest, read at y_a = centre, goes on."""
+    import sympy as sp
+
     chart = form.chart
     t = sp.Dummy("t", real=True)
     potential, rest = FormElement(chart), form
@@ -396,6 +475,8 @@ def action_coordinates(period_forms, chart: Chart):
     period_forms: list of closed base one-forms (component lists).  Raises
     on non-closed input or on a degenerate Jacobian at the sample grid.
     """
+    import sympy as sp
+
     ys = chart.ys
     potentials, jacobian = [], []
     for lam in period_forms:
@@ -425,6 +506,8 @@ def reglue_check(sigma_12, overlap_chart: Chart):
     Returns (verdict, transition) where transition carries the fibrewise
     shift x -> x + sigma_12(y).
     """
+    import sympy as sp
+
     sigma = _check_base_one_form(sigma_12, overlap_chart)
     dsig = base_one_form_differential(sigma, overlap_chart)
     verdict = dsig.is_zero() or dsig.sup_norm() < 1e-12
@@ -453,3 +536,104 @@ def flatness_probe(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
         if hyp else None
     )
     return rep
+
+
+# ---------------------------------------------------------------------------
+# potential-generated structures and the coupling integral
+# ---------------------------------------------------------------------------
+
+@dataclass
+class HitchinPotential:
+    """Convex potential on the base; its Hessian is the inverse fibre metric."""
+
+    chart: Chart
+    phi: object
+
+    def __post_init__(self):
+        self.phi = as_field(self.phi)
+        if reads_fibre(self.phi, self.chart):
+            raise DualityError("potential must depend on the base variables only")
+
+    @property
+    def hessian(self):
+        ys = self.chart.ys
+        return [[self.phi.diff(a).diff(b) for b in ys] for a in ys]
+
+
+def hitchin(potential: HitchinPotential, b_field=None, tol=DEFAULT_TOL):
+    """Structure with inverse metric Hess(phi), optionally twisted by b.
+
+    Returns (structure, info): info carries the determinant-constancy
+    residual of the Hessian, which decides closedness in action-angle
+    coordinates, its exact value at the box centre (a Fraction; a sympy
+    number where it is not rational), and the closedness report itself.
+    """
+    chart = potential.chart
+    hess = potential.hessian
+    n = chart.n
+    beta = [[Pair(ZERO, hess[i][j]) for j in range(n)] for i in range(n)]
+    if b_field is not None:
+        if not b_field.is_symmetric():
+            raise DualityError("twist tensor must be symmetric")
+        beta = [[_pair(b) + entry for b, entry in zip(*rows)]
+                for rows in zip(b_field.entries, beta)]
+    bs = BetaStructure(chart, beta)
+    require_compatible(bs, tol)
+
+    centre = {y.name: c for y, c in zip(chart.ys, chart.center)}
+    det_centre = bs.det_node.subs(centre)
+    det_residual = sup_norm_scalars([bs.det_node - det_centre], chart)
+    value = det_centre.exact()
+    if value is None:
+        value = bs.det_g_inv.subs(dict(zip(chart.ys, chart.center)))
+    closed = closedness_residuals(bs, tol)
+    info = {
+        "determinant_residual": det_residual,
+        "determinant_value": value,
+        "closedness": closed,
+        "criterion_consistent":
+            (det_residual < tol) == closed.verdict("full_closedness"),
+    }
+    return bs, info
+
+
+ORIENTATION_SIGN = {1: 1, 2: -1, 3: -1}  # (-1)^(n(n-1)/2)
+
+
+class YukawaFamily:
+    """Affine family beta(b) = base + sum_k b_k * direction_k."""
+
+    def __init__(self, base: BetaStructure, directions):
+        self.base = base
+        n = base.n
+        if len(directions) != n:
+            raise DualityError("need one twist direction per base axis")
+        self.directions = [[[_pair(d[i][j]) for j in range(n)] for i in range(n)]
+                           for d in directions]
+
+
+def yukawa(family: YukawaFamily, resolution=FIBRE_RESOLUTION, base_resolution=8):
+    """Coupling integral over the chart of V^2 times the direction determinants.
+
+    Returns (value, oracle) where oracle is the constant integrand's exact
+    value times the box volume (None when the integrand is not constant).
+    """
+    bs = family.base
+    require_compatible(bs)
+    chart, n = bs.chart, bs.n
+    sign = ORIENTATION_SIGN[n]
+    det_sum = Pair(ZERO, ZERO)
+    for perm in permutations(range(n)):
+        det_sum = det_sum + _determinant(
+            [[family.directions[perm[i]][i][j] for j in range(n)] for i in range(n)])
+    integrand = power(bs.det_node, -1) * det_sum
+
+    oracle = None
+    if not variables(integrand):
+        exact = [part.exact() for part in integrand.as_real_imag()]
+        if None in exact:
+            exact = [to_sympy(part) for part in integrand.as_real_imag()]
+        oracle = complex(*(float(sign * part * chart.box_volume) for part in exact))
+
+    total = chart_integral(integrand, chart, base_resolution, resolution)
+    return sign * total, oracle

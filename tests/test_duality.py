@@ -558,3 +558,43 @@ class TestOneSampledCore:
         assert rep.notes["volume_form_closed_residual"] > 1e-3
         assert len(compile_calls) <= 5
 
+
+
+def _x_dependent(form):
+    """y1 + sin(2 pi x1)/4 as a node or as a sympy expression."""
+    from syzlab.fields import parse_scalar, to_sympy
+
+    node = parse_scalar("y1 + sin(2*pi*x1)/4", 2)
+    return node if form == "node" else to_sympy(node)
+
+
+@pytest.mark.parametrize("form", ["node", "sympy"])
+class TestFibreDependenceIsRefused:
+    """Each y-only input refuses a fibre variable, whether it arrives as a
+    node or as sympy: variables compare by name, so a node variable meeting
+    a sympy symbol cannot slip through as an empty intersection."""
+
+    def test_tensor_entries(self, chart2, form):
+        with pytest.raises(DualityError, match="y only"):
+            SymTensorField(chart2, [[_x_dependent(form), 0], [0, 1]])
+
+    def test_potential(self, chart2, form):
+        with pytest.raises(DualityError, match="base variables only"):
+            HitchinPotential(chart2, _x_dependent(form))
+
+    def test_section(self, chart2, form):
+        bs = BetaStructure(chart2, [[I, 0], [0, I]])
+        with pytest.raises(ValueError, match="y only"):
+            translate_by_section(bs, [_x_dependent(form), 0])
+
+    def test_period_form(self, chart2, form):
+        from syzlab.semiflat import action_coordinates
+
+        with pytest.raises(ValueError, match="y only"):
+            action_coordinates([[_x_dependent(form), 0]], chart2)
+
+    def test_dualised_metric(self, chart2, form):
+        g = 2 + _x_dependent(form) / 4
+        bs = BetaStructure(chart2, [[I * g, 0], [0, I]])
+        with pytest.raises(DualityError, match="fibre-constant"):
+            dual_structure_check(bs)

@@ -1,6 +1,7 @@
-"""Import layering: the exact CLI commands load neither sympy nor numpy, no
-command loads jsonschema (a test-only reference), and the lazy package
-namespace resolves every public name as before."""
+"""Import layering: the exact CLI commands load neither sympy nor numpy, the
+semi-flat, Yukawa and Hitchin demos load numpy but not sympy, no command
+loads jsonschema (a test-only reference), and the lazy package namespace
+resolves every public name as before."""
 
 import importlib
 import json
@@ -79,8 +80,10 @@ def test_exact_commands_load_neither_sympy_nor_numpy(argv, k3_payload):
     assert _probe(*argv, "--format", "json") == [0, []]
 
 
-def test_symbolic_command_loads_no_jsonschema():
-    assert _probe("run", SCENARIOS / "flat_torus.json") == [0, ["numpy", "sympy"]]
+@pytest.mark.parametrize("demo, code", [("flat_torus", 0), ("yukawa_n2", 0),
+                                        ("hitchin_cubic", 1)])
+def test_scenario_verdicts_load_numpy_but_not_sympy(demo, code):
+    assert _probe("run", SCENARIOS / f"{demo}.json") == [code, ["numpy"]]
 
 
 @pytest.mark.parametrize("argv", [["list-models"], ["conventions"]])

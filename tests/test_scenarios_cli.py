@@ -636,19 +636,19 @@ class TestHitchinTwist:
     def test_twisting_equals_translating(self, monkeypatch):
         """A twist potential F adds Hess(F) to Re(beta), which is the
         translation by the section dF."""
-        import syzlab.duality as duality
+        import syzlab.semiflat as semiflat
         from syzlab.charts import Chart
         from syzlab.semiflat import translate_by_section
 
         built = []
-        raw = duality.hitchin
+        raw = semiflat.hitchin
 
         def spy(potential, b_field=None, tol=1e-8):
             bs, info = raw(potential, b_field, tol)
             built.append(bs)
             return bs, info
 
-        monkeypatch.setattr(duality, "hitchin", spy)
+        monkeypatch.setattr(semiflat, "hitchin", spy)
         payload = {"n": 2, "box": [[-1, 1], [-1, 1]],
                    "potential": "(y1^2 + y2^2)/2 + y1*y2/5"}
         plain = run_scenario_doc({"version": "1", "kind": "hitchin", "payload": payload})
@@ -695,3 +695,54 @@ class TestUncoveredKinds:
         assert check["no_declared_kaehler_obstruction"] is (not obstructed)
         assert report.passed is (not obstructed)
         assert report.outputs["kaehler_obstructions"] == obstructed
+
+
+class TestFailClosedReport:
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("planted", ["nan", "fraction"])
+    def test_unserialisable_output_exits_three_with_empty_stdout(
+            self, planted, fmt, tmp_path, monkeypatch, capsys):
+        """An output JSON cannot hold exactly is an internal error, never a
+        stringified value or a NaN token in the report."""
+        from fractions import Fraction
+
+        import syzlab.scenarios as scenarios
+
+        value = float("nan") if planted == "nan" else Fraction(1, 3)
+        raw = scenarios._DISPATCH["semiflat-check"]
+
+        def planting(doc, report):
+            raw(doc, report)
+            report.outputs["planted"] = value
+
+        monkeypatch.setitem(scenarios._DISPATCH, "semiflat-check", planting)
+        out = tmp_path / "report.json"
+        code = main(["run", write(tmp_path, FLAT_SCENARIO), "--format", fmt, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "internal error" in captured.err
+        assert not out.exists()
+
+
+class TestHessianDeterminantText:
+    @pytest.mark.parametrize("box, potential, text", [
+        ([[-1, 1], [-1, 1]], "(y1^2 + y2^2)/2 + y1^3/10", "1"),
+        ([[1, 2], [-1, 1]], "y1^3/6 + y2^2/2 + y1*y2/5", "73/50"),
+        ([[-1, 1], [-1, 1]], "exp(y1) + pi*y2^2", "2*pi"),
+    ], ids=["demo", "rational", "exp_pi"])
+    def test_value_is_sympy_sstr_at_the_box_centre(self, box, potential, text):
+        """outputs.hessian_determinant_value is sympy's sstr of the exact
+        determinant of the Hessian at the box centre: a rational value is
+        printed without sympy, any other through it."""
+        import sympy as sp
+
+        ys = sp.symbols("y1 y2", real=True)
+        phi = sp.sympify(potential.replace("^", "**"), locals={"y1": ys[0], "y2": ys[1]})
+        hess = sp.Matrix(2, 2, lambda i, j: sp.diff(phi, ys[i], ys[j]))
+        centre = {y: sp.Rational(lo + hi, 2) for y, (lo, hi) in zip(ys, box)}
+        want = sp.sstr(sp.expand(hess.det()).subs(centre))
+        doc = {"version": "1", "kind": "hitchin",
+               "payload": {"n": 2, "box": box, "potential": potential}}
+        got = run_scenario_doc(doc).outputs["hessian_determinant_value"]
+        assert got == want == text

@@ -623,12 +623,13 @@ class TestStructureEquationsAreViews:
         assert not {"to_form", "build_omega"} & set(vars(duality))
 
     @pytest.mark.parametrize("kind, payload, dets", [
-        # the semi-flat residuals are sampled from jets: no symbolic det gInv
+        # the semi-flat residuals are sampled from jets, and dualize and
+        # hitchin take det gInv as a node: no symbolic det gInv at all
         ("semiflat-check", {"beta": [[{"re": "y2/3", "im": "2+y1^2/4"}, {"im": "1/5"}],
                                      [{"im": "1/5"}, {"im": "3+sin(2*pi*x1)/2"}]]}, 0),
         ("dualize", {"beta": [[{"re": "1/2", "im": "2"}, {"im": "1/5"}],
-                              [{"im": "1/5"}, {"im": "3"}]]}, 2),
-        ("hitchin", {"potential": "(y1^2 + y2^2)/2 + y1^3/10"}, 1),
+                              [{"im": "1/5"}, {"im": "3"}]]}, 0),
+        ("hitchin", {"potential": "(y1^2 + y2^2)/2 + y1^3/10"}, 0),
     ])
     def test_one_determinant_per_structure(self, monkeypatch, kind, payload, dets):
         from syzlab.scenarios import run_scenario_doc

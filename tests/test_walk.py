@@ -1,21 +1,22 @@
 """fields.Walk, the one evaluator, against sympy's own lambdify and diff.
 
-Seeded random expressions cover every node kind the walk accepts: numbers,
-pi, I, the chart variables, sums, products, negative integer powers,
-half-integer powers such as (...)^(-3/2), exp, nested sin and cos, and the
-Abs and atan2 that as_real_imag makes.  Values must agree with lambdify to
-1e-12 and first partials with the sampled sp.diff to 1e-10, both relative to
-the expression's largest sample.
+Seeded random expression nodes cover every node kind the walk accepts:
+numbers, pi, the chart variables, sums, products, negative integer powers,
+half-integer powers such as (...)^(-3/2), exp, nested sin and cos, and
+complex values as Pairs of real nodes.  Values must agree with lambdify of
+the sympy view (``to_sympy``) to 1e-12 and first partials with the sampled
+sp.diff to 1e-10, both relative to the expression's largest sample.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
 
 from syzlab.charts import Chart, product_grid
-from syzlab.fields import Jet, UnsupportedNode, Walk, constant
+from syzlab.fields import PI, Jet, Pair, UnsupportedNode, Walk, constant, function, number, to_sympy
 
 from conftest import diff_values, lambdify_values
 
@@ -25,25 +26,23 @@ X1, X2 = CHART.xs
 
 
 def real_expr(rng, depth):
-    """A real-valued expression of the chart variables."""
+    """A real-valued expression node of the chart variables."""
     if depth == 0:
-        return rng.choice([Y1, Y2, X1, X2, sp.Rational(rng.randint(-5, 5), rng.randint(1, 4)),
-                           sp.pi / 4, Y1 - sp.Rational(1, 3)])
+        return rng.choice([Y1, Y2, X1, X2, number(Fraction(rng.randint(-5, 5), rng.randint(1, 4))),
+                           PI / 4, Y1 - Fraction(1, 3)])
     a, b = real_expr(rng, depth - 1), real_expr(rng, depth - 1)
     positive = 2 + a ** 2
     return rng.choice([
         a + b, a * b - 1, a ** rng.randint(2, 3), positive ** -rng.randint(1, 2),
-        positive ** sp.Rational(1, 2), positive ** sp.Rational(-1, 2),
-        positive ** sp.Rational(-3, 2), sp.exp(a / 2), sp.sin(2 * sp.pi * a),
-        sp.cos(sp.sin(a) + b), sp.Abs(a), sp.atan2(a, Y2 - b / 4), sp.atan2(0, Y1 * b - 1),
+        positive ** Fraction(1, 2), positive ** Fraction(-1, 2),
+        positive ** Fraction(-3, 2), function("exp", a / 2),
+        function("sin", 2 * PI * a), function("cos", function("sin", a) + b),
     ])
 
 
 def complex_expr(rng, depth):
-    """re + I*im, sometimes raised to a negative or half-integer power."""
-    z = real_expr(rng, depth) + sp.I * real_expr(rng, depth)
-    return rng.choice([z, z * (3 + sp.I * real_expr(rng, 1)) ** -2,
-                       (4 + sp.I * real_expr(rng, depth)) ** sp.Rational(-3, 2)])
+    """re + i*im, a Pair of two real nodes."""
+    return Pair(real_expr(rng, depth), real_expr(rng, depth))
 
 
 def exprs_for(seed):
@@ -78,7 +77,7 @@ def test_values_match_lambdify(seed):
     ((_, vals),) = Walk(exprs, CHART).grid(axes)
     got = dense(vals, axes)
     grid = product_grid(axes)
-    want = lambdify_values(exprs, CHART, grid[:, :2], grid[:, 2:])
+    want = lambdify_values([to_sympy(e) for e in exprs], CHART, grid[:, :2], grid[:, 2:])
     for e, g, w in zip(exprs, got, want):
         assert_close(g, w, 1e-12), e
 
@@ -92,6 +91,7 @@ def test_jets_match_sympy_diff(seed):
     grid = product_grid(axes)
     Y, X = grid[:, :2], grid[:, 2:]
     for e, jet in zip(exprs, jets):
+        e = to_sympy(e)
         want = lambdify_values([e], CHART, Y, X)[0]
         assert_close(np.broadcast_to(jet.value, (5,) * 4).ravel(), want, 1e-12)
         for v, partial in diff_values(e, CHART, Y, X).items():
@@ -99,18 +99,34 @@ def test_jets_match_sympy_diff(seed):
             assert_close(got, partial, 1e-10), (e, v)
 
 
+def _nodes(expr):
+    """Every node under an expression node or Pair."""
+    stack, seen = list(expr.as_real_imag()), []
+    while stack:
+        node = stack.pop()
+        seen.append(node)
+        if node.op == "add":
+            stack.extend(t for t, _ in node.args[1])
+        elif node.op == "mul":
+            stack.extend(b for b, _ in node.args)
+        elif node.op in ("sin", "cos", "exp"):
+            stack.append(node.args)
+    return seen
+
+
 def test_kinds_covered():
     """The seeded expressions reach every node kind the walk accepts."""
-    kinds = set()
+    kinds, exponents = set(), set()
     for seed in range(6):
         for e in exprs_for(seed):
-            for node in sp.preorder_traversal(e):
-                if isinstance(node, sp.Pow):
-                    kinds.add(("Pow", node.exp.q, node.exp < 0))
-                kinds.add(type(node).__name__ if node.args else "atom")
-    assert {"Add", "Mul", "exp", "sin", "cos", "Abs", "atan2", "atom"} <= kinds
-    assert {("Pow", 1, True), ("Pow", 2, True), ("Pow", 2, False)} <= kinds
-    assert any(e.has(sp.Rational(-3, 2)) for seed in range(6) for e in exprs_for(seed))
+            for node in _nodes(e):
+                kinds.add(node.op)
+                if node.op == "mul":
+                    exponents.update(exp for _, exp in node.args)
+            kinds.add(type(e).__name__)
+    assert {"add", "mul", "exp", "sin", "cos", "var", "num", "pi", "Pair"} <= kinds
+    assert any(e < 0 and e.denominator == 1 for e in exponents)
+    assert {Fraction(1, 2), Fraction(-1, 2), Fraction(-3, 2)} <= exponents
 
 
 @pytest.mark.parametrize("expr", [

@@ -24,7 +24,8 @@ exponent above MAX_POWER that the collection of like bases makes, as in
 (1+y1)^64*(1+y1)^64.  Nodes differentiate (``diff``), evaluate exactly at a
 rational point (``exact``), and convert to and from sympy (``to_sympy``,
 ``from_sympy``) for the symbolic layer and library callers; sympy is
-imported only by those conversions.
+imported only by those conversions.  A node has no sympy methods: a caller
+that wants sympy's converts with ``to_sympy``.
 
 Fibre periodicity is enforced syntactically: a fibre variable x_i may occur
 only inside sin/cos whose argument is 2*pi*(integer)*x_i plus an x-free
@@ -107,11 +108,6 @@ class Node:
             return self is other
         if isinstance(other, (int, Fraction, float)):
             return self.op == "num" and self.args == other
-        if is_sympy(other):
-            import sympy as sp
-
-            mine = to_sympy(self)
-            return bool(mine == other or sp.expand(mine - other) == 0)
         return NotImplemented
 
     __hash__ = object.__hash__
@@ -160,11 +156,11 @@ class Node:
 
     def __pow__(self, other):
         other = _operand(other)
-        return NotImplemented if other is None else _python_power(self, other)
+        return NotImplemented if other is None else power(self, other)
 
     def __rpow__(self, other):
         other = _operand(other)
-        return NotImplemented if other is None else _python_power(other, self)
+        return NotImplemented if other is None else power(other, self)
 
     def __neg__(self):
         return negate(self)
@@ -191,15 +187,13 @@ class Node:
         point = {k: Fraction(v) for k, v in (point or {}).items()}
         return _exact(self, point, {})
 
-    def subs(self, *args, **kwargs):
+    def subs(self, point):
         """The node with chart variables replaced by numbers or nodes, given
-        as {variable or name: value}; any other substitution is sympy's, on
-        the sympy view."""
-        if len(args) == 1 and isinstance(args[0], dict) and not kwargs:
-            point = {getattr(k, "name", k): _operand(v) for k, v in args[0].items()}
-            if None not in point.values() and all(isinstance(k, str) for k in point):
-                return _subs(self, point, {})
-        return to_sympy(self).subs(*args, **kwargs)
+        as {variable node or name: value}."""
+        point = {getattr(k, "name", k): _operand(v) for k, v in point.items()}
+        if None in point.values() or not all(isinstance(k, str) for k in point):
+            raise TypeError("a node substitutes numbers or nodes for its variables")
+        return _subs(self, point, {})
 
     def value(self):
         """The complex value of a node that reads no chart variable."""
@@ -224,12 +218,6 @@ class Node:
 
     def _sympy_(self):
         return to_sympy(self)
-
-    def __getattr__(self, name):
-        # the sympy view answers what a node does not, for symbolic callers
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(to_sympy(self), name)
 
     def __str__(self):
         return _print(self)
@@ -336,15 +324,6 @@ def _operand(value):
     if isinstance(value, (int, Fraction, float)):
         return number(_decimal(value))
     return None
-
-
-def _python_power(base, e):
-    """base ** e in Python code: outside the grammar (a power that reads a
-    chart variable, or that sympy keeps complex) it is sympy's power."""
-    try:
-        return power(base, e)
-    except GrammarError:
-        return to_sympy(base) ** to_sympy(e)
 
 
 def _coeff_term(node):
@@ -469,15 +448,27 @@ def _product(coeff, pairs):
     return _scaled(coeff, core)
 
 
+def _integer_root(n, r):
+    """The floor of the r-th root of an int n >= 0, by Newton's method on
+    ints from above (exact at any size, where a float estimate is not)."""
+    if n < 2:
+        return n
+    x = 1 << -(-n.bit_length() // r)
+    while True:
+        y = ((r - 1) * x + n // x ** (r - 1)) // r
+        if y >= x:
+            return x
+        x = y
+
+
 def _root(q, r):
     """The exact r-th root of a positive Fraction, or None."""
     out = []
     for n in (q.numerator, q.denominator):
-        guess = math.isqrt(n) if r == 2 else round(n ** (1.0 / r))
-        hit = next((g for g in (guess - 1, guess, guess + 1) if g >= 0 and g ** r == n), None)
-        if hit is None:
+        root = math.isqrt(n) if r == 2 else _integer_root(n, r)
+        if root ** r != n:
             return None
-        out.append(hit)
+        out.append(root)
     return Fraction(out[0], out[1])
 
 
@@ -564,6 +555,18 @@ def power(base, e):
         if merged is not None:
             return _product(Fraction(1), out + [merged])
     return _product(Fraction(1), out + [(inner, e)])
+
+
+def principal_power(base, e):
+    """base^e for a fractional e, kept as the one factor (base, e) and
+    evaluated with the principal root, where power() would distribute the
+    root over base's factors and refuse the Abs that needs (det^(-1/2) for
+    det = y1^2): for a caller that knows base > 0 where it is evaluated.
+    A number base is power()'s."""
+    e = Fraction(e)
+    if base.op == "num" or e.denominator == 1:
+        return power(base, e)
+    return _intern("mul", ((base, e),), frozenset(((base, e),)))
 
 
 def _root_of_power(b, k, e):
@@ -933,13 +936,19 @@ def from_sympy(expr):
 
     Chart symbols must be real (as ``Chart.ys``/``xs`` convert); a subtree
     free of chart symbols without node form (log(2), a float) becomes one
-    constant; anything else raises UnsupportedNode."""
+    constant; anything else raises UnsupportedNode.  A complex expression is
+    split into its real and imaginary parts by expanding it, or where I is
+    left inside a power, as in 1/(3 + I*y1), by sympy's as_real_imag; a part
+    that then needs atan2 or Abs, as (4 + I*y1)^(-3/2) does, is refused."""
     import sympy as sp
 
     expr = sp.sympify(expr)
     if expr.has(sp.I):
         expr = sp.expand(expr)
-        return Pair(_from_sympy(expr.coeff(sp.I, 0), {}), _from_sympy(expr.coeff(sp.I), {}))
+        re, im = expr.coeff(sp.I, 0), expr.coeff(sp.I)
+        if re.has(sp.I) or im.has(sp.I) or sp.expand(re + sp.I * im) != expr:
+            re, im = expr.as_real_imag()
+        return Pair(_from_sympy(re, {}), _from_sympy(im, {}))
     return _from_sympy(expr, {})
 
 

@@ -62,6 +62,7 @@ from .fields import (
     Walk,
     as_field,
     power,
+    principal_power,
     require_fibre_periodic,
     sample_point,
     sup_norm_scalars,
@@ -129,10 +130,11 @@ def _pair(entry):
 
 class BetaStructure:
     """beta = b + i*gInv on a chart, kept as ``pairs``, the re/im nodes of
-    each entry; ``det_node`` is det gInv and ``volume_node`` is
-    V = sqrt(det g) = 1/sqrt(det Im beta), and the sympy views are made on
-    first use (a sympy V is zoo when Im beta is singular: compatibility
-    decides the verdict)."""
+    each entry; ``det_node`` is det gInv, by Leibniz on the nodes, and
+    ``volume_node`` is V = sqrt(det g) = 1/sqrt(det Im beta).  The sympy
+    views are made from the nodes on first use: ``det_g_inv`` is
+    ``det_node``'s, and ``volume_density`` is 1/sqrt of it (zoo when Im beta
+    is singular: compatibility decides the verdict)."""
 
     def __init__(self, chart: Chart, beta):
         self.chart = chart
@@ -173,7 +175,7 @@ class BetaStructure:
     def det_g_inv(self):
         import sympy as sp
 
-        return sp.expand(sp.Matrix(self.g_inv).det())
+        return sp.expand(to_sympy(self.det_node))
 
     @functools.cached_property
     def volume_density(self):
@@ -187,8 +189,13 @@ class BetaStructure:
 
     @functools.cached_property
     def volume_node(self):
-        """V as a node, for a compatible structure."""
-        return power(self.det_node, Fraction(-1, 2))
+        """V as a node, for a compatible structure (det gInv > 0 on the box):
+        the root is distributed over det's factors, or where that needs Abs
+        (det = y1^2) det^(-1/2) stays one factor, the principal root."""
+        try:
+            return power(self.det_node, Fraction(-1, 2))
+        except GrammarError:
+            return principal_power(self.det_node, Fraction(-1, 2))
 
     def beta_element(self) -> BigradedElement:
         return BigradedElement.from_matrix(self.chart, self.beta)
@@ -459,8 +466,9 @@ def base_potential(form: FormElement) -> FormElement:
     t = sp.Dummy("t", real=True)
     potential, rest = FormElement(chart), form
     for a, (y, c) in enumerate(zip(chart.ys, chart.center), start=1):
-        later = FormElement(chart)
+        y, later = to_sympy(y), FormElement(chart)
         for (jset, kset), coeff in rest.terms.items():
+            coeff = to_sympy(coeff)
             if jset[:1] == (a,):
                 potential.add_term(jset[1:], kset, sp.integrate(coeff.subs(y, t), (t, c, y)))
             else:

@@ -329,6 +329,85 @@ class TestDualStructure:
             dual_structure_check(bs)
 
 
+class TestSquareDeterminant:
+    """gInv = f(y1) * Id on n = 2, and gInv = y1^2 on n = 1: det gInv is a
+    square, so V = det^(-1/2) = 1/f cannot be distributed over det's factors
+    without Abs.  On a box where f > 0 the fibre means are exact: vol = 1/f,
+    h = Id and h_n = f * Id (for n = 1, h = y1 and h_n = y1^2)."""
+
+    @pytest.fixture
+    def chart(self):
+        return Chart(2, ((1, 2), (1, 2)))
+
+    @pytest.fixture(params=["y1", "1+y1"])
+    def case(self, request, chart):
+        f = {"y1": lambda y: y, "1+y1": lambda y: 1 + y}[request.param]
+        y1 = chart.ys[0]
+        return BetaStructure(chart, [[I * f(y1), 0], [0, I * f(y1)]]), f
+
+    @staticmethod
+    def base_values(f, k):
+        """f at the k x k base points (row-major), where it reads y1 only."""
+        return f(np.repeat(np.linspace(1, 2, k), k))
+
+    def test_mclean_metrics(self, case):
+        bs, f = case
+        f = self.base_values(f, 3)
+        with pytest.warns(UserWarning, match="not closed"):
+            mm = mclean_metrics(bs)
+        _, h = mm["h"].samples
+        _, h_n = mm["h_n"].samples
+        assert np.allclose(h, np.eye(2), rtol=0, atol=1e-14)
+        assert np.allclose(h_n, f[:, None, None] * np.eye(2), rtol=1e-14, atol=0)
+        assert np.allclose(mm["vol_samples"][1], 1 / f, rtol=1e-14, atol=0)
+        assert mm["report"]["metric_route_agreement"].value < 1e-14
+
+    def test_dual_structure_check(self, case):
+        bs, f = case
+        f = self.base_values(f, 3)
+        with pytest.warns(UserWarning, match="not closed"):
+            rep = dual_structure_check(bs)
+        assert rep.all_passed
+        assert np.allclose(rep.notes["vol_samples"], 1 / f, rtol=1e-14, atol=0)
+        assert np.allclose(rep.notes["dual_vol_samples"], f, rtol=1e-14, atol=0)
+
+    def test_period_one_form_and_identities(self, case):
+        bs, f = case
+        gamma = CycleSpec(1, (1, 0))
+        _, values, residual = period_one_form(bs, gamma)
+        # psi = (0, f(y1)) on the 5 x 5 base points; d psi = f' dy1 ^ dy2
+        want = self.base_values(f, 5)
+        assert np.allclose(np.asarray(values)[:, 1], want, rtol=1e-14, atol=0)
+        assert np.allclose(np.asarray(values)[:, 0], 0, rtol=0, atol=1e-14)
+        assert residual == pytest.approx(1, rel=1e-12)
+        with pytest.warns(UserWarning, match="not closed"):
+            rep = duality_identities(bs, gamma, {1: 1})
+        assert all(check.value < 1e-14 for check in rep.checks.values())
+
+    def test_n1_square_metric(self):
+        chart = Chart(1, ((1, 2),))
+        y1 = chart.ys[0]
+        with pytest.warns(UserWarning, match="not closed"):
+            mm = mclean_metrics(BetaStructure(chart, [[I * y1 ** 2]]))
+        y = np.linspace(1, 2, 3)
+        assert np.allclose(mm["vol_samples"][1], 1 / y, rtol=1e-14, atol=0)
+        assert np.allclose(mm["h_n"].samples[1].ravel(), y ** 2, rtol=1e-14, atol=0)
+
+    def test_dualize_scenario(self):
+        from syzlab.scenarios import run_scenario_doc
+
+        doc = {"version": "1", "kind": "dualize", "payload": {
+            "n": 2, "box": [[1, 2], [1, 2]],
+            "beta": [[{"im": "1+y1"}, 0], [0, {"im": "1+y1"}]]}}
+        with pytest.warns(UserWarning, match="not closed"):
+            report = run_scenario_doc(doc)
+        assert report.passed
+        f = 1 + np.repeat(np.linspace(1, 2, 3), 3)
+        assert np.allclose(report.outputs["vol_samples"], 1 / f, rtol=1e-14, atol=0)
+        assert np.allclose(report.outputs["dual_vol_samples"], f, rtol=1e-14, atol=0)
+        assert report.outputs["volume_form_closed_residual"] == pytest.approx(0.25, rel=1e-12)
+
+
 class TestYukawa:
     def test_unit_directions_give_box_measure(self, chart2):
         fam = YukawaFamily(flat(chart2), [[[1, 0], [0, 0]], [[0, 0], [0, 1]]])

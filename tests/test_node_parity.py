@@ -182,8 +182,13 @@ def _values(text):
     return [p.values[0] if hasattr(p, "values") else p for p in text]
 
 
+# rational roots of numbers beyond a float's exactness (and range)
+LARGE_ROOTS = ["(10^60*10^60*10^60*10^60*10^60*10^60)^(1/3)", "((2^60+1)^3)^(1/3)",
+               "((3^40)^5)^(1/5)*y1", "(10^60*10^60*10^60*10^60*10^60*10^60+1)^(1/3)",
+               "((2^60+1)^3/(3^50)^3)^(1/3)"]
+
 CASES = (list(REFERENCE_CORPUS) + _values(OFF_GRAMMAR) + COMPLEX_STRINGS + LARGE_POWERS
-         + [s for seed in range(4) for s in random_strings(seed, 100)])
+         + LARGE_ROOTS + [s for seed in range(4) for s in random_strings(seed, 100)])
 
 
 # ---------------------------------------------------------------------------
@@ -280,3 +285,12 @@ def test_a_subexpression_outside_the_grammar_is_refused(text, value):
     assert subexpression_leaves_grammar(text)
     with pytest.raises(GrammarError):
         parse_scalar(text, N)
+
+
+@pytest.mark.parametrize("text, value", [
+    (LARGE_ROOTS[0], 10 ** 120), (LARGE_ROOTS[1], 2 ** 60 + 1),
+    (LARGE_ROOTS[4], sp.Rational(2 ** 60 + 1, 3 ** 50)),
+], ids=["10^120", "2^60+1", "(2^60+1)/3^50"])
+def test_an_exact_root_of_a_large_number_is_taken(text, value):
+    assert sympy_parse(text) == value
+    assert to_sympy(parse_scalar(text, N)) == value

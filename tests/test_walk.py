@@ -3,7 +3,8 @@
 Seeded random expression nodes cover every node kind the walk accepts:
 numbers, pi, the chart variables, sums, products, negative integer powers,
 half-integer powers such as (...)^(-3/2), exp, nested sin and cos, and
-complex values as Pairs of real nodes.  Values must agree with lambdify of
+complex values as Pairs of real nodes, which complex sympy input is split
+into.  Values must agree with lambdify of
 the sympy view (``to_sympy``) to 1e-12 and first partials with the sampled
 sp.diff to 1e-10, both relative to the expression's largest sample.
 """
@@ -130,7 +131,27 @@ def test_kinds_covered():
 
 
 @pytest.mark.parametrize("expr", [
-    sp.log(2 + Y1), sp.tan(X1), 2 ** Y1, (2 + Y1) ** sp.Rational(1, 3), sp.Symbol("z"),
+    X1 * (3 + sp.I * (Y1 * Y2 - 1)) ** -2, 1 / (3 + sp.I * Y1), sp.exp(sp.I * sp.pi / 4) * Y2,
+    sp.cos(2 * sp.pi * X2) * (2 - sp.I * Y1) ** 3 + sp.I * Y2,
+], ids=["z*w^-2", "1/w", "exp(i*pi/4)*y2", "cos*w^3+i*y2"])
+def test_complex_sympy_input_splits_into_real_parts(expr):
+    """sympy input with I inside a power or a function is split into its
+    real and imaginary parts (sympy's as_real_imag) and walked as a Pair."""
+    axes = sample_axes(7)
+    ((_, vals),) = Walk([expr], CHART).grid(axes)
+    grid = product_grid(axes)
+    want = lambdify_values([expr], CHART, grid[:, :2], grid[:, 2:])
+    assert_close(dense(vals, axes)[0], want[0], 1e-12)
+
+
+def test_a_complex_power_whose_parts_need_atan2_is_refused():
+    """Walk has no atan2 or Abs: (4 + i*y1)^(-3/2) has no node form."""
+    with pytest.raises(UnsupportedNode):
+        Walk([(4 + sp.I * Y1) ** sp.Rational(-3, 2)], CHART)
+
+
+@pytest.mark.parametrize("expr", [
+    sp.log(2 + Y1), sp.tan(X1), sp.Integer(2) ** Y1, (2 + Y1) ** sp.Rational(1, 3), sp.Symbol("z"),
     sp.sin(Y1) + sp.sign(Y2),
 ])
 def test_unsupported_nodes_raise(expr):

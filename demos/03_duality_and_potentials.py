@@ -35,7 +35,7 @@ bs = BetaStructure(chart, [[2 * I, 0], [0, 3 * I]])
 mm = mclean_metrics(bs)
 print("   h   =", mm["h"].matrix)
 print("   h_n =", mm["h_n"].matrix)
-print("   fibre volume =", mm["vol"], "| route agreement:",
+print("   fibre volume =", sp.sympify(mm["vol"]), "| route agreement:",
       f"{mm['report']['metric_route_agreement'].value:.2e}")
 
 print("\n== period covectors of fibre cycles ==")

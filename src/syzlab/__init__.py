@@ -6,7 +6,7 @@ charts, fields, quadrature   expression nodes, scalar fields and quadrature on c
 algebra                      bigraded dy/polyvector algebra and its operators
 semiflat                     beta-structures, structure equations, Hessian
                              structures and the coupling integral
-duality                      base metrics, periods, dual structures (symbolic)
+duality                      base metrics, periods, dual structures
 complexes, fibre_models      integer cohomology of singular fibre models
 sheaf                        local systems on the sphere and Leray tables
 k3                           lattice-level K3 mirror map
@@ -15,10 +15,10 @@ scenarios, cli               JSON scenario runner and command line
 Names and submodules are imported on first use (PEP 562), so the integer
 layers (intlinalg, complexes, fibre_models, sheaf), k3 on rational data, and
 the cli and scenarios on those kinds run without loading sympy or numpy.
-Expressions are syzlab's own nodes (``fields``), so the semi-flat, Hessian
-and coupling checks (charts, fields, algebra, quadrature, semiflat) load
-numpy but import sympy only inside the functions that convert to or from
-it; duality, the symbolic layer, imports sympy.
+Expressions are syzlab's own nodes (``fields``), so every sampled check
+(charts, fields, algebra, quadrature, semiflat, duality) loads numpy and
+imports sympy only to convert to or from it (in duality: SymTensorField,
+symmetric_class, wedge_with_minus_omega and a metric's matrix view).
 """
 
 import importlib

@@ -10,24 +10,24 @@ Dualisation is implemented for fibre-constant metrics: the dual inverse
 metric matrix is h_n itself, and the dual fibre volume carries the lattice
 covolume det(h_n), which produces the volume reciprocity Vol * dual-Vol = 1.
 
-This is the symbolic layer: McLean's closed forms, periods, symmetric
-classes and dualisation; it imports sympy when it is imported.  Its sampled
-integrands are expression nodes all the same.  The Hessian structures and
-the coupling integral (``HitchinPotential``, ``hitchin``, ``YukawaFamily``,
-``yukawa``) live in ``semiflat`` and are importable from here.
+Integrands are expression nodes and McLean's closed forms their exact fibre
+means (``fields.fibre_mean``); sympy is loaded only by ``SymTensorField``,
+``symmetric_class``, ``wedge_with_minus_omega`` and the ``matrix`` views of
+a ``MetricOnBase``.  ``HitchinPotential``, ``hitchin``, ``YukawaFamily`` and
+``yukawa`` live in ``semiflat`` and are importable from here.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .algebra import FormElement, decomposable_form
 from .charts import Chart, circle_points, product_grid
-from .fields import ZERO, Pair, as_field
+from .fields import ZERO, Pair, as_field, fibre_mean, to_sympy
 from .quadrature import fibre_means
 from .semiflat import (  # noqa: F401  (HitchinPotential ... yukawa: re-exported)
     DEFAULT_TOL,
@@ -98,11 +98,23 @@ def cycle_tangent_vector(gamma: CycleSpec, n):
 
 @dataclass
 class MetricOnBase:
-    """Symmetric base metric; symbolic entries when available, else sampled."""
+    """Symmetric base metric: closed-form node entries when available, else
+    sampled only; ``matrix``, their sympy view through sympy's ``form``, is
+    made on first access."""
 
-    matrix: object  # sympy Matrix or None
+    entries: object  # n x n nodes, or None
     provenance: str
     samples: object = None  # (points, stacked matrices)
+    form: str = "expand"
+
+    @functools.cached_property
+    def matrix(self):
+        if self.entries is None:
+            return None
+        import sympy as sp
+
+        form = getattr(sp, self.form)
+        return sp.Matrix([[form(to_sympy(e)) for e in row] for row in self.entries])
 
 
 def _im_omega_coefficient_forms(bs: BetaStructure):
@@ -171,18 +183,13 @@ def mclean_metrics(bs: BetaStructure, tol=DEFAULT_TOL):
     coeffs = _im_omega_coefficient_forms(bs)
     closed_gap = _volume_form_gap(bs, tol)
 
-    # exact fibre means where every integrand is x-free or a trig polynomial
-    symbolic_ok = True
-    h_sym = sp.zeros(n, n)
-    vol_sym = None
-    try:
-        for i in range(n):
-            for j in range(n):
-                integrand = sp.expand(bs.volume_density * bs.g_inv[i][j])
-                h_sym[i, j] = _fibre_symbolic_integral(integrand, chart)
-        vol_sym = _fibre_symbolic_integral(bs.volume_density, chart)
-    except _SymbolicIntegrationError:
-        symbolic_ok = False
+    # exact fibre means where V and every V * gInv_ij are x-free or trig
+    # polynomials; V's first, as a fibre-dependent V rules the rest out
+    vol, v = fibre_mean(bs.volume_node, n), bs.volume_node
+    h = None if vol is None else [[fibre_mean(v * e.im, n) for e in row] for row in bs.pairs]
+    if h is None or any(e is None for row in h for e in row):
+        vol = h = None
+    provenance = "quadrature" if vol is None else "closed-form"
 
     base = _base_axes(chart, 3)
     pts = product_grid(base)
@@ -203,66 +210,10 @@ def mclean_metrics(bs: BetaStructure, tol=DEFAULT_TOL):
     report.add("metric_symmetry",
                float(np.max(np.abs(h_quad - np.transpose(h_quad, (0, 2, 1))))), tol)
 
-    h = MetricOnBase(h_sym if symbolic_ok else None,
-                     "closed-form" if symbolic_ok else "quadrature",
-                     samples=(pts, h_formula))
-    hn_samples = (pts, hn)
-    if symbolic_ok:
-        hn_matrix = sp.Matrix(n, n, lambda i, j: sp.cancel(h_sym[i, j] / vol_sym))
-        h_n = MetricOnBase(hn_matrix, "closed-form", samples=hn_samples)
-    else:
-        h_n = MetricOnBase(None, "quadrature", samples=hn_samples)
-    vol = vol_sym if symbolic_ok else None
-    return {
-        "h": h,
-        "h_n": h_n,
-        "vol": vol,
-        "vol_samples": (pts, vols),
-        "report": report,
-    }
-
-
-class _SymbolicIntegrationError(Exception):
-    pass
-
-
-def _fibre_symbolic_integral(expr, chart: Chart):
-    """Exact mean over the unit fibre torus of an x-free or trig-polynomial integrand.
-
-    A trig polynomial is a polynomial in x-dependent sin/cos atoms whose
-    arguments are 2*pi*(k . x) + phase(y) with integer k.  With
-    z_j = exp(2*pi*i*x_j) each atom is a Laurent polynomial in z, and the
-    mean is its z-free term, the constant Fourier coefficient.  Any other
-    x-dependent integrand raises _SymbolicIntegrationError, for quadrature.
-    """
-    expr = sp.sympify(expr)
-    xs = [sp.sympify(x) for x in chart.xs]
-    if expr.free_symbols.isdisjoint(xs):
-        return expr
-    # the integer frequency vector of each x-dependent sin/cos atom (the
-    # structure's entries are fibre-periodic, so each argument is linear in x)
-    frequencies = {atom: tuple(int(sp.expand(sp.diff(atom.args[0], x)) / (2 * sp.pi))
-                               for x in xs)
-                   for atom in expr.atoms(sp.sin, sp.cos) if not atom.free_symbols.isdisjoint(xs)}
-    dummies = {atom: sp.Dummy() for atom in frequencies}
-    poly = expr.xreplace(dummies)
-    if not poly.is_polynomial(*dummies.values()):
-        raise _SymbolicIntegrationError("not a trig polynomial in the fibre variables")
-    zs = [sp.Dummy() for _ in xs]
-    waves = {}
-    for atom, ks in frequencies.items():
-        arg = sp.expand(atom.args[0])
-        # exp(i*arg) = exp(i*phase) * prod z_j^k_j
-        wave = sp.exp(sp.I * arg.subs({x: 0 for x in xs})) * sp.Mul(
-            *[z ** k for z, k in zip(zs, ks)])
-        waves[dummies[atom]] = ((wave + 1 / wave) / 2 if isinstance(atom, sp.cos)
-                                else (wave - 1 / wave) / (2 * sp.I))
-    laurent = sp.expand(poly.xreplace(waves))
-    mean = sp.Add(*[t for t in sp.Add.make_args(laurent) if t.free_symbols.isdisjoint(zs)])
-    # back from exp(i*phase) to cos/sin of the phase
-    return sp.expand(mean.xreplace({
-        e: sp.cos(e.args[0] / sp.I) + sp.I * sp.sin(e.args[0] / sp.I)
-        for e in mean.atoms(sp.exp) if (e.args[0] / sp.I).is_real}))
+    h_n = h and [[e / vol for e in row] for row in h]
+    return {"h": MetricOnBase(h, provenance, samples=(pts, h_formula)),
+            "h_n": MetricOnBase(h_n, provenance, samples=(pts, hn), form="cancel"),
+            "vol": vol, "vol_samples": (pts, vols), "report": report}
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +327,8 @@ class SymTensorField:
     entries: list
 
     def __post_init__(self):
+        import sympy as sp
+
         n = self.chart.n
         if any(reads_fibre(self.entries[i][j], self.chart)
                for i in range(n) for j in range(n)):
@@ -384,6 +337,8 @@ class SymTensorField:
                         for i in range(n)]
 
     def antisymmetric_defect(self):
+        import sympy as sp
+
         n = self.chart.n
         return [[sp.expand(self.entries[j][i] - self.entries[i][j]) for j in range(n)]
                 for i in range(n)]
@@ -409,6 +364,8 @@ def symmetric_class(alpha: SymTensorField):
     """Symmetrisation of a tensor-class representative: adds the gradient of
     a swapped potential so the output is exactly symmetric and differs from
     the input by a total derivative."""
+    import sympy as sp
+
     if not alpha.is_gauss_manin_closed():
         raise DualityError(
             "representative is not a tensor cocycle (columns are not closed one-forms)")
@@ -423,8 +380,8 @@ def symmetric_class(alpha: SymTensorField):
         for j in range(n):
             got = sp.expand(sp.diff(beta[j], ys[i]) - sp.diff(beta[i], ys[j]) - rho[i][j])
             if sp.simplify(got) != 0:
-                raise DualityError("antiderivative not expressible in the grammar "
-                                   "(representative is not a tensor cocycle)")
+                raise DualityError("sympy's antiderivative of the antisymmetric part is "
+                                   "piecewise or outside the grammar")
     out = [[sp.expand(alpha.entries[i][j] + sp.diff(beta[j], ys[i]))
             for j in range(n)] for i in range(n)]
     result = SymTensorField(chart, out)

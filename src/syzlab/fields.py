@@ -1149,6 +1149,58 @@ def require_fibre_periodic(expr, n):
     return expr
 
 
+def fibre_mean(expr, n):
+    """The exact mean over the unit fibre torus of an x-free or trig-polynomial
+    node, or None for any other: each x-dependent sin/cos atom is a wave
+    cos(2*pi*k.x + phase) (sin a = cos(a - pi/2)), a product of two waves is
+    their sum and difference waves at half the coefficient, phases adding as
+    nodes, keyed by (k, phase) with k lexicographically >= 0, and the mean is
+    the sum of c*cos(phase) over k = 0.  An x-dependent factor with a negative
+    or fractional exponent, or anything fibre_frequencies refuses, gives None."""
+    expr, xs, zero = as_field(expr), frozenset(X_NAMES[:n]), (0,) * n
+    try:
+        frequencies = fibre_frequencies(expr, n)
+    except PeriodicityError:
+        return None
+
+    def collect(waves):
+        out = {}
+        for (k, phase), c in waves:
+            key = (k, phase) if k >= zero else (tuple(-a for a in k), negate(phase))
+            out[key] = add(out.get(key, ZERO), c)
+        return {key: c for key, c in out.items() if c is not ZERO}
+
+    @functools.cache
+    def waves(node):
+        if node.vars.isdisjoint(xs):
+            return {(zero, ZERO): node}
+        if node.op in ("sin", "cos"):
+            phase = node.args.subs(dict.fromkeys(xs, 0)) - (PI * _HALF if node.op == "sin" else 0)
+            return collect([((frequencies[node], phase), ONE)])
+        if node.op == "add":
+            parts = [(c, waves(t)) for t, c in node.args[1]]
+            if all(part is not None for _, part in parts):
+                return collect([((zero, ZERO), number(node.args[0]))] + [
+                    (key, _scaled(c, v)) for c, part in parts for key, v in part.items()])
+        elif node.op == "mul":
+            out = {(zero, ZERO): ONE}
+            for b, e in node.args:
+                free = b.vars.isdisjoint(xs)
+                factor = {(zero, ZERO): _product(Fraction(1), [(b, e)])} if free else waves(b)
+                if factor is None or not free and (e < 0 or e.denominator != 1):
+                    return None
+                for _ in range(1 if free else int(e)):
+                    out = collect(((tuple(map(op, k, j)), p + s * q), c * d * _HALF)
+                                  for (k, p), c in out.items() for (j, q), d in factor.items()
+                                  for op, s in ((operator.add, 1), (operator.sub, -1)))
+            return out
+        return None
+
+    found = waves(expr)
+    return None if found is None else add(
+        *[mul(c, function("cos", phase)) for (k, phase), c in found.items() if k == zero])
+
+
 # ---------------------------------------------------------------------------
 # sampled fields: jets
 # ---------------------------------------------------------------------------

@@ -304,6 +304,12 @@ class RunReport:
     outputs: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
+    def add_report(self, prefix, rep):
+        """Every check of a SemiflatReport, its name after the prefix."""
+        for name, check in rep.checks.items():
+            self.add_check(f"{prefix}.{name}", check.passed, check.value, check.tol,
+                           check.worst_point)
+
     def add_check(self, name, passed, value=None, tol=None, worst_point=None):
         entry = {"name": name, "passed": bool(passed)}
         if value is not None:
@@ -442,22 +448,13 @@ def _loaded(*names):
 def _run_semiflat(doc, report):
     from .semiflat import closedness_residuals, pointwise_checks, structure_equations
 
-    cfg = _settings(doc)
+    tol = _settings(doc)["tol"]
     bs = _decode_beta(doc["payload"])
-    tol = cfg["tol"]
-    pw = pointwise_checks(bs, tol=tol)
-    for name, check in pw.checks.items():
-        report.add_check(f"pointwise.{name}", check.passed, check.value, check.tol,
-                         check.worst_point)
+    report.add_report("pointwise", pointwise_checks(bs, tol=tol))
     closed = closedness_residuals(bs, tol=tol)
-    for name, check in closed.checks.items():
-        report.add_check(f"closedness.{name}", check.passed, check.value, check.tol,
-                         check.worst_point)
+    report.add_report("closedness", closed)
     report.add_check("closedness.equivalence", closed.notes["equivalence_consistent"])
-    struct = structure_equations(bs, tol=tol)
-    for name, check in struct.checks.items():
-        report.add_check(f"structure.{name}", check.passed, check.value, check.tol,
-                         check.worst_point)
+    report.add_report("structure", structure_equations(bs, tol=tol))
 
 
 def _run_dualize(doc, report):
@@ -466,12 +463,9 @@ def _run_dualize(doc, report):
     cfg = _settings(doc)
     bs = _decode_beta(doc["payload"])
     rep = dual_structure_check(bs, resolution=cfg["grid"], tol=cfg["tol"])
-    for name, check in rep.checks.items():
-        report.add_check(f"dual.{name}", check.passed, check.value, check.tol,
-                         check.worst_point)
-    report.outputs["vol_samples"] = rep.notes["vol_samples"]
-    report.outputs["dual_vol_samples"] = rep.notes["dual_vol_samples"]
-    report.outputs["volume_form_closed_residual"] = rep.notes["volume_form_closed_residual"]
+    report.add_report("dual", rep)
+    for key in ("vol_samples", "dual_vol_samples", "volume_form_closed_residual"):
+        report.outputs[key] = rep.notes[key]
 
 
 def _run_hitchin(doc, report):
@@ -489,10 +483,7 @@ def _run_hitchin(doc, report):
         f = parse_scalar(payload["twist_potential"], chart.n)
         twist = SymTensorField(chart, HitchinPotential(chart, f).hessian)
     bs, info = hitchin(pot, twist, tol=cfg["tol"])
-    closed = info["closedness"]
-    for name, check in closed.checks.items():
-        report.add_check(f"closedness.{name}", check.passed, check.value, check.tol,
-                         check.worst_point)
+    report.add_report("closedness", info["closedness"])
     report.add_check("determinant_criterion_consistent", info["criterion_consistent"])
     report.outputs["hessian_determinant_residual"] = info["determinant_residual"]
     report.outputs["hessian_determinant_value"] = _exact_text(info["determinant_value"])

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import random
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from syzlab import duality
 from syzlab.charts import Chart, circle_points, product_grid
 from syzlab.duality import (
     CycleSpec,
-    _fibre_symbolic_integral,
-    _SymbolicIntegrationError,
     DualityError,
     HitchinPotential,
     SymTensorField,
@@ -25,6 +24,7 @@ from syzlab.duality import (
     wedge_with_minus_omega,
     yukawa,
 )
+from syzlab.fields import as_field, fibre_mean, parse_scalar, to_sympy
 from syzlab.semiflat import (
     BetaStructure,
     CompatibilityError,
@@ -247,6 +247,18 @@ class TestSymmetricClass:
         alpha = SymTensorField(chart2, [[0, y2 ** 2], [0, 0]])
         assert not alpha.is_gauss_manin_closed()
         with pytest.raises(DualityError):
+            symmetric_class(alpha)
+
+    def test_piecewise_antiderivative_is_named(self):
+        """A genuine cocycle whose antiderivative sympy gives as a Piecewise
+        is refused as such, not as a non-cocycle."""
+        chart = Chart(2, ((0, 3), (0, 1)))
+        y1, y2 = map(to_sympy, chart.ys)
+        e = sp.exp(y1 * y2 / 4) / 5
+        potentials = [2 * y2 + e, 4 * y1 + e]
+        alpha = SymTensorField(chart, [[sp.diff(f, y) for f in potentials] for y in (y1, y2)])
+        assert alpha.is_gauss_manin_closed()
+        with pytest.raises(DualityError, match="piecewise or outside the grammar"):
             symmetric_class(alpha)
 
     def test_rejects_fibre_dependence(self, chart2):
@@ -499,6 +511,90 @@ def grid_mean(expr, chart, y_point, k=32):
     return np.mean(np.broadcast_to(f(*Y.T, *X.T), len(X)))
 
 
+class _SymbolicIntegrationError(Exception):
+    pass
+
+
+def _fibre_symbolic_integral(expr, chart: Chart):
+    """The oracle for fibre_mean, by sympy: the exact mean over the unit fibre
+    torus of an x-free or trig-polynomial integrand.
+
+    A trig polynomial is a polynomial in x-dependent sin/cos atoms whose
+    arguments are 2*pi*(k . x) + phase(y) with integer k.  With
+    z_j = exp(2*pi*i*x_j) each atom is a Laurent polynomial in z, and the
+    mean is its z-free term, the constant Fourier coefficient.  Any other
+    x-dependent integrand raises _SymbolicIntegrationError.
+    """
+    expr = sp.sympify(expr)
+    xs = [sp.sympify(x) for x in chart.xs]
+    if expr.free_symbols.isdisjoint(xs):
+        return expr
+    # the integer frequency vector of each x-dependent sin/cos atom (the
+    # structure's entries are fibre-periodic, so each argument is linear in x)
+    frequencies = {atom: tuple(int(sp.expand(sp.diff(atom.args[0], x)) / (2 * sp.pi))
+                               for x in xs)
+                   for atom in expr.atoms(sp.sin, sp.cos) if not atom.free_symbols.isdisjoint(xs)}
+    dummies = {atom: sp.Dummy() for atom in frequencies}
+    poly = expr.xreplace(dummies)
+    if not poly.is_polynomial(*dummies.values()):
+        raise _SymbolicIntegrationError("not a trig polynomial in the fibre variables")
+    zs = [sp.Dummy() for _ in xs]
+    waves = {}
+    for atom, ks in frequencies.items():
+        arg = sp.expand(atom.args[0])
+        # exp(i*arg) = exp(i*phase) * prod z_j^k_j
+        wave = sp.exp(sp.I * arg.subs({x: 0 for x in xs})) * sp.Mul(
+            *[z ** k for z, k in zip(zs, ks)])
+        waves[dummies[atom]] = ((wave + 1 / wave) / 2 if isinstance(atom, sp.cos)
+                                else (wave - 1 / wave) / (2 * sp.I))
+    laurent = sp.expand(poly.xreplace(waves))
+    mean = sp.Add(*[t for t in sp.Add.make_args(laurent) if t.free_symbols.isdisjoint(zs)])
+    # back from exp(i*phase) to cos/sin of the phase
+    return sp.expand(mean.xreplace({
+        e: sp.cos(e.args[0] / sp.I) + sp.I * sp.sin(e.args[0] / sp.I)
+        for e in mean.atoms(sp.exp) if (e.args[0] / sp.I).is_real}))
+
+
+def mean_of(expr, chart):
+    """fibre_mean of an integrand as a sympy expression, or None."""
+    got = fibre_mean(expr, chart.n)
+    return None if got is None else to_sympy(got)
+
+
+def _random_atom(rng, n):
+    ks = [rng.randint(-2, 2) for _ in range(n)]
+    ks[rng.randrange(n)] = rng.choice((-1, 1)) * rng.randint(1, 2)
+    arg = "+".join(f"({k})*x{i + 1}" for i, k in enumerate(ks))
+    phase = rng.choice(("0", "y1", f"y{n}/3 - 1/2", "pi/3", "2*pi/3 + y1", "-pi/4"))
+    return f"{rng.choice(('sin', 'cos'))}(2*pi*({arg}) + {phase})"
+
+
+def _random_factor(rng, n):
+    atom = _random_atom(rng, n)
+    kind = rng.randrange(6)
+    if kind == 0:
+        return atom
+    if kind == 1:
+        return f"({rng.randint(1, 3)} + y1*{atom})"
+    if kind == 2:
+        return f"{atom}^{rng.randint(2, 3)}"
+    if kind == 3:
+        return f"({atom} - {_random_atom(rng, n)}/2)"
+    if kind == 4:
+        return f"exp(y{n})*{atom}"
+    return f"({rng.randint(2, 4)} + {atom})^{rng.choice(('(-1)', '(1/2)', '(-2)', '(-1/2)'))}"
+
+
+def fourier_corpus(count=200, seed=7):
+    """Seeded sums, products and integer powers of phased sin/cos atoms at
+    n = 1..3, a sixth of the factors a negative or half power."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        product = "*".join(_random_factor(rng, n) for _ in range(rng.randint(1, 3)))
+        yield n, f"{product} + {_random_factor(rng, n)}" if rng.random() < 0.5 else product
+
+
 class TestFourierMean:
     def test_trig_polynomials_are_exact(self, chart2):
         y1, y2 = chart2.ys
@@ -514,7 +610,7 @@ class TestFourierMean:
             (y1 ** 2 + sp.sin(tau * x1) / (1 + y2 ** 2), y1 ** 2),
         ]
         for expr, mean in cases:
-            got = _fibre_symbolic_integral(expr, chart2)
+            got = mean_of(expr, chart2)
             assert sp.expand(got - mean) == 0, (expr, got)
             assert not got.free_symbols & set(chart2.xs)
             for y_point in [(0.3, -0.7), (-0.9, 0.4)]:
@@ -523,8 +619,8 @@ class TestFourierMean:
 
     def test_x_free_integrand_is_returned_as_is(self, chart2):
         y1 = chart2.ys[0]
-        expr = 1 / sp.sqrt(2 + y1 ** 2)
-        assert _fibre_symbolic_integral(expr, chart2) is expr
+        expr = as_field(1 / sp.sqrt(2 + y1 ** 2))
+        assert fibre_mean(expr, chart2.n) is expr
 
     def test_other_integrands_go_to_quadrature(self, chart2, monkeypatch):
         reached = []
@@ -536,14 +632,33 @@ class TestFourierMean:
         monkeypatch.setattr(sp, "integrate", no_integrate)
         x1 = chart2.xs[0]
         for expr in [1 / (2 + sp.cos(2 * sp.pi * x1)), sp.sqrt(3 + sp.sin(2 * sp.pi * x1))]:
-            with pytest.raises(_SymbolicIntegrationError):
-                _fibre_symbolic_integral(expr, chart2)
+            assert fibre_mean(expr, chart2.n) is None
         with pytest.warns(UserWarning, match="not closed"):
             mm = mclean_metrics(fibre_dependent(chart2))
         assert mm["h"].provenance == "quadrature"
         assert mm["h_n"].provenance == "quadrature"
         assert mm["vol"] is None
         assert not reached
+
+    def test_agrees_with_the_sympy_oracle(self):
+        """Closed form or None alike, and equal closed forms under expand.
+        The oracle splits a phase such as 2*y1 + pi/3 where fibre_mean keeps
+        it whole, so the comparison expands sin/cos of sums too."""
+        closed = 0
+        for n, text in fourier_corpus():
+            chart = Chart(n, ((-1, 1),) * n)
+            node = parse_scalar(text, n)
+            try:
+                want = _fibre_symbolic_integral(to_sympy(node), chart)
+            except _SymbolicIntegrationError:
+                want = None
+            got = mean_of(node, chart)
+            assert (got is None) == (want is None), text
+            if got is not None:
+                closed += 1
+                assert sp.expand(got - want, trig=True) == 0, (text, got, want)
+        # both outcomes are exercised
+        assert 50 < closed < 190
 
     def test_fibre_constant_metric_stays_closed_form(self, chart2):
         y1 = chart2.ys[0]
@@ -628,7 +743,7 @@ class TestOneSampledCore:
             raise AssertionError("reached")
 
         monkeypatch.setattr(duality, "mclean_metrics", refuse)
-        monkeypatch.setattr(duality, "_fibre_symbolic_integral", refuse)
+        monkeypatch.setattr(duality, "fibre_mean", refuse)
         y1 = chart2.ys[0]
         bs = BetaStructure(chart2, [[I * (2 + y1 ** 2 / 4), 0], [0, 3 * I]])
         with pytest.warns(UserWarning, match="not closed"):

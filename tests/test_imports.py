@@ -1,5 +1,6 @@
 """Import layering: the exact CLI commands load neither sympy nor numpy, the
-semi-flat, Yukawa and Hitchin demos load numpy but not sympy, no command
+semi-flat, dualize, Yukawa and Hitchin demos and mclean_metrics load numpy
+but not sympy, every benchmark job runs with sympy unimportable, no command
 loads jsonschema (a test-only reference), and the lazy package namespace
 resolves every public name as before."""
 
@@ -16,6 +17,7 @@ import syzlab
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "demos" / "scenarios"
+PERFBENCH = ROOT / "perfbench"
 SRC = Path(syzlab.__file__).resolve().parent.parent
 
 # runs one cli command in a fresh interpreter; prints its exit code and which
@@ -26,6 +28,41 @@ from syzlab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in ("sympy", "numpy", "jsonschema") if m in sys.modules)]))
+"""
+
+# McLean's metrics on a fibre-constant and a fibre-dependent structure
+MCLEAN_PROBE = """
+import json, sys, warnings
+from syzlab.charts import Chart
+from syzlab.duality import mclean_metrics
+from syzlab.fields import parse_scalar
+from syzlab.semiflat import BetaStructure
+warnings.simplefilter("ignore")
+chart = Chart(2, ((-1, 1), (-1, 1)))
+provenance = []
+for im in ("2 + y1^2/4", "3 + sin(4*pi*x1)/2"):
+    beta = [[parse_scalar({"im": im}, 2), 0], [0, parse_scalar({"im": 3}, 2)]]
+    provenance.append(mclean_metrics(BetaStructure(chart, beta))["h"].provenance)
+print(json.dumps([provenance, sorted(m for m in ("sympy", "numpy") if m in sys.modules)]))
+"""
+
+# every job of the seed-1 symbolic and exact benchmark lists, sympy blocked;
+# reads the benchmark's modules without writing bytecode next to them
+BENCH_PROBE = """
+import json, sys, warnings
+sys.modules["sympy"] = None
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import worker, workloads
+warnings.simplefilter("ignore")
+errors = {}
+for name, jobs in (("symbolic", workloads.symbolic_jobs(1)), ("exact", workloads.exact_jobs(1))):
+    for i, job in enumerate(jobs):
+        try:
+            worker.run_job(job)
+        except Exception as exc:
+            errors[f"{name}[{i}]"] = f"{type(exc).__name__}: {exc}"
+print(json.dumps(errors))
 """
 
 # every name the package namespace re-exported when it imported its modules eagerly
@@ -52,10 +89,10 @@ PUBLIC = {
 }
 
 
-def _probe(*argv):
+def _probe(*argv, code=PROBE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE, *map(str, argv)], cwd=ROOT, env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
@@ -81,9 +118,17 @@ def test_exact_commands_load_neither_sympy_nor_numpy(argv, k3_payload):
 
 
 @pytest.mark.parametrize("demo, code", [("flat_torus", 0), ("yukawa_n2", 0),
-                                        ("hitchin_cubic", 1)])
+                                        ("hitchin_cubic", 1), ("dualize_n2", 0)])
 def test_scenario_verdicts_load_numpy_but_not_sympy(demo, code):
     assert _probe("run", SCENARIOS / f"{demo}.json") == [code, ["numpy"]]
+
+
+def test_mclean_metrics_load_numpy_but_not_sympy():
+    assert _probe(code=MCLEAN_PROBE) == [["closed-form", "quadrature"], ["numpy"]]
+
+
+def test_benchmark_jobs_run_without_sympy():
+    assert _probe(PERFBENCH, code=BENCH_PROBE) == {}
 
 
 @pytest.mark.parametrize("argv", [["list-models"], ["conventions"]])

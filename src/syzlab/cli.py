@@ -151,7 +151,8 @@ def build_parser():
     p = sub.add_parser("run", help="run a scenario file")
     p.add_argument("scenario")
     p.add_argument("--grid", type=int, default=None,
-                   help="fibre quadrature points per axis (default 16)")
+                   help="yukawa fibre quadrature points per axis (default 16; "
+                        "grid^n at most 2^20); no other kind reads it")
     p.add_argument("--tol", type=float, default=None,
                    help="residual tolerance (default 1e-8)")
     _add_output(p)

@@ -394,13 +394,14 @@ def symmetric_class(alpha: SymTensorField):
 # dualisation
 # ---------------------------------------------------------------------------
 
-def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
-                         tol=DEFAULT_TOL) -> SemiflatReport:
+def dual_structure_check(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
     """Dualise a fibre-constant structure and verify metric and volume duality.
 
     The dual inverse metric is the normalised base metric h_n; the dual
     fibre volume integrates over the period lattice, i.e. carries the
-    covolume factor det(h_n).
+    covolume factor det(h_n).  Every integrand (V, h_n and the dual's
+    V * gInv) is fibre-constant, so each fibre mean is its value at one
+    fibre point, and no fibre grid is read.
     """
     require_compatible(bs, tol)
     chart, n = bs.chart, bs.n
@@ -414,9 +415,8 @@ def dual_structure_check(bs: BetaStructure, resolution=FIBRE_RESOLUTION,
     report.notes["volume_form_closed_residual"] = _volume_form_gap(dual, tol)
     base = _base_axes(chart, 3)
     pts = product_grid(base)
-    # h_n is fibre-constant: its fibre means are its values
     mats, dual_vols, (vols, *expect) = _normalised_metric(
-        dual, base, resolution, [bs.volume_node] + [e for row in h_n for e in row])
+        dual, base, 1, [bs.volume_node] + [e for row in h_n for e in row])
     expect = np.array(expect).T.reshape(len(pts), n, n)
     dual_vols = dual_vols * np.linalg.det(expect)
     # each defect is a fibre mean at a base point: its worst point has no x

@@ -21,11 +21,12 @@ pi and pull out a sign or a multiple of pi/2.  A numeric exponent above
 MAX_POWER, or one that times the bit length of the largest number in its
 base passes MAX_BITS, is refused before the power is computed; so is an
 exponent above MAX_POWER that the collection of like bases makes, as in
-(1+y1)^64*(1+y1)^64.  Nodes differentiate (``diff``), evaluate exactly at a
-rational point (``exact``), and convert to and from sympy (``to_sympy``,
-``from_sympy``) for the symbolic layer and library callers; sympy is
-imported only by those conversions.  A node has no sympy methods: a caller
-that wants sympy's converts with ``to_sympy``.
+(1+y1)^64*(1+y1)^64.  Nodes differentiate (``diff``), substitute numbers
+for variables (``subs``, where a rational value folds to a number node),
+and convert to and from sympy (``to_sympy``, ``from_sympy``) for the
+symbolic layer and library callers; sympy is imported only by those
+conversions.  A node has no sympy methods: a caller that wants sympy's
+converts with ``to_sympy``.
 
 Fibre periodicity is enforced syntactically: a fibre variable x_i may occur
 only inside sin/cos whose argument is 2*pi*(integer)*x_i plus an x-free
@@ -180,12 +181,6 @@ class Node:
 
     def as_real_imag(self):
         return self, ZERO
-
-    def exact(self, point=None):
-        """The exact value at a rational point {name: number}, a Fraction,
-        or None where it is not rational (pi, a surd, sin(1), ...)."""
-        point = {k: Fraction(v) for k, v in (point or {}).items()}
-        return _exact(self, point, {})
 
     def subs(self, point):
         """The node with chart variables replaced by numbers or nodes, given
@@ -689,43 +684,6 @@ def _diff(node, name):
     if op == "cos":
         return negate(mul(function("sin", args), inner))
     return mul(node, inner)  # exp
-
-
-def _exact(node, point, memo):
-    if node in memo:
-        return memo[node]
-    op, args = node.op, node.args
-    out = None
-    if op == "num":
-        out = args
-    elif op == "var":
-        out = point.get(args)
-    elif op == "add":
-        parts = [_exact(t, point, memo) for t, _ in args[1]]
-        if None not in parts:
-            out = args[0] + sum(c * p for (_, c), p in zip(args[1], parts))
-    elif op == "mul":
-        out = Fraction(1)
-        for b, e in args:
-            v = _exact(b, point, memo)
-            if v is None or (v == 0 and e < 0):
-                out = None
-                break
-            if e.denominator != 1:
-                if v < 0:
-                    out = None
-                    break
-                v = _root(v, e.denominator)
-                if v is None:
-                    out = None
-                    break
-                e = Fraction(e.numerator)
-            out *= v ** int(e)
-    elif op in FUNCTIONS:
-        if _exact(args, point, memo) == 0:
-            out = Fraction(0) if op == "sin" else Fraction(1)
-    memo[node] = out
-    return out
 
 
 def _subs(node, point, memo):

@@ -22,6 +22,8 @@ from . import __version__
 SCHEMA_VERSION = "1"
 # kinds whose verdicts are exact: no grid or tolerance acts on them
 _EXACT_KINDS = ("fibre", "sheaf", "k3")
+# the most fibre samples (grid^n) a yukawa quadrature holds per base point
+_MAX_FIBRE_SAMPLES = 2 ** 20
 
 _RATIONAL = {"type": ["string", "number"]}
 # object keywords constrain only the {"re", "im"} form
@@ -462,7 +464,7 @@ def _run_dualize(doc, report):
 
     cfg = _settings(doc)
     bs = _decode_beta(doc["payload"])
-    rep = dual_structure_check(bs, resolution=cfg["grid"], tol=cfg["tol"])
+    rep = dual_structure_check(bs, tol=cfg["tol"])
     report.add_report("dual", rep)
     for key in ("vol_samples", "dual_vol_samples", "volume_form_closed_residual"):
         report.outputs[key] = rep.notes[key]
@@ -506,6 +508,10 @@ def _run_yukawa(doc, report):
 
     cfg = _settings(doc)
     payload = doc["payload"]
+    grid, n = cfg["grid"], int(payload["n"])
+    if grid ** n > _MAX_FIBRE_SAMPLES:
+        raise ScenarioError(f"grid {grid} at n = {n} asks for {grid ** n} fibre samples "
+                            f"per base point; at most {_MAX_FIBRE_SAMPLES} are allowed")
     base = _decode_beta(payload)
     dirs = [_decode_matrix(d, base.n) for d in payload["directions"]]
     fam = YukawaFamily(base, dirs)

@@ -24,8 +24,9 @@ variable on its own axis: every jet, and every residual made from them, is an
 array over the axes of the variables it depends on, so an x-free beta is
 sampled at the 5^n base points only.  Every residual needs first derivatives
 only.  Each structure keeps one table of sampled residual peaks (|z|, |Re z|,
-|Im z| and where each is reached) by name: each residual is sampled once, and
-every report selects from the table.
+|Im z| and where each is reached) by name, and the least eigenvalue of Im beta:
+one walk of beta's jets fills every entry a request lacks, each residual is
+sampled once, and every report selects from the table.
 
 Hessian (Hitchin) structures and the coupling integral live here too: a
 potential's Hessian is taken with the node ``diff``, its determinant by
@@ -219,25 +220,6 @@ class BetaStructure:
         for index, jets in self._walk.grid(self.chart.sample_axes(), _JET_ROWS, jets=True):
             yield index, [jets[i * n:(i + 1) * n] for i in range(n)]
 
-    @np.errstate(all="ignore")
-    def min_imbeta_eigenvalue(self):
-        """Least eigenvalue of sym(Im beta) over the sample grid, and where;
-        a beta not finite there is a GrammarError."""
-        n, least, where, axes = self.n, np.inf, None, self.chart.sample_axes()
-        for index, beta in self._beta_jets():
-            vals = np.stack(np.broadcast_arrays(*[entry.value for row in beta for entry in row]))
-            points = vals.shape[1:]
-            finite = np.isfinite(vals).all(axis=0)
-            if not finite.all():
-                y, x = sample_point(axes, index, points, int(np.argmin(finite)))
-                raise GrammarError(f"beta is not finite at the sample point y = {y}, x = {x}")
-            mats = vals.imag.reshape(n * n, -1).T.reshape(-1, n, n)
-            eig = np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0]
-            idx = int(np.argmin(eig))
-            if eig[idx] < least:
-                least, where = float(eig[idx]), sample_point(axes, index, points, idx)
-        return least, where
-
 
 def _determinant(matrix):
     """The Leibniz determinant; entries of any coefficient type."""
@@ -337,33 +319,45 @@ _RESIDUALS = {
 }
 
 
+def _least_eigenvalue(beta, axes, index):
+    """The least eigenvalue of sym(Im beta) on one sub-box of jets, and
+    where; a beta not finite there is a GrammarError."""
+    vals = np.stack(np.broadcast_arrays(*[entry.value for row in beta for entry in row]))
+    n, points = len(beta), vals.shape[1:]
+    finite = np.isfinite(vals).all(axis=0)
+    if not finite.all():
+        y, x = sample_point(axes, index, points, int(np.argmin(finite)))
+        raise GrammarError(f"beta is not finite at the sample point y = {y}, x = {x}")
+    mats = vals.imag.reshape(n * n, -1).T.reshape(-1, n, n)
+    eig = np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0]
+    idx = int(np.argmin(eig))
+    return float(eig[idx]), sample_point(axes, index, points, idx)
+
+
 @np.errstate(all="ignore")
-def _sample_residuals(bs: BetaStructure, names):
-    """The SupNorm of each named residual, from its builder run on the jets
-    of beta and V, sub-box by sub-box."""
-    peaks, axes = Peaks(len(names)), bs.chart.sample_axes()
-    for index, beta in bs._beta_jets():
-        V = _volume_jet(beta)
-        for k, name in enumerate(names):
-            values = [c.value for c in _RESIDUALS[name](bs.chart, beta, V) if c != 0]
-            if values:
-                peaks.add(k, values, axes, index)
-    return peaks.norms()
-
-
 def _sampled(bs: BetaStructure, names):
-    """The named entries of the structure's table of samples.
-
-    The least eigenvalue of Im beta is taken first, so that a beta with a
-    pole on the grid is rejected unsampled; the named residuals not yet in
-    the table are then sampled together in one pass over the grid.
-    """
-    table = bs._samples
-    if "positivity" not in table:
-        table["positivity"] = bs.min_imbeta_eigenvalue()
-    new = [name for name in names if name not in table]
-    if new:
-        table.update(zip(new, _sample_residuals(bs, new)))
+    """The named entries of the structure's table of samples, the missing
+    ones from one walk of beta's jets.  Until the table holds "positivity",
+    each sub-box takes it first, so that a beta with a pole on the grid is
+    rejected before a residual is built there; the table is written after
+    the walk, so a rejected beta leaves no entries."""
+    table, axes = bs._samples, bs.chart.sample_axes()
+    positivity = "positivity" not in table
+    new = [name for name in names if name not in table and name != "positivity"]
+    if positivity or new:
+        least, peaks = (np.inf, None), Peaks(len(new))
+        for index, beta in bs._beta_jets():
+            if positivity:
+                least = min(least, _least_eigenvalue(beta, axes, index), key=lambda e: e[0])
+            if new:
+                V = _volume_jet(beta)
+                for k, name in enumerate(new):
+                    values = [c.value for c in _RESIDUALS[name](bs.chart, beta, V) if c != 0]
+                    if values:
+                        peaks.add(k, values, axes, index)
+        if positivity:
+            table["positivity"] = least
+        table.update(zip(new, peaks.norms()))
     return [table[name] for name in names]
 
 
@@ -591,9 +585,8 @@ def hitchin(potential: HitchinPotential, b_field=None, tol=DEFAULT_TOL):
     centre = {y.name: c for y, c in zip(chart.ys, chart.center)}
     det_centre = bs.det_node.subs(centre)
     det_residual = sup_norm_scalars([bs.det_node - det_centre], chart)
-    value = det_centre.exact()
-    if value is None:
-        value = bs.det_g_inv.subs(dict(zip(chart.ys, chart.center)))
+    value = (det_centre.args if det_centre.op == "num"
+             else bs.det_g_inv.subs(dict(zip(chart.ys, chart.center))))
     closed = closedness_residuals(bs, tol)
     info = {
         "determinant_residual": det_residual,
@@ -638,9 +631,10 @@ def yukawa(family: YukawaFamily, resolution=FIBRE_RESOLUTION, base_resolution=8)
 
     oracle = None
     if not variables(integrand):
-        exact = [part.exact() for part in integrand.as_real_imag()]
-        if None in exact:
-            exact = [to_sympy(part) for part in integrand.as_real_imag()]
+        # a rational constant folds to a number node; sympy keeps the rest exact
+        parts = integrand.as_real_imag()
+        exact = ([part.args for part in parts] if all(part.op == "num" for part in parts)
+                 else [to_sympy(part) for part in parts])
         oracle = complex(*(float(sign * part * chart.box_volume) for part in exact))
 
     total = chart_integral(integrand, chart, base_resolution, resolution)

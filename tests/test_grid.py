@@ -91,7 +91,7 @@ def test_grid_matches_dense_rows(entries, cap, monkeypatch):
     monkeypatch.setattr(semiflat, "_JET_ROWS", cap)
     bs = structure(entries)
     table, (least, where) = dense_reference(bs)
-    got_least, got_where = bs.min_imbeta_eigenvalue()
+    got_least, got_where = _sampled(bs, ["positivity"])[0]
     assert got_least == pytest.approx(least, rel=1e-12)
     assert got_where == where
     for name, peak in zip(NAMES, _sampled(bs, NAMES)):
@@ -143,4 +143,28 @@ def test_a_pole_is_named_at_its_first_sample_point():
     entries[2][2] = {"im": "1/y2^2"}
     with pytest.raises(GrammarError, match=r"not finite at the sample point "
                        r"y = \(-1\.0, 0\.0, -1\.0\), x = \(0\.0, 0\.0, 0\.0\)"):
-        structure(entries).min_imbeta_eigenvalue()
+        _sampled(structure(entries), ["positivity"])[0]
+
+
+def test_the_pole_check_comes_before_any_residual(monkeypatch):
+    """One walk samples positivity and every residual: the pole is rejected
+    with pointwise_checks' message before a residual is built on a sub-box
+    where beta is not finite, and the table stays empty."""
+    entries = [row[:] for row in DENSE]
+    entries[2][2] = {"im": "1/y2^2"}
+    with pytest.raises(GrammarError) as expected:
+        semiflat.pointwise_checks(structure(entries))
+    assert "y = (-1.0, 0.0, -1.0), x = (0.0, 0.0, 0.0)" in str(expected.value)
+
+    volume_jet = semiflat._volume_jet
+
+    def finite_only(beta):
+        assert all(np.isfinite(e.value).all() for row in beta for e in row)
+        return volume_jet(beta)
+
+    monkeypatch.setattr(semiflat, "_volume_jet", finite_only)
+    bs = structure(entries)
+    with pytest.raises(GrammarError) as got:
+        _sampled(bs, NAMES)
+    assert str(got.value) == str(expected.value)
+    assert bs._samples == {}

@@ -746,3 +746,47 @@ class TestHessianDeterminantText:
                "payload": {"n": 2, "box": box, "potential": potential}}
         got = run_scenario_doc(doc).outputs["hessian_determinant_value"]
         assert got == want == text
+
+
+_YUKAWA_N3 = _beta_doc(
+    "yukawa", 3, [[{"im": "2"}, "1/4", 0], ["1/4", {"im": "3"}, 0], [0, 0, {"im": "1"}]],
+    directions=[[[1 if (i, j) == (k, k) else 0 for j in range(3)] for i in range(3)]
+                for k in range(3)])
+
+
+class TestGridReach:
+    @pytest.mark.parametrize("grid, code", [(101, 0), (102, 2)])
+    def test_yukawa_fibre_grid_is_bounded(self, grid, code, tmp_path, capsys):
+        """grid^n fibre samples per base point: 101^3 is within 2^20 and
+        102^3 is not, which is a scenario error naming grid and n, raised
+        before beta is decoded."""
+        doc = _with(_YUKAWA_N3, ["settings"], {"grid": grid})
+        if code:
+            with pytest.raises(ScenarioError, match=r"grid 102 at n = 3"):
+                run_scenario_doc(doc)
+        else:
+            assert run_scenario_doc(doc).passed
+        path = write(tmp_path, _YUKAWA_N3)
+        assert main(["run", path, "--grid", str(grid)]) == code
+        if code:
+            assert "grid 102 at n = 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        json.loads((SCENARIOS / "dualize_n2.json").read_text()),
+        _beta_doc("dualize", 2, [[{"re": "sin(2*pi*x1)/5 + y2", "im": "2"}, 0],
+                                 [0, {"im": "3 + y1/2"}]]),
+    ], ids=["demo", "fibre_dependent_b"])
+    def test_dualize_reads_no_grid(self, doc, tmp_path, capsys):
+        """Every dualize integrand is fibre-constant, so --grid changes no
+        byte of the report apart from the settings it echoes and timings."""
+        path = write(tmp_path, doc)
+        reports = []
+        for grid in (2, 16, 64):
+            main(["run", path, "--grid", str(grid), "--format", "json"])
+            report = json.loads(capsys.readouterr().out)
+            assert report["scenario"]["settings"]["grid"] == grid
+            for key in ("timings", "scenario"):
+                report.pop(key)
+            reports.append(report)
+        assert reports[0]["checks"]
+        assert reports[0] == reports[1] == reports[2]

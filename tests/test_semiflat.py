@@ -438,22 +438,43 @@ class TestCompatibilityOnce:
              [{"re": "-1/2", "im": "1/8"}, {"im": "3"}, {"re": "1/4"}],
              [0, {"re": "1/4"}, {"re": "-1", "im": "7/2"}]]
 
-    def test_semiflat_scenario_computes_pointwise_once(self, monkeypatch):
+    @staticmethod
+    def _walks(monkeypatch, doc):
+        """The report of doc, and how many times beta's jets were walked."""
         from syzlab.scenarios import run_scenario_doc
 
         calls = []
-        raw = BetaStructure.min_imbeta_eigenvalue
+        raw = BetaStructure._beta_jets
 
-        def counted(self, *args, **kwargs):
-            calls.append(args)
-            return raw(self, *args, **kwargs)
+        def counted(self):
+            calls.append(self)
+            return raw(self)
 
-        monkeypatch.setattr(BetaStructure, "min_imbeta_eigenvalue", counted)
+        monkeypatch.setattr(BetaStructure, "_beta_jets", counted)
+        return run_scenario_doc(doc), len(calls)
+
+    def test_semiflat_scenario_computes_pointwise_once(self, monkeypatch):
+        """pointwise_checks takes positivity and symmetry in one walk, and
+        closedness_residuals its three residuals in a second; require_compatible
+        and structure_equations read the table."""
         doc = {"version": "1", "kind": "semiflat-check", "payload": {
             "n": 3, "box": [[-1, 1]] * 3, "beta": self.BETA3}}
-        report = run_scenario_doc(doc)
+        report, walks = self._walks(monkeypatch, doc)
         assert report.passed
-        assert len(calls) == 1
+        assert walks == 2
+
+    @pytest.mark.parametrize("demo, walks", [
+        ("flat_torus", 2), ("hitchin_cubic", 2), ("yukawa_n2", 1), ("dualize_n2", 3)])
+    def test_one_walk_per_sampling_request(self, demo, walks, monkeypatch):
+        """yukawa samples only positivity; dualize walks the structure, then
+        the dual's positivity with symmetry and its d(Omega)."""
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / f"{demo}.json"
+        report, got = self._walks(monkeypatch, json.loads(path.read_text()))
+        assert report.checks
+        assert got == walks
 
     def test_cached_report_is_a_copy(self, chart2):
         bs = flat(chart2)

@@ -28,6 +28,8 @@ class ChainComplex:
     from it has zero boundary.  The constructor sums repeated faces, drops
     zero coefficients, orders each chain by face index and checks d o d = 0,
     raising ComplexError on an unknown cell or face or a nonzero square.
+    Each chain is stored as ((face index, coeff), ...), a sparse column of
+    d_k, which is the form homology() hands to homology_groups.
     """
 
     def __init__(self, cells, chains, name=""):
@@ -39,13 +41,13 @@ class ChainComplex:
             j = self.index[k].get(label) if 0 < k <= self.dim else None
             if j is None:
                 raise ComplexError(f"{label} is not a {k}-cell with a boundary in {name}")
-            lower, layer, acc = self.index[k - 1], self.cells[k - 1], {}
+            lower, acc = self.index[k - 1], {}
             for face, c in faces:
                 i = lower.get(face)
                 if i is None:
                     raise ComplexError(f"face {face} of {label} is not a {k - 1}-cell of {name}")
                 acc[i] = acc.get(i, 0) + c
-            self._chains[k][j] = tuple((layer[i], acc[i]) for i in sorted(acc) if acc[i])
+            self._chains[k][j] = tuple((i, acc[i]) for i in sorted(acc) if acc[i])
         self.validate()
 
     @property
@@ -63,16 +65,17 @@ class ChainComplex:
 
     def faces(self, k, label):
         """Nonzero boundary entries of a k-cell as ((face label, coeff), ...)."""
-        return self._chains[k][self.index[k][label]]
+        chain, layer = self._chains[k][self.index[k][label]], self.cells[k - 1]
+        return tuple((layer[i], c) for i, c in chain)
 
     def validate(self):
         """Check d o d = 0 cell by cell over the nonzero boundary entries."""
         for k in range(2, self.dim + 1):
-            lower, below = self.index[k - 1], self._chains[k - 1]
+            below = self._chains[k - 1]
             for chain in self._chains[k]:
                 acc = {}
                 for face, c in chain:
-                    for f2, c2 in below[lower[face]]:
+                    for f2, c2 in below[face]:
                         acc[f2] = acc.get(f2, 0) + c * c2
                 if any(acc.values()):
                     raise ComplexError(f"boundary square nonzero at degree {k} in {self.name}")
@@ -80,17 +83,15 @@ class ChainComplex:
 
     def boundary_matrix(self, k):
         """Dense integer matrix of d_k: C_k -> C_{k-1}, one column per k-cell."""
-        lower = self.index[k - 1]
         mat = [[0] * len(self.cells[k]) for _ in self.cells[k - 1]]
         for j, chain in enumerate(self._chains[k]):
-            for face, c in chain:
-                mat[lower[face]][j] = c
+            for i, c in chain:
+                mat[i][j] = c
         return mat
 
     def homology(self):
         """List of (free_rank, divisors) per degree."""
-        bnds = [[]] + [self.boundary_matrix(k) for k in range(1, self.dim + 1)]
-        return homology_groups(bnds, self.cell_counts())
+        return homology_groups(self._chains, self.cell_counts())
 
 
 def circle_complex(segments=1, name="circle"):

@@ -24,6 +24,7 @@ Cell lists at grid 1 (labels are nested circle cells, v = vertex, e = edge):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .complexes import (
     CellularMap,
@@ -33,7 +34,6 @@ from .complexes import (
     point_complex,
     product_complex,
     quotient_complex,
-    torus_complex,
 )
 
 V0 = ("v", 0)
@@ -92,16 +92,46 @@ def _fig8_predicate(comps):
     return comps[0] == V0 or comps[1] == V0
 
 
+class Tori:
+    """The circle, 2-torus and 3-torus of one grid, each built on first use.
+
+    One fibre request makes one and passes it to every model it builds, so
+    all eight models share one 3-torus and M22 and M11a build none.  It
+    lives as long as the request.
+    """
+
+    def __init__(self, grid=1):
+        self.grid = grid
+
+    @cached_property
+    def circle(self):
+        return circle_complex(self.grid, "S1")
+
+    @cached_property
+    def t2(self):
+        return product_complex(self.circle, self.circle, "T2")
+
+    @cached_property
+    def t3(self):
+        return product_complex(self.t2, self.circle, "T3")
+
+
+def _nodal(t2):
+    return _pinch(t2, cells_where(t2, 2, lambda c: c[0] == V0), "nodal")
+
+
+def _one_point(t2):
+    return _pinch(t2, cells_where(t2, 2, _fig8_predicate), "onepoint")
+
+
 def nodal_curve_complex(grid=1):
     """2-torus with the {x1 = 0} circle collapsed to a point."""
-    t2 = torus_complex(2, grid, "T2")
-    return _pinch(t2, cells_where(t2, 2, lambda c: c[0] == V0), "nodal")
+    return _nodal(Tori(grid).t2)
 
 
 def one_point_curve_complex(grid=1):
     """2-torus with both coordinate circles collapsed; a 2-sphere."""
-    t2 = torus_complex(2, grid, "T2")
-    return _pinch(t2, cells_where(t2, 2, _fig8_predicate), "onepoint")
+    return _one_point(Tori(grid).t2)
 
 
 def _pinch(cx: ChainComplex, labels, name):
@@ -111,20 +141,24 @@ def _pinch(cx: ChainComplex, labels, name):
     return quotient_complex(cx, labels, point_complex(), collapse, name=name)
 
 
-def build_model(name, grid=1) -> ChainComplex:
-    """Build the named quotient model as a validated chain complex."""
+def build_model(name, grid=1, tori=None) -> ChainComplex:
+    """Build the named quotient model as a validated chain complex, on the
+    request's tori of that grid when given, else on new ones."""
+    tori = tori or Tori(grid)
+    if tori.grid != grid:
+        raise ModelError(f"tori of grid {tori.grid} given for grid {grid}")
     if name == "T3":
-        return torus_complex(3, grid, "T3")
+        return tori.t3
     if name not in MODEL_TABLE:
         raise ModelError(f"unknown model {name!r}; choose from {MODEL_NAMES} or T3")
-    t3 = torus_complex(3, grid, "T3")
 
     if name == "M22":
-        return product_complex(nodal_curve_complex(grid), circle_complex(grid), "M22")
+        return product_complex(_nodal(tori.t2), tori.circle, "M22")
 
     if name == "M11a":
-        return product_complex(one_point_curve_complex(grid), circle_complex(grid), "M11a")
+        return product_complex(_one_point(tori.t2), tori.circle, "M11a")
 
+    t3 = tori.t3
     if name == "M12":
         return _pinch(t3, cells_where(t3, 3, lambda c: c[0] == V0), "M12")
 
@@ -135,9 +169,8 @@ def build_model(name, grid=1) -> ChainComplex:
         return _pinch(t3, cells_where(t3, 3, lambda c: V0 in c), "M00")
 
     if name in ("M21", "M11b"):
-        t2 = torus_complex(2, grid, "T2")
-        fig8_labels = cells_where(t2, 2, _fig8_predicate)
-        fig8 = extract_subcomplex(t2, fig8_labels, "fig8")
+        fig8_labels = cells_where(tori.t2, 2, _fig8_predicate)
+        fig8 = extract_subcomplex(tori.t2, fig8_labels, "fig8")
         sub = cells_where(t3, 3, _fig8_predicate)
         images = {}
         for label in sub:
@@ -152,7 +185,6 @@ def build_model(name, grid=1) -> ChainComplex:
         return _pinch(m21, loop, "M11b")
 
     if name == "M10":
-        circ = circle_complex(grid)
         sub = cells_where(t3, 3, lambda c: _fig8_predicate(c) or c[2] == V0)
         images = {}
         for label in sub:
@@ -161,7 +193,7 @@ def build_model(name, grid=1) -> ChainComplex:
                 images[label] = [(c3, 1)]
             else:
                 images[label] = []
-        return quotient_complex(t3, sub, circ, CellularMap(images), name="M10")
+        return quotient_complex(t3, sub, tori.circle, CellularMap(images), name="M10")
 
     raise ModelError(f"unhandled model {name!r}")
 
@@ -204,6 +236,13 @@ def model_cohomology(name, grid=1) -> CohomologyResult:
     return integral_cohomology(build_model(name, grid))
 
 
+def cohomology_of_models(names, grid=1):
+    """{name: CohomologyResult} for one request, its models sharing one
+    circle, 2-torus and 3-torus."""
+    tori = Tori(grid)
+    return {name: integral_cohomology(build_model(name, grid, tori)) for name in names}
+
+
 def fibre_type_report(results=None):
     """Table of (b1, b2) per model with the expected values and duality audit.
 
@@ -211,7 +250,7 @@ def fibre_type_report(results=None):
     make the pairing audit fail.
     """
     if results is None:
-        results = {name: model_cohomology(name) for name in MODEL_NAMES}
+        results = cohomology_of_models(MODEL_NAMES)
     rows = []
     all_match = True
     for name in results:

@@ -1,17 +1,20 @@
 """Exact integer linear algebra: Smith normal form, kernels, unimodular inverses.
 
-All routines work on Python-int matrices (dense lists of lists) so
-intermediate entries never overflow.  Boundary matrices of the fibre models
-reach a few hundred rows at grid 4 (192 x 192 for the 3-torus) but hold a
-few nonzero entries per column, so the elimination and the products below
-touch only nonzero entries.  There is one elimination routine,
-``smith_normal_form``; callers that need only invariants (rank, elementary
-divisors, unimodularity) take ``snf_diagonal``, which runs it without
-building the transforms.
+All routines work on Python-int matrices so intermediate entries never
+overflow.  Boundary maps of the fibre models reach 648 x 648 at grid 6 (d_2
+of the 3-torus) with at most six nonzero entries per column, and nearly
+every pivot of a cellular boundary is +-1.  So the routines that need only
+invariants (``snf_diagonal``, and through it rank, elementary divisors,
+unimodularity and ``homology_groups``) first eliminate the unit pivots of a
+sparse copy with integer row operations, each pivot a 1 on the Smith
+diagonal, and hand only the unit-free remainder to the dense
+``smith_normal_form``.  ``smith_normal_form`` with transforms (kernels,
+solves, inverses) is the one dense elimination routine.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 
 
@@ -160,10 +163,86 @@ def smith_normal_form(matrix, *, transforms=True):
     return a, u, v
 
 
+def sparse_columns(matrix):
+    """The nonzero (row index, coeff) pairs of each column of a dense matrix."""
+    cols = [[] for _ in range(len(matrix[0]) if matrix else 0)]
+    for i, row in enumerate(matrix):
+        for j in _support(row):
+            cols[j].append((i, row[j]))
+    return cols
+
+
+def _add_row(rows, cols, src, dst, f):
+    """Row dst += f * row src, kept in both the row and the column dicts."""
+    target = rows[dst]
+    for j, y in rows[src].items():
+        x = target.get(j, 0) + f * y
+        if x:
+            target[j] = cols[j][dst] = x
+        else:
+            del target[j], cols[j][dst]
+
+
+def _eliminate_units(columns, nrows):
+    """Eliminate every +-1 pivot of a sparse integer matrix.
+
+    columns[j] lists the (row index, coeff) entries of column j.  Columns
+    are taken shortest first and, in each, the unit entry in the shortest
+    row; row operations clear the rest of the pivot's column, after which
+    its row and column leave the matrix.  Returns the number of pivots and
+    the dense remainder (its nonzero rows and columns), which holds no unit
+    entry and is empty when nothing is left.
+    """
+    cols = [{i: x for i, x in col if x} for col in columns]
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            rows[i][j] = x
+    heap = [(len(col), j) for j, col in enumerate(cols) if col]
+    heapify(heap)
+    pivots = 0
+    while heap:
+        size, c = heappop(heap)
+        col = cols[c]
+        if len(col) != size:
+            continue  # a later push holds this column's current length
+        units = [i for i, x in col.items() if x == 1 or x == -1]
+        if not units:
+            continue  # pushed again if an elimination changes it
+        r = units[0] if len(units) == 1 else min(units, key=lambda i: len(rows[i]))
+        u = col[r]
+        for i, x in list(col.items()):
+            if i != r:
+                _add_row(rows, cols, r, i, -x * u)
+        for j in rows[r]:
+            del cols[j][r]
+            if j != c and cols[j]:
+                heappush(heap, (len(cols[j]), j))
+        rows[r] = {}
+        pivots += 1
+    live = [j for j, col in enumerate(cols) if col]
+    rest = [[row.get(j, 0) for j in live] for row in rows if row]
+    return pivots, rest
+
+
+def _sparse_diagonal(columns, nrows):
+    """Smith diagonal of the nrows x len(columns) matrix given by its columns."""
+    ones, rest = _eliminate_units(columns, nrows)
+    diag = [1] * ones
+    if rest:
+        d, _, _ = smith_normal_form(rest, transforms=False)
+        diag += [d[i][i] for i in range(min(len(d), len(d[0])))]
+    return diag + [0] * (min(nrows, len(columns)) - len(diag))
+
+
+def _rank_and_divisors(diag):
+    return sum(1 for x in diag if x), [x for x in diag if x > 1]
+
+
 def snf_diagonal(matrix):
     """Diagonal of the Smith normal form, without the transforms."""
-    d, _, _ = smith_normal_form(matrix, transforms=False)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    a = as_int_matrix(matrix)
+    return _sparse_diagonal(sparse_columns(a), len(a))
 
 
 def rank(matrix):
@@ -172,8 +251,7 @@ def rank(matrix):
 
 def rank_and_divisors(matrix):
     """Rank and nontrivial elementary divisors from one Smith diagonal."""
-    diag = snf_diagonal(matrix)
-    return sum(1 for x in diag if x), [x for x in diag if x > 1]
+    return _rank_and_divisors(snf_diagonal(matrix))
 
 
 def is_unimodular(matrix):
@@ -237,13 +315,16 @@ def invert_unimodular(mat):
 def homology_groups(boundaries, cells_per_dim):
     """Integer homology from boundary maps d_k: C_k -> C_{k-1}.
 
-    boundaries[k] is the matrix of d_k (or [] when trivial); returns a list
-    of (free_rank, divisors) per degree.  Each nonzero map gets one Smith
-    diagonal, shared by degrees k (its rank) and k-1 (rank and torsion).
+    boundaries[k] gives d_k as sparse columns, one list of (row index,
+    coeff) per k-cell, the rows indexing the (k-1)-cells; boundaries[0] is
+    [].  Returns a list of (free_rank, divisors) per degree.  Each nonzero
+    map gets one Smith diagonal (unit pivots eliminated sparsely, the rest
+    densely), shared by degrees k (its rank) and k-1 (rank and torsion).
     """
     dims = len(cells_per_dim)
-    maps = [rank_and_divisors(boundaries[k]) if k < len(boundaries) and boundaries[k]
-            else (0, []) for k in range(dims + 1)]
+    maps = [_rank_and_divisors(_sparse_diagonal(boundaries[k], cells_per_dim[k - 1]))
+            if 0 < k < len(boundaries) and any(boundaries[k]) else (0, [])
+            for k in range(dims + 1)]
     out = []
     for k in range(dims):
         rank_dk = maps[k][0] if cells_per_dim[k] else 0

@@ -39,6 +39,7 @@ from .intlinalg import (
     mat_is_zero,
     mat_mul,
     rank,
+    sparse_columns,
 )
 
 
@@ -167,10 +168,11 @@ def pushforward_cohomology(system: LocalSystemOnSphere) -> PushforwardCohomology
     if not mat_is_zero(mat_mul(d1, d0)):
         raise RuntimeError("internal: glued differentials do not compose to zero")
 
-    # read C^0 -> C^1 -> C^2 as the chain complex C^2 <- C^1 <- C^0: one
-    # Smith diagonal per differential; H^1 carries the divisors of d0, since
-    # ker(d1) is saturated
-    groups = homology_groups([[], d1, d0], [dim2, dim1, dim0])[::-1]
+    # read C^0 -> C^1 -> C^2 as the chain complex C^2 <- C^1 <- C^0, each
+    # differential as sparse columns: one Smith diagonal per differential;
+    # H^1 carries the divisors of d0, since ker(d1) is saturated
+    groups = homology_groups([[], sparse_columns(d1), sparse_columns(d0)],
+                             [dim2, dim1, dim0])[::-1]
     chi = groups[0][0] - groups[1][0] + groups[2][0]
     if chi != euler_characteristic(system):
         raise RuntimeError("internal: euler characteristic mismatch")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -92,30 +93,132 @@ class TestZeroSkippingProduct:
         assert mat_mul([[1], [2]], []) == [[], []]
 
 
+def dense_diagonal(matrix):
+    d, _, _ = smith_normal_form(matrix, transforms=False)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+
+
+def has_unit(matrix):
+    return any(x in (1, -1) for row in matrix for x in row)
+
+
+def count_reductions(monkeypatch):
+    """Record each unit-pivot reduction as (shape, pivots, remainder) and
+    each dense Smith form as (a copy of its input, transforms)."""
+    reductions, forms = [], []
+    reduce, form = intlinalg._eliminate_units, intlinalg.smith_normal_form
+
+    def counting_reduce(columns, nrows):
+        pivots, rest = reduce(columns, nrows)
+        reductions.append(((nrows, len(columns)), pivots, rest))
+        return pivots, rest
+
+    def counting_form(matrix, **kwargs):
+        forms.append(([list(row) for row in matrix], kwargs.get("transforms", True)))
+        return form(matrix, **kwargs)
+
+    monkeypatch.setattr(intlinalg, "_eliminate_units", counting_reduce)
+    monkeypatch.setattr(intlinalg, "smith_normal_form", counting_form)
+    return reductions, forms
+
+
 class TestOneSmithFormPerMap:
-    def count_forms(self, monkeypatch):
-        calls = []
-        original = intlinalg.smith_normal_form
-
-        def counting(matrix, **kwargs):
-            calls.append(len(matrix))
-            return original(matrix, **kwargs)
-
-        monkeypatch.setattr(intlinalg, "smith_normal_form", counting)
-        return calls
+    """One unit-pivot reduction per nonzero boundary map; the dense Smith
+    form runs only on a non-empty remainder."""
 
     @pytest.mark.parametrize("name", ["T3", "M21", "M00"])
     def test_homology_of_models(self, monkeypatch, name):
         cx = build_model(name, 2)
-        bnds = [[]] + [cx.boundary_matrix(k) for k in range(1, cx.dim + 1)]
-        calls = self.count_forms(monkeypatch)
-        homology_groups(bnds, cx.cell_counts())
-        assert len(calls) == sum(1 for b in bnds if b) == cx.dim
+        nonzero = [k for k in range(1, cx.dim + 1) if any(map(any, cx.boundary_matrix(k)))]
+        reductions, forms = count_reductions(monkeypatch)
+        cx.homology()
+        assert [shape for shape, _, _ in reductions] == [
+            (len(cx.cells[k - 1]), len(cx.cells[k])) for k in nonzero]
+        assert len(nonzero) == cx.dim
+        assert forms == [(rest, False) for _, _, rest in reductions if rest]
+        assert all(not has_unit(rest) for _, _, rest in reductions)
 
     def test_klein_bottle(self, monkeypatch):
         v, a, b = ("v", 0), ("a", 0), ("b", 0)
         cx = ChainComplex([[v], [a, b], [("F", 0)]],
                           {(2, ("F", 0)): [(a, 1), (b, 1), (a, -1), (b, 1)]}, "klein")
-        calls = self.count_forms(monkeypatch)
+        reductions, forms = count_reductions(monkeypatch)
         assert cx.homology() == [(1, []), (1, [2]), (0, [])]
-        assert len(calls) == 2
+        # d_1 is zero, so only d_2 = (0, 2)^T is reduced; it has no unit
+        # pivot and its remainder is the 2-torsion
+        assert reductions == [((2, 1), 0, [[2]])]
+        assert forms == [([[2]], False)]
+
+
+def planted(rng, rows, cols):
+    """Unit-free blocks (2I, [[2,1],[1,2]], 3, [[2,4],[6,8]]) down the
+    diagonal, with sparse noise in -3..3 outside them, 1.5 per column."""
+    blocks = [[[2, 0], [0, 2]], [[2, 1], [1, 2]], [[3]], [[2, 4], [6, 8]], [[2]]]
+    m = [[0] * cols for _ in range(rows)]
+    t = 0
+    while True:
+        block = rng.choice(blocks)
+        if t + len(block) > min(rows, cols):
+            break
+        for i, row in enumerate(block):
+            m[t + i][t:t + len(row)] = row
+        t += len(block)
+    for i in range(rows):
+        for j in range(cols):
+            if (i >= t or j >= t) and rng.random() < 1.5 / rows:
+                m[i][j] = rng.randint(-3, 3)
+    return m
+
+
+def reduction_corpus(seed=17):
+    """Seeded sparse integer matrices from 0 x 0 to 40 x 40: random entries
+    in -3..3 at several densities with a zeroed row and column, the same
+    doubled (no unit entry at all), and planted unit-free blocks."""
+    rng = random.Random(seed)
+    shapes = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (7, 7), (12, 9),
+              (9, 12), (20, 20), (25, 31), (33, 40), (40, 40)]
+    out = []
+    for rows, cols in shapes:
+        # the dense form's entries grow fast on dense input (a 40 x 40 with
+        # six entries per column ran past 3 s), so past 10 x 10 the columns
+        # hold 1 to 2 entries on average, as boundary maps do
+        small = rows * cols <= 100
+        for per_column in (0.2, 0.5, 0.9) if small else (1, 1.5, 2):
+            density = per_column if small else per_column / rows
+            for _ in range(3):
+                m = random_matrix(rng, rows, cols, density, bound=3)
+                if rows > 2 and cols > 2:
+                    m[rng.randrange(rows)] = [0] * cols
+                    j = rng.randrange(cols)
+                    for row in m:
+                        row[j] = 0
+                out += [m, [[2 * x for x in row] for row in m]]
+        out += [planted(rng, rows, cols) for _ in range(3)]
+    return out
+
+
+def reduction_mismatches():
+    return [m for m in reduction_corpus() if snf_diagonal(m) != dense_diagonal(m)]
+
+
+class TestUnitPivotReduction:
+    def test_corpus_matches_dense_form(self, monkeypatch):
+        reductions, _ = count_reductions(monkeypatch)
+        assert reduction_mismatches() == []
+        # every path ran: unit pivots only, no unit pivot at all, and unit
+        # pivots that leave a remainder
+        paths = Counter((pivots > 0, bool(rest)) for _, pivots, rest in reductions)
+        assert min(paths[True, False], paths[False, True], paths[True, True]) >= 10
+
+    def test_sign_error_in_the_update_is_caught(self, monkeypatch):
+        add_row = intlinalg._add_row
+        monkeypatch.setattr(intlinalg, "_add_row",
+                            lambda rows, cols, src, dst, f: add_row(rows, cols, src, dst, -f))
+        assert reduction_mismatches()
+
+    def test_homology_groups_take_sparse_columns(self):
+        # the projective plane: a two-vertex circle and a disc glued twice
+        # around it
+        groups = homology_groups([[], [[(0, -1), (1, 1)], [(0, 1), (1, -1)]],
+                                  [[(0, 2), (1, 2)]]], [2, 2, 1])
+        assert groups == [(1, []), (0, [2]), (0, [])]

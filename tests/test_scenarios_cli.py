@@ -225,6 +225,11 @@ class TestRunner:
         assert report.passed
 
 
+# a fibre run lists at least one of the eight models; an empty list would
+# run no check and pass, and T3, the smooth fibre, is not a model
+BAD_MODEL_LISTS = {"unknown_fibre_model": ["M99"], "smooth_fibre": ["T3"], "no_model": []}
+
+
 class TestCli:
     def test_run_pass_exit_zero(self, tmp_path, capsys):
         code = main(["run", write(tmp_path, FLAT_SCENARIO)])
@@ -243,6 +248,15 @@ class TestCli:
     def test_schema_error_exit_two(self, tmp_path):
         doc = dict(FLAT_SCENARIO, kind="unknown-kind")
         assert main(["run", write(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_LISTS))
+    def test_fibre_model_list_exit_two(self, case, tmp_path, capsys):
+        """The schema rejects these before any cohomology runs."""
+        doc = {"version": "1", "kind": "fibre", "payload": {"models": BAD_MODEL_LISTS[case]}}
+        with pytest.raises(ScenarioError, match="^/payload/models: "):
+            validate_scenario(doc)
+        assert main(["run", write(tmp_path, doc)]) == 2
+        assert "scenario error: /payload/models: " in capsys.readouterr().err
 
     def test_seed_setting_and_flag_exit_two(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FLAT_SCENARIO))
@@ -385,8 +399,6 @@ INVALID_DATA = {
     "yukawa_one_direction": _beta_doc(
         "yukawa", 2, [[{"im": "2"}, 0], [0, {"im": "3"}]],
         directions=[[[1, 0], [0, 1]]]),
-    "unknown_fibre_model": {"version": "1", "kind": "fibre",
-                            "payload": {"models": ["M99"]}},
     "monodromy_product_not_identity": {"version": "1", "kind": "sheaf", "payload": {
         "rank": 2, "monodromy": [[[1, 1], [0, 1]]]}},
     "monodromy_not_invertible": {"version": "1", "kind": "sheaf", "payload": {

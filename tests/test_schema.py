@@ -166,6 +166,9 @@ TRAPS = {
                                    False),
     "models_all": ("fibre", ("payload", "models"), "all", True),
     "models_other_string": ("fibre", ("payload", "models"), "M21", False),
+    # no model would run no check and pass; T3 is the smooth fibre, not a model
+    "models_empty": ("fibre", ("payload", "models"), [], False),
+    "models_smooth_fibre": ("fibre", ("payload", "models"), ["T3"], False),
     "lattice_string": ("k3", ("payload", "lattice"), "U2", True),
     "lattice_integer_matrix": ("k3", ("payload", "lattice"), [[2, 1.0], [1, 2]], True),
     "lattice_rational_matrix": ("k3", ("payload", "lattice"), [[2, 0.5], [1, 2]], False),
@@ -182,6 +185,13 @@ def test_trap(trap):
     doc = _with(BUILT[kind], path, value)
     assert reference_accepts(doc) == ok
     assert accepts(doc) == ok
+
+
+def test_fibre_models_enum_is_the_model_list():
+    from syzlab.fibre_models import MODEL_NAMES
+
+    models = PAYLOAD_SCHEMAS["fibre"]["properties"]["models"]["oneOf"][1]
+    assert models["items"]["enum"] == list(MODEL_NAMES)
 
 
 def _error(doc):

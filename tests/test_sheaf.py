@@ -138,21 +138,32 @@ class TestComputeOnce:
         assert calls == [24]
 
     def test_one_smith_diagonal_per_differential(self, monkeypatch):
-        """Past the 2 x 2 stalks, the 24-puncture system costs two Smith
-        eliminations, one per glued differential, neither with transforms."""
+        """Past the 2 x 2 stalks, the 24-puncture system costs two unit-pivot
+        reductions, one per glued differential.  Both leave nothing, so the
+        dense Smith form runs on neither."""
         path = Path(__file__).resolve().parents[1] / "demos" / "scenarios" / "sheaf_24I1.json"
         payload = json.loads(path.read_text())
         system = LocalSystemOnSphere(payload["rank"], payload["monodromy"])
-        runs = []
-        raw = intlinalg.smith_normal_form
+        reductions, forms = [], []
+        reduce, form = intlinalg._eliminate_units, intlinalg.smith_normal_form
 
-        def counted(matrix, *, transforms=True):
-            runs.append((len(matrix), len(matrix[0]) if matrix else 0, transforms))
-            return raw(matrix, transforms=transforms)
+        def counted_reduce(columns, nrows):
+            pivots, rest = reduce(columns, nrows)
+            reductions.append((nrows, len(columns), pivots, rest))
+            return pivots, rest
 
-        monkeypatch.setattr(intlinalg, "smith_normal_form", counted)
-        pushforward_cohomology(system)
-        assert sorted(r for r in runs if r[:2] != (2, 2)) == [(48, 94, False), (94, 26, False)]
+        def counted_form(matrix, *, transforms=True):
+            forms.append((len(matrix), len(matrix[0]) if matrix else 0, transforms))
+            return form(matrix, transforms=transforms)
+
+        monkeypatch.setattr(intlinalg, "_eliminate_units", counted_reduce)
+        monkeypatch.setattr(intlinalg, "smith_normal_form", counted_form)
+        groups = pushforward_cohomology(system).groups
+        # d0 injective and d1 onto: H^0 = 26 - 26, H^1 = 94 - 26 - 48, H^2 = 0
+        assert sorted(r for r in reductions if r[:2] != (2, 2)) == [
+            (48, 94, 48, []), (94, 26, 26, [])]
+        assert [f for f in forms if f[:2] != (2, 2)] == []
+        assert groups == [(0, []), (20, []), (0, [])]
 
     def test_cached_result_is_a_copy(self):
         system = LocalSystemOnSphere(1, [[[-1]], [[-1]]])

@@ -18,7 +18,9 @@ from syzlab.fibre_models import (
     MODEL_NAMES,
     MODEL_TABLE,
     ModelError,
+    Tori,
     build_model,
+    cohomology_of_models,
     fibre_type_report,
     integral_cohomology,
     model_cohomology,
@@ -26,6 +28,7 @@ from syzlab.fibre_models import (
     one_point_curve_complex,
 )
 from syzlab.intlinalg import mat_mul, rank_and_divisors, smith_normal_form
+from syzlab.scenarios import run_scenario_doc
 
 
 class TestComplexMachinery:
@@ -154,6 +157,16 @@ class TestFibreModels:
                          [list(t) for t in r.torsion] + [[]] * (4 - len(r.torsion)))
         assert pad(coarse) == pad(fine)
 
+    @pytest.mark.parametrize("grid", [4, 5, 6])
+    def test_subdivision_invariance_fine_grids(self, grid):
+        """All eight models at grids 4 to 6, on one shared set of tori,
+        match grid 1."""
+        pad = lambda r: (r.ranks + [0] * (4 - len(r.ranks)),
+                         [list(t) for t in r.torsion] + [[]] * (4 - len(r.torsion)))
+        coarse = cohomology_of_models(MODEL_NAMES, 1)
+        fine = cohomology_of_models(MODEL_NAMES, grid)
+        assert {n: pad(r) for n, r in fine.items()} == {n: pad(r) for n, r in coarse.items()}
+
     def test_torsion_reported_not_asserted(self):
         # the reports carry torsion lists; the models happen to be torsion-free
         rep = fibre_type_report()
@@ -185,6 +198,43 @@ class TestReport:
         a, b = (model_cohomology(name) for name in both)
         # report any cohomological difference between the two realisations
         assert a.as_dict() == b.as_dict()
+
+
+class TestOneTorusPerRequest:
+    def built(self, monkeypatch):
+        names = []
+        init = ChainComplex.__init__
+
+        def counting_init(self, cells, chains, name=""):
+            names.append(name)
+            init(self, cells, chains, name)
+
+        monkeypatch.setattr(ChainComplex, "__init__", counting_init)
+        return names
+
+    def test_all_models_share_one_circle_and_torus(self, monkeypatch):
+        names = self.built(monkeypatch)
+        cohomology_of_models(MODEL_NAMES, 3)
+        assert [names.count(n) for n in ("S1", "T2", "T3")] == [1, 1, 1]
+
+    def test_report_and_scenario_requests(self, monkeypatch):
+        names = self.built(monkeypatch)
+        fibre_type_report()
+        assert names.count("T3") == 1
+        names.clear()
+        run_scenario_doc({"version": "1", "kind": "fibre",
+                          "payload": {"models": "all", "grid": 2}})
+        assert names.count("T3") == 1
+
+    def test_tori_of_another_grid_rejected(self):
+        with pytest.raises(ModelError, match="grid 3 given for grid 2"):
+            build_model("M21", 2, Tori(3))
+
+    def test_m22_and_m11a_build_no_three_torus(self, monkeypatch):
+        names = self.built(monkeypatch)
+        cohomology_of_models(["M22", "M11a"], 2)
+        assert "T3" not in names
+        assert [names.count(n) for n in ("S1", "T2")] == [1, 1]
 
 
 class TestSmithApplications:

@@ -49,7 +49,7 @@ print("\n== fibrewise translation by a gradient section ==")
 F = y1 ** 2 / 2 + y1 * y2 / 3
 sigma = [sp.diff(F, y1), sp.diff(F, y2)]
 moved = translate_by_section(flat, sigma)
-print("   translated matrix:", moved.beta)
+print("   translated matrix:", moved.pairs)
 print("   still closed:", closedness_residuals(moved).verdict("full_closedness"))
 
 print("\n== action coordinates and regluing ==")

@@ -33,9 +33,9 @@ y1, y2 = chart.ys
 print("== base metrics from fibre integrals ==")
 bs = BetaStructure(chart, [[2 * I, 0], [0, 3 * I]])
 mm = mclean_metrics(bs)
-print("   h   =", mm["h"].matrix)
-print("   h_n =", mm["h_n"].matrix)
-print("   fibre volume =", sp.sympify(mm["vol"]), "| route agreement:",
+print("   h   =", mm["h"].entries)
+print("   h_n =", mm["h_n"].entries)
+print("   fibre volume =", mm["vol"], "| route agreement:",
       f"{mm['report']['metric_route_agreement'].value:.2e}")
 
 print("\n== period covectors of fibre cycles ==")

@@ -15,10 +15,11 @@ scenarios, cli               JSON scenario runner and command line
 Names and submodules are imported on first use (PEP 562), so the integer
 layers (intlinalg, complexes, fibre_models, sheaf), k3 on rational data, and
 the cli and scenarios on those kinds run without loading sympy or numpy.
-Expressions are syzlab's own nodes (``fields``), so every sampled check
-(charts, fields, algebra, quadrature, semiflat, duality) loads numpy and
-imports sympy only to convert to or from it (in duality: SymTensorField,
-symmetric_class, wedge_with_minus_omega and a metric's matrix view).
+Expressions are syzlab's own nodes (``fields``), the one exact type: every
+exact check and report text runs on them, so every sampled check (charts,
+fields, algebra, quadrature, semiflat, duality) loads numpy, and sympy is
+imported only to convert library input and to integrate (base_potential,
+action_coordinates, symmetric_class).
 """
 
 import importlib

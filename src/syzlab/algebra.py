@@ -19,7 +19,10 @@ expression, or a ``Jet``: the sampled values of a field with its first
 partials.  The operators differentiate through ``c.diff(v)`` in the chart
 variables and combine coefficients with ``+`` and ``*`` only, so one set of
 builders gives the exact identities on nodes or sympy coefficients and their
-sampled values on jets.  Only a sympy coefficient imports sympy.
+sampled values on jets.  Only a sympy coefficient imports sympy.  A zero
+sum is dropped from the store where it is one node (or an expanded sympy
+zero); ``is_zero`` expands the node coefficients, so an element whose
+coefficients cancel only once multiplied out is zero too.
 
 Three graded operators act here: d_x (the fibre part of the exterior
 derivative, transported through the isomorphism; second order as a
@@ -43,6 +46,7 @@ from .fields import (
     Pair,
     is_sympy,
     as_field,
+    is_zero,
     sup_norm_scalars,
 )
 
@@ -166,7 +170,9 @@ class _Terms:
         return jsign * ksign * self.terms.get((jset, kset), ZERO)
 
     def is_zero(self):
-        return not self.terms
+        """Whether every coefficient is identically zero (``fields.is_zero``:
+        a node coefficient is expanded)."""
+        return all(is_zero(c) for c in self.terms.values())
 
     def real_imag(self):
         """Coefficientwise real and imaginary parts, as two elements of this type."""

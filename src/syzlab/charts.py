@@ -3,8 +3,8 @@
 Coordinates are y1..yn on the base and x1..xn on the fibre; every fibre
 coordinate is periodic with period 1.  Dimensions 1 <= n <= 3 are supported.
 The chart variables are expression nodes (``fields.variable``); sympy
-callers may use them as sympy symbols, and ``Y_SYMBOLS``/``X_SYMBOLS`` are
-the matching sympy symbols, made on first use.  Box ends are exact
+callers may use them as sympy symbols, which ``fields.to_sympy`` makes
+(real symbols of the same names).  Box ends are exact
 ``Fraction``s.  Every sample grid is the product of 1-d axes, one per chart
 variable (``sample_axes`` for the residual grid); ``product_grid`` lists a
 grid's points where a returned value carries them.
@@ -23,15 +23,6 @@ import numpy as np
 from .fields import X_VARS, Y_VARS
 
 MAX_DIM = 3
-
-
-def __getattr__(name):
-    # the sympy symbols of the chart variables, for symbolic callers
-    if name in ("Y_SYMBOLS", "X_SYMBOLS"):
-        from .fields import to_sympy
-
-        return tuple(map(to_sympy, Y_VARS if name == "Y_SYMBOLS" else X_VARS))
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ChartError(ValueError):

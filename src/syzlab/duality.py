@@ -11,15 +11,15 @@ metric matrix is h_n itself, and the dual fibre volume carries the lattice
 covolume det(h_n), which produces the volume reciprocity Vol * dual-Vol = 1.
 
 Integrands are expression nodes and McLean's closed forms their exact fibre
-means (``fields.fibre_mean``); sympy is loaded only by ``SymTensorField``,
-``symmetric_class``, ``wedge_with_minus_omega`` and the ``matrix`` views of
-a ``MetricOnBase``.  ``HitchinPotential``, ``hitchin``, ``YukawaFamily`` and
-``yukawa`` live in ``semiflat`` and are importable from here.
+means (``fields.fibre_mean``); tensor fields and metrics keep node entries,
+and sympy is loaded only by ``symmetric_class``, whose potential is
+integrated (``semiflat.base_potential``).  ``HitchinPotential``,
+``hitchin``, ``YukawaFamily`` and ``yukawa`` live in ``semiflat`` and are
+importable from here.
 """
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import FormElement, decomposable_form
 from .charts import Chart, circle_points, product_grid
-from .fields import ZERO, Pair, as_field, fibre_mean, to_sympy
+from .fields import ZERO, GrammarError, Pair, UnsupportedNode, as_field, fibre_mean, is_zero
 from .quadrature import fibre_means
 from .semiflat import (  # noqa: F401  (HitchinPotential ... yukawa: re-exported)
     DEFAULT_TOL,
@@ -99,22 +99,11 @@ def cycle_tangent_vector(gamma: CycleSpec, n):
 @dataclass
 class MetricOnBase:
     """Symmetric base metric: closed-form node entries when available, else
-    sampled only; ``matrix``, their sympy view through sympy's ``form``, is
-    made on first access."""
+    sampled only."""
 
     entries: object  # n x n nodes, or None
     provenance: str
     samples: object = None  # (points, stacked matrices)
-    form: str = "expand"
-
-    @functools.cached_property
-    def matrix(self):
-        if self.entries is None:
-            return None
-        import sympy as sp
-
-        form = getattr(sp, self.form)
-        return sp.Matrix([[form(to_sympy(e)) for e in row] for row in self.entries])
 
 
 def _im_omega_coefficient_forms(bs: BetaStructure):
@@ -212,7 +201,7 @@ def mclean_metrics(bs: BetaStructure, tol=DEFAULT_TOL):
 
     h_n = h and [[e / vol for e in row] for row in h]
     return {"h": MetricOnBase(h, provenance, samples=(pts, h_formula)),
-            "h_n": MetricOnBase(h_n, provenance, samples=(pts, hn), form="cancel"),
+            "h_n": MetricOnBase(h_n, provenance, samples=(pts, hn)),
             "vol": vol, "vol_samples": (pts, vols), "report": report}
 
 
@@ -321,30 +310,24 @@ def duality_identities(bs: BetaStructure, gamma: CycleSpec, alpha,
 
 @dataclass
 class SymTensorField:
-    """sum alpha[i][j] dy_i (x) dy_j with y-only entries."""
+    """sum alpha[i][j] dy_i (x) dy_j with y-only entries, kept as nodes (a
+    sympy entry is converted once, here)."""
 
     chart: Chart
     entries: list
 
     def __post_init__(self):
-        import sympy as sp
-
         n = self.chart.n
-        if any(reads_fibre(self.entries[i][j], self.chart)
-               for i in range(n) for j in range(n)):
+        self.entries = [[as_field(self.entries[i][j]) for j in range(n)] for i in range(n)]
+        if any(reads_fibre(e, self.chart) for row in self.entries for e in row):
             raise DualityError("tensor entries must depend on y only")
-        self.entries = [[sp.expand(sp.sympify(self.entries[i][j])) for j in range(n)]
-                        for i in range(n)]
 
     def antisymmetric_defect(self):
-        import sympy as sp
-
         n = self.chart.n
-        return [[sp.expand(self.entries[j][i] - self.entries[i][j]) for j in range(n)]
-                for i in range(n)]
+        return [[self.entries[j][i] - self.entries[i][j] for j in range(n)] for i in range(n)]
 
     def is_symmetric(self):
-        return all(d == 0 for row in self.antisymmetric_defect() for d in row)
+        return all(is_zero(d) for row in self.antisymmetric_defect() for d in row)
 
     def is_gauss_manin_closed(self):
         """Every column sum_i alpha_ij dy_i is a closed base one-form."""
@@ -357,7 +340,7 @@ def wedge_with_minus_omega(alpha: SymTensorField):
     n = alpha.chart.n
     defect = alpha.antisymmetric_defect()
     return {(i + 1, j + 1): defect[j][i] for i in range(n) for j in range(i + 1, n)
-            if defect[j][i] != 0}
+            if not is_zero(defect[j][i])}
 
 
 def symmetric_class(alpha: SymTensorField):
@@ -376,15 +359,21 @@ def symmetric_class(alpha: SymTensorField):
     potential = base_potential(FormElement(
         chart, {((i + 1, j + 1), ()): rho[i][j] for i in range(n) for j in range(i + 1, n)}))
     beta = [potential.coefficient(dys=(j + 1,)) for j in range(n)]
+    outside = ("sympy's antiderivative of the antisymmetric part is piecewise or "
+               "outside the grammar")
     for i in range(n):
         for j in range(n):
             got = sp.expand(sp.diff(beta[j], ys[i]) - sp.diff(beta[i], ys[j]) - rho[i][j])
             if sp.simplify(got) != 0:
-                raise DualityError("sympy's antiderivative of the antisymmetric part is "
-                                   "piecewise or outside the grammar")
+                raise DualityError(outside)
     out = [[sp.expand(alpha.entries[i][j] + sp.diff(beta[j], ys[i]))
             for j in range(n)] for i in range(n)]
-    result = SymTensorField(chart, out)
+    try:
+        # the tensor, not its potential, needs a node form: log(y1) is a
+        # potential of the grammar column (1/y1, 0)
+        result = SymTensorField(chart, out)
+    except (UnsupportedNode, GrammarError):
+        raise DualityError(outside) from None
     if not result.is_symmetric():
         raise DualityError("symmetrisation failed to produce a symmetric tensor")
     return result

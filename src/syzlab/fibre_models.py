@@ -93,11 +93,12 @@ def _fig8_predicate(comps):
 
 
 class Tori:
-    """The circle, 2-torus and 3-torus of one grid, each built on first use.
+    """The circle, 2-torus and 3-torus of one grid, and the M21 quotient,
+    each built on first use.
 
     One fibre request makes one and passes it to every model it builds, so
-    all eight models share one 3-torus and M22 and M11a build none.  It
-    lives as long as the request.
+    all eight models share one 3-torus, M22 and M11a build none, and M11b
+    pinches the request's M21.  It lives as long as the request.
     """
 
     def __init__(self, grid=1):
@@ -114,6 +115,21 @@ class Tori:
     @cached_property
     def t3(self):
         return product_complex(self.t2, self.circle, "T3")
+
+    @cached_property
+    def m21(self):
+        """T3 with (fig-eight) x circle projected onto the fig-eight."""
+        fig8 = extract_subcomplex(self.t2, _fig8_cells(self.t2), "fig8")
+        sub = cells_where(self.t3, 3, _fig8_predicate)
+        images = {}
+        for label in sub:
+            c1, c2, c3 = axis_components(label, 3)
+            images[label] = [((c1, c2), 1)] if _is_vertex(c3) else []
+        return quotient_complex(self.t3, sub, fig8, CellularMap(images), name="M21")
+
+
+def _fig8_cells(t2):
+    return cells_where(t2, 2, _fig8_predicate)
 
 
 def _nodal(t2):
@@ -168,21 +184,13 @@ def build_model(name, grid=1, tori=None) -> ChainComplex:
     if name == "M00":
         return _pinch(t3, cells_where(t3, 3, lambda c: V0 in c), "M00")
 
-    if name in ("M21", "M11b"):
-        fig8_labels = cells_where(tori.t2, 2, _fig8_predicate)
-        fig8 = extract_subcomplex(tori.t2, fig8_labels, "fig8")
-        sub = cells_where(t3, 3, _fig8_predicate)
-        images = {}
-        for label in sub:
-            c1, c2, c3 = axis_components(label, 3)
-            images[label] = [((c1, c2), 1)] if _is_vertex(c3) else []
-        m21 = quotient_complex(t3, sub, fig8, CellularMap(images), name="M21")
-        if name == "M21":
-            return m21
+    if name == "M21":
+        return tori.m21
+
+    if name == "M11b":
         # contract the {x2 = 0} loop of the figure eight to the base point
-        loop = [("t", l) for l in fig8_labels
-                if axis_components(l, 2)[1] == V0]
-        return _pinch(m21, loop, "M11b")
+        loop = [("t", l) for l in _fig8_cells(tori.t2) if axis_components(l, 2)[1] == V0]
+        return _pinch(tori.m21, loop, "M11b")
 
     if name == "M10":
         sub = cells_where(t3, 3, lambda c: _fig8_predicate(c) or c[2] == V0)

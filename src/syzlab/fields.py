@@ -23,9 +23,12 @@ base passes MAX_BITS, is refused before the power is computed; so is an
 exponent above MAX_POWER that the collection of like bases makes, as in
 (1+y1)^64*(1+y1)^64.  Nodes differentiate (``diff``), substitute numbers
 for variables (``subs``, where a rational value folds to a number node),
-and convert to and from sympy (``to_sympy``, ``from_sympy``) for the
-symbolic layer and library callers; sympy is imported only by those
-conversions.  A node has no sympy methods: a caller that wants sympy's
+multiply out (``expand``: what is identically zero as a polynomial in the
+variables, pi and the function atoms expands to ZERO, which ``is_zero``
+reads), and convert to and from sympy (``to_sympy``, ``from_sympy``), the
+boundary for sympy input from library callers and for the integrator (the
+Poincare potentials of ``semiflat`` and ``duality``); sympy is imported only
+by those conversions.  A node has no sympy methods: a caller that wants sympy's
 converts with ``to_sympy``.
 
 Fibre periodicity is enforced syntactically: a fibre variable x_i may occur
@@ -704,6 +707,77 @@ def _subs(node, point, memo):
     return out
 
 
+def is_zero(expr):
+    """Whether expr is identically zero: a node that expands to ZERO, a Pair
+    of two; anything else (a number, a Jet, an expanded sympy coefficient)
+    compares with 0."""
+    if isinstance(expr, Pair):
+        return is_zero(expr.re) and is_zero(expr.im)
+    if not isinstance(expr, Node) or expr is ZERO:
+        return expr == 0
+    try:
+        return expand(expr) is ZERO
+    except GrammarError:  # a root of a base that expands to a number <= 0
+        return False
+
+
+def expand(node):
+    """The node multiplied out, as sympy's expand does: products and positive
+    integer powers of sums are distributed ((1+y1)^(3/2) keeps the root, as
+    (1+y1)^(1/2) + y1*(1+y1)^(1/2)), exp of a sum is the product of the exps
+    of its terms, inside function arguments and root bases too.  One
+    polynomial in the variables, pi and these atoms expands to one node."""
+    return _expand(node, {})
+
+
+def _expand(node, memo):
+    if node not in memo:
+        op, args = node.op, node.args
+        if op == "add":
+            out = add(number(args[0]), *[_scaled(c, _expand(t, memo)) for t, c in args[1]])
+        elif op == "mul":
+            out = functools.reduce(_times, [_power_out(_expand(b, memo), e) for b, e in args], ONE)
+        elif op == "exp":
+            out = mul(*[function("exp", _scaled(c, t)) for c, t in _summands(_expand(args, memo))])
+        else:
+            out = function(op, _expand(args, memo)) if op in ("sin", "cos") else node
+        memo[node] = out
+    return memo[node]
+
+
+def _is_sum(node):
+    return node.op == "add" and _coeff_term(node)[1] is node
+
+
+def _summands(node):
+    """[(c, t), ...] with node the sum of the c * t, a constant as (c, ONE)."""
+    if not _is_sum(node):
+        return [_coeff_term(node)]
+    const, terms = node.args
+    return [(const, ONE)] * bool(const) + [(c, t) for t, c in terms]
+
+
+def _power_out(b, e):
+    """b^e for an expanded b, multiplied out where b is a sum and e >= 1."""
+    whole = e.numerator // e.denominator if _is_sum(b) and e >= 1 else 0
+    return functools.reduce(_times, [b] * whole, _product(Fraction(1), [(b, e - whole)]))
+
+
+def _times(a, b):
+    """The product of two expanded nodes, multiplied out; roots of one sum
+    that meet in a term ((1+y1)^(1/2) twice) are multiplied out in turn."""
+    out = []
+    for ca, ta in _summands(a):
+        for cb, tb in _summands(b):
+            c, factors = _factors(mul(ta, tb))
+            if any(_is_sum(f) and e >= 1 for f, e in factors):
+                term = functools.reduce(_times, [_power_out(f, e) for f, e in factors], ONE)
+            else:
+                term = _product(Fraction(1), list(factors))
+            out.append(_scaled(ca * cb * c, term))
+    return add(*out)
+
+
 def _constant_value(node):
     """The complex value of a variable-free node, principal roots."""
     op, args = node.op, node.args
@@ -821,6 +895,9 @@ class Pair:
     def diff(self, v):
         return Pair(self.re.diff(v), self.im.diff(v))
 
+    def subs(self, point):
+        return Pair(self.re.subs(point), self.im.subs(point))
+
     def as_real_imag(self):
         return self.re, self.im
 
@@ -834,14 +911,12 @@ class Pair:
 
 
 def variables(expr):
-    """The names of the chart variables expr reads: a node, a Pair, a sympy
-    expression (by its symbols' names) or a number."""
+    """The names of the chart variables expr reads: a node, a Pair or a
+    number."""
     if isinstance(expr, Node):
         return set(expr.vars)
     if isinstance(expr, Pair):
         return set(expr.re.vars | expr.im.vars)
-    if is_sympy(expr):
-        return {s.name for s in expr.free_symbols}
     return set()
 
 
@@ -1170,8 +1245,8 @@ _BLOCK_SAMPLES = 1 << 14
 
 @functools.lru_cache(maxsize=1024)
 def constant(c):
-    """c as a Python complex, converted once per process (a sympy number
-    through evalf)."""
+    """c as a Python complex, converted once per process (a node through
+    its value; a sympy number, from a library caller, through evalf)."""
     return complex(c)
 
 

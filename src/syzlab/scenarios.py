@@ -193,12 +193,16 @@ def _nested(errors, key):
     return [((key, *path), message) for path, message in errors]
 
 
+def _type_names(schema):
+    names = schema.get("type", [])
+    return [names] if isinstance(names, str) else names
+
+
 def _compile(schema):
     """A checker for schema: value -> list of (path below value, message),
     empty when value is valid.  A keyword, type or const outside the
     implemented set raises, so none is ever silently ignored."""
-    names = schema.get("type", [])
-    names = [names] if isinstance(names, str) else names
+    names = _type_names(schema)
     allowed = schema.get("enum", []) + ([schema["const"]] if "const" in schema else [])
     unknown = sorted(set(schema) - _KEYWORDS) + [n for n in names if n not in _TYPES]
     if schema.get("additionalProperties", False) is not False:
@@ -272,11 +276,17 @@ def _compile(schema):
         parts.append(check_array)
     if "oneOf" in schema:
         branches = [_compile(s) for s in schema["oneOf"]]
+        typed = [[_TYPES[name] for name in _type_names(s)] for s in schema["oneOf"]]
 
         def check_one_of(value):
-            valid = sum(not branch(value) for branch in branches)
+            errors = [branch(value) for branch in branches]
+            valid = sum(not e for e in errors)
             if valid == 1:
                 return _VALID
+            # no alternative holds: the one the value's type selects says why
+            chosen = [e for e, tests in zip(errors, typed) if any(t(value) for t in tests)]
+            if valid == 0 and len(chosen) == 1:
+                return chosen[0]
             return [((), f"{reprlib.repr(value)} matches {valid} of the "
                          f"{len(branches)} oneOf alternatives, not exactly one")]
         parts.append(check_one_of)
@@ -491,19 +501,8 @@ def _run_hitchin(doc, report):
     report.add_report("closedness", info["closedness"])
     report.add_check("determinant_criterion_consistent", info["criterion_consistent"])
     report.outputs["hessian_determinant_residual"] = info["determinant_residual"]
-    report.outputs["hessian_determinant_value"] = _exact_text(info["determinant_value"])
-
-
-def _exact_text(value):
-    """sympy's sstr of an exact value: a Fraction prints alike ("3/2", "-4")
-    without sympy, anything else through sympy."""
-    from fractions import Fraction
-
-    if isinstance(value, Fraction):
-        return str(value)
-    import sympy as sp
-
-    return sp.sstr(value)
+    # grammar text that parse_scalar reads back to the same value
+    report.outputs["hessian_determinant_value"] = str(info["determinant_value"])
 
 
 def _run_yukawa(doc, report):

@@ -10,12 +10,14 @@ parallel_volume - i*fibre_harmonic.  The four structure equations are their
 real and imaginary parts.
 
 beta's entries are kept as the two real expression nodes of each entry
-(``fields.Pair``), so b and gInv are read off, not recomputed; ``beta``,
-``b_matrix``, ``g_inv``, ``det_g_inv`` and ``volume_density`` are sympy views
-made on first use, for the symbolic layer.
+(``fields.Pair``), so b and gInv are read off, not recomputed; det gInv and
+V are nodes too.  Every exact construction (Omega, the residual elements,
+translations, the Hessian determinant) runs on these nodes; sympy is
+imported only where something is integrated (``base_potential`` and
+``action_coordinates``' antiderivative check).
 
 Each residual has one builder, a function of (chart, beta, V) over the
-graded algebra.  On sympy entries it gives the exact identity; the reported
+graded algebra.  On node entries it gives the exact identity; the reported
 magnitudes come from the same builders run on first-order numeric jets
 (``fields.Jet``): the entries of beta with their first partials, from one
 ``fields.Walk`` of their trees, and V with dV = -V d(det)/(2 det), sampled on
@@ -31,7 +33,7 @@ sampled once, and every report selects from the table.
 Hessian (Hitchin) structures and the coupling integral live here too: a
 potential's Hessian is taken with the node ``diff``, its determinant by
 Leibniz, and the coupling integrand V^2 * (direction determinants) is one
-node; none of them needs sympy on rational data.
+node; none of them needs sympy.
 """
 
 from __future__ import annotations
@@ -132,10 +134,7 @@ def _pair(entry):
 class BetaStructure:
     """beta = b + i*gInv on a chart, kept as ``pairs``, the re/im nodes of
     each entry; ``det_node`` is det gInv, by Leibniz on the nodes, and
-    ``volume_node`` is V = sqrt(det g) = 1/sqrt(det Im beta).  The sympy
-    views are made from the nodes on first use: ``det_g_inv`` is
-    ``det_node``'s, and ``volume_density`` is 1/sqrt of it (zoo when Im beta
-    is singular: compatibility decides the verdict)."""
+    ``volume_node`` is V = sqrt(det g) = 1/sqrt(det Im beta)."""
 
     def __init__(self, chart: Chart, beta):
         self.chart = chart
@@ -152,38 +151,6 @@ class BetaStructure:
     def n(self):
         return self.chart.n
 
-    def _view(self, part):
-        import sympy as sp
-
-        return [[sp.expand(to_sympy(getattr(e, part))) for e in row] for row in self.pairs]
-
-    @functools.cached_property
-    def b_matrix(self):
-        return self._view("re")
-
-    @functools.cached_property
-    def g_inv(self):
-        return self._view("im")
-
-    @functools.cached_property
-    def beta(self):
-        import sympy as sp
-
-        return [[sp.expand(b + sp.I * g) for b, g in zip(*rows)]
-                for rows in zip(self.b_matrix, self.g_inv)]
-
-    @functools.cached_property
-    def det_g_inv(self):
-        import sympy as sp
-
-        return sp.expand(to_sympy(self.det_node))
-
-    @functools.cached_property
-    def volume_density(self):
-        import sympy as sp
-
-        return 1 / sp.sqrt(self.det_g_inv)
-
     @functools.cached_property
     def det_node(self):
         return _determinant([[e.im for e in row] for row in self.pairs])
@@ -192,20 +159,24 @@ class BetaStructure:
     def volume_node(self):
         """V as a node, for a compatible structure (det gInv > 0 on the box):
         the root is distributed over det's factors, or where that needs Abs
-        (det = y1^2) det^(-1/2) stays one factor, the principal root."""
+        (det = y1^2) det^(-1/2) stays one factor, the principal root; a
+        constant det <= 0 (0 where Im beta is singular) is refused."""
+        det = self.det_node
+        if det.op == "num" and det.args <= 0:
+            raise CompatibilityError(f"det Im(beta) is the constant {det}")
         try:
-            return power(self.det_node, Fraction(-1, 2))
+            return power(det, Fraction(-1, 2))
         except GrammarError:
-            return principal_power(self.det_node, Fraction(-1, 2))
+            return principal_power(det, Fraction(-1, 2))
 
     def beta_element(self) -> BigradedElement:
-        return BigradedElement.from_matrix(self.chart, self.beta)
+        return BigradedElement.from_matrix(self.chart, self.pairs)
 
     def b_element(self) -> BigradedElement:
-        return BigradedElement.from_matrix(self.chart, self.b_matrix)
+        return BigradedElement.from_matrix(self.chart, _part(self.pairs, 0))
 
     def g_inv_element(self) -> BigradedElement:
-        return BigradedElement.from_matrix(self.chart, self.g_inv)
+        return BigradedElement.from_matrix(self.chart, _part(self.pairs, 1))
 
     @functools.cached_property
     def _walk(self):
@@ -266,15 +237,15 @@ def require_compatible(bs: BetaStructure, tol=DEFAULT_TOL):
 def build_omega(bs: BetaStructure) -> BigradedElement:
     """The volume form V * exp(beta) as a bigraded element."""
     require_compatible(bs)
-    return exp_nilpotent(bs.beta_element()).scale(bs.volume_density)
+    return exp_nilpotent(bs.beta_element()).scale(bs.volume_node)
 
 
 def omega_form(bs: BetaStructure) -> FormElement:
     """Direct wedge expansion V * prod(dx_i + sum beta_ij dy_j)."""
-    return decomposable_form(bs.chart, bs.beta, scale=bs.volume_density)
+    return decomposable_form(bs.chart, bs.pairs, scale=bs.volume_node)
 
 
-# the residual builders: functions of (chart, beta, V), on sympy entries or jets
+# the residual builders: functions of (chart, beta, V), on exact entries or jets
 
 def _d_omega(chart, beta, V) -> FormElement:
     """d(V * prod(dx_i + sum beta_ij dy_j))."""
@@ -295,7 +266,7 @@ def _volume_divergence_residual(chart, beta, V) -> BigradedElement:
 
 def integrability_residual(bs: BetaStructure) -> BigradedElement:
     """d_y(beta) - [beta, beta]/2, a bidegree (-1, 2) element."""
-    return _connection_curvature(bs.chart, bs.beta)
+    return _connection_curvature(bs.chart, bs.pairs)
 
 
 def _part(beta, k):
@@ -410,21 +381,19 @@ def structure_equations(bs: BetaStructure, tol=DEFAULT_TOL) -> SemiflatReport:
 # ---------------------------------------------------------------------------
 
 def reads_fibre(expr, chart: Chart):
-    """Whether expr (a node, Pair, sympy expression or number) reads a fibre
-    variable of the chart; variables compare by name, so a node and a sympy
-    symbol of the same variable agree."""
+    """Whether expr (a node, Pair or number) reads a fibre variable of the
+    chart."""
     return bool(variables(expr) & {x.name for x in chart.xs})
 
 
 def _check_base_one_form(sigma, chart):
-    import sympy as sp
-
-    sigma = list(sigma)
+    """The components of a base one-form as nodes (sympy through from_sympy)."""
+    sigma = [as_field(s) for s in sigma]
     if len(sigma) != chart.n:
         raise ValueError("section must give one component per base axis")
     if any(reads_fibre(s, chart) for s in sigma):
         raise ValueError("section components must depend on y only")
-    return [sp.expand(sp.sympify(s)) for s in sigma]
+    return sigma
 
 
 def translate_by_section(bs: BetaStructure, sigma) -> BetaStructure:
@@ -432,14 +401,11 @@ def translate_by_section(bs: BetaStructure, sigma) -> BetaStructure:
 
     New matrix: beta_ij(y, x + sigma(y)) + d(sigma_i)/dy_j.
     """
-    import sympy as sp
-
     sigma = _check_base_one_form(sigma, bs.chart)
     n, xs, ys = bs.n, bs.chart.xs, bs.chart.ys
     shift = {xs[i]: xs[i] + sigma[i] for i in range(n)}
-    new = [[sp.expand(bs.beta[i][j].subs(shift, simultaneous=True)
-                      + sp.diff(sigma[i], ys[j]))
-            for j in range(n)] for i in range(n)]
+    new = [[bs.pairs[i][j].subs(shift) + sigma[i].diff(ys[j]) for j in range(n)]
+           for i in range(n)]
     return BetaStructure(bs.chart, new)
 
 
@@ -506,16 +472,14 @@ def reglue_check(sigma_12, overlap_chart: Chart):
     """Overlap cocycle test: valid iff the gluing one-form is closed.
 
     Returns (verdict, transition) where transition carries the fibrewise
-    shift x -> x + sigma_12(y).
+    shift x -> x + sigma_12(y), each component as grammar text.
     """
-    import sympy as sp
-
     sigma = _check_base_one_form(sigma_12, overlap_chart)
     dsig = base_one_form_differential(sigma, overlap_chart)
     verdict = dsig.is_zero() or dsig.sup_norm() < 1e-12
     transition = {
         "kind": "fibre_translation",
-        "shift": [sp.sstr(s) for s in sigma],
+        "shift": [str(s) for s in sigma],
     }
     return bool(verdict), transition
 
@@ -567,8 +531,8 @@ def hitchin(potential: HitchinPotential, b_field=None, tol=DEFAULT_TOL):
 
     Returns (structure, info): info carries the determinant-constancy
     residual of the Hessian, which decides closedness in action-angle
-    coordinates, its exact value at the box centre (a Fraction; a sympy
-    number where it is not rational), and the closedness report itself.
+    coordinates, its exact value at the box centre (a node, a number node
+    where it is rational), and the closedness report itself.
     """
     chart = potential.chart
     hess = potential.hessian
@@ -585,12 +549,10 @@ def hitchin(potential: HitchinPotential, b_field=None, tol=DEFAULT_TOL):
     centre = {y.name: c for y, c in zip(chart.ys, chart.center)}
     det_centre = bs.det_node.subs(centre)
     det_residual = sup_norm_scalars([bs.det_node - det_centre], chart)
-    value = (det_centre.args if det_centre.op == "num"
-             else bs.det_g_inv.subs(dict(zip(chart.ys, chart.center))))
     closed = closedness_residuals(bs, tol)
     info = {
         "determinant_residual": det_residual,
-        "determinant_value": value,
+        "determinant_value": det_centre,
         "closedness": closed,
         "criterion_consistent":
             (det_residual < tol) == closed.verdict("full_closedness"),
@@ -631,11 +593,9 @@ def yukawa(family: YukawaFamily, resolution=FIBRE_RESOLUTION, base_resolution=8)
 
     oracle = None
     if not variables(integrand):
-        # a rational constant folds to a number node; sympy keeps the rest exact
-        parts = integrand.as_real_imag()
-        exact = ([part.args for part in parts] if all(part.op == "num" for part in parts)
-                 else [to_sympy(part) for part in parts])
-        oracle = complex(*(float(sign * part * chart.box_volume) for part in exact))
+        # a rational constant folds to a number node, whose value rounds once
+        scaled = (sign * chart.box_volume) * integrand
+        oracle = complex(*(part.value().real for part in scaled.as_real_imag()))
 
     total = chart_integral(integrand, chart, base_resolution, resolution)
     return sign * total, oracle

@@ -88,6 +88,23 @@ def diff_values(expr, chart, Y, X):
     return {v: lambdify_values([sp.diff(expr, v)], chart, Y, X)[0] for v in syms}
 
 
+def sympy_beta(bs, part=None):
+    """beta's entries, or with part "re" or "im" those of b or gInv, as
+    expanded sympy expressions converted from the structure's nodes: the
+    input of the symbolic oracles."""
+    from syzlab.fields import to_sympy
+
+    return [[sp.expand(to_sympy(getattr(e, part) if part else e)) for e in row]
+            for row in bs.pairs]
+
+
+def sympy_volume(bs):
+    """V = 1/sqrt(det gInv) in sympy, from the structure's node determinant."""
+    from syzlab.fields import to_sympy
+
+    return 1 / sp.sqrt(sp.expand(to_sympy(bs.det_node)))
+
+
 def chart_of_dim(n):
     return Chart(n, tuple((-1, 1) for _ in range(n)))
 

@@ -42,7 +42,7 @@ from syzlab.duality import (
     yukawa,
 )
 
-from conftest import chart_of_dim, grid_rows, lambdify_values
+from conftest import chart_of_dim, grid_rows, lambdify_values, sympy_beta, sympy_volume
 
 I = sp.I
 
@@ -217,16 +217,17 @@ def test_criterion_03_closedness_equivalence():
         cov = d_y(g_el) - bracket(b_el, g_el)
         split_worst = max(split_worst,
                           (integ - curv - cov.scale(I)).sup_norm(3, 4))
-        V = bs.volume_density
+        V = sympy_volume(bs)
+        beta, b, g_inv = sympy_beta(bs), sympy_beta(bs, "re"), sympy_beta(bs, "im")
         xs, ys = bs.chart.xs, bs.chart.ys
         n = bs.n
         for j in range(n):
             cj = sp.expand(sp.diff(V, ys[j]) - sum(
-                sp.diff(V * bs.beta[i][j], xs[i]) for i in range(n)))
+                sp.diff(V * beta[i][j], xs[i]) for i in range(n)))
             parallel = sp.expand(sp.diff(V, ys[j]) - sum(
-                sp.diff(V * bs.b_matrix[i][j], xs[i]) for i in range(n)))
+                sp.diff(V * b[i][j], xs[i]) for i in range(n)))
             harmonic = sp.expand(sum(
-                sp.diff(V * bs.g_inv[i][j], xs[i]) for i in range(n)))
+                sp.diff(V * g_inv[i][j], xs[i]) for i in range(n)))
             re_c, im_c = cj.as_real_imag()
             # as_real_imag writes Abs and atan2, which sympy's lambdify evaluates
             Y, X = grid_rows(bs.chart, 3, 4)
@@ -257,8 +258,9 @@ def test_criterion_04_hitchin_criterion():
     translated = translate_by_section(
         hitchin(HitchinPotential(chart, phi0))[0],
         [sp.diff(F, y1), sp.diff(F, y2)])
+    twisted, translated = sympy_beta(twisted), sympy_beta(translated)
     twist_defect = max(
-        abs(complex(sp.expand(twisted.beta[i][j] - translated.beta[i][j])))
+        abs(complex(sp.expand(twisted[i][j] - translated[i][j])))
         for i in range(2) for j in range(2))
     ok = closed_val < 1e-9 and cubic_val > 1e-3 and twist_defect < 1e-10
     report("AC-04 potential criterion", ok,

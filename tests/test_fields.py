@@ -12,11 +12,15 @@ from syzlab.charts import Chart, ChartError, circle_points, product_grid
 from syzlab.fields import (
     _BLOCK_SAMPLES,
     MAX_POWER,
+    Y_VARS,
     GrammarError,
     PeriodicityError,
     Walk,
+    expand,
     fibre_frequencies,
+    is_zero,
     parse_scalar,
+    power,
     require_fibre_periodic,
     sup_norm_scalars,
     sup_norms,
@@ -24,7 +28,7 @@ from syzlab.fields import (
 )
 from syzlab.k3 import GramLattice, K3MirrorInput
 
-from conftest import grid_rows, lambdify_values
+from conftest import grid_rows, lambdify_values, sympy_beta, sympy_volume
 
 
 def test_chart_validation():
@@ -159,9 +163,9 @@ def test_parse_matches_sympy_parse_expr_reference():
         standard_transformations,
     )
 
-    from syzlab.charts import X_SYMBOLS, Y_SYMBOLS
+    from syzlab.fields import X_VARS, Y_VARS
 
-    local = {s.name: s for s in Y_SYMBOLS + X_SYMBOLS}
+    local = {v.name: to_sympy(v) for v in Y_VARS + X_VARS}
     local.update({"sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "pi": sp.pi})
     constructors = {"Integer": sp.Integer, "Float": sp.Float, "Rational": sp.Rational,
                     "Symbol": sp.Symbol, "Function": sp.Function}
@@ -301,9 +305,9 @@ def test_sup_norms_matches_whole_grid_per_group():
     )
 
     bs = benchmark_beta3()
-    chart, V = bs.chart, bs.volume_density
-    groups = [list(_d_omega(chart, bs.beta, V).terms.values()),
-              list(_volume_divergence_residual(chart, bs.beta, V).terms.values()),
+    chart, beta, V = bs.chart, sympy_beta(bs), sympy_volume(bs)
+    groups = [list(_d_omega(chart, beta, V).terms.values()),
+              list(_volume_divergence_residual(chart, beta, V).terms.values()),
               list(integrability_residual(bs).terms.values()),
               [sp.Integer(0)]]
     Y, X = grid_rows(chart)
@@ -458,3 +462,32 @@ def test_walk_grid_is_the_only_evaluation_entry_point():
                 assert node.func.attr not in (methods - {"grid"}) | {"evaluate"}, where
                 grids += node.func.attr == "grid"
     assert grids >= 4
+
+
+class TestExpand:
+    """expand multiplies out what the node constructors keep factored, so
+    is_zero proves the zeros that sympy's expand proves."""
+
+    @pytest.mark.parametrize("a, b", [
+        ("(y1 + 1)^2", "y1^2 + 2*y1 + 1"),
+        ("y1*(y2 + 1)", "y1*y2 + y1"),
+        ("(y1 + y2)^3*(y1 - y2)", "(y1^2 - y2^2)*(y1 + y2)^2"),
+        ("exp(y1*(y2 + 1))", "exp(y1)*exp(y1*y2)"),
+        ("sin((y1 + 1)^2)", "sin(y1^2 + 2*y1 + 1)"),
+        ("(1 + exp(y1))*exp(2*y1)", "exp(2*y1) + exp(3*y1)"),
+    ])
+    def test_one_polynomial_expands_to_one_node(self, a, b):
+        a, b = parse_scalar(a, 2), parse_scalar(b, 2)
+        assert a is not b and expand(a) is expand(b) and is_zero(a - b)
+
+    def test_roots_of_one_sum_meet(self):
+        y1, y2 = Y_VARS[:2]
+        root = power(1 + y1, Fraction(1, 2))
+        assert is_zero(root * root * y2 - (1 + y1) * y2)
+        assert expand(power(1 + y1, Fraction(3, 2))) is expand((1 + y1) * root)
+
+    def test_unproven_is_not_zero(self):
+        assert not is_zero(parse_scalar("(y1 + 1)^2 - y1^2 - 2*y1", 2))
+        # fractions are not put over one denominator, as sympy's expand does not
+        assert not is_zero(parse_scalar("1/(1 + y1) + y1/(1 + y1) - 1", 2))
+        assert sp.expand(to_sympy(parse_scalar("1/(1 + y1) + y1/(1 + y1) - 1", 2))) != 0

@@ -19,7 +19,7 @@ from syzlab.charts import Chart
 from syzlab.fields import GrammarError, Jet, Peaks, parse_scalar, sup_norms
 from syzlab.semiflat import _JET_ROWS, _RESIDUALS, BetaStructure, _sampled, _volume_jet
 
-from conftest import diff_values, grid_rows, lambdify_values
+from conftest import diff_values, grid_rows, lambdify_values, sympy_beta
 
 NAMES = tuple(_RESIDUALS)
 CHART = Chart(3, ((-1, 1),) * 3)
@@ -52,7 +52,7 @@ def dense_reference(bs):
     and (least eigenvalue of sym(Im beta), its first row), on dense rows."""
     chart, n = bs.chart, bs.n
     Y, X = grid_rows(chart)
-    entries = [e for row in bs.beta for e in row]
+    entries = [e for row in sympy_beta(bs) for e in row]
     values = lambdify_values(entries, chart, Y, X)
     partials = [{v: p for v, p in diff_values(e, chart, Y, X).items() if sp.diff(e, v) != 0}
                 for e in entries]
@@ -75,7 +75,7 @@ def dense_reference(bs):
         firsts = [row_point(Y, X, int(np.argmax(p))) if top > 0 else None
                   for p, top in zip(m, peaks)]
         table[name] = (peaks, firsts)
-    g = lambdify_values([e for row in bs.g_inv for e in row], chart, Y, X).real
+    g = lambdify_values([e for row in sympy_beta(bs, "im") for e in row], chart, Y, X).real
     mats = g.T.reshape(-1, n, n)
     eig = np.linalg.eigvalsh(0.5 * (mats + np.transpose(mats, (0, 2, 1))))[:, 0]
     idx = int(np.argmin(eig))

@@ -1,6 +1,6 @@
 """Import layering: the exact CLI commands load neither sympy nor numpy, the
-semi-flat, dualize, Yukawa and Hitchin demos and mclean_metrics load numpy
-but not sympy, every benchmark job runs with sympy unimportable, no command
+semi-flat, dualize, Yukawa and Hitchin demos (a twisted one and an irrational
+determinant included) and mclean_metrics load numpy but not sympy, every benchmark job runs with sympy unimportable, no command
 loads jsonschema (a test-only reference), and the lazy package namespace
 resolves every public name as before."""
 
@@ -118,9 +118,19 @@ def test_exact_commands_load_neither_sympy_nor_numpy(argv, k3_payload):
 
 
 @pytest.mark.parametrize("demo, code", [("flat_torus", 0), ("yukawa_n2", 0),
-                                        ("hitchin_cubic", 1), ("dualize_n2", 0)])
+                                        ("hitchin_cubic", 1), ("dualize_n2", 0),
+                                        ("hitchin_twist", 0)])
 def test_scenario_verdicts_load_numpy_but_not_sympy(demo, code):
     assert _probe("run", SCENARIOS / f"{demo}.json") == [code, ["numpy"]]
+
+
+def test_irrational_determinant_loads_numpy_but_not_sympy(tmp_path):
+    """exp(y1) has the Hessian determinant exp(1/2) at the box centre, whose
+    text is printed from its node."""
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"version": "1", "kind": "hitchin", "payload": {
+        "n": 1, "box": [[0, 1]], "potential": "exp(y1)"}}))
+    assert _probe("run", path) == [1, ["numpy"]]
 
 
 def test_mclean_metrics_load_numpy_but_not_sympy():

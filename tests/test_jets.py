@@ -19,30 +19,33 @@ from syzlab.fields import parse_scalar
 from syzlab.semiflat import (
     BetaStructure,
     _connection_curvature,
+    _d_omega,
     _sampled,
     _volume_divergence_residual,
-    integrability_residual,
     omega_form,
 )
 
-from conftest import grid_rows, lambdify_sup_norms, lambdify_values
+from conftest import grid_rows, lambdify_sup_norms, lambdify_values, sympy_beta, sympy_volume
 
 NAMES = ("symmetry", "full_closedness", "volume_divergence", "integrability",
          "connection_flatness", "metric_fibre_gradient", "volume_fibre_gradient")
 
 
 def symbolic_residuals(bs):
-    """The exact coefficients of each residual, from the symbolic builders."""
-    chart, V = bs.chart, bs.volume_density
+    """The exact coefficients of each residual, from the builders run on
+    sympy entries."""
+    chart, beta, V = bs.chart, sympy_beta(bs), sympy_volume(bs)
     n, xs = bs.n, chart.xs
     return {
-        "symmetry": [sp.expand(bs.beta[i][j] - bs.beta[j][i])
+        "symmetry": [sp.expand(beta[i][j] - beta[j][i])
                      for i in range(n) for j in range(i + 1, n)],
-        "full_closedness": omega_form(bs).exterior_derivative().terms.values(),
-        "volume_divergence": _volume_divergence_residual(chart, bs.beta, V).terms.values(),
-        "integrability": integrability_residual(bs).terms.values(),
-        "connection_flatness": _connection_curvature(chart, bs.b_matrix).terms.values(),
-        "metric_fibre_gradient": [sp.diff(g, x) for row in bs.g_inv for g in row for x in xs],
+        "full_closedness": _d_omega(chart, beta, V).terms.values(),
+        "volume_divergence": _volume_divergence_residual(chart, beta, V).terms.values(),
+        "integrability": _connection_curvature(chart, beta).terms.values(),
+        "connection_flatness":
+            _connection_curvature(chart, sympy_beta(bs, "re")).terms.values(),
+        "metric_fibre_gradient": [sp.diff(g, x) for row in sympy_beta(bs, "im")
+                                  for g in row for x in xs],
         "volume_fibre_gradient": [sp.diff(V, x) for x in xs],
     }
 

@@ -1,5 +1,6 @@
 import json
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -251,12 +252,14 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(BAD_MODEL_LISTS))
     def test_fibre_model_list_exit_two(self, case, tmp_path, capsys):
-        """The schema rejects these before any cohomology runs."""
+        """The schema rejects these before any cohomology runs; a bad entry
+        is named by its own pointer."""
         doc = {"version": "1", "kind": "fibre", "payload": {"models": BAD_MODEL_LISTS[case]}}
-        with pytest.raises(ScenarioError, match="^/payload/models: "):
+        pointer = "/payload/models/0" if BAD_MODEL_LISTS[case] else "/payload/models"
+        with pytest.raises(ScenarioError, match=f"^{pointer}: "):
             validate_scenario(doc)
         assert main(["run", write(tmp_path, doc)]) == 2
-        assert "scenario error: /payload/models: " in capsys.readouterr().err
+        assert f"scenario error: {pointer}: " in capsys.readouterr().err
 
     def test_seed_setting_and_flag_exit_two(self, tmp_path, capsys):
         doc = json.loads(json.dumps(FLAT_SCENARIO))
@@ -670,8 +673,8 @@ class TestHitchinTwist:
         assert plain.passed and twisted.passed
         y1, y2 = Chart(2, ((-1, 1), (-1, 1))).ys
         translated = translate_by_section(built[0], [y1 + y2 / 3, y1 / 3 + y2 / 2])
-        assert built[1].beta == translated.beta
-        assert built[1].beta != built[0].beta
+        assert built[1].pairs == translated.pairs
+        assert built[1].pairs != built[0].pairs
 
     def test_fibre_dependent_twist_potential_exit_two(self, tmp_path, capsys):
         doc = _with(_HITCHIN_N1, ["payload", "twist_potential"], "sin(2*pi*x1)")
@@ -744,9 +747,9 @@ class TestHessianDeterminantText:
         ([[-1, 1], [-1, 1]], "exp(y1) + pi*y2^2", "2*pi"),
     ], ids=["demo", "rational", "exp_pi"])
     def test_value_is_sympy_sstr_at_the_box_centre(self, box, potential, text):
-        """outputs.hessian_determinant_value is sympy's sstr of the exact
-        determinant of the Hessian at the box centre: a rational value is
-        printed without sympy, any other through it."""
+        """outputs.hessian_determinant_value is the text of the exact
+        determinant of the Hessian at the box centre, which on these values
+        is sympy's sstr of it."""
         import sympy as sp
 
         ys = sp.symbols("y1 y2", real=True)
@@ -758,6 +761,26 @@ class TestHessianDeterminantText:
                "payload": {"n": 2, "box": box, "potential": potential}}
         got = run_scenario_doc(doc).outputs["hessian_determinant_value"]
         assert got == want == text
+
+
+    @pytest.mark.parametrize("box, potential, text", [
+        ([[0, 1]], "exp(y1)", "exp(1/2)"),
+        ([[0, 1]], "2*exp(y1)/3", "2/3*exp(1/2)"),
+        ([[1, 2]], "y1^3/3 + sin(y1)", "3 - sin(3/2)"),
+        ([[1, 3]], "-4*y1^(1/2)", "1/4*2^(1/2)"),
+    ], ids=["exp", "scaled_exp", "sin", "root"])
+    def test_any_value_parses_back_to_itself(self, box, potential, text):
+        """Any other determinant text is grammar text: parse_scalar reads it
+        back to the node of the same value."""
+        from syzlab.fields import parse_scalar
+
+        doc = {"version": "1", "kind": "hitchin",
+               "payload": {"n": 1, "box": box, "potential": potential}}
+        got = run_scenario_doc(doc).outputs["hessian_determinant_value"]
+        assert got == text
+        hessian = parse_scalar(potential, 1).diff("y1", 2)
+        centre = sum(map(Fraction, box[0])) / 2
+        assert parse_scalar(got, 1) is hessian.subs({"y1": centre})
 
 
 _YUKAWA_N3 = _beta_doc(

@@ -213,6 +213,20 @@ def test_missing_property_names_its_object():
     assert _error(doc) == "/payload: 'box' is a required property"
 
 
+@pytest.mark.parametrize("trap, message", [
+    ("models_smooth_fibre", "/payload/models/0: 'T3' is not one of "
+                            "['M22', 'M12', 'M21', 'M11a', 'M11b', 'M01', 'M10', 'M00']"),
+    ("lattice_rational_matrix", "/payload/lattice/0/1: 0.5 is not of type 'integer'"),
+    ("models_other_string", "/payload/models: 'M21' matches 0 of the 2 oneOf alternatives, "
+                            "not exactly one"),
+])
+def test_one_of_error_is_the_alternative_of_the_values_type(trap, message):
+    """Where no oneOf alternative holds, the error is that of the one
+    alternative whose type the value has; with none, the count."""
+    kind, path, value, _ = TRAPS[trap]
+    assert _error(_with(BUILT[kind], path, value)) == message
+
+
 def test_errors_sorted_by_pointer():
     doc = _with(BUILT["k3"], ("payload", "omega"), [1, None])
     doc["payload"]["E"] = "x"

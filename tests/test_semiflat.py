@@ -10,6 +10,7 @@ from syzlab.algebra import (
     wedge_one_forms,
 )
 from syzlab.charts import Chart
+from syzlab.fields import to_sympy
 from syzlab.semiflat import (
     BetaStructure,
     CompatibilityError,
@@ -27,6 +28,8 @@ from syzlab.semiflat import (
     translate_by_section,
 )
 
+from conftest import sympy_beta, sympy_volume
+
 I = sp.I
 
 
@@ -37,17 +40,17 @@ def integrability_residual_indexed(bs: BetaStructure):
     d(beta_lk)/dy_j - d(beta_lj)/dy_k
     - sum_i (d(beta_lk)/dx_i * beta_ij - d(beta_lj)/dx_i * beta_ik).
     """
-    n, ys, xs = bs.n, bs.chart.ys, bs.chart.xs
+    n, ys, xs, beta = bs.n, bs.chart.ys, bs.chart.xs, sympy_beta(bs)
     coeffs = {}
     for l in range(1, n + 1):
         for j in range(1, n + 1):
             for k in range(j + 1, n + 1):
-                blk = bs.beta[l - 1][k - 1]
-                blj = bs.beta[l - 1][j - 1]
+                blk = beta[l - 1][k - 1]
+                blj = beta[l - 1][j - 1]
                 val = sp.diff(blk, ys[j - 1]) - sp.diff(blj, ys[k - 1])
                 for i in range(1, n + 1):
-                    val -= sp.diff(blk, xs[i - 1]) * bs.beta[i - 1][j - 1]
-                    val += sp.diff(blj, xs[i - 1]) * bs.beta[i - 1][k - 1]
+                    val -= sp.diff(blk, xs[i - 1]) * beta[i - 1][j - 1]
+                    val += sp.diff(blj, xs[i - 1]) * beta[i - 1][k - 1]
                 coeffs[((j, k), (l,))] = sp.expand(val)
     return BigradedElement(bs.chart, coeffs)
 
@@ -90,7 +93,7 @@ def flat(chart):
 class TestBuildOmega:
     def test_flat_torus(self, chart2):
         bs = flat(chart2)
-        assert bs.volume_density == 1
+        assert to_sympy(bs.volume_node) == 1
         form = to_form(build_omega(bs))
         # (dx1 + i dy1) ^ (dx2 + i dy2)
         assert form.coefficient(dxs=(1, 2)) == 1
@@ -100,8 +103,8 @@ class TestBuildOmega:
 
     def test_volume_normalisation(self, chart2):
         bs = BetaStructure(chart2, [[2 * I, 0], [0, 2 * I]])
-        assert bs.volume_density == sp.Rational(1, 2)
-        assert sp.expand(bs.volume_density ** 2 * bs.det_g_inv) == 1
+        assert to_sympy(bs.volume_node) == sp.Rational(1, 2)
+        assert sp.expand(to_sympy(bs.volume_node) ** 2 * to_sympy(bs.det_node)) == 1
 
     def test_rejects_asymmetric(self, chart2):
         with pytest.raises(CompatibilityError):
@@ -125,7 +128,7 @@ class TestPointwise:
         rep = pointwise_checks(bs)
         assert rep["symmetry"].value == 0
         assert rep.notes["min_imbeta_eigenvalue"] == pytest.approx(1.0)
-        assert sp.expand(bs.volume_density ** 2 * bs.det_g_inv - 1) == 0
+        assert sp.expand(to_sympy(bs.volume_node) ** 2 * to_sympy(bs.det_node) - 1) == 0
 
     def test_constructed_asymmetry(self, chart2):
         y1 = chart2.ys[0]
@@ -285,7 +288,7 @@ class TestTranslations:
     def test_identity_section(self, chart2):
         bs = flat(chart2)
         out = translate_by_section(bs, [0, 0])
-        assert all(sp.expand(out.beta[i][j] - bs.beta[i][j]) == 0
+        assert all(sp.expand(sympy_beta(out)[i][j] - sympy_beta(bs)[i][j]) == 0
                    for i in range(2) for j in range(2))
 
     def test_gradient_section_adds_hessian(self, chart2):
@@ -298,7 +301,7 @@ class TestTranslations:
         hess = [[sp.diff(F, a, b) for b in (y1, y2)] for a in (y1, y2)]
         for i in range(2):
             for j in range(2):
-                assert sp.expand(out.beta[i][j] - H[i][j] - hess[i][j]) == 0
+                assert sp.expand(sympy_beta(out)[i][j] - H[i][j] - hess[i][j]) == 0
         assert closedness_residuals(out).verdict("full_closedness")
 
     def test_x_shift_moves_phases(self, chart2):
@@ -309,7 +312,7 @@ class TestTranslations:
         out = translate_by_section(bs, [y1, 0])
         # substitution shifts the phase; the section Jacobian adds 1
         expected = I * (2 + sp.sin(2 * sp.pi * (x1 + y1)) / 2) + 1
-        assert sp.expand(out.beta[0][0] - expected) == 0
+        assert sp.expand(sympy_beta(out)[0][0] - expected) == 0
 
     def test_closed_section_preserves_symplectic_form(self, chart2):
         y1, y2 = chart2.ys
@@ -343,6 +346,15 @@ class TestActionCoordinates:
     def test_rejects_nonclosed(self, chart2):
         with pytest.raises(ValueError):
             action_coordinates([[chart2.ys[1], 0], [0, 1]], chart2)
+
+    def test_closed_once_multiplied_out(self):
+        """d(lambda) = (y1 + 1)^2 - (y1^2 + 2*y1 + 1) is zero only expanded."""
+        chart = Chart(2, ((0.5, 1.5), (0.5, 1.5)))
+        y1, y2 = chart.ys
+        lam = [y2 * (y1 + 1) ** 2, y1 ** 3 / 3 + y1 ** 2 + y1]
+        u = action_coordinates([lam, [0, 1]], chart)
+        assert all(sp.expand(sp.diff(u[0], to_sympy(y)) - to_sympy(c)) == 0
+                   for y, c in zip(chart.ys, lam))
 
     def test_rejects_degenerate(self, chart2):
         with pytest.raises(ValueError):
@@ -596,12 +608,13 @@ def _hand_structure_residuals(bs):
     b, ginv = bs.b_element(), bs.g_inv_element()
     curv = d_y(b) - bracket(b, b).scale(half) + bracket(ginv, ginv).scale(half)
     covariant = d_y(ginv) - bracket(b, ginv)
-    V, n = bs.volume_density, bs.n
+    V, n = sympy_volume(bs), bs.n
     xs, ys = bs.chart.xs, bs.chart.ys
-    harmonic = [sp.expand(sum(sp.diff(V * bs.g_inv[i][j], xs[i]) for i in range(n)))
+    b, g_inv = sympy_beta(bs, "re"), sympy_beta(bs, "im")
+    harmonic = [sp.expand(sum(sp.diff(V * g_inv[i][j], xs[i]) for i in range(n)))
                 for j in range(n)]
     parallel = [sp.expand(sp.diff(V, ys[j]) - sum(
-        sp.diff(V * bs.b_matrix[i][j], xs[i]) for i in range(n))) for j in range(n)]
+        sp.diff(V * b[i][j], xs[i]) for i in range(n))) for j in range(n)]
     return {"connection_curvature": list(curv.terms.values()),
             "covariant_metric": list(covariant.terms.values()),
             "fibre_harmonic": harmonic,
@@ -671,6 +684,13 @@ class TestStructureEquationsAreViews:
     def test_singular_structure_constructs(self, chart2):
         y1 = chart2.ys[0]
         bs = BetaStructure(chart2, [[I * y1 ** 2, 0], [0, I]])
-        assert BetaStructure(chart2, [[0, 0], [0, I]]).volume_density is sp.zoo
         with pytest.raises(CompatibilityError):
             structure_equations(bs)
+
+    def test_singular_volume_is_a_compatibility_failure(self, chart2):
+        """det Im beta is identically 0: V has no value, and omega_form says
+        so as the compatibility failure it is."""
+        y1 = chart2.ys[0]
+        bs = BetaStructure(chart2, [[I * y1 ** 2, 0], [0, 0]])
+        with pytest.raises(CompatibilityError, match="det Im"):
+            omega_form(bs)

@@ -217,6 +217,12 @@ class TestOneTorusPerRequest:
         cohomology_of_models(MODEL_NAMES, 3)
         assert [names.count(n) for n in ("S1", "T2", "T3")] == [1, 1, 1]
 
+    def test_all_models_build_one_m21(self, monkeypatch):
+        """M11b pinches the request's M21 quotient rather than a second one."""
+        names = self.built(monkeypatch)
+        cohomology_of_models(MODEL_NAMES, 2)
+        assert names.count("M21") == 1
+
     def test_report_and_scenario_requests(self, monkeypatch):
         names = self.built(monkeypatch)
         fibre_type_report()

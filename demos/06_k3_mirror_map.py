@@ -3,10 +3,9 @@
 All arithmetic is exact.  The mirror holomorphic class is null, meets the
 fibre once, and is orthogonal to the mirror Kaehler class; fibre volumes of
 the two sides multiply to one; and running the map twice followed by the
-fibrewise negation recovers every input class on the nose.
+fibrewise negation recovers every input class on the nose.  Coordinates
+are rationals: ints, Fractions, floats or strings such as "1/2".
 """
-
-import sympy as sp
 
 from syzlab import (
     GramLattice,
@@ -22,7 +21,7 @@ inp = K3MirrorInput(
     E=(1, 0, 0, 0, 0, 0),
     sigma0=(-1, 1, 0, 0, 0, 0),
     omega=(0, 0, 1, 1, 0, 0),
-    B=(0, 0, sp.Rational(1, 2), sp.Rational(-1, 2), 0, 0),
+    B=(0, 0, "1/2", "-1/2", 0, 0),
     re_omega=(1, 1, 0, 0, 0, 0),
     im_omega=(0, 0, 0, 0, 1, 1),
 )

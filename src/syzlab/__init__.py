@@ -13,13 +13,14 @@ k3                           lattice-level K3 mirror map
 scenarios, cli               JSON scenario runner and command line
 
 Names and submodules are imported on first use (PEP 562), so the integer
-layers (intlinalg, complexes, fibre_models, sheaf), k3 on rational data, and
-the cli and scenarios on those kinds run without loading sympy or numpy.
+layers (intlinalg, complexes, fibre_models, sheaf), k3 (its surds are its own
+root type), and the cli and scenarios on those kinds run without loading
+sympy or numpy.
 Expressions are syzlab's own nodes (``fields``), the one exact type: every
 exact check and report text runs on them, so every sampled check (charts,
 fields, algebra, quadrature, semiflat, duality) loads numpy, and sympy is
 imported only to convert library input and to integrate (base_potential,
-action_coordinates, symmetric_class).
+action_coordinates, symmetric_class): it is the optional "symbolic" extra.
 """
 
 import importlib

@@ -21,13 +21,12 @@ Inside the map a class is a ``_Vec``: integer numerators over one positive
 integer denominator, reduced by one gcd, so each pairing makes one
 ``fractions.Fraction`` and the elementwise steps make none.  Coordinates at
 the boundary (K3MirrorInput, MirrorClasses, the public helpers) are
-Fractions, read from ints, floats (through their shortest decimal, so 0.1 is
-1/10) and rational strings such as "3/2"; any other string is a
-K3ValidationError, never handed to a sympy parser.  Only a value that is
-not rational is a sympy expression (a numerator over the same denominator
-inside a _Vec): the quadratic surds a non-Pythagorean phase alignment
-introduces, or symbolic library inputs.  A sympy result that turns out
-rational goes back to a Fraction, so rational data never imports sympy.
+Fractions, read from any ``numbers.Rational``, floats (through their
+shortest decimal, so 0.1 is 1/10) and rational strings such as "3/2"; any
+other value is a K3ValidationError.  The one irrational number rational
+data can make is the alignment's h = sqrt((ReOmega.E)^2 + (ImOmega.E)^2),
+so every value is a Fraction or a ``_Root`` c*sqrt(d), printed as
+"3*sqrt(2)/2".
 
 The double mirror feeds the mirror classes back through the same map with
 the mirror's own twist class, read off the transverse part of ReOmega_n,
@@ -39,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,66 +56,102 @@ class K3ValidationError(ValueError):
 
 
 _RATIONAL = (int, Fraction)
+_ZERO = Fraction(0)
 
 
-def _norm(x):
-    """A Fraction for a rational value, else the expanded sympy expression."""
-    if type(x) is Fraction:
-        return x
-    if isinstance(x, _RATIONAL):
-        return Fraction(x)
-    import sympy as sp
+class _Root:
+    """c*sqrt(d): a nonzero Fraction c, an int d > 1 without square factors
+    below 2**15.  Every value made from one h is rational or a rational
+    multiple of h, so a root plus a nonzero rational never arises and is
+    NotImplemented; two roots multiply to a Fraction."""
 
-    x = sp.expand(x)
-    return Fraction(int(x.p), int(x.q)) if x.is_Rational else x
+    __slots__ = ("c", "d")
 
+    def __init__(self, c, d):
+        self.c, self.d = c, d
 
-def _is_zero(x):
-    if isinstance(x, _RATIONAL):
-        return x == 0
-    import sympy as sp
+    def _with(self, c):
+        return _Root(c, self.d) if c else _ZERO
 
-    return sp.simplify(sp.expand(x)) == 0
+    def __add__(self, other):
+        if type(other) is _Root and other.d == self.d:
+            return self._with(self.c + other.c)
+        return self if other == 0 else NotImplemented
 
+    __radd__ = __add__
 
-def _positive(x):
-    if isinstance(x, _RATIONAL):
-        return x > 0
-    import sympy as sp
+    def __neg__(self):
+        return _Root(-self.c, self.d)
 
-    return bool(sp.simplify(x) > 0)
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, _RATIONAL):
+            return self._with(self.c * other)
+        if type(other) is _Root and other.d == self.d:
+            return self.c * other.c * self.d
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _inverse(self):
+        return _Root(1 / (self.c * self.d), self.d)
+
+    def __truediv__(self, other):
+        return self * (other._inverse() if type(other) is _Root else 1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        return self._inverse() * other
+
+    def __eq__(self, other):
+        return type(other) is _Root and (self.c, self.d) == (other.c, other.d)
+
+    def __gt__(self, other):
+        return self.c > 0 if other == 0 else NotImplemented
+
+    def __str__(self):  # 3*sqrt(2)/2, -sqrt(2)/2, 5*sqrt(6)
+        p, q = self.c.numerator, self.c.denominator
+        text = f"{'-' if p < 0 else ''}{'' if abs(p) == 1 else f'{abs(p)}*'}sqrt({self.d})"
+        return text if q == 1 else f"{text}/{q}"
 
 
 def _sqrt(x):
-    """Square root, a Fraction when x is the square of a rational."""
-    if isinstance(x, _RATIONAL) and x >= 0:
-        x = Fraction(x)
-        num, den = math.isqrt(x.numerator), math.isqrt(x.denominator)
-        if num * num == x.numerator and den * den == x.denominator:
-            return Fraction(num, den)
-    import sympy as sp
-
-    return sp.sqrt(x)
+    """Square root of a positive Fraction p/q: a Fraction, or sqrt(p*q)/q."""
+    d, q, s = x.numerator * x.denominator, x.denominator, 1
+    for p in range(2, min(math.isqrt(d), 2 ** 15) + 1):
+        while d % (p * p) == 0:
+            d, s = d // (p * p), s * p
+    r = math.isqrt(d)
+    return Fraction(s * r, q) if r * r == d else _Root(Fraction(s, q), d)
 
 
 def _coord(x):
-    if isinstance(x, float):
-        x = str(x)
-    if isinstance(x, str):
+    """A Fraction from a rational value, float or string; a _Root as it is."""
+    if type(x) is int:
+        return Fraction(x)
+    if type(x) is Fraction or type(x) is _Root:
+        return x
+    if isinstance(x, (str, float)):
         try:
-            return Fraction(x)
+            return Fraction(str(x))
         except (ValueError, ZeroDivisionError):
-            raise K3ValidationError(f"coordinate {x!r} is not a rational number") from None
-    return _norm(x)
+            pass
+    elif isinstance(x, numbers.Rational):
+        return Fraction(int(x.numerator), int(x.denominator))
+    raise K3ValidationError(f"coordinate {x!r} is not a rational number")
 
 
-def _str(x):
-    # str(Fraction) and sympy's sstr(Rational) print alike ("-3/2", "4")
-    if isinstance(x, _RATIONAL):
-        return str(x)
-    import sympy as sp
-
-    return sp.sstr(x)
+def _integers(values, what):
+    """An integer vector's entries as ints: 2.0 and "2" are read, 1.5 is refused."""
+    out = [x if type(x) is int else _coord(x) for x in values]
+    for i, q in enumerate(out):
+        if type(q) is _Root or q.denominator != 1:
+            raise K3ValidationError(f"{what}[{i}] = {q} is not an integer")
+    return tuple(map(int, out))
 
 
 def _read(values, rank):
@@ -130,21 +166,17 @@ def _split(x):
     return (x.numerator, x.denominator) if isinstance(x, _RATIONAL) else (x, 1)
 
 
-_ZERO = Fraction(0)
-
-
 def _div(n, d):
     if type(n) is int:
         return Fraction(n, d) if n else _ZERO
-    return _norm(n / d)
+    return n / d
 
 
 class _Vec:
     """A lattice class as numerators over one positive integer denominator.
 
     Rational numerators are ints, reduced with the denominator by one gcd.
-    A surd or symbolic numerator leaves the vector unreduced, its numerators
-    normalised one by one.
+    A Fraction or _Root numerator leaves the vector unreduced.
     """
 
     __slots__ = ("nums", "den")
@@ -153,7 +185,7 @@ class _Vec:
         try:
             g = math.gcd(*nums, den)
         except TypeError:
-            nums, g = [_norm(n) for n in nums], 1
+            g = 1
         self.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
         self.den = den // g
 
@@ -164,7 +196,7 @@ class _Vec:
             return coords
         try:
             den = math.lcm(*(x.denominator for x in coords))
-        except AttributeError:  # a string, float, surd or symbol: over 1
+        except AttributeError:  # a string, float or _Root: over 1
             return cls([_coord(x) for x in coords])
         return cls([x.numerator * (den // x.denominator) for x in coords], den)
 
@@ -172,8 +204,7 @@ class _Vec:
         return tuple(_div(n, self.den) for n in self.nums)
 
     def __eq__(self, other):
-        return all(_is_zero(a * other.den - b * self.den)
-                   for a, b in zip(self.nums, other.nums))
+        return all(a * other.den == b * self.den for a, b in zip(self.nums, other.nums))
 
 
 def _axpy(alpha, x, y):
@@ -228,7 +259,7 @@ class GramLattice:
     _rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(_integers(row, f"gram[{i}]") for i, row in enumerate(self.gram))
         for i in range(len(g)):
             for j in range(len(g)):
                 if g[i][j] != g[j][i]:
@@ -301,8 +332,8 @@ class K3MirrorInput:
 
     def __post_init__(self):
         r = self.lattice.rank
-        self.E = tuple(int(x) for x in self.E)
-        self.sigma0 = tuple(int(x) for x in self.sigma0)
+        self.E = _integers(self.E, "E")
+        self.sigma0 = _integers(self.sigma0, "sigma0")
         self.omega = _read(self.omega, r)
         self.B = _read(self.B, r) if self.B is not None else (Fraction(0),) * r
         # reduce the twist lift to the section-orthogonal representative;
@@ -310,10 +341,8 @@ class K3MirrorInput:
         shift = self.dot(self._vector("B"), self._vector("sigma0"))
         if shift != 0:
             self.B = _axpy(-shift, self._vector("E"), self._vector("B")).coords()
-        if self.re_omega is not None:
-            self.re_omega = _read(self.re_omega, r)
-        if self.im_omega is not None:
-            self.im_omega = _read(self.im_omega, r)
+        self.re_omega, self.im_omega = (None if v is None else _read(v, r)
+                                        for v in (self.re_omega, self.im_omega))
         if (self.re_omega is None) != (self.im_omega is None):
             raise K3ValidationError("provide both re/im holomorphic classes or neither")
         bad = validate(self)
@@ -347,7 +376,7 @@ def validate(inp: K3MirrorInput):
     d = inp.dot
     E, s0, w, B = map(inp._vector, ("E", "sigma0", "omega", "B"))
     bad = []
-    if not _is_zero(d(E, E)):
+    if d(E, E) != 0:
         bad.append("fibre class is not isotropic")
     if math.gcd(*inp.E) != 1:
         bad.append("fibre class is not primitive")
@@ -355,22 +384,22 @@ def validate(inp: K3MirrorInput):
         bad.append("section self-intersection must be -2")
     if d(s0, E) != 1:
         bad.append("section must meet the fibre once")
-    if not _is_zero(d(w, E)):
+    if d(w, E) != 0:
         bad.append("kaehler class must pair to zero with the fibre")
-    if not _is_zero(d(B, E)):
+    if d(B, E) != 0:
         bad.append("twist class must pair to zero with the fibre")
-    if not _is_zero(d(B, s0)):
+    if d(B, s0) != 0:
         bad.append("twist lift must pair to zero with the section")
     w2 = d(w, w)
-    if not _positive(w2):
+    if not w2 > 0:
         bad.append("kaehler square must be positive")
     if inp.has_holomorphic_data:
         re, im = inp._vector("re_omega"), inp._vector("im_omega")
-        if not _is_zero(d(re, re) - w2) or not _is_zero(d(im, im) - w2):
+        if d(re, re) != w2 or d(im, im) != w2:
             bad.append("holomorphic-class squares must equal the kaehler square")
-        if not _is_zero(d(re, im)):
+        if d(re, im) != 0:
             bad.append("holomorphic re/im parts must be orthogonal")
-        if not _is_zero(d(w, re)) or not _is_zero(d(w, im)):
+        if d(w, re) != 0 or d(w, im) != 0:
             bad.append("kaehler class must be orthogonal to the holomorphic class")
     return bad
 
@@ -381,9 +410,9 @@ def _require_aligned(inp: K3MirrorInput, context=""):
     bad = []
     if inp.has_holomorphic_data:
         E = inp._vector("E")
-        if not _is_zero(inp.dot(inp._vector("im_omega"), E)):
+        if inp.dot(inp._vector("im_omega"), E) != 0:
             bad.append("phase not aligned: Im pairing with the fibre is nonzero")
-        if not _positive(inp.dot(inp._vector("re_omega"), E)):
+        if not inp.dot(inp._vector("re_omega"), E) > 0:
             bad.append("phase not aligned: Re pairing with the fibre is not positive")
     if bad:
         raise K3ValidationError(context + "; ".join(bad))
@@ -397,12 +426,12 @@ def validate_and_align(inp: K3MirrorInput) -> K3MirrorInput:
     d = inp.dot
     E, re, im = map(inp._vector, ("E", "re_omega", "im_omega"))
     a, b = d(re, E), d(im, E)
-    if _is_zero(a) and _is_zero(b):
+    if a == 0 and b == 0:
         raise K3ValidationError("fibre class is null against the holomorphic class")
-    if _is_zero(b) and _positive(a):
+    if b == 0 and a > 0:
         return inp
-    h = _sqrt(_norm(a * a + b * b))
-    cos_t, sin_t = _norm(a / h), _norm(-b / h)
+    h = _sqrt(a * a + b * b)
+    cos_t, sin_t = a / h, -b / h
     out = K3MirrorInput(inp.lattice, inp.E, inp.sigma0, inp.omega, inp.B,
                         _axpy(cos_t, re, _scale(-sin_t, im)).coords(),
                         _axpy(sin_t, re, _scale(cos_t, im)).coords())
@@ -425,8 +454,8 @@ def hyperkahler_rotate(inp: K3MirrorInput):
     sq_re = d(holo_k[0], holo_k[0]) - d(holo_k[1], holo_k[1])
     sq_im = 2 * d(holo_k[0], holo_k[1])
     checks = {
-        "rotated_holomorphic_null": _is_zero(sq_re) and _is_zero(sq_im),
-        "rotated_kaehler_positive": _positive(d(omega_k, omega_k)),
+        "rotated_holomorphic_null": sq_re == 0 and sq_im == 0,
+        "rotated_kaehler_positive": d(omega_k, omega_k) > 0,
         "rotated_kaehler_fibre_volume": d(omega_k, inp.E),
     }
     if not checks["rotated_holomorphic_null"]:
@@ -443,7 +472,7 @@ def sublattice_quotient(lattice: GramLattice, E):
 
     Returns (quotient GramLattice, basis rows in ambient coordinates).
     """
-    E = [int(x) for x in E]
+    E = _integers(E, "E")
     if math.gcd(*E) != 1:
         raise K3ValidationError("fibre class is not primitive")
     if lattice.dot(E, E) != 0:
@@ -493,8 +522,8 @@ class MirrorClasses:
         for name in ("omega_mirror", "omega_n_mirror_re", "omega_n_mirror_im",
                      "re_omega_mirror", "im_omega_mirror"):
             v = getattr(self, name)
-            out[name] = [_str(x) for x in v] if v is not None else None
-        return {**out, "vol": _str(self.vol), "vol_mirror": _str(self.vol_mirror),
+            out[name] = [str(x) for x in v] if v is not None else None
+        return {**out, "vol": str(self.vol), "vol_mirror": str(self.vol_mirror),
                 "identities": {k: bool(v) for k, v in self.identities.items()}}
 
 
@@ -525,17 +554,16 @@ def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     identities = {}
     on_sq_re = d(on_re, on_re) - d(on_im, on_im)
     on_sq_im = 2 * d(on_re, on_im)
-    identities["mirror_holomorphic_null"] = _is_zero(on_sq_re) and _is_zero(on_sq_im)
-    identities["mirror_holomorphic_fibre_pairing_one"] = _is_zero(d(on_re, E) - 1) and _is_zero(d(on_im, E))
-    identities["volume_reciprocity"] = _is_zero(vol * vol_mirror - 1)
+    identities["mirror_holomorphic_null"] = on_sq_re == 0 and on_sq_im == 0
+    identities["mirror_holomorphic_fibre_pairing_one"] = d(on_re, E) == 1 and d(on_im, E) == 0
+    identities["volume_reciprocity"] = vol * vol_mirror == 1
 
     omega_mirror = None
     if inp.has_holomorphic_data:
         om = _mirror_kaehler(d, E, s0, B, _scale(1 / vol, inp._vector("im_omega")))
-        identities["mirror_kaehler_fibre_orthogonal"] = _is_zero(d(om, E))
-        identities["mirror_kaehler_vs_holomorphic"] = (
-            _is_zero(d(on_re, om)) and _is_zero(d(on_im, om)))
-        identities["mirror_kaehler_square"] = _is_zero(d(om, om) - w2 / vol ** 2)
+        identities["mirror_kaehler_fibre_orthogonal"] = d(om, E) == 0
+        identities["mirror_kaehler_vs_holomorphic"] = d(on_re, om) == 0 and d(on_im, om) == 0
+        identities["mirror_kaehler_square"] = d(om, om) == w2 / (vol * vol)
         omega_mirror = om.coords()
 
     return MirrorClasses(omega_mirror, on_re.coords(), on_im.coords(),
@@ -550,7 +578,7 @@ def kahler_obstructions(inp: K3MirrorInput, classes):
     mirror real class; the full Picard computation is out of scope, so only
     user-declared classes are screened.  Returns the offending classes.
     """
-    vectors = [tuple(int(x) for x in cls) for cls in classes]
+    vectors = [_integers(cls, f"algebraic class {k}") for k, cls in enumerate(classes)]
     return [v for v in vectors if inp.dot(v, v) == -2]
 
 
@@ -560,7 +588,7 @@ def kahler_obstructions(inp: K3MirrorInput, classes):
 
 def _components(d, E, s0, v):
     beta = d(v, E)
-    alpha = _norm(d(v, s0) + 2 * beta)
+    alpha = d(v, s0) + 2 * beta
     return alpha, beta, _axpy(-alpha, E, _axpy(-beta, s0, v))
 
 

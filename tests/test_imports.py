@@ -1,4 +1,5 @@
-"""Import layering: the exact CLI commands load neither sympy nor numpy, the
+"""Import layering: the exact CLI commands load neither sympy nor numpy (a K3
+alignment that needs a surd runs with sympy unimportable), the
 semi-flat, dualize, Yukawa and Hitchin demos (a twisted one and an irrational
 determinant included) and mclean_metrics load numpy but not sympy, every benchmark job runs with sympy unimportable, no command
 loads jsonschema (a test-only reference), and the lazy package namespace
@@ -21,14 +22,17 @@ PERFBENCH = ROOT / "perfbench"
 SRC = Path(syzlab.__file__).resolve().parent.parent
 
 # runs one cli command in a fresh interpreter; prints its exit code and which
-# of the heavy dependencies it loaded
+# of the heavy dependencies it loaded (a module blocked as None is not loaded)
 PROBE = """
 import contextlib, io, json, sys
 from syzlab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in ("sympy", "numpy", "jsonschema") if m in sys.modules)]))
+print(json.dumps([code, sorted(m for m in ("sympy", "numpy", "jsonschema") if sys.modules.get(m))]))
 """
+
+# the same with sympy unimportable
+BLOCKED_PROBE = 'import sys\nsys.modules["sympy"] = None\n' + PROBE
 
 # McLean's metrics on a fibre-constant and a fibre-dependent structure
 MCLEAN_PROBE = """
@@ -122,6 +126,11 @@ def test_exact_commands_load_neither_sympy_nor_numpy(argv, k3_payload):
                                         ("hitchin_twist", 0)])
 def test_scenario_verdicts_load_numpy_but_not_sympy(demo, code):
     assert _probe("run", SCENARIOS / f"{demo}.json") == [code, ["numpy"]]
+
+
+def test_k3_surd_runs_without_sympy():
+    """The phase alignment's sqrt(2) is k3's own root type, not sympy's."""
+    assert _probe("run", SCENARIOS / "k3_surd.json", code=BLOCKED_PROBE) == [0, []]
 
 
 def test_irrational_determinant_loads_numpy_but_not_sympy(tmp_path):

@@ -165,7 +165,7 @@ class TestGramLattice:
             GramLattice(((0, 1), (2, 0)))
         lat = GramLattice(((2, 1), (1, 0)))
         assert lat.dot((1, 0), (0, 1)) == 1
-        # coordinates are read as K3MirrorInput reads them: no string reaches sympy
+        # coordinates are read as K3MirrorInput reads them: a string is a rational or an error
         assert lat.dot(("1/2", 1), (0.5, 1)) == Fraction(3, 2)
         with pytest.raises(K3ValidationError, match="not a rational number"):
             lat.dot(("sqrt(4)", 1), (1, 0))
@@ -220,21 +220,21 @@ class TestMirrorClasses:
             assert sp.expand(mc.vol * mc.vol_mirror - 1) == 0
 
     def test_symbolic_scaling_of_kaehler_square(self):
-        """The mirror kaehler square is omega^2 / vol^2, checked with a
-        symbolic positive scale on the whole normalised triple."""
-        t = sp.Symbol("t", positive=True)
-        scale = lambda v: tuple(t * sp.Integer(x) for x in v)
-        inp = K3MirrorInput(U3, E=E, sigma0=S0,
-                            omega=scale((0, 0, 1, 1, 0, 0)),
-                            B=(0,) * 6,
-                            re_omega=scale((1, 1, 0, 0, 0, 0)),
-                            im_omega=scale((0, 0, 0, 0, 1, 1)))
-        mc = mirror_classes(inp)
+        """The mirror kaehler square is omega^2 / vol^2 under a positive
+        scale t of the whole normalised triple; vol is t itself."""
         d = U3.dot
-        omega_sq = d(inp.omega, inp.omega)
-        mirror_sq = d(mc.omega_mirror, mc.omega_mirror)
-        assert sp.simplify(mirror_sq - omega_sq / mc.vol ** 2) == 0
-        assert sp.simplify(mc.vol * mc.vol_mirror - 1) == 0
+        for t in (Fraction(1, 3), 2, Fraction(7, 5)):
+            scale = lambda v: tuple(t * x for x in v)
+            inp = K3MirrorInput(U3, E=E, sigma0=S0,
+                                omega=scale((0, 0, 1, 1, 0, 0)),
+                                B=(0,) * 6,
+                                re_omega=scale((1, 1, 0, 0, 0, 0)),
+                                im_omega=scale((0, 0, 0, 0, 1, 1)))
+            mc = mirror_classes(inp)
+            assert mc.vol == t
+            omega_sq = d(inp.omega, inp.omega)
+            assert d(mc.omega_mirror, mc.omega_mirror) == omega_sq / mc.vol ** 2
+            assert mc.vol * mc.vol_mirror == 1
 
 
 def _nonzero(strings):
@@ -242,8 +242,9 @@ def _nonzero(strings):
 
 
 class TestRationalArithmetic:
-    """Rational data stays in Fraction; only surds and symbols reach sympy.
-    The pinned strings are the output of the sympy-only implementation."""
+    """Rational data stays in Fraction, and an alignment's surd is k3's own
+    root.  The pinned strings are the output of the earlier implementation
+    that computed in sympy."""
 
     def rank22_input(self):
         pad = lambda v: tuple(v) + (0,) * (22 - len(v))
@@ -285,30 +286,79 @@ class TestRationalArithmetic:
         assert (out["vol"], out["vol_mirror"]) == ("1/2", "2")
 
     def test_quadratic_surd_alignment(self):
-        """Re.E = Im.E = 1 needs the rotation by 1/sqrt(2): h = sqrt(2)."""
-        re0, im0 = (1, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1)
-        inp = full_input(omega=tuple(sp.sqrt(2) * v for v in (0, 0, 1, 1, 0, 0)),
-                         B=(0, 0, 1, -1, 0, 0),
-                         re=tuple(a - b for a, b in zip(re0, im0)),
-                         im=tuple(a + b for a, b in zip(re0, im0)))
+        """Re.E = Im.E = 1 needs the rotation by 1/sqrt(2): h = sqrt(2).  The
+        input is rational (demos/scenarios/k3_surd.json); the strings are
+        those the earlier implementation printed from sympy."""
+        inp = full_input(omega=(0, 0, 1, 2, 0, 0), B=(0, 0, 1, -1, 0, 0),
+                         re=(1, 1, 0, 0, -1, -1), im=(1, 1, 0, 0, 1, 1))
         aligned = validate_and_align(inp)
-        assert [sp.sstr(x) for x in aligned.re_omega] == [
+        assert [str(x) for x in aligned.re_omega] == [
             "sqrt(2)", "sqrt(2)", "0", "0", "0", "0"]
+        assert [str(x) for x in aligned.im_omega] == [
+            "0", "0", "0", "0", "sqrt(2)", "sqrt(2)"]
         out = mirror_classes(aligned).as_dict()
         assert out["vol"] == "sqrt(2)" and out["vol_mirror"] == "sqrt(2)/2"
         assert out["re_omega_mirror"] == [
             "3*sqrt(2)/2", "sqrt(2)/2", "-sqrt(2)/2", "sqrt(2)/2", "0", "0"]
+        assert out["im_omega_mirror"] == [
+            "-sqrt(2)/2", "0", "-sqrt(2)/2", "-sqrt(2)", "0", "0"]
         assert out["omega_n_mirror_re"] == ["3", "1", "-1", "1", "0", "0"]
-        assert out["omega_n_mirror_im"] == ["0", "0", "-sqrt(2)", "-sqrt(2)", "0", "0"]
-        assert out["im_omega_mirror"] == ["0", "0", "-1", "-1", "0", "0"]
+        assert out["omega_n_mirror_im"] == ["-1", "0", "-1", "-2", "0", "0"]
         assert out["omega_mirror"] == ["0", "0", "0", "0", "1", "1"]
         assert all(out["identities"].values())
-        # a sympy result that is rational comes back as a Fraction
-        assert type(mirror_classes(aligned).im_omega_mirror[2]) is Fraction
+        # a root over a root is rational and comes back as a Fraction
+        assert all(type(x) is Fraction for x in mirror_classes(aligned).omega_mirror)
         report = double_mirror_check(inp)
         assert all(report[key] for key in (
             "omega_recovered", "re_omega_recovered", "im_omega_recovered",
             "twist_recovered", "negation_involutive", "all_passed"))
+
+    def test_symbolic_coordinates_are_refused(self):
+        """Coordinates are rational; a symbol or a surd is not read."""
+        t = sp.Symbol("t", positive=True)
+        for bad in (t, sp.sqrt(2), 3 * sp.sqrt(2) / 2):
+            with pytest.raises(K3ValidationError, match="not a rational number"):
+                full_input(omega=(0, 0, bad, bad, 0, 0))
+            with pytest.raises(K3ValidationError, match="not a rational number"):
+                full_input(B=(0, 0, bad, -bad, 0, 0))
+        # sympy's rationals are numbers.Rational and read as Fractions
+        inp = full_input(B=(0, 0, sp.Rational(1, 2), sp.Rational(-1, 2), 0, 0))
+        assert inp.B[2] == Fraction(1, 2) and type(inp.B[2]) is Fraction
+
+
+class TestIntegerData:
+    """Integer classes and Gram entries are read exactly: an integral float
+    is an int, any other non-integer is an error naming its entry."""
+
+    def test_fibre_and_section_classes(self):
+        with pytest.raises(K3ValidationError, match=r"E\[0\] = 3/2 is not an integer"):
+            K3MirrorInput(U3, E=(1.5, 0, 0, 0, 0, 0), sigma0=S0, omega=(0, 0, 1, 1, 0, 0))
+        with pytest.raises(K3ValidationError, match=r"sigma0\[1\] = 11/10 is not an integer"):
+            K3MirrorInput(U3, E=E, sigma0=(-1, 1.1, 0, 0, 0, 0), omega=(0, 0, 1, 1, 0, 0))
+        inp = K3MirrorInput(U3, E=(1.0, 0, 0, 0, 0, 0), sigma0=(-1.0, 1, 0, 0, 0, 0),
+                            omega=(0, 0, 1, 1, 0, 0))
+        assert inp.E == E and inp.sigma0 == S0
+        assert all(type(x) is int for x in inp.E + inp.sigma0)
+
+    def test_gram_entries(self):
+        with pytest.raises(K3ValidationError, match=r"gram\[0\]\[0\] = 27/10 is not an integer"):
+            GramLattice(((2.7, 1), (1, 0)))
+        lat = GramLattice(((2.0, 1), (1, 0)))
+        assert lat.gram == ((2, 1), (1, 0)) and type(lat.gram[0][0]) is int
+
+    def test_algebraic_classes(self):
+        from syzlab.k3 import kahler_obstructions
+
+        with pytest.raises(K3ValidationError, match=r"algebraic class 0\[2\] = 3/2"):
+            kahler_obstructions(full_input(), [(0, 0, 1.5, -1, 0, 0)])
+        assert kahler_obstructions(full_input(), [(0, 0, 1.0, -1.0, 0, 0)]) == [
+            (0, 0, 1, -1, 0, 0)]
+
+    def test_quotient_fibre_class(self):
+        with pytest.raises(K3ValidationError, match=r"E\[0\] = 1/2 is not an integer"):
+            sublattice_quotient(GramLattice.from_name("U2"), (0.5, 0, 0, 0))
+        q, _ = sublattice_quotient(GramLattice.from_name("U2"), (1.0, 0, 0, 0))
+        assert q.gram == ((0, 1), (1, 0))
 
 
 class TestTwistLift:
@@ -539,6 +589,70 @@ def test_mirror_classes_match_independent_oracle(rank):
             "omega_recovered", "re_omega_recovered", "im_omega_recovered",
             "twist_recovered", "negation_involutive", "all_passed")), case
     assert min(covered.values()) >= 15, covered
+
+
+def _oracle_surd_input(rng, rank):
+    """A random valid input whose phase alignment mostly needs a surd.
+
+    The aligned pair Re = a(e0+e1), Im = a(e4+e5) is turned by the
+    unnormalised rotation (p -q; q p), which multiplies both squares by
+    p^2 + q^2, and omega = u e2 + w e3 with uw = a^2 (p^2 + q^2) keeps the
+    three squares equal.  So Re.E = pa, Im.E = qa and h = |a| sqrt(p^2 + q^2),
+    irrational unless (p, q) is (3, 4) or (0, 1).  Reflections, scale and
+    twist class are drawn as in _oracle_input.
+    """
+    G = _oracle_gram(rank)
+    col = lambda *xs: sp.Matrix(list(xs) + [0] * (rank - len(xs)))
+    p, q = rng.choice([(1, 1), (1, 2), (2, 1), (1, 3), (-2, 3), (3, -1), (1, -2),
+                       (2, 3), (3, 4), (0, 1)])
+    a = rng.choice((1, 2, -1))
+    m = a * a * (p * p + q * q)
+    u = rng.choice((1, -1)) * rng.choice([k for k in range(1, m + 1) if m % k == 0])
+    re0, im0 = col(a, a), col(0, 0, 0, 0, a, a)
+    re, im, omega = p * re0 - q * im0, q * re0 + p * im0, col(0, 0, u, m // u)
+    for _ in range(rng.randint(0, 2)):
+        r = col(0, 0, *[rng.randint(-1, 1) for _ in range(rank - 2)])
+        rr = (r.T * G * r)[0, 0]
+        if rr != 0:
+            re, im, omega = [x - 2 * (x.T * G * r)[0, 0] / rr * r for x in (re, im, omega)]
+    s = sp.Rational(rng.choice((1, 3, 5)), rng.randint(1, 7))
+    den = rng.randint(1, 3)
+    B = col(rng.choice((0, 0, 1, -2)), 0,
+            *[sp.Rational(rng.randint(-3, 3), den) for _ in range(rank - 2)])
+    return s * re, s * im, s * omega, B
+
+
+@pytest.mark.parametrize("rank", [6, 22])
+def test_mirror_classes_match_oracle_at_irrational_phases(rank):
+    """60 seeded inputs per lattice, most with an irrational h: every
+    MirrorClasses coordinate, vol and vol_mirror prints as the oracle's
+    sympy value, and every identity and double-mirror verdict passes."""
+    rng = random.Random(f"k3-surd-oracle:{rank}")
+    lattice = k3_lattice() if rank == 22 else U3
+    G = _oracle_gram(rank)
+    E, s0 = basis_vector(rank, 0), (-1, 1) + (0,) * (rank - 2)
+    E_col, s0_col = sp.Matrix(E), sp.Matrix(s0)
+    irrational = 0
+    for case in range(60):
+        re, im, omega, B = _oracle_surd_input(rng, rank)
+        given = [[str(x) for x in c] for c in (re, im, omega, B)]
+        inp = K3MirrorInput(lattice, E=E, sigma0=s0, omega=given[2], B=given[3],
+                            re_omega=given[0], im_omega=given[1])
+        mc = mirror_classes(validate_and_align(inp))
+        expected = _oracle(G, E_col, s0_col, omega, B, re, im)
+        irrational += not expected["vol"].is_Rational
+        for key, want in expected.items():
+            got = getattr(mc, key)
+            if key.startswith("vol"):
+                want, got = [want], [got]
+            assert [str(x) for x in got] == [sp.sstr(x) for x in want], (case, key)
+        assert all(mc.identities.values()), case
+        report = double_mirror_check(inp)
+        assert all(report["second_identities"].values()), case
+        assert all(report[key] for key in (
+            "omega_recovered", "re_omega_recovered", "im_omega_recovered",
+            "twist_recovered", "negation_involutive", "all_passed")), case
+    assert irrational >= 40, irrational
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,16 @@ class TestValidation:
         with pytest.raises(LocalSystemError):
             LocalSystemOnSphere(2, [[[1, 0]], [[1, 0], [0, 1]]])
 
+    def test_entries_are_integers(self):
+        """A non-integral entry is an error naming it, not truncated (to the
+        unipotent pair, whose ranks are (1, 0, 1)); 1.0 is the integer 1."""
+        with pytest.raises(LocalSystemError,
+                           match=r"monodromy 0 entry \[0\]\[1\] = 1.5 is not an integer"):
+            LocalSystemOnSphere(2, [[[1, 1.5], [0, 1]], [[1, -1], [0, 1]]])
+        system = LocalSystemOnSphere(2, [[[1, 1.0], [0, 1]], [[1, -1.0], [0, 1.0]]])
+        assert system.monodromies == [[[1, 1], [0, 1]], [[1, -1], [0, 1]]]
+        assert all(type(x) is int for t in system.monodromies for row in t for x in row)
+
 
 class TestPushforward:
     def test_trivial_system(self):

@@ -27,6 +27,19 @@ import importlib
 
 __version__ = "0.1.0"
 
+# the singular fibre models: name -> ((b1, b2) expected, description).  Kept
+# here so listing and validating models loads no integer layer.
+MODEL_TABLE = {
+    "M22": ((2, 2), "nodal-curve model times a circle"),
+    "M12": ((1, 2), "circle times 2-torus with a point-times-torus collapse"),
+    "M21": ((2, 1), "3-torus pinched along a figure eight"),
+    "M11a": ((1, 1), "one-point-curve model times a circle"),
+    "M11b": ((1, 1), "figure-eight pinch with one loop contracted"),
+    "M01": ((0, 1), "figure-eight times circle collapsed to a point"),
+    "M10": ((1, 0), "fibrewise figure-eight collapse over the last circle"),
+    "M00": ((0, 0), "2-skeleton collapsed; sphere pattern"),
+}
+
 _EXPORTS = {
     "charts": ("Chart",),
     "algebra": (

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from . import __version__
+from . import MODEL_TABLE, __version__
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -106,8 +106,6 @@ def cmd_k3(args):
 
 
 def cmd_list_models(args):
-    from .fibre_models import MODEL_TABLE
-
     rows = []
     for name, (expected, desc) in MODEL_TABLE.items():
         if args.type is not None and args.type != tuple(expected):

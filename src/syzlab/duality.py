@@ -27,7 +27,16 @@ import numpy as np
 
 from .algebra import FormElement, decomposable_form
 from .charts import Chart, circle_points, product_grid
-from .fields import ZERO, GrammarError, Pair, UnsupportedNode, as_field, fibre_mean, is_zero
+from .fields import (
+    ZERO,
+    GrammarError,
+    Pair,
+    UnsupportedNode,
+    as_field,
+    fibre_mean,
+    is_zero,
+    require_sympy,
+)
 from .quadrature import fibre_means
 from .semiflat import (  # noqa: F401  (HitchinPotential ... yukawa: re-exported)
     DEFAULT_TOL,
@@ -347,7 +356,7 @@ def symmetric_class(alpha: SymTensorField):
     """Symmetrisation of a tensor-class representative: adds the gradient of
     a swapped potential so the output is exactly symmetric and differs from
     the input by a total derivative."""
-    import sympy as sp
+    sp = require_sympy()
 
     if not alpha.is_gauss_manin_closed():
         raise DualityError(

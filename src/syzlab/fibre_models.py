@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from . import MODEL_TABLE
 from .complexes import (
     CellularMap,
     ChainComplex,
@@ -37,17 +38,6 @@ from .complexes import (
 )
 
 V0 = ("v", 0)
-
-MODEL_TABLE = {
-    "M22": ((2, 2), "nodal-curve model times a circle"),
-    "M12": ((1, 2), "circle times 2-torus with a point-times-torus collapse"),
-    "M21": ((2, 1), "3-torus pinched along a figure eight"),
-    "M11a": ((1, 1), "one-point-curve model times a circle"),
-    "M11b": ((1, 1), "figure-eight pinch with one loop contracted"),
-    "M01": ((0, 1), "figure-eight times circle collapsed to a point"),
-    "M10": ((1, 0), "fibrewise figure-eight collapse over the last circle"),
-    "M00": ((0, 0), "2-skeleton collapsed; sphere pattern"),
-}
 
 MODEL_NAMES = tuple(MODEL_TABLE)
 

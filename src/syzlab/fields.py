@@ -81,6 +81,16 @@ class UnsupportedNode(TypeError):
 # expression nodes
 # ---------------------------------------------------------------------------
 
+def require_sympy():
+    """The sympy module, imported on first use; without it an ImportError
+    that names the optional extra which installs it."""
+    try:
+        import sympy
+    except ImportError as exc:
+        raise ImportError("this function needs sympy: pip install syzlab[symbolic]") from exc
+    return sympy
+
+
 def is_sympy(value):
     """Whether value is a sympy object; never imports sympy."""
     sp = sys.modules.get("sympy")
@@ -937,7 +947,7 @@ def as_field(value):
 
 def to_sympy(expr):
     """The sympy expression of a node or Pair (real chart symbols)."""
-    import sympy as sp
+    sp = require_sympy()
 
     if isinstance(expr, Pair):
         return to_sympy(expr.re) + sp.I * to_sympy(expr.im)
@@ -973,7 +983,7 @@ def from_sympy(expr):
     split into its real and imaginary parts by expanding it, or where I is
     left inside a power, as in 1/(3 + I*y1), by sympy's as_real_imag; a part
     that then needs atan2 or Abs, as (4 + I*y1)^(-3/2) does, is refused."""
-    import sympy as sp
+    sp = require_sympy()
 
     expr = sp.sympify(expr)
     if expr.has(sp.I):
@@ -989,7 +999,7 @@ def _from_sympy(expr, memo):
     found = memo.get(expr)
     if found is not None:
         return found
-    import sympy as sp
+    sp = require_sympy()
 
     try:
         if expr.is_Rational:

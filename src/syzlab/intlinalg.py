@@ -16,10 +16,30 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
+from operator import ne
+
+
+def _is_integral(x):
+    try:
+        return int(x) == x
+    except (TypeError, ValueError, OverflowError):
+        return False
 
 
 def as_int_matrix(rows):
-    return [list(map(int, row)) for row in rows]
+    """The matrix as lists of ints.  An entry equal to an int (2.0, a numpy
+    integer) is read as that int; any other entry is a ValueError naming it."""
+    out = []
+    for i, row in enumerate(rows):
+        try:
+            ints = list(map(int, row))
+        except (TypeError, ValueError, OverflowError):
+            ints = None
+        if ints is None or any(map(ne, ints, row)):
+            j, x = next((j, x) for j, x in enumerate(row) if not _is_integral(x))
+            raise ValueError(f"entry [{i}][{j}] = {x!r} is not an integer")
+        out.append(ints)
+    return out
 
 
 def _support(row, start=0):

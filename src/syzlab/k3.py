@@ -17,16 +17,17 @@ The mirror classes are
 
 with ImOmega_n = ImOmega / vol.  All identity checks are exact.
 
-Inside the map a class is a ``_Vec``: integer numerators over one positive
-integer denominator, reduced by one gcd, so each pairing makes one
-``fractions.Fraction`` and the elementwise steps make none.  Coordinates at
-the boundary (K3MirrorInput, MirrorClasses, the public helpers) are
-Fractions, read from any ``numbers.Rational``, floats (through their
-shortest decimal, so 0.1 is 1/10) and rational strings such as "3/2"; any
-other value is a K3ValidationError.  The one irrational number rational
-data can make is the alignment's h = sqrt((ReOmega.E)^2 + (ImOmega.E)^2),
-so every value is a Fraction or a ``_Root`` c*sqrt(d), printed as
-"3*sqrt(2)/2".
+Every class is one ``_Vec`` from the parsed payload to the report: integer
+numerators over one positive integer denominator, reduced by one gcd.  Ints
+and "[-]p" or "[-]p/q" strings are read straight into it; floats (through
+their shortest decimal, so 0.1 is 1/10), other ``numbers.Rational`` values
+and other rational strings go through Fraction; anything else is a
+K3ValidationError.  A vector keeps its Gram image once a pairing computed
+it, so a pairing is one integer dot product and one Fraction.  The Fraction
+tuples of K3MirrorInput and MirrorClasses are made once, for callers and
+the report.  The one irrational number rational data can make is the
+alignment's h = sqrt((ReOmega.E)^2 + (ImOmega.E)^2), so every value is a
+Fraction or a ``_Root`` c*sqrt(d), printed as "3*sqrt(2)/2".
 
 The double mirror feeds the mirror classes back through the same map with
 the mirror's own twist class, read off the transverse part of ReOmega_n,
@@ -41,14 +42,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .intlinalg import (
-    invert_unimodular,
-    is_unimodular,
-    kernel_basis,
-    smith_normal_form,
-    solve_int,
-)
+from operator import mul
 
 
 class K3ValidationError(ValueError):
@@ -82,12 +76,6 @@ class _Root:
 
     def __neg__(self):
         return _Root(-self.c, self.d)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, _RATIONAL):
@@ -131,8 +119,6 @@ def _sqrt(x):
 
 def _coord(x):
     """A Fraction from a rational value, float or string; a _Root as it is."""
-    if type(x) is int:
-        return Fraction(x)
     if type(x) is Fraction or type(x) is _Root:
         return x
     if isinstance(x, (str, float)):
@@ -154,54 +140,60 @@ def _integers(values, what):
     return tuple(map(int, out))
 
 
-def _read(values, rank):
-    v = [_coord(x) for x in values]
-    if len(v) != rank:
-        raise K3ValidationError(f"vector must have {rank} coordinates")
-    return tuple(v)
-
-
 def _split(x):
-    """(numerator, positive integer denominator) of a scalar."""
-    return (x.numerator, x.denominator) if isinstance(x, _RATIONAL) else (x, 1)
+    """(numerator, positive integer denominator) of a coordinate or scalar:
+    an int, a Fraction or a [-]digits[/digits] string by integer arithmetic,
+    a _Root over 1, any other value through _coord."""
+    if type(x) is str:  # before isinstance, which asks the numbers ABCs
+        num, slash, den = x.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdecimal() and (
+                not slash or den.isdecimal() and int(den)):
+            return int(num), int(den) if slash else 1
+    elif isinstance(x, _RATIONAL):
+        return x.numerator, x.denominator
+    return (x, 1) if type(x) is _Root else _split(_coord(x))
 
 
 def _div(n, d):
-    if type(n) is int:
-        return Fraction(n, d) if n else _ZERO
-    return n / d
+    return Fraction(n, d) if type(n) is int else n / d
 
 
 class _Vec:
     """A lattice class as numerators over one positive integer denominator.
 
     Rational numerators are ints, reduced with the denominator by one gcd.
-    A Fraction or _Root numerator leaves the vector unreduced.
+    A Fraction or _Root numerator leaves the vector unreduced.  ``image`` is
+    G*nums once a pairing made it (a vector is paired in one lattice).
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("nums", "den", "image", "_coords")
 
     def __init__(self, nums, den=1):
         try:
             g = math.gcd(*nums, den)
         except TypeError:
             g = 1
-        self.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+        self.nums = [n // g for n in nums] if g > 1 else nums
         self.den = den // g
+        self.image = self._coords = None
 
     @classmethod
-    def of(cls, coords):
-        """The vector of a coordinate sequence (or the _Vec itself)."""
-        if type(coords) is cls:
-            return coords
-        try:
-            den = math.lcm(*(x.denominator for x in coords))
-        except AttributeError:  # a string, float or _Root: over 1
-            return cls([_coord(x) for x in coords])
-        return cls([x.numerator * (den // x.denominator) for x in coords], den)
+    def of(cls, coords, rank=None):
+        """The vector of a coordinate sequence (or the _Vec itself), which
+        must have ``rank`` coordinates when a rank is given."""
+        if type(coords) is not cls:
+            pairs = [_split(x) for x in coords]
+            den = math.lcm(*(q for _, q in pairs))
+            coords = cls([p * (den // q) for p, q in pairs], den)
+        if rank is not None and len(coords.nums) != rank:
+            raise K3ValidationError(f"vector must have {rank} coordinates")
+        return coords
 
     def coords(self):
-        return tuple(_div(n, self.den) for n in self.nums)
+        if self._coords is None:
+            den = self.den
+            self._coords = tuple([_div(n, den) if n else _ZERO for n in self.nums])
+        return self._coords
 
     def __eq__(self, other):
         return all(a * other.den == b * self.den for a, b in zip(self.nums, other.nums))
@@ -244,9 +236,8 @@ def block_diag(*blocks):
     g = [[0] * size for _ in range(size)]
     off = 0
     for b in blocks:
-        for i in range(len(b)):
-            for j in range(len(b)):
-                g[off + i][off + j] = b[i][j]
+        for i, row in enumerate(b):
+            g[off + i][off:off + len(row)] = row
         off += len(b)
     return g
 
@@ -256,7 +247,7 @@ class GramLattice:
     """Integral lattice given by a symmetric Gram matrix."""
 
     gram: tuple
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    _cols: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         g = tuple(_integers(row, f"gram[{i}]") for i, row in enumerate(self.gram))
@@ -265,25 +256,31 @@ class GramLattice:
                 if g[i][j] != g[j][i]:
                     raise K3ValidationError("Gram matrix must be symmetric")
         object.__setattr__(self, "gram", g)
-        object.__setattr__(self, "_rows", tuple(
-            (i, tuple((j, x) for j, x in enumerate(row) if x))
-            for i, row in enumerate(g) if any(row)))
+        object.__setattr__(self, "_cols", tuple(
+            tuple((i, x) for i, x in enumerate(row) if x) for row in g))
 
     @property
     def rank(self):
         return len(self.gram)
 
     def dot(self, u, v):
-        """Pairing of two classes given as coordinate tuples or _Vecs."""
+        """Pairing of two classes given as coordinate tuples or _Vecs: u
+        against the Gram image of v, which v keeps."""
         u, v = _Vec.of(u), _Vec.of(v)
-        un, vn = u.nums, v.nums
-        total = 0
-        for i, row in self._rows:
-            if un[i]:
-                total += un[i] * sum([x * vn[j] for j, x in row])
-        return _div(total, u.den * v.den)
+        cols = self._cols
+        if not len(u.nums) == len(v.nums) == len(cols):
+            raise K3ValidationError(f"classes must have {len(cols)} coordinates")
+        if v.image is None:
+            image = v.image = [0] * len(cols)
+            for n, col in zip(v.nums, cols):
+                if n:
+                    for i, x in col:
+                        image[i] += x * n
+        return _div(sum(map(mul, u.nums, v.image)), u.den * v.den)
 
     def is_unimodular(self):
+        from .intlinalg import is_unimodular
+
         return is_unimodular(self.gram)
 
     @classmethod
@@ -318,7 +315,7 @@ class K3MirrorInput:
     re/im of the holomorphic class are optional for reduced toy inputs (the
     fibre volume then defaults to 1).  The constructor raises
     K3ValidationError naming every violation ``validate`` finds; the phase
-    need not be aligned.
+    need not be aligned.  The classes are read once, here (a _Vec as it is).
     """
 
     lattice: GramLattice
@@ -334,17 +331,21 @@ class K3MirrorInput:
         r = self.lattice.rank
         self.E = _integers(self.E, "E")
         self.sigma0 = _integers(self.sigma0, "sigma0")
-        self.omega = _read(self.omega, r)
-        self.B = _read(self.B, r) if self.B is not None else (Fraction(0),) * r
+        E, s0 = (_Vec.of(_Vec(list(v)), r) for v in (self.E, self.sigma0))
+        w = _Vec.of(self.omega, r)
+        B = _Vec.of((0,) * r if self.B is None else self.B, r)
         # reduce the twist lift to the section-orthogonal representative;
         # adding a fibre-class multiple keeps the class and the fibre pairing
-        shift = self.dot(self._vector("B"), self._vector("sigma0"))
+        shift = self.lattice.dot(B, s0)
         if shift != 0:
-            self.B = _axpy(-shift, self._vector("E"), self._vector("B")).coords()
-        self.re_omega, self.im_omega = (None if v is None else _read(v, r)
-                                        for v in (self.re_omega, self.im_omega))
-        if (self.re_omega is None) != (self.im_omega is None):
+            B = _axpy(-shift, E, B)
+        re, im = (None if v is None else _Vec.of(v, r) for v in (self.re_omega, self.im_omega))
+        if (re is None) != (im is None):
             raise K3ValidationError("provide both re/im holomorphic classes or neither")
+        self.omega, self.B = w.coords(), B.coords()
+        self.re_omega, self.im_omega = (None if v is None else v.coords() for v in (re, im))
+        self._vectors.update(zip(("E", "sigma0", "omega", "B", "re_omega", "im_omega"),
+                                 (E, s0, w, B, re, im)))
         bad = validate(self)
         if bad:
             raise K3ValidationError("; ".join(bad))
@@ -356,25 +357,17 @@ class K3MirrorInput:
     def dot(self, u, v):
         return self.lattice.dot(u, v)
 
-    def _vector(self, name):
-        """The _Vec of a class field, built once for each value it holds."""
-        value = getattr(self, name)
-        held = self._vectors.get(name)
-        if held is None or held[0] is not value:
-            held = self._vectors[name] = (value, _Vec.of(value))
-        return held[1]
-
-    @property
+    @functools.cached_property
     def vol(self):
         if not self.has_holomorphic_data:
             return Fraction(1)
-        return self.dot(self._vector("re_omega"), self._vector("E"))
+        return self.dot(self._vectors["re_omega"], self._vectors["E"])
 
 
 def validate(inp: K3MirrorInput):
     """Return the list of violated invariants (named); empty when valid."""
-    d = inp.dot
-    E, s0, w, B = map(inp._vector, ("E", "sigma0", "omega", "B"))
+    d = inp.lattice.dot
+    E, s0, w, B = map(inp._vectors.get, ("E", "sigma0", "omega", "B"))
     bad = []
     if d(E, E) != 0:
         bad.append("fibre class is not isotropic")
@@ -394,7 +387,7 @@ def validate(inp: K3MirrorInput):
     if not w2 > 0:
         bad.append("kaehler square must be positive")
     if inp.has_holomorphic_data:
-        re, im = inp._vector("re_omega"), inp._vector("im_omega")
+        re, im = inp._vectors["re_omega"], inp._vectors["im_omega"]
         if d(re, re) != w2 or d(im, im) != w2:
             bad.append("holomorphic-class squares must equal the kaehler square")
         if d(re, im) != 0:
@@ -409,10 +402,10 @@ def _require_aligned(inp: K3MirrorInput, context=""):
     rest of the input was checked when it was constructed."""
     bad = []
     if inp.has_holomorphic_data:
-        E = inp._vector("E")
-        if inp.dot(inp._vector("im_omega"), E) != 0:
+        d, E = inp.lattice.dot, inp._vectors["E"]
+        if d(inp._vectors["im_omega"], E) != 0:
             bad.append("phase not aligned: Im pairing with the fibre is nonzero")
-        if not inp.dot(inp._vector("re_omega"), E) > 0:
+        if not d(inp._vectors["re_omega"], E) > 0:
             bad.append("phase not aligned: Re pairing with the fibre is not positive")
     if bad:
         raise K3ValidationError(context + "; ".join(bad))
@@ -423,8 +416,8 @@ def validate_and_align(inp: K3MirrorInput) -> K3MirrorInput:
     with the fibre; exact, possibly in a quadratic extension."""
     if not inp.has_holomorphic_data:
         return inp
-    d = inp.dot
-    E, re, im = map(inp._vector, ("E", "re_omega", "im_omega"))
+    d = inp.lattice.dot
+    E, re, im = map(inp._vectors.get, ("E", "re_omega", "im_omega"))
     a, b = d(re, E), d(im, E)
     if a == 0 and b == 0:
         raise K3ValidationError("fibre class is null against the holomorphic class")
@@ -432,9 +425,9 @@ def validate_and_align(inp: K3MirrorInput) -> K3MirrorInput:
         return inp
     h = _sqrt(a * a + b * b)
     cos_t, sin_t = a / h, -b / h
-    out = K3MirrorInput(inp.lattice, inp.E, inp.sigma0, inp.omega, inp.B,
-                        _axpy(cos_t, re, _scale(-sin_t, im)).coords(),
-                        _axpy(sin_t, re, _scale(cos_t, im)).coords())
+    out = K3MirrorInput(inp.lattice, inp.E, inp.sigma0, inp._vectors["omega"], inp._vectors["B"],
+                        _axpy(cos_t, re, _scale(-sin_t, im)),
+                        _axpy(sin_t, re, _scale(cos_t, im)))
     _require_aligned(out, "alignment failed: ")
     return out
 
@@ -448,19 +441,16 @@ def hyperkahler_rotate(inp: K3MirrorInput):
     if not inp.has_holomorphic_data:
         raise K3ValidationError("hyperkahler rotation needs the holomorphic classes")
     _require_aligned(inp)
-    d = inp.dot
-    omega_k = inp.re_omega
-    holo_k = (inp.im_omega, inp.omega)  # real and imaginary parts
-    sq_re = d(holo_k[0], holo_k[0]) - d(holo_k[1], holo_k[1])
-    sq_im = 2 * d(holo_k[0], holo_k[1])
+    d = inp.lattice.dot
+    re, im, w, E = map(inp._vectors.get, ("re_omega", "im_omega", "omega", "E"))
     checks = {
-        "rotated_holomorphic_null": sq_re == 0 and sq_im == 0,
-        "rotated_kaehler_positive": d(omega_k, omega_k) > 0,
-        "rotated_kaehler_fibre_volume": d(omega_k, inp.E),
+        "rotated_holomorphic_null": d(im, im) - d(w, w) == 0 and 2 * d(im, w) == 0,
+        "rotated_kaehler_positive": d(re, re) > 0,
+        "rotated_kaehler_fibre_volume": d(re, E),
     }
     if not checks["rotated_holomorphic_null"]:
         raise K3ValidationError("rotated holomorphic class is not null")
-    return omega_k, holo_k, checks
+    return inp.re_omega, (inp.im_omega, inp.omega), checks
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +462,8 @@ def sublattice_quotient(lattice: GramLattice, E):
 
     Returns (quotient GramLattice, basis rows in ambient coordinates).
     """
+    from .intlinalg import kernel_basis, solve_int
+
     E = _integers(E, "E")
     if math.gcd(*E) != 1:
         raise K3ValidationError("fibre class is not primitive")
@@ -495,6 +487,8 @@ def sublattice_quotient(lattice: GramLattice, E):
 
 
 def _complete_to_basis(primitive_vec):
+    from .intlinalg import invert_unimodular, smith_normal_form
+
     col = [[int(x)] for x in primitive_vec]
     d, u, v = smith_normal_form(col)
     if d[0][0] != 1:
@@ -516,6 +510,7 @@ class MirrorClasses:
     vol: object
     vol_mirror: object
     identities: dict = field(default_factory=dict)
+    _vectors: tuple = field(default=(), repr=False, compare=False)  # the five, as _Vecs
 
     def as_dict(self):
         out = {}
@@ -542,8 +537,8 @@ def _mirror_kaehler(d, E, s0, B, im_n):
 def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     """Compute the mirror classes and verify their identities exactly."""
     _require_aligned(inp)
-    d = inp.dot
-    E, s0, w, B = map(inp._vector, ("E", "sigma0", "omega", "B"))
+    d = inp.lattice.dot
+    E, s0, w, B = map(inp._vectors.get, ("E", "sigma0", "omega", "B"))
     vol = inp.vol
     w2 = d(w, w)
     on_re, on_im = _mirror_holomorphic(d, E, s0, w, B, w2)
@@ -558,17 +553,16 @@ def mirror_classes(inp: K3MirrorInput) -> MirrorClasses:
     identities["mirror_holomorphic_fibre_pairing_one"] = d(on_re, E) == 1 and d(on_im, E) == 0
     identities["volume_reciprocity"] = vol * vol_mirror == 1
 
-    omega_mirror = None
+    om = None
     if inp.has_holomorphic_data:
-        om = _mirror_kaehler(d, E, s0, B, _scale(1 / vol, inp._vector("im_omega")))
+        om = _mirror_kaehler(d, E, s0, B, _scale(1 / vol, inp._vectors["im_omega"]))
         identities["mirror_kaehler_fibre_orthogonal"] = d(om, E) == 0
         identities["mirror_kaehler_vs_holomorphic"] = d(on_re, om) == 0 and d(on_im, om) == 0
         identities["mirror_kaehler_square"] = d(om, om) == w2 / (vol * vol)
-        omega_mirror = om.coords()
 
-    return MirrorClasses(omega_mirror, on_re.coords(), on_im.coords(),
-                         re_mirror.coords(), im_mirror.coords(),
-                         vol, vol_mirror, identities)
+    vectors = (om, on_re, on_im, re_mirror, im_mirror)
+    return MirrorClasses(*(None if v is None else v.coords() for v in vectors),
+                         vol, vol_mirror, identities, vectors)
 
 
 def kahler_obstructions(inp: K3MirrorInput, classes):
@@ -608,12 +602,16 @@ def fibrewise_negation(lattice_like, E, s0, v):
     return _negate(lattice_like.dot, *map(_Vec.of, (E, s0, v))).coords()
 
 
+def _twist(inp):
+    re_n = _scale(1 / inp.vol, inp._vectors["re_omega"])
+    return _components(inp.lattice.dot, inp._vectors["E"], inp._vectors["sigma0"], re_n)[2]
+
+
 def transverse_twist_class(inp: K3MirrorInput):
     """The mirror's twist class: transverse part of ReOmega / vol."""
     if not inp.has_holomorphic_data:
         raise K3ValidationError("twist readout needs the holomorphic classes")
-    re_n = _scale(1 / inp.vol, inp._vector("re_omega"))
-    return _components(inp.dot, inp._vector("E"), inp._vector("sigma0"), re_n)[2].coords()
+    return _twist(inp).coords()
 
 
 def double_mirror_check(inp: K3MirrorInput) -> dict:
@@ -625,23 +623,23 @@ def double_mirror_check(inp: K3MirrorInput) -> dict:
     if not inp.has_holomorphic_data:
         raise K3ValidationError("double mirror needs the holomorphic classes")
     first = mirror_classes(inp)
-    second_input = K3MirrorInput(
-        inp.lattice, inp.E, inp.sigma0, omega=first.omega_mirror, B=transverse_twist_class(inp),
-        re_omega=first.re_omega_mirror, im_omega=first.im_omega_mirror)
+    om, _, _, re_m, im_m = first._vectors
+    second_input = K3MirrorInput(inp.lattice, inp.E, inp.sigma0, omega=om, B=_twist(inp),
+                                 re_omega=re_m, im_omega=im_m)
     second = mirror_classes(second_input)
+    om, _, _, re_m, im_m = second._vectors
 
-    given = inp._vector
-    neg = lambda u: _negate(inp.dot, given("E"), given("sigma0"), _Vec.of(u))
+    given = inp._vectors
+    neg = lambda u: _negate(inp.lattice.dot, given["E"], given["sigma0"], u)
     report = {
         "first_classes": first,
         "first_identities": first.identities,
         "second_identities": second.identities,
-        "omega_recovered": neg(second.omega_mirror) == given("omega"),
-        "re_omega_recovered": neg(second.re_omega_mirror) == given("re_omega"),
-        "im_omega_recovered": neg(second.im_omega_mirror) == given("im_omega"),
-        "twist_recovered": (_scale(-1, _Vec.of(transverse_twist_class(second_input)))
-                            == given("B")),
-        "negation_involutive": neg(neg(given("omega"))) == given("omega"),
+        "omega_recovered": neg(om) == given["omega"],
+        "re_omega_recovered": neg(re_m) == given["re_omega"],
+        "im_omega_recovered": neg(im_m) == given["im_omega"],
+        "twist_recovered": _scale(-1, _twist(second_input)) == given["B"],
+        "negation_involutive": neg(neg(given["omega"])) == given["omega"],
     }
     report["all_passed"] = all(bool(v) for k, v in report.items()
                                if k.endswith("recovered") or k == "negation_involutive")

@@ -17,16 +17,13 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from . import __version__
+from . import MODEL_TABLE, __version__
 
 SCHEMA_VERSION = "1"
 # kinds whose verdicts are exact: no grid or tolerance acts on them
 _EXACT_KINDS = ("fibre", "sheaf", "k3")
 # the most fibre samples (grid^n) a yukawa quadrature holds per base point
 _MAX_FIBRE_SAMPLES = 2 ** 20
-# fibre_models.MODEL_NAMES, spelled out so validation does not import the
-# integer layer (tests/test_schema.py holds the two equal)
-_FIBRE_MODELS = ["M22", "M12", "M21", "M11a", "M11b", "M01", "M10", "M00"]
 
 _RATIONAL = {"type": ["string", "number"]}
 # object keywords constrain only the {"re", "im"} form
@@ -111,7 +108,7 @@ PAYLOAD_SCHEMAS = {
             "models": {
                 "oneOf": [
                     {"const": "all"},
-                    {"type": "array", "items": {"enum": _FIBRE_MODELS}, "minItems": 1},
+                    {"type": "array", "items": {"enum": list(MODEL_TABLE)}, "minItems": 1},
                 ]
             },
             "grid": {"type": "integer", "minimum": 1, "maximum": 3},

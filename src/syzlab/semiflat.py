@@ -67,6 +67,7 @@ from .fields import (
     power,
     principal_power,
     require_fibre_periodic,
+    require_sympy,
     sample_point,
     sup_norm_scalars,
     to_sympy,
@@ -420,7 +421,7 @@ def base_potential(form: FormElement) -> FormElement:
     """A potential of a closed base form (the caller checks closedness) by the
     Poincare lemma, axis by axis from the box centre: the terms led by dy_a
     integrate along y_a, and the rest, read at y_a = centre, goes on."""
-    import sympy as sp
+    sp = require_sympy()
 
     chart = form.chart
     t = sp.Dummy("t", real=True)
@@ -443,7 +444,7 @@ def action_coordinates(period_forms, chart: Chart):
     period_forms: list of closed base one-forms (component lists).  Raises
     on non-closed input or on a degenerate Jacobian at the sample grid.
     """
-    import sympy as sp
+    sp = require_sympy()
 
     ys = chart.ys
     potentials, jacobian = [], []

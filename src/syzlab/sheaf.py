@@ -55,13 +55,12 @@ class LocalSystemOnSphere:
     monodromies: list
 
     def __post_init__(self):
-        mats = [as_int_matrix(t) for t in self.monodromies]
-        for k, (t, given) in enumerate(zip(mats, self.monodromies)):
-            for (i, row), raw in zip(enumerate(t), given):
-                for (j, x), y in zip(enumerate(row), raw):
-                    if x != y:
-                        raise LocalSystemError(
-                            f"monodromy {k} entry [{i}][{j}] = {y!r} is not an integer")
+        mats = []
+        for k, t in enumerate(self.monodromies):
+            try:
+                mats.append(as_int_matrix(t))
+            except ValueError as exc:
+                raise LocalSystemError(f"monodromy {k} {exc}") from None
         m = self.rank
         for t in mats:
             if len(t) != m or any(len(row) != m for row in t):

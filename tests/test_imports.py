@@ -22,14 +22,21 @@ PERFBENCH = ROOT / "perfbench"
 SRC = Path(syzlab.__file__).resolve().parent.parent
 
 # runs one cli command in a fresh interpreter; prints its exit code and which
-# of the heavy dependencies it loaded (a module blocked as None is not loaded)
-PROBE = """
+# of the named modules it loaded (a module blocked as None is not loaded)
+PROBE_OF = """
 import contextlib, io, json, sys
 from syzlab import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in ("sympy", "numpy", "jsonschema") if sys.modules.get(m))]))
+print(json.dumps([code, sorted(m for m in {modules!r} if sys.modules.get(m))]))
 """
+
+# the heavy dependencies
+PROBE = PROBE_OF.format(modules=("sympy", "numpy", "jsonschema"))
+
+# the integer layer
+INTEGER_PROBE = PROBE_OF.format(modules=("syzlab.fibre_models", "syzlab.complexes",
+                                         "syzlab.intlinalg"))
 
 # the same with sympy unimportable
 BLOCKED_PROBE = 'import sys\nsys.modules["sympy"] = None\n' + PROBE
@@ -150,9 +157,20 @@ def test_benchmark_jobs_run_without_sympy():
     assert _probe(PERFBENCH, code=BENCH_PROBE) == {}
 
 
-@pytest.mark.parametrize("argv", [["list-models"], ["conventions"]])
+@pytest.mark.parametrize("argv", [["list-models"], ["conventions"],
+                                  ["list-models", "--type", "1,1"]])
 def test_catalogue_commands_load_no_dependency(argv):
     assert _probe(*argv) == [0, []]
+    assert _probe(*argv, code=INTEGER_PROBE) == [0, []]
+
+
+@pytest.mark.parametrize("argv", [["run", SCENARIOS / "k3_toy.json"], ["k3", "--input", None]],
+                         ids=["run-k3", "k3"])
+def test_k3_commands_load_no_integer_layer(argv, k3_payload):
+    """The mirror map needs intlinalg only for sublattice_quotient and
+    is_unimodular, which no K3 command calls."""
+    argv = [k3_payload if a is None else a for a in argv]
+    assert _probe(*argv, "--format", "json", code=INTEGER_PROBE) == [0, []]
 
 
 @pytest.mark.parametrize("payload", [
@@ -185,3 +203,30 @@ def test_unknown_names_are_attribute_errors():
         syzlab.nope  # noqa: B018
     with pytest.raises(ImportError):
         exec("from syzlab import nope", {})
+
+
+def _sympy_callers():
+    from syzlab.charts import Chart
+    from syzlab.duality import SymTensorField, symmetric_class
+    from syzlab.fields import from_sympy, parse_scalar, to_sympy
+    from syzlab.algebra import FormElement
+    from syzlab.semiflat import action_coordinates, base_potential
+
+    chart = Chart(2, ((-1, 1), (-1, 1)))
+    y1 = parse_scalar("y1", 2)
+    return {
+        "to_sympy": lambda: to_sympy(y1),
+        "from_sympy": lambda: from_sympy("2"),
+        "base_potential": lambda: base_potential(FormElement(chart, {((1,), ()): y1})),
+        "action_coordinates": lambda: action_coordinates([[1, 0], [y1, 1]], chart),
+        "symmetric_class": lambda: symmetric_class(SymTensorField(chart, [[1, y1], [0, 1]])),
+    }
+
+
+@pytest.mark.parametrize("name", ["to_sympy", "from_sympy", "base_potential",
+                                  "action_coordinates", "symmetric_class"])
+def test_functions_that_need_sympy_name_the_extra(name, monkeypatch):
+    call = _sympy_callers()[name]
+    monkeypatch.setitem(sys.modules, "sympy", None)
+    with pytest.raises(ImportError, match=r"pip install syzlab\[symbolic\]"):
+        call()

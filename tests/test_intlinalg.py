@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from syzlab import intlinalg
@@ -222,3 +223,37 @@ class TestUnitPivotReduction:
         groups = homology_groups([[], [[(0, -1), (1, 1)], [(0, 1), (1, -1)]],
                                   [[(0, 2), (1, 2)]]], [2, 2, 1])
         assert groups == [(1, []), (0, [2]), (0, [])]
+
+
+# every public entry point that reads a matrix, with that matrix as its argument
+READERS = {
+    "as_int_matrix": intlinalg.as_int_matrix,
+    "smith_normal_form": smith_normal_form,
+    "smith_normal_form_diagonal_only": lambda m: smith_normal_form(m, transforms=False),
+    "snf_diagonal": snf_diagonal,
+    "rank": intlinalg.rank,
+    "rank_and_divisors": intlinalg.rank_and_divisors,
+    "is_unimodular": is_unimodular,
+    "kernel_basis": intlinalg.kernel_basis,
+    "invert_unimodular": intlinalg.invert_unimodular,
+    "solve_int_matrix": lambda m: intlinalg.solve_int(m, [[1], [1]]),
+    "solve_int_rhs": lambda m: intlinalg.solve_int([[1, 0], [0, 1]], m),
+}
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_non_integral_entries_are_refused(name):
+    """An entry that int() would truncate is a ValueError naming its row and
+    column; an entry equal to an int is read."""
+    read = READERS[name]
+    for bad, where in (([[1, 0], [1.5, 1]], r"\[1\]\[0\] = 1.5"),
+                       ([[1, float("nan")], [0, 1]], r"\[0\]\[1\] = nan"),
+                       ([[1, 0], [0, "1"]], r"\[1\]\[1\] = '1'")):
+        with pytest.raises(ValueError, match=where + " is not an integer"):
+            read(bad)
+    read([[1.0, 0], [np.int64(0), 1]])
+
+
+def test_integral_floats_and_numpy_ints_read_as_ints():
+    m = intlinalg.as_int_matrix([[2.0, np.int64(3)], (True, -4)])
+    assert m == [[2, 3], [1, -4]] and all(type(x) is int for row in m for x in row)

@@ -313,6 +313,21 @@ class TestRationalArithmetic:
             "omega_recovered", "re_omega_recovered", "im_omega_recovered",
             "twist_recovered", "negation_involutive", "all_passed"))
 
+    @pytest.mark.parametrize("text, value", [
+        ("-3/4", Fraction(-3, 4)), ("0", 0), ("+3", 3), ("1.5", Fraction(3, 2)),
+        (" 2/3 ", Fraction(2, 3)), ("\u0663/4", Fraction(3, 4)), ("3/0", None),
+        ("\u00b2", None), ("pi", None), ("3/-4", None), ("-", None), ("", None)])
+    def test_coordinate_strings_read_as_fractions_do(self, text, value):
+        """[-]digits[/digits] is read by integer arithmetic, any other
+        spelling by Fraction(text): the same value, or the same error."""
+        if value is None:
+            with pytest.raises(K3ValidationError) as exc:
+                full_input(B=(0, 0, text, 0, 0, 0))
+            assert str(exc.value) == f"coordinate {text!r} is not a rational number"
+        else:
+            x = full_input(B=(0, 0, text, 0, 0, 0)).B[2]
+            assert x == value and type(x) is Fraction
+
     def test_symbolic_coordinates_are_refused(self):
         """Coordinates are rational; a symbol or a surd is not read."""
         t = sp.Symbol("t", positive=True)
@@ -324,6 +339,34 @@ class TestRationalArithmetic:
         # sympy's rationals are numbers.Rational and read as Fractions
         inp = full_input(B=(0, 0, sp.Rational(1, 2), sp.Rational(-1, 2), 0, 0))
         assert inp.B[2] == Fraction(1, 2) and type(inp.B[2]) is Fraction
+
+
+class TestOneFormPerClass:
+    """A rank-22 double mirror works on _Vecs from end to end: no class is
+    read back from its coordinates, and each vector's Gram image is built
+    once, by the first pairing that needs it (65 pairings, 14 images)."""
+
+    def test_double_mirror_pairs_kept_vectors(self, monkeypatch):
+        inp = TestRationalArithmetic().rank22_input()
+        raw_dot, raw_of = GramLattice.dot, k3._Vec.of.__func__
+        pairings, imaged, parsed = [], {}, []
+
+        def dot(self, u, v):
+            fresh = [x for x in (u, v) if type(x) is k3._Vec and x.image is None]
+            pairings.append(1)
+            out = raw_dot(self, u, v)
+            imaged.update((id(x), x) for x in fresh if x.image is not None)
+            return out
+
+        def of(cls, coords, rank=None):
+            if type(coords) is not cls:
+                parsed.append(coords)
+            return raw_of(cls, coords, rank)
+
+        monkeypatch.setattr(GramLattice, "dot", dot)
+        monkeypatch.setattr(k3._Vec, "of", classmethod(of))
+        assert double_mirror_check(inp)["all_passed"]
+        assert (len(pairings), len(imaged), parsed) == (65, 14, [])
 
 
 class TestIntegerData:
@@ -710,7 +753,7 @@ DEFECTS = {
         "_mirror_holomorphic", lambda out, d, E, *_: (out[0], k3._axpy(1, E, out[1])),
         2, True, _dm("im_omega_recovered")),
     "twist_readout_drops_sign": (
-        "transverse_twist_class", lambda out, inp: tuple(-x for x in out),
+        "_twist", lambda out, inp: k3._scale(-1, out),
         None, True, _dm("twist_recovered")),
     "negation_scales_transverse_by_minus_two": (
         "_negate", lambda out, d, E, s0, v: k3._axpy(-1, k3._components(d, E, s0, v)[2], out),

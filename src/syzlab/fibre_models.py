@@ -47,20 +47,14 @@ class ModelError(ValueError):
 
 
 def axis_components(label, n):
-    """Flatten a nested product-cell label into per-axis circle cells."""
-    if n == 1:
-        return [label]
-    return axis_components(label[0], n - 1) + [label[1]]
+    """Flatten a nested product-cell label into its per-axis circle cells."""
+    return (label,) if n == 1 else axis_components(label[0], n - 1) + (label[1],)
 
 
-def cells_where(cx: ChainComplex, n, predicate):
-    """All cell labels whose per-axis components satisfy the predicate."""
-    out = []
-    for layer in cx.cells:
-        for label in layer:
-            if predicate(axis_components(label, n)):
-                out.append(label)
-    return out
+def cells_where(cells, predicate):
+    """Labels of the (label, axis components) pairs whose components satisfy
+    the predicate."""
+    return [label for label, comps in cells if predicate(comps)]
 
 
 def extract_subcomplex(cx: ChainComplex, labels, name=""):
@@ -69,13 +63,10 @@ def extract_subcomplex(cx: ChainComplex, labels, name=""):
     while cells and not cells[-1]:
         cells.pop()
     # a face outside the kept cells makes the constructor raise ComplexError
-    chains = {(k, label): cx.faces(k, label)
-              for k in range(1, len(cells)) for label in cells[k]}
+    chains = {(k, label): [(cx.cells[k - 1][i], c) for i, c in chain]
+              for k in range(1, len(cells))
+              for label, chain in zip(cx.cells[k], cx._chains[k]) if label in keep}
     return ChainComplex(cells, chains, name)
-
-
-def _is_vertex(c):
-    return c[0] == "v"
 
 
 def _fig8_predicate(comps):
@@ -83,8 +74,9 @@ def _fig8_predicate(comps):
 
 
 class Tori:
-    """The circle, 2-torus and 3-torus of one grid, and the M21 quotient,
-    each built on first use.
+    """The circle, 2-torus and 3-torus of one grid, the (label, axis
+    components) pairs of each torus's cells in cell order, and the M21
+    quotient, each built on first use.
 
     One fibre request makes one and passes it to every model it builds, so
     all eight models share one 3-torus, M22 and M11a build none, and M11b
@@ -107,37 +99,38 @@ class Tori:
         return product_complex(self.t2, self.circle, "T3")
 
     @cached_property
+    def t2_cells(self):
+        return [(label, axis_components(label, 2)) for layer in self.t2.cells for label in layer]
+
+    @cached_property
+    def t3_cells(self):
+        return [(label, axis_components(label, 3)) for layer in self.t3.cells for label in layer]
+
+    @cached_property
     def m21(self):
         """T3 with (fig-eight) x circle projected onto the fig-eight."""
-        fig8 = extract_subcomplex(self.t2, _fig8_cells(self.t2), "fig8")
-        sub = cells_where(self.t3, 3, _fig8_predicate)
-        images = {}
-        for label in sub:
-            c1, c2, c3 = axis_components(label, 3)
-            images[label] = [((c1, c2), 1)] if _is_vertex(c3) else []
-        return quotient_complex(self.t3, sub, fig8, CellularMap(images), name="M21")
+        fig8 = extract_subcomplex(self.t2, cells_where(self.t2_cells, _fig8_predicate), "fig8")
+        images = {label: [((c1, c2), 1)] if c3[0] == "v" else []
+                  for label, (c1, c2, c3) in self.t3_cells if _fig8_predicate((c1, c2))}
+        return quotient_complex(self.t3, list(images), fig8, CellularMap(images), name="M21")
 
 
-def _fig8_cells(t2):
-    return cells_where(t2, 2, _fig8_predicate)
+def _nodal(tori):
+    return _pinch(tori.t2, cells_where(tori.t2_cells, lambda c: c[0] == V0), "nodal")
 
 
-def _nodal(t2):
-    return _pinch(t2, cells_where(t2, 2, lambda c: c[0] == V0), "nodal")
-
-
-def _one_point(t2):
-    return _pinch(t2, cells_where(t2, 2, _fig8_predicate), "onepoint")
+def _one_point(tori):
+    return _pinch(tori.t2, cells_where(tori.t2_cells, _fig8_predicate), "onepoint")
 
 
 def nodal_curve_complex(grid=1):
     """2-torus with the {x1 = 0} circle collapsed to a point."""
-    return _nodal(Tori(grid).t2)
+    return _nodal(Tori(grid))
 
 
 def one_point_curve_complex(grid=1):
     """2-torus with both coordinate circles collapsed; a 2-sphere."""
-    return _one_point(Tori(grid).t2)
+    return _one_point(Tori(grid))
 
 
 def _pinch(cx: ChainComplex, labels, name):
@@ -159,39 +152,34 @@ def build_model(name, grid=1, tori=None) -> ChainComplex:
         raise ModelError(f"unknown model {name!r}; choose from {MODEL_NAMES} or T3")
 
     if name == "M22":
-        return product_complex(_nodal(tori.t2), tori.circle, "M22")
+        return product_complex(_nodal(tori), tori.circle, "M22")
 
     if name == "M11a":
-        return product_complex(_one_point(tori.t2), tori.circle, "M11a")
+        return product_complex(_one_point(tori), tori.circle, "M11a")
 
     t3 = tori.t3
     if name == "M12":
-        return _pinch(t3, cells_where(t3, 3, lambda c: c[0] == V0), "M12")
+        return _pinch(t3, cells_where(tori.t3_cells, lambda c: c[0] == V0), "M12")
 
     if name == "M01":
-        return _pinch(t3, cells_where(t3, 3, _fig8_predicate), "M01")
+        return _pinch(t3, cells_where(tori.t3_cells, _fig8_predicate), "M01")
 
     if name == "M00":
-        return _pinch(t3, cells_where(t3, 3, lambda c: V0 in c), "M00")
+        return _pinch(t3, cells_where(tori.t3_cells, lambda c: V0 in c), "M00")
 
     if name == "M21":
         return tori.m21
 
     if name == "M11b":
         # contract the {x2 = 0} loop of the figure eight to the base point
-        loop = [("t", l) for l in _fig8_cells(tori.t2) if axis_components(l, 2)[1] == V0]
+        loop = [("t", l) for l in cells_where(tori.t2_cells, lambda c: c[1] == V0)]
         return _pinch(tori.m21, loop, "M11b")
 
     if name == "M10":
-        sub = cells_where(t3, 3, lambda c: _fig8_predicate(c) or c[2] == V0)
-        images = {}
-        for label in sub:
-            c1, c2, c3 = axis_components(label, 3)
-            if _is_vertex(c1) and _is_vertex(c2):
-                images[label] = [(c3, 1)]
-            else:
-                images[label] = []
-        return quotient_complex(t3, sub, tori.circle, CellularMap(images), name="M10")
+        images = {label: [(c3, 1)] if c1[0] == c2[0] == "v" else []
+                  for label, (c1, c2, c3) in tori.t3_cells
+                  if _fig8_predicate((c1, c2)) or c3 == V0}
+        return quotient_complex(t3, list(images), tori.circle, CellularMap(images), name="M10")
 
     raise ModelError(f"unhandled model {name!r}")
 

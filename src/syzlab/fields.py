@@ -137,44 +137,34 @@ class Node:
 
     # -- arithmetic; a sympy or Pair operand takes over ----------------------
     def __add__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else add(self, other)
+        return NotImplemented if (o := _operand(other)) is None else add(self, o)
 
     def __radd__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else add(other, self)
+        return NotImplemented if (o := _operand(other)) is None else add(o, self)
 
     def __sub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else add(self, negate(other))
+        return NotImplemented if (o := _operand(other)) is None else add(self, negate(o))
 
     def __rsub__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else add(other, negate(self))
+        return NotImplemented if (o := _operand(other)) is None else add(o, negate(self))
 
     def __mul__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else mul(self, other)
+        return NotImplemented if (o := _operand(other)) is None else mul(self, o)
 
     def __rmul__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else mul(other, self)
+        return NotImplemented if (o := _operand(other)) is None else mul(o, self)
 
     def __truediv__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else mul(self, power(other, -1))
+        return NotImplemented if (o := _operand(other)) is None else mul(self, power(o, -1))
 
     def __rtruediv__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else mul(other, power(self, -1))
+        return NotImplemented if (o := _operand(other)) is None else mul(o, power(self, -1))
 
     def __pow__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else power(self, other)
+        return NotImplemented if (o := _operand(other)) is None else power(self, o)
 
     def __rpow__(self, other):
-        other = _operand(other)
-        return NotImplemented if other is None else power(other, self)
+        return NotImplemented if (o := _operand(other)) is None else power(o, self)
 
     def __neg__(self):
         return negate(self)
@@ -483,17 +473,15 @@ def _root(q, r):
 def _number_power(q, e):
     """q^e for rational q and e, exact where it is rational."""
     q, e = Fraction(q), Fraction(e)
+    if q == 0 and e < 0:
+        raise GrammarError(f"0^{e} is not finite")
     if e.denominator == 1:
-        if q == 0 and e < 0:
-            raise GrammarError(f"0^{e} is not finite")
         return number(q ** int(e))
     if q < 0:
         if e.denominator == 2:
             raise GrammarError(f"({q})^({e}) is complex")
         raise GrammarError(f"non-integer power ({q})^({e})")
     if q == 0:
-        if e < 0:
-            raise GrammarError(f"0^{e} is not finite")
         return ZERO
     root = _root(q, e.denominator)
     if root is not None:
@@ -746,7 +734,7 @@ def _expand(node, memo):
         if op == "add":
             out = add(number(args[0]), *[_scaled(c, _expand(t, memo)) for t, c in args[1]])
         elif op == "mul":
-            out = functools.reduce(_times, [_power_out(_expand(b, memo), e) for b, e in args], ONE)
+            out = functools.reduce(_times, [_power_out(_expand(b, memo), e) for b, e in args])
         elif op == "exp":
             out = mul(*[function("exp", _scaled(c, t)) for c, t in _summands(_expand(args, memo))])
         else:
@@ -768,24 +756,36 @@ def _summands(node):
 
 
 def _power_out(b, e):
-    """b^e for an expanded b, multiplied out where b is a sum and e >= 1."""
+    """b^e for an expanded b, multiplied out.  Where b is a sum and e >= 1,
+    the whole part of e goes by the multinomial theorem: one term per
+    multiset of b's summands, each built once."""
     whole = e.numerator // e.denominator if _is_sum(b) and e >= 1 else 0
-    return functools.reduce(_times, [b] * whole, _product(Fraction(1), [(b, e - whole)]))
+    out, terms = _multiplied_out(1, _product(Fraction(1), [(b, e - whole)])), _summands(b)
+    if whole:
+        power = []
+        for picks in itertools.combinations_with_replacement(range(len(terms)), whole):
+            ks = [(i, len(list(run))) for i, run in itertools.groupby(picks)]
+            c = math.factorial(whole) // math.prod(math.factorial(k) for _, k in ks)
+            c *= math.prod(terms[i][0] ** k for i, k in ks)
+            factors = [(f, fe * k) for i, k in ks for f, fe in _factors(terms[i][1])[1]]
+            power.append(_multiplied_out(c, _product(Fraction(1), factors)))
+        out = add(*power) if out is ONE else _times(out, add(*power))
+    return out
 
 
 def _times(a, b):
-    """The product of two expanded nodes, multiplied out; roots of one sum
-    that meet in a term ((1+y1)^(1/2) twice) are multiplied out in turn."""
-    out = []
-    for ca, ta in _summands(a):
-        for cb, tb in _summands(b):
-            c, factors = _factors(mul(ta, tb))
-            if any(_is_sum(f) and e >= 1 for f, e in factors):
-                term = functools.reduce(_times, [_power_out(f, e) for f, e in factors], ONE)
-            else:
-                term = _product(Fraction(1), list(factors))
-            out.append(_scaled(ca * cb * c, term))
-    return add(*out)
+    """The product of two expanded nodes, multiplied out."""
+    return add(*[_multiplied_out(ca * cb, mul(ta, tb))
+                 for ca, ta in _summands(a) for cb, tb in _summands(b)])
+
+
+def _multiplied_out(c, term):
+    """c * term for a product of expanded factors; roots of one sum that meet
+    in a term ((1+y1)^(1/2) twice) are multiplied out in turn."""
+    k, factors = _factors(term)
+    if any(_is_sum(f) and e >= 1 for f, e in factors):
+        return _scaled(c * k, functools.reduce(_times, [_power_out(f, e) for f, e in factors]))
+    return _scaled(c, term)
 
 
 def _constant_value(node):

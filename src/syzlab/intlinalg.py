@@ -68,8 +68,21 @@ def mat_mul(a, b):
     return out
 
 
-def mat_is_zero(a):
-    return not any(map(any, a))
+def sparse_image(chain, columns):
+    """sum of c * columns[j] over the (j, c) of chain, for columns given as
+    sparse columns of (row index, coeff), as {row index: coeff}; a
+    coefficient that cancels stays as 0."""
+    acc = {}
+    for j, c in chain:
+        for i, x in columns[j]:
+            acc[i] = acc.get(i, 0) + c * x
+    return acc
+
+
+def composes_to_zero(outer, inner):
+    """Whether outer * inner = 0 for two maps given as sparse columns of
+    (row index, coeff), the rows of inner indexing the columns of outer."""
+    return not any(any(sparse_image(column, outer).values()) for column in inner)
 
 
 def smith_normal_form(matrix, *, transforms=True):

@@ -32,14 +32,13 @@ from dataclasses import dataclass
 
 from .intlinalg import (
     as_int_matrix,
+    composes_to_zero,
     homology_groups,
     identity,
     is_unimodular,
     kernel_basis,
-    mat_is_zero,
     mat_mul,
     rank,
-    sparse_columns,
 )
 
 
@@ -74,6 +73,7 @@ class LocalSystemOnSphere:
             raise LocalSystemError("monodromy product (right to left) must be the identity")
         self.monodromies = mats
         self._pushforward = None  # groups, filled by pushforward_cohomology
+        self._euler = None  # filled by euler_characteristic
 
     @property
     def punctures(self):
@@ -86,8 +86,12 @@ def _minus_identity(t):
 
 
 def euler_characteristic(system: LocalSystemOnSphere) -> int:
-    """2m - sum_i (m - dim ker(T_i - I)) = 2m - sum_i rank(T_i - I)."""
-    return 2 * system.rank - sum(rank(_minus_identity(t)) for t in system.monodromies)
+    """2m - sum_i (m - dim ker(T_i - I)) = 2m - sum_i rank(T_i - I),
+    computed once per system."""
+    if system._euler is None:
+        system._euler = 2 * system.rank - sum(rank(_minus_identity(t))
+                                              for t in system.monodromies)
+    return system._euler
 
 
 def _prefix_weights(mats, m):
@@ -128,56 +132,29 @@ def pushforward_cohomology(system: LocalSystemOnSphere) -> PushforwardCohomology
     if k == 0:
         raise LocalSystemError("need at least one marked point")
 
-    inv_bases = [kernel_basis(_minus_identity(t)) for t in mats]
-    n_inv = [len(b) for b in inv_bases]
-    dim0 = sum(n_inv) + m
-    dim1 = (k - 1) * m + k * m
-    dim2 = k * m
-
-    # degree-0 differential: (lambda(v); u_i - v) with u_i in invariant coords
-    d0 = [[0] * dim0 for _ in range(dim1)]
-    for i in range(k - 1):
-        ti = _minus_identity(mats[i])
-        for r in range(m):
-            for c in range(m):
-                d0[i * m + r][sum(n_inv) + c] = ti[r][c]
+    # C^0 = (+) ker(T_i - I) (+) M, C^1 = M^(k-1) (+) M^k, C^2 = M^k; each
+    # differential as sparse columns of (row, coeff), rows ascending, the
+    # rows of the second block of C^1 starting at row0
+    minus_id = [_minus_identity(t) for t in mats]
     row0 = (k - 1) * m
-    col = 0
-    for i in range(k):
-        basis = inv_bases[i]
-        for bcol, vec in enumerate(basis):
-            for r in range(m):
-                d0[row0 + i * m + r][col + bcol] = vec[r]
-        for r in range(m):
-            d0[row0 + i * m + r][sum(n_inv) + r] -= 1
-        col += n_inv[i]
-
-    # degree-1 differential: (loop value of c at annulus i) + (T_i - I) w_i
-    weights = _prefix_weights(mats, m)
-    d1 = [[0] * dim1 for _ in range(dim2)]
-    for i in range(k):
-        if i < k - 1:
-            for r in range(m):
-                d1[i * m + r][i * m + r] += 1
-        else:
-            for j in range(k - 1):
-                w = weights[j]
-                for r in range(m):
-                    for c in range(m):
-                        d1[i * m + r][j * m + c] += w[r][c]
-        ti = _minus_identity(mats[i])
-        for r in range(m):
-            for c in range(m):
-                d1[i * m + r][(k - 1) * m + i * m + c] += ti[r][c]
-
-    if not mat_is_zero(mat_mul(d1, d0)):
+    # degree 0: (lambda(v); u_i - v) with u_i in invariant coords
+    d0 = [[(row0 + i * m + r, x) for r, x in enumerate(vec) if x]
+          for i, t in enumerate(minus_id) for vec in kernel_basis(t)]
+    d0 += [[(i * m + r, minus_id[i][r][c]) for i in range(k - 1) for r in range(m)
+            if minus_id[i][r][c]] + [(row0 + i * m + c, -1) for i in range(k)]
+           for c in range(m)]
+    # degree 1: (loop value of c at annulus i) + (T_i - I) w_i
+    d1 = [[(j * m + c, 1)] + [(row0 + r, w[r][c]) for r in range(m) if w[r][c]]
+          for j, w in enumerate(_prefix_weights(mats, m)) for c in range(m)]
+    d1 += [[(i * m + r, t[r][c]) for r in range(m) if t[r][c]]
+           for i, t in enumerate(minus_id) for c in range(m)]
+    if not composes_to_zero(d1, d0):
         raise RuntimeError("internal: glued differentials do not compose to zero")
 
-    # read C^0 -> C^1 -> C^2 as the chain complex C^2 <- C^1 <- C^0, each
-    # differential as sparse columns: one Smith diagonal per differential;
-    # H^1 carries the divisors of d0, since ker(d1) is saturated
-    groups = homology_groups([[], sparse_columns(d1), sparse_columns(d0)],
-                             [dim2, dim1, dim0])[::-1]
+    # read C^0 -> C^1 -> C^2 as the chain complex C^2 <- C^1 <- C^0: one
+    # Smith diagonal per differential; H^1 carries the divisors of d0, since
+    # ker(d1) is saturated
+    groups = homology_groups([[], d1, d0], [k * m, len(d1), len(d0)])[::-1]
     chi = groups[0][0] - groups[1][0] + groups[2][0]
     if chi != euler_characteristic(system):
         raise RuntimeError("internal: euler characteristic mismatch")

@@ -1,5 +1,7 @@
 import ast
+import functools
 import itertools
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from syzlab import fields
 from syzlab.charts import Chart, ChartError, circle_points, product_grid
 from syzlab.fields import (
     _BLOCK_SAMPLES,
@@ -485,6 +488,34 @@ class TestExpand:
         root = power(1 + y1, Fraction(1, 2))
         assert is_zero(root * root * y2 - (1 + y1) * y2)
         assert expand(power(1 + y1, Fraction(3, 2))) is expand((1 + y1) * root)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_multinomial_power_is_the_repeated_product(self, seed):
+        """b^k by the multinomial theorem is the node that multiplying b out
+        k times gives, on seeded sums of roots, exps and trig atoms, at
+        whole and half-integer powers up to 6."""
+        rng = random.Random(seed)
+        atoms = ["y1", "y2", "y3", "pi", "y1*y2^2", "exp(y1)", "exp(-y2)", "sin(2*pi*x1)",
+                 "cos(2*pi*x2 + y1)", "(1 + y1)^(1/2)", "(2 + y2)^(-1/2)", "y3*(1 + y1)^(1/2)"]
+        for _ in range(6):
+            terms = [f"{rng.choice(['1', '-2', '1/3', '3/2'])}*{t}"
+                     for t in rng.sample(atoms, rng.randint(2, 4))]
+            b = expand(parse_scalar(" + ".join(terms + [rng.choice(["0", "1", "-1/2"])]), 3))
+            root = fields._power_out(b, Fraction(1, 2))
+            for k in range(1, 7):
+                assert fields._power_out(b, Fraction(k)) is functools.reduce(
+                    fields._times, [b] * k)
+                assert fields._power_out(b, Fraction(2 * k + 1, 2)) is functools.reduce(
+                    fields._times, [b] * k, root)
+
+    def test_twentieth_power_builds_each_term_once(self, monkeypatch):
+        b = parse_scalar("1 + y1 + y2 + y3", 3)
+        products = []
+        times = fields._times
+        monkeypatch.setattr(fields, "_times", lambda a, c: products.append(1) or times(a, c))
+        ours = expand(power(b, 20))
+        assert products == [] and len(ours.args[1]) == 1770
+        assert to_sympy(ours) == sp.expand(to_sympy(b) ** 20)
 
     def test_unproven_is_not_zero(self):
         assert not is_zero(parse_scalar("(y1 + 1)^2 - y1^2 - 2*y1", 2))

@@ -444,7 +444,10 @@ class TestInvalidData:
     def test_internal_invariant_is_not_an_input_error(self, monkeypatch, tmp_path):
         import syzlab.sheaf as sheaf
 
-        monkeypatch.setattr(sheaf, "mat_is_zero", lambda m: False)
+        # a wrong sign on the prefix weight breaks d1 * d0 = 0
+        weights = sheaf._prefix_weights
+        monkeypatch.setattr(sheaf, "_prefix_weights", lambda mats, m: [
+            [[-x for x in row] for row in w] for w in weights(mats, m)])
         doc = {"version": "1", "kind": "sheaf", "payload": {
             "rank": 2, "monodromy": [[[1, 1], [0, 1]], [[1, -1], [0, 1]]]}}
         assert main(["run", write(tmp_path, doc)]) == 3

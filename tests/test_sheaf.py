@@ -175,6 +175,53 @@ class TestComputeOnce:
         assert [f for f in forms if f[:2] != (2, 2)] == []
         assert groups == [(0, []), (20, []), (0, [])]
 
+    def test_sheaf_scenario_computes_euler_once(self, monkeypatch):
+        """One 2 x 2 rank per puncture: the euler_identity check reads the
+        value the pushforward's cross-check computed."""
+        ranks = []
+        rank = sheaf.rank
+        monkeypatch.setattr(sheaf, "rank", lambda m: ranks.append(len(m)) or rank(m))
+        doc = {"version": "1", "kind": "sheaf",
+               "payload": {"rank": 2, "monodromy": [UNIPOTENT, UNIPOTENT_CONJ] * 12}}
+        report = run_scenario_doc(doc)
+        assert {c["name"]: c["passed"] for c in report.checks} == {"euler_identity": True}
+        assert report.outputs["euler_characteristic"] == -20
+        assert ranks == [2] * 24
+
+    def test_differentials_match_the_dense_form(self, monkeypatch):
+        seen = []
+        groups = sheaf.homology_groups
+
+        def capture(boundaries, cells):
+            seen.append(boundaries)
+            return groups(boundaries, cells)
+
+        monkeypatch.setattr(sheaf, "homology_groups", capture)
+        rng = random.Random(31)
+        systems = [random_system(rng) for _ in range(12)] + [twenty_four_nodal_system()]
+        for system in systems:
+            pushforward_cohomology(system)
+            d0, d1 = _dense_differentials(system)
+            assert seen.pop() == [[], intlinalg.sparse_columns(d1), intlinalg.sparse_columns(d0)]
+
+    @pytest.mark.parametrize("mats", [
+        [UNIPOTENT, [[1, -1], [0, 1]]],
+        [UNIPOTENT] * 4 + [[[1, -4], [0, 1]]],
+        [UNIPOTENT, UNIPOTENT_CONJ] * 12,
+    ], ids=["2", "5", "24"])
+    def test_planted_wrong_prefix_weight_is_caught(self, monkeypatch, mats):
+        weights = sheaf._prefix_weights
+
+        def planted(mats, m):
+            out = weights(mats, m)
+            out[-1][0][0] += 1
+            return out
+
+        monkeypatch.setattr(sheaf, "_prefix_weights", planted)
+        system = LocalSystemOnSphere(2, mats)
+        with pytest.raises(RuntimeError, match="glued differentials do not compose to zero"):
+            pushforward_cohomology(system)
+
     def test_cached_result_is_a_copy(self):
         system = LocalSystemOnSphere(1, [[[-1]], [[-1]]])
         first = pushforward_cohomology(system)
@@ -280,3 +327,38 @@ def test_e2_corner_check_always_runs():
         E2Table(2, grid).validate()
     with pytest.raises(TypeError):
         table.validate(with_section=False)
+
+
+def _dense_differentials(system):
+    """The glued differentials d0 and d1 as dense matrices, built entry by
+    entry: the oracle for the sparse columns pushforward_cohomology builds."""
+    m, mats = system.rank, system.monodromies
+    k = len(mats)
+    minus = [[[t[i][j] - (i == j) for j in range(m)] for i in range(m)] for t in mats]
+    inv_bases = [kernel_basis(t) for t in minus]
+    n_inv = sum(len(b) for b in inv_bases)
+    d0 = [[0] * (n_inv + m) for _ in range((2 * k - 1) * m)]
+    for i in range(k - 1):
+        for r in range(m):
+            for c in range(m):
+                d0[i * m + r][n_inv + c] = minus[i][r][c]
+    row0, col = (k - 1) * m, 0
+    for i in range(k):
+        for bcol, vec in enumerate(inv_bases[i]):
+            for r in range(m):
+                d0[row0 + i * m + r][col + bcol] = vec[r]
+        for r in range(m):
+            d0[row0 + i * m + r][n_inv + r] -= 1
+        col += len(inv_bases[i])
+    weights = sheaf._prefix_weights(mats, m)
+    d1 = [[0] * ((2 * k - 1) * m) for _ in range(k * m)]
+    for i in range(k):
+        for r in range(m):
+            if i < k - 1:
+                d1[i * m + r][i * m + r] += 1
+            for c in range(m):
+                if i == k - 1:
+                    for j in range(k - 1):
+                        d1[i * m + r][j * m + c] += weights[j][r][c]
+                d1[i * m + r][(k - 1) * m + i * m + c] += minus[i][r][c]
+    return d0, d1

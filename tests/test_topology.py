@@ -1,9 +1,10 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-from syzlab import complexes
+from syzlab import complexes, fibre_models
 from syzlab.complexes import (
     CellularMap,
     ChainComplex,
@@ -16,6 +17,7 @@ from syzlab.complexes import (
 )
 from syzlab.fibre_models import (
     MODEL_NAMES,
+    V0,
     MODEL_TABLE,
     ModelError,
     Tori,
@@ -296,3 +298,182 @@ class TestValidateOnce:
                 if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
                         and call.func.attr == "validate"):
                     assert id(call) in allowed, f"validate() at {name}:{call.lineno}"
+
+
+# The label-form builders the index form replaced, kept as the oracle: they
+# build each chain from nested labels through faces() and let the label
+# constructor sum, order and index it.
+def _label_product(a, b, name=""):
+    dim = a.dim + b.dim
+    cells = [[] for _ in range(dim + 1)]
+    for ka, layer_a in enumerate(a.cells):
+        for kb, layer_b in enumerate(b.cells):
+            for s in layer_a:
+                for t in layer_b:
+                    cells[ka + kb].append((s, t))
+    chains = {}
+    for ka, layer_a in enumerate(a.cells):
+        for kb, layer_b in enumerate(b.cells):
+            if ka + kb == 0:
+                continue
+            sign = (-1) ** ka
+            for s in layer_a:
+                faces_s = a.faces(ka, s)
+                for t in layer_b:
+                    chains[(ka + kb, (s, t))] = (
+                        [((face, t), c) for face, c in faces_s]
+                        + [((s, face), sign * c) for face, c in b.faces(kb, t)])
+    return ChainComplex(cells, chains, name or f"{a.name}x{b.name}")
+
+
+def _label_quotient(total, sub_labels, target, chain_map, name=""):
+    flat_sub = set(sub_labels)
+    for k in range(1, total.dim + 1):
+        for label in total.cells[k]:
+            if label not in flat_sub:
+                continue
+            for face, _ in total.faces(k, label):
+                if face not in flat_sub:
+                    raise ComplexError(
+                        f"{label} is in the subcomplex but its face {face} is not")
+    for k in range(1, total.dim + 1):
+        for label in total.cells[k]:
+            if label not in flat_sub:
+                continue
+            push = {}
+            for face, c in total.faces(k, label):
+                for img, ic in chain_map(face):
+                    push[img] = push.get(img, 0) + c * ic
+            pull = {}
+            for img, ic in chain_map(label):
+                for tface, c in target.faces(k, img):
+                    pull[tface] = pull.get(tface, 0) + ic * c
+            keys = set(push) | set(pull)
+            if any(push.get(key, 0) != pull.get(key, 0) for key in keys):
+                raise ComplexError(f"identification map is not cellular at {label}")
+    dim = max(total.dim, target.dim)
+    cells = [[] for _ in range(dim + 1)]
+    for k in range(target.dim + 1):
+        for label in target.cells[k]:
+            cells[k].append(("t", label))
+    for k in range(total.dim + 1):
+        for label in total.cells[k]:
+            if label not in flat_sub:
+                cells[k].append(("x", label))
+    chains = {}
+    for k in range(1, target.dim + 1):
+        for label in target.cells[k]:
+            chains[(k, ("t", label))] = [(("t", face), c)
+                                         for face, c in target.faces(k, label)]
+    for k in range(1, total.dim + 1):
+        for label in total.cells[k]:
+            if label in flat_sub:
+                continue
+            chain = chains[(k, ("x", label))] = []
+            for face, c in total.faces(k, label):
+                if face in flat_sub:
+                    chain += [(("t", img), c * ic) for img, ic in chain_map(face)]
+                else:
+                    chain.append((("x", face), c))
+    return ChainComplex(cells, chains, name or f"{total.name}/~")
+
+
+def _label_extract(cx, labels, name=""):
+    keep = set(labels)
+    cells = [[l for l in layer if l in keep] for layer in cx.cells]
+    while cells and not cells[-1]:
+        cells.pop()
+    chains = {(k, label): cx.faces(k, label)
+              for k in range(1, len(cells)) for label in cells[k]}
+    return ChainComplex(cells, chains, name)
+
+
+def _all_complexes(grid):
+    tori = Tori(grid)
+    out = {name: build_model(name, grid, tori) for name in MODEL_NAMES + ("T3",)}
+    out["T2"] = tori.t2
+    out["nodal"] = fibre_models.nodal_curve_complex(grid)
+    out["onepoint"] = fibre_models.one_point_curve_complex(grid)
+    return out
+
+
+class TestIndexForm:
+    @pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 6])
+    def test_cells_and_chains_match_the_label_form(self, grid, monkeypatch):
+        index_form = _all_complexes(grid)
+        monkeypatch.setattr(fibre_models, "product_complex", _label_product)
+        monkeypatch.setattr(fibre_models, "quotient_complex", _label_quotient)
+        monkeypatch.setattr(fibre_models, "extract_subcomplex", _label_extract)
+        label_form = _all_complexes(grid)
+        assert set(index_form) == set(label_form)
+        for name, cx in index_form.items():
+            assert cx.cells == label_form[name].cells, name
+            assert cx._chains == label_form[name]._chains, name
+            assert cx.name == label_form[name].name
+
+    @pytest.mark.parametrize("n, grid", [(2, 1), (2, 3), (3, 1), (3, 2), (3, 4)])
+    def test_tori_match_the_label_form(self, n, grid):
+        cx = circle_complex(grid, "S1")
+        for _ in range(n - 1):
+            cx = _label_product(cx, circle_complex(grid, "S1"))
+        torus = torus_complex(n, grid)
+        assert (torus.cells, torus._chains) == (cx.cells, cx._chains)
+
+    def test_product_columns_are_sorted_and_merged(self):
+        for cx in (torus_complex(3, 3), product_complex(nodal_curve_complex(2), circle_complex(2))):
+            for layer in cx._chains:
+                for column in layer:
+                    rows = [i for i, _ in column]
+                    assert rows == sorted(set(rows)) and all(c for _, c in column)
+
+    def test_cancelled_faces_leave_no_zero_entry(self):
+        """Both ends of each edge of a two-edge circle go to one vertex, so
+        the rewritten boundaries cancel to empty columns: a wedge of two
+        circles."""
+        circle = circle_complex(2)
+        collapse = CellularMap({v: [(("v", 0), 1)] for v in circle.cells[0]})
+        args = circle, circle.cells[0], point_complex(), collapse
+        wedge = quotient_complex(*args)
+        assert wedge._chains == _label_quotient(*args)._chains == [[()], [(), ()]]
+        assert wedge.homology() == [(1, []), (2, [])]
+
+    def test_non_closed_subcomplex_rejected(self):
+        tori = Tori(2)
+        sub = [label for label, comps in tori.t3_cells if V0 in comps]
+        sub.remove(((V0, V0), V0))
+        with pytest.raises(ComplexError, match=r"is in the subcomplex but its face "
+                                               r"\(\(\('v', 0\), \('v', 0\)\), \('v', 0\)\) is not"):
+            quotient_complex(tori.t3, sub, point_complex(), CellularMap({}))
+
+    def test_non_cellular_map_rejected(self):
+        tori = Tori(2)
+        images = {label: [(c3, 1)] if c1[0] == c2[0] == "v" else []
+                  for label, (c1, c2, c3) in tori.t3_cells
+                  if c1 == V0 or c2 == V0 or c3 == V0}
+        quotient_complex(tori.t3, list(images), tori.circle, CellularMap(images))
+        edge = ((V0, V0), ("e", 1))
+        images[edge] = [(("e", 1), -1)]
+        with pytest.raises(ComplexError, match=r"identification map is not cellular at "
+                                               + re.escape(str(edge))):
+            quotient_complex(tori.t3, list(images), tori.circle, CellularMap(images))
+
+    def test_nonzero_square_rejected_from_columns(self):
+        t2 = torus_complex(2, 2)
+        columns = [list(layer) for layer in t2._chains]
+        ChainComplex(t2.cells, columns, "good")
+        columns[2][0] = tuple((i, 2 * c if i == columns[2][0][0][0] else c)
+                              for i, c in columns[2][0])
+        with pytest.raises(ComplexError, match="boundary square nonzero at degree 2 in bad"):
+            ChainComplex(t2.cells, columns, "bad")
+
+    def test_models_read_no_labelled_faces(self, monkeypatch):
+        calls = []
+        faces = ChainComplex.faces
+
+        def counting(self, k, label):
+            calls.append((self.name, k))
+            return faces(self, k, label)
+
+        monkeypatch.setattr(ChainComplex, "faces", counting)
+        cohomology_of_models(MODEL_NAMES, 2)
+        assert calls == []

@@ -17,11 +17,12 @@ every reordering sign comes from sorting in ``add_term``.  A coefficient is
 an expression node or ``Pair`` (from ``fields``), an expanded sympy
 expression, or a ``Jet``: the sampled values of a field with its first
 partials.  The operators differentiate through ``c.diff(v)`` in the chart
-variables and combine coefficients with ``+`` and ``*`` only, so one set of
-builders gives the exact identities on nodes or sympy coefficients and their
-sampled values on jets.  Only a sympy coefficient imports sympy.  A zero
-sum is dropped from the store where it is one node (or an expanded sympy
-zero); ``is_zero`` expands the node coefficients, so an element whose
+variables and combine coefficients with ``+``, ``-`` and ``*`` only: a sign
+(+-1) is never multiplied in, ``add_term`` applies a -1 by negation, so one
+set of builders gives the exact identities on nodes or sympy coefficients
+and their sampled values on jets.  Only a sympy coefficient imports sympy.
+A zero sum is dropped from the store where it is one node (or an expanded
+sympy zero); ``is_zero`` expands the node coefficients, so an element whose
 coefficients cancel only once multiplied out is zero too.
 
 Three graded operators act here: d_x (the fibre part of the exterior
@@ -99,21 +100,25 @@ class _Terms:
             for (jset, kset), coeff in terms.items():
                 self.add_term(jset, kset, coeff)
 
-    def add_term(self, jset, kset, coeff):
-        """Add coeff * (J, K) for unsorted J, K: sorting gives the sign, and a
-        repeated index drops the term; an index above n raises DegreeError.
-        A sympy sum is expanded, and a zero sum is dropped."""
+    def add_term(self, jset, kset, coeff, sign=1):
+        """Add sign * coeff * (J, K) for unsorted J, K and a sign of +-1:
+        sorting gives more sign, a -1 negates and a 0 (a repeated index)
+        drops the term; an index above n raises DegreeError.  A sympy sum
+        is expanded, and a zero sum is dropped."""
         jset, jsign = sort_with_sign(jset)
         kset, ksign = sort_with_sign(kset)
-        if jset is None or kset is None:
+        sign *= jsign * ksign
+        if not sign:
             return
         n = self.chart.n
         if jset and jset[-1] > n or kset and kset[-1] > n:
             raise DegreeError(f"index out of range for dimension {n}")
         key = (jset, kset)
-        coeff = jsign * ksign * coeff
         old = self.terms.get(key)
-        new = coeff if old is None else old + coeff
+        if sign > 0:
+            new = coeff if old is None else old + coeff
+        else:
+            new = -coeff if old is None else old - coeff
         if is_sympy(new):
             new = new.expand()
         elif not isinstance(new, (Jet, Node, Pair)):
@@ -127,26 +132,27 @@ class _Terms:
     def zero(cls, chart):
         return cls(chart)
 
-    def __add__(self, other):
+    def __add__(self, other, sign=1):
         require_same_chart(self.chart, other.chart)
         out = type(self)(self.chart)
         for (j, k), c in self.terms.items():
             out.add_term(j, k, c)
         for (j, k), c in other.terms.items():
-            out.add_term(j, k, c)
+            out.add_term(j, k, c, sign)
         return out
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self.__add__(other, -1)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, factor):
-        out = type(self)(self.chart)
-        for (j, k), c in self.terms.items():
-            out.add_term(j, k, factor * c)
-        return out
+        """factor times every coefficient; a factor of 1, -1 or 0 is a sign."""
+        sign = next((s for s in (1, -1, 0) if factor == s), None)
+        if sign is not None:
+            return self.zero(self.chart).__add__(self, sign)
+        return type(self)(self.chart, {key: factor * c for key, c in self.terms.items()})
 
     def _product(self, other, interleaved):
         """Wedge J with J' and K with K' term by term; ``interleaved`` factors
@@ -159,15 +165,14 @@ class _Terms:
                 if not set(j1).isdisjoint(j2) or not set(k1).isdisjoint(k2):
                     continue
                 cross = (-1) ** (len(k1) * len(j2)) if interleaved else 1
-                out.add_term(j1 + j2, k1 + k2, cross * c1 * c2)
+                out.add_term(j1 + j2, k1 + k2, c1 * c2, cross)
         return out
 
     def coefficient(self, dys=(), dxs=()):
         jset, jsign = sort_with_sign(dys)
         kset, ksign = sort_with_sign(dxs)
-        if jset is None or kset is None:
-            return ZERO
-        return jsign * ksign * self.terms.get((jset, kset), ZERO)
+        c = self.terms.get((jset, kset), ZERO)
+        return c if jsign * ksign > 0 else -c
 
     def is_zero(self):
         """Whether every coefficient is identically zero (``fields.is_zero``:
@@ -279,7 +284,7 @@ class FormElement(_Terms):
                 dc = c.diff(x)
                 if dc != 0:
                     # dx_a moves in front of dx_K past every dy factor
-                    out.add_term(jset, (a,) + kset, ((-1) ** len(jset)) * dc)
+                    out.add_term(jset, (a,) + kset, dc, (-1) ** len(jset))
         return out
 
     def contract_base_vector(self, j):
@@ -290,7 +295,7 @@ class FormElement(_Terms):
                 continue
             pos = jset.index(j)
             rest = jset[:pos] + jset[pos + 1:]
-            out.add_term(rest, kset, ((-1) ** pos) * c)
+            out.add_term(rest, kset, c, (-1) ** pos)
         return out
 
     def __repr__(self):
@@ -325,7 +330,7 @@ def to_form(element: BigradedElement) -> FormElement:
     out = FormElement(element.chart)
     for (jset, iset), c in element.terms.items():
         istar, sign = complement_sign(iset, n)
-        out.add_term(jset, istar, sign * c)
+        out.add_term(jset, istar, c, sign)
     return out
 
 
@@ -336,7 +341,7 @@ def from_form(form: FormElement) -> BigradedElement:
     for (jset, kset), c in form.terms.items():
         iset = tuple(i for i in range(1, n + 1) if i not in kset)
         _, sign = complement_sign(iset, n)
-        out.add_term(jset, iset, sign * c)
+        out.add_term(jset, iset, c, sign)
     return out
 
 
@@ -361,7 +366,7 @@ def d_x(element: BigradedElement) -> BigradedElement:
                 continue
             above = sum(1 for j in iset if j > i)
             rest = tuple(j for j in iset if j != i)
-            out.add_term(jset, rest, qsign * ((-1) ** above) * dc)
+            out.add_term(jset, rest, dc, qsign * (-1) ** above)
     return out
 
 
@@ -448,7 +453,7 @@ def vector_field_bracket(a: BigradedElement, b: BigradedElement) -> BigradedElem
                 out.add_term((l, m), (jj,), term1)
             term2 = cw * cv.diff(xs[jj - 1])
             if term2 != 0:
-                out.add_term((l, m), (i,), -term2)
+                out.add_term((l, m), (i,), term2, -1)
     return out
 
 

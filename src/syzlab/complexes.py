@@ -191,7 +191,10 @@ def quotient_complex(total: ChainComplex, sub_labels, target: ChainComplex,
                 if not below[i]:
                     raise ComplexError(f"{layer[j]} is in the subcomplex "
                                        f"but its face {total.cells[k - 1][i]} is not")
-            images[j] = [(index[img], c) for img, c in chain_map(layer[j])]
+            images[j] = [(index.get(img), c) for img, c in chain_map(layer[j])]
+            if any(i is None for i, _ in images[j]):
+                raise ComplexError(f"identification map sends {layer[j]} outside the "
+                                   f"{k}-cells of {target.name}: {chain_map(layer[j])}")
             push, pull = sparse_image(chains[j], images_below), sparse_image(images[j], boundaries)
             if any(push.get(i, 0) != pull.get(i, 0) for i in push.keys() | pull.keys()):
                 raise ComplexError(f"identification map is not cellular at {layer[j]}")

@@ -289,7 +289,9 @@ def _real_factor(base, e):
 
 
 def number(q):
-    return _intern("num", Fraction(q))
+    """The node of an int or Fraction q, found by its integer pair."""
+    node = _TABLE.get(("num", (q.numerator, q.denominator)))
+    return _intern("num", Fraction(q), (q.numerator, q.denominator)) if node is None else node
 
 
 ZERO, ONE, MINUS_ONE = number(0), number(1), number(-1)
@@ -305,13 +307,13 @@ X_VARS = tuple(variable(name) for name in X_NAMES)
 
 
 def _decimal(value):
-    """A JSON or literal number as a Fraction; a float reads as its shortest
-    decimal, so 0.1 is 1/10."""
+    """A JSON or literal number as an int or Fraction; a float reads as its
+    shortest decimal, so 0.1 is 1/10."""
     if isinstance(value, float):
         if not math.isfinite(value):
             raise GrammarError(f"{value} is not finite")
         return Fraction(repr(float(value)))
-    return Fraction(value)
+    return value
 
 
 def _operand(value):
@@ -355,6 +357,9 @@ def _sum(const, terms):
 
 def add(*items):
     """The sum, flattened, with numbers folded and like terms collected."""
+    items = [a for a in items if a is not ZERO]
+    if len(items) < 2:
+        return items[0] if items else ZERO
     const, terms = Fraction(0), {}
     for a in items:
         if a.op == "num":
@@ -369,7 +374,7 @@ def add(*items):
 
 
 def negate(a):
-    return mul(MINUS_ONE, a)
+    return number(-a.args) if a.op == "num" else mul(MINUS_ONE, a)
 
 
 def _scaled(c, node):
@@ -388,6 +393,9 @@ def _scaled(c, node):
 
 def mul(*items):
     """The product, flattened, with numbers folded and like bases collected."""
+    items = [a for a in items if a is not ONE]
+    if ZERO in items or len(items) < 2:
+        return ZERO if ZERO in items else items[0] if items else ONE
     coeff, pairs = Fraction(1), []
     for a in items:
         c, factors = _factors(a)
@@ -437,6 +445,9 @@ def _product(coeff, pairs):
     for t, c in exps.items():
         if c:
             factors.append((_intern("exp", _scaled(c, t)), Fraction(1)))
+    numbers = [b for b, _ in factors if b.op == "num"]
+    if len(set(numbers)) < len(numbers):  # a root rationalised to another's base
+        return _product(coeff, factors)
     if not factors:
         return number(coeff)
     if len(factors) == 1 and factors[0][1] == 1:
@@ -1320,6 +1331,9 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             other = Jet(constant(other), {})
+        for a, b in ((self, other), (other, self)):
+            if b.partials == {} and type(b.value) is complex and b.value in (1, -1):
+                return a if b.value == 1 else -a  # a sign
         if self.is_zero() or other.is_zero():
             return Jet(0j, {})
         a, b = self.value, other.value

@@ -52,11 +52,19 @@ def fibre_means(exprs, chart: Chart, axes, jets=False):
     return (means[:, 0], means[:, 1:]) if jets else means[:, 0]
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(k):
+    """The k-point Gauss-Legendre rule on [-1, 1], read-only, solved once per k."""
+    nodes, weights = np.polynomial.legendre.leggauss(k)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def chart_integral(expr, chart: Chart, base_resolution=8, fibre_resolution=16):
     """Integral over base box x fibre torus of a mixed integrand: fibre means
     at the tensor Gauss-Legendre nodes of the base box, weighted by the outer
     product of the per-axis weights."""
-    nodes, weights = np.polynomial.legendre.leggauss(base_resolution)
+    nodes, weights = _gauss_legendre(base_resolution)
     mids = [(float(hi) + float(lo)) / 2.0 for lo, hi in chart.box]
     halves = [(float(hi) - float(lo)) / 2.0 for lo, hi in chart.box]
     axes = [m + h * nodes for m, h in zip(mids, halves)]

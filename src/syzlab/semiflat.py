@@ -39,6 +39,7 @@ node; none of them needs sympy.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
@@ -194,14 +195,12 @@ class BetaStructure:
 
 
 def _determinant(matrix):
-    """The Leibniz determinant; entries of any coefficient type."""
-    n = len(matrix)
+    """The Leibniz determinant, entries of any coefficient type; a term's
+    sign is applied by subtraction (the identity's term, first, is added)."""
     total = 0
-    for perm in permutations(range(n)):
-        term = sort_with_sign(perm)[1]
-        for i, j in enumerate(perm):
-            term = term * matrix[i][j]
-        total = total + term
+    for perm in permutations(range(len(matrix))):
+        term = functools.reduce(operator.mul, (matrix[i][j] for i, j in enumerate(perm)))
+        total = total + term if sort_with_sign(perm)[1] > 0 else total - term
     return total
 
 

@@ -1,4 +1,7 @@
+import importlib
 import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,19 @@ def compile_calls(monkeypatch):
         if name.startswith("syzlab") and getattr(mod, "Walk", None) is raw:
             monkeypatch.setattr(mod, "Walk", counted)
     return calls
+
+
+def perfbench_modules(*names):
+    """The named modules of the benchmark (perfbench/), imported without
+    writing bytecode there; sys.path is left as it was."""
+    before = list(sys.path)
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        return [importlib.import_module(name) for name in names]
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path[:] = before
 
 
 # ---------------------------------------------------------------------------

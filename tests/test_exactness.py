@@ -15,10 +15,8 @@ one-forms, and the symmetry and column closedness of tensors
 """
 
 import functools
-import importlib
 import json
 import random
-import sys
 from pathlib import Path
 
 import sympy as sp
@@ -38,7 +36,7 @@ from syzlab.semiflat import (
     base_one_form_differential,
 )
 
-from conftest import sympy_beta, sympy_volume
+from conftest import perfbench_modules, sympy_beta, sympy_volume
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,18 +63,6 @@ def _gradient(chart, f):
     return [f.diff(y) for y in chart.ys]
 
 
-def _benchmark_workloads():
-    """perfbench's job generators, read without writing bytecode there."""
-    path = str(ROOT / "perfbench")
-    sys.path.insert(0, path)
-    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        return importlib.import_module("workloads")
-    finally:
-        sys.dont_write_bytecode = dont_write
-        sys.path.remove(path)
-
-
 def _documents():
     """The sample scenarios and the seed-1 benchmark job lists, as scenario
     kinds with payloads."""
@@ -84,7 +70,7 @@ def _documents():
         doc = json.loads(path.read_text())
         if "kind" in doc:
             yield doc["kind"], doc["payload"]
-    for job in _benchmark_workloads().symbolic_jobs(1):
+    for job in perfbench_modules("workloads")[0].symbolic_jobs(1):
         if "doc" in job:
             yield job["doc"]["kind"], job["doc"]["payload"]
         else:

@@ -467,6 +467,17 @@ def test_walk_grid_is_the_only_evaluation_entry_point():
     assert grids >= 4
 
 
+def seeded_sums(seed, count=6):
+    """Expanded seeded sums of roots, exps and trig atoms in y1..y3, x1, x2."""
+    rng = random.Random(seed)
+    atoms = ["y1", "y2", "y3", "pi", "y1*y2^2", "exp(y1)", "exp(-y2)", "sin(2*pi*x1)",
+             "cos(2*pi*x2 + y1)", "(1 + y1)^(1/2)", "(2 + y2)^(-1/2)", "y3*(1 + y1)^(1/2)"]
+    for _ in range(count):
+        terms = [f"{rng.choice(['1', '-2', '1/3', '3/2'])}*{t}"
+                 for t in rng.sample(atoms, rng.randint(2, 4))]
+        yield expand(parse_scalar(" + ".join(terms + [rng.choice(["0", "1", "-1/2"])]), 3))
+
+
 class TestExpand:
     """expand multiplies out what the node constructors keep factored, so
     is_zero proves the zeros that sympy's expand proves."""
@@ -494,13 +505,7 @@ class TestExpand:
         """b^k by the multinomial theorem is the node that multiplying b out
         k times gives, on seeded sums of roots, exps and trig atoms, at
         whole and half-integer powers up to 6."""
-        rng = random.Random(seed)
-        atoms = ["y1", "y2", "y3", "pi", "y1*y2^2", "exp(y1)", "exp(-y2)", "sin(2*pi*x1)",
-                 "cos(2*pi*x2 + y1)", "(1 + y1)^(1/2)", "(2 + y2)^(-1/2)", "y3*(1 + y1)^(1/2)"]
-        for _ in range(6):
-            terms = [f"{rng.choice(['1', '-2', '1/3', '3/2'])}*{t}"
-                     for t in rng.sample(atoms, rng.randint(2, 4))]
-            b = expand(parse_scalar(" + ".join(terms + [rng.choice(["0", "1", "-1/2"])]), 3))
+        for b in seeded_sums(seed):
             root = fields._power_out(b, Fraction(1, 2))
             for k in range(1, 7):
                 assert fields._power_out(b, Fraction(k)) is functools.reduce(

@@ -75,6 +75,22 @@ def test_base_gauss_legendre(chart2):
     assert abs(val - sp.Rational(2, 5) * sp.Rational(2, 3)) < 1e-13
 
 
+def test_gauss_legendre_rule_is_solved_once_per_resolution(chart2, monkeypatch):
+    """chart_integral takes the rule from a read-only cache, bit-identical
+    to numpy's, and solves it once per base resolution."""
+    raw, calls = np.polynomial.legendre.leggauss, []
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda k: calls.append(k) or raw(k))
+    quadrature._gauss_legendre.cache_clear()
+    expr = chart2.ys[0] ** 2 * (1 + sp.sin(2 * sp.pi * chart2.xs[0]) ** 2)
+    values = [chart_integral(expr, chart2, base_resolution=k) for k in (5, 8, 5, 8, 8)]
+    assert calls == [5, 8] and values[:2] == values[2:4]
+    for k in (5, 8):
+        nodes, weights = quadrature._gauss_legendre(k)
+        assert not nodes.flags.writeable and not weights.flags.writeable
+        assert all(np.array_equal(a, b) for a, b in zip((nodes, weights), raw(k)))
+    quadrature._gauss_legendre.cache_clear()
+
+
 def test_chart_integral_mixed(chart2):
     y1 = chart2.ys[0]
     x1 = chart2.xs[0]

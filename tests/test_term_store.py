@@ -71,9 +71,9 @@ def test_product_skips_overlapping_pairs_before_add_term(chart2, monkeypatch):
     calls = []
     raw = algebra._Terms.add_term
 
-    def counted(self, jset, kset, coeff):
+    def counted(self, jset, kset, coeff, sign=1):
         calls.append((jset, kset))
-        return raw(self, jset, kset, coeff)
+        return raw(self, jset, kset, coeff, sign)
 
     monkeypatch.setattr(algebra._Terms, "add_term", counted)
     product = left * right

@@ -102,6 +102,18 @@ class TestComplexMachinery:
         with pytest.raises(ComplexError):
             quotient_complex(t2, sub, c, CellularMap(images))
 
+    @pytest.mark.parametrize("total, sub, image", [
+        (circle_complex(1), [("v", 0)], ("w", 9)),
+        # a vertex and its loop, the loop sent to an edge the target lacks
+        (circle_complex(1), [("v", 0), ("e", 0)], ("e", 3)),
+    ])
+    def test_quotient_rejects_image_outside_target(self, total, sub, image):
+        images = {label: [] for label in sub}
+        images[sub[-1]] = [(image, 1)]
+        with pytest.raises(ComplexError, match=re.escape(
+                f"sends {sub[-1]} outside the {len(sub) - 1}-cells of pt: {[(image, 1)]}")):
+            quotient_complex(total, sub, point_complex(), CellularMap(images))
+
     def test_product_torus_agrees(self):
         direct = torus_complex(2, 2)
         via_product = product_complex(circle_complex(2), circle_complex(2))
